@@ -97,6 +97,20 @@ def _timestamp(args) -> str | None:
     return None
 
 
+def _world_spec(args, seed: int) -> SyntheticSpec:
+    """The world the world flags describe, at the first ``--ood-distance`` (default 2.0)."""
+    return SyntheticSpec(
+        classes=args.classes,
+        dim=args.dim,
+        class_separation=args.separation,
+        within_class_sigma=args.sigma,
+        label_noise=args.label_noise,
+        ood_distance=(args.ood_distance or [2.0])[0],
+        law=args.law,
+        seed=seed,
+    )
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -105,16 +119,7 @@ def cmd_synth(args) -> int:
     if args.classes is None or args.dim is None:
         raise ValidationError("synth requires --classes and --dim")
     distances = tuple(args.ood_distance) if args.ood_distance else (2.0,)
-    spec = SyntheticSpec(
-        classes=args.classes,
-        dim=args.dim,
-        class_separation=args.separation,
-        within_class_sigma=args.sigma,
-        label_noise=args.label_noise,
-        ood_distance=distances[0],
-        law=args.law,
-        seed=args.seed,
-    )
+    spec = _world_spec(args, args.seed)
     world = generate_world(spec, ood_distances=distances, n_ood=args.n_ood)
 
     out = Path(args.out)
@@ -231,16 +236,7 @@ def cmd_sweep(args) -> int:
     else:
         if args.classes is None or args.dim is None:
             raise ValidationError("sweep needs --manifest or --classes/--dim world flags")
-        base_world = SyntheticSpec(
-            classes=args.classes,
-            dim=args.dim,
-            class_separation=args.separation,
-            within_class_sigma=args.sigma,
-            label_noise=args.label_noise,
-            ood_distance=args.ood_distance[0] if args.ood_distance else 2.0,
-            law=args.law,
-            seed=args.world_seed,
-        )
+        base_world = _world_spec(args, args.world_seed)
 
     if axis == Axis.IMBALANCE:
         grid = tuple(parse_law(v) for v in args.grid.split(","))
@@ -404,10 +400,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    """Fill flags from a flat key = value file; explicit flags win."""
+def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
+    """Fill flags from a flat key = value file; flags given in ``argv`` win."""
     if not args.config:
         return
+    # A second parse that sets no default leaves only the flags given.
+    parser, commands = build_parser()
+    sub = commands[args.command]
+    for action in sub._actions:
+        action.default = argparse.SUPPRESS
+    sub._defaults.clear()
+    given = set(vars(parser.parse_args(argv)))
     actions = {a.dest: a for a in sub._actions}
     text = Path(args.config).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -421,27 +424,32 @@ def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> Non
         value = value.strip()
         if dest not in actions or dest in ("config", "func", "command"):
             raise ValidationError(f"{args.config}: unknown option {key.strip()!r}")
+        if dest in given:
+            continue
         action = actions[dest]
-        if getattr(args, dest) != action.default:
-            continue  # flag was given explicitly
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             parsed = value.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            parsed = action.type(value)
         else:
-            parsed = value
+            try:
+                parsed = action.type(value) if action.type is not None else value
+                if action.choices is not None and parsed not in action.choices:
+                    raise ValueError(f"invalid choice {value!r}")
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValidationError(f"{args.config}: line {lineno}: {exc}") from None
+        if isinstance(action, argparse._AppendAction):  # repeatable: lines add up
+            parsed = (getattr(args, dest) or []) + [parsed]
         setattr(args, dest, parsed)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    parser, _ = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(message)s",
     )
     try:
-        _apply_config(args, commands[args.command])
+        _apply_config(args, argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

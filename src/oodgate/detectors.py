@@ -20,7 +20,7 @@ import csv
 import enum
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +28,6 @@ from scipy.linalg import solve_triangular
 
 from .data import FeatureTable
 from .errors import IngestionError, NumericalError, ValidationError
-
-#: The single score orientation used across the toolkit.
-HIGHER_IS_ID = "higher_is_id"
 
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
@@ -65,7 +62,6 @@ class ScoreSet:
 
     method: Method | None
     scores: np.ndarray
-    orientation: str = field(default=HIGHER_IS_ID)
 
     def __post_init__(self) -> None:
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
@@ -75,8 +71,6 @@ class ScoreSet:
             raise ValidationError("scores contain non-finite values")
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
-        if self.orientation != HIGHER_IS_ID:
-            raise ValidationError(f"unsupported orientation {self.orientation!r}")
 
     def __len__(self) -> int:
         return self.scores.size
@@ -136,19 +130,24 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def _max_and_expsum(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The max along ``axis`` and the sum of ``exp(x - max)`` (at least 1)."""
+    m = np.max(x, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis), np.sum(np.exp(x - m), axis=axis)
+
+
 def logsumexp(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted log-sum-exp along ``axis``."""
-    x = np.asarray(logits, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(x - m), axis=axis))
+    m, total = _max_and_expsum(np.asarray(logits, dtype=np.float64), axis)
+    return m + np.log(total)
 
 
 def score_msp(logits: np.ndarray) -> ScoreSet:
-    """Max softmax probability per row; requires at least two classes."""
+    """Max softmax probability ``1 / sum(exp(x - max))`` per row; needs c >= 2."""
     arr = _as_finite_2d(logits, "logits")
     if arr.shape[1] < 2:
         raise ValidationError(f"msp needs c >= 2 logit columns, got {arr.shape[1]}")
-    return ScoreSet(Method.MSP, softmax(arr, axis=1).max(axis=1))
+    return ScoreSet(Method.MSP, 1.0 / _max_and_expsum(arr, 1)[1])
 
 
 def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:

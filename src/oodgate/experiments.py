@@ -10,6 +10,13 @@ sense: the domain-distance axis walks named OOD_TEST entries and the
 imbalance axis resamples the ID_FIT_DETECTOR table, while the accuracy axis
 needs a synthetic world (there is no knob to turn on a fixed dump).
 
+One loop, :func:`run_sweep`, serves every axis. Each axis has a small
+provider that yields the (fit, ID test, OOD test) tables of each grid point;
+the loop fits and scores, and a table the provider hands back again (the
+domain axis's ID test set, the imbalance axis's test sets) is scored once.
+Providers check the whole grid (OOD names, per-class counts of every law)
+before the first fit or score.
+
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample and
 (8, i) OOD subsample at grid point i, (10, i) child seed for imbalance
 resampling at grid point i.
@@ -25,21 +32,15 @@ from typing import Union
 import numpy as np
 
 from .data import DatasetManifest, FeatureTable, Role
-from .detectors import (
-    DetectorConfig,
-    GaussianClassModel,
-    Method,
-    fit_mahalanobis,
-    score_table,
-)
+from .detectors import DetectorConfig, Method, fit_mahalanobis, score_table
 from .errors import ValidationError
 from .metrics import auroc, fpr_at_tpr, roc_curve
 from .synthetic import (
     CountLaw,
     SyntheticSpec,
     generate_world,
+    imbalanced_rows,
     ood_table_name,
-    sample_imbalanced,
     stream_rng,
 )
 
@@ -185,77 +186,34 @@ def _accuracy_of(table: FeatureTable) -> float | None:
     return float(np.mean(np.argmax(table.logits, axis=1) == table.labels))
 
 
-def _score_rows(
-    spec: SweepSpec,
-    axis_value: float | str,
-    id_table: FeatureTable,
-    ood_table: FeatureTable,
-    fit_table: FeatureTable | None,
-    accuracy: float | None,
-    mah_models: dict[float, GaussianClassModel] | None = None,
-) -> list[SweepRow]:
-    """One row per detector for a fixed (ID test, OOD test) pair."""
-    rows = []
-    for config in spec.detectors:
-        model = None
-        if config.method is Method.MAH:
-            if mah_models is not None and config.ridge in mah_models:
-                model = mah_models[config.ridge]
-            else:
-                if fit_table is None:
-                    raise ValidationError("mahalanobis detector needs a fit table")
-                model = fit_mahalanobis(fit_table, config.ridge)
-                if mah_models is not None:
-                    mah_models[config.ridge] = model
-        curve = roc_curve(
-            score_table(config, id_table, model), score_table(config, ood_table, model)
-        )
-        rows.append(
-            SweepRow(
-                axis=spec.axis,
-                axis_value=_grid_text(axis_value),
-                method=config.method.value,
-                classifier_accuracy=accuracy,
-                auroc=auroc(curve),
-                fpr95=fpr_at_tpr(curve, 0.95),
-                n_id=id_table.n,
-                n_ood=ood_table.n,
-            )
-        )
-    return rows
-
-
 def _load_manifest(spec: SweepSpec) -> DatasetManifest:
     manifest = DatasetManifest.read(spec.base_world)
     manifest.validate_for_eval()
     return manifest
 
 
-def run_accuracy_sweep(spec: SweepSpec) -> SweepResult:
+# ---------------------------------------------------------------------------
+# grid-point providers: one per axis, each yielding
+# (axis value, fit table, ID test table, OOD test table, classifier accuracy)
+
+
+def _accuracy_points(spec: SweepSpec):
     """Regenerate the world per label-noise level; equal-sized test sets."""
-    if spec.axis != Axis.ACCURACY:
-        raise ValidationError(f"expected axis {Axis.ACCURACY!r}, got {spec.axis!r}")
     if not spec.is_synthetic:
         raise ValidationError(
             "the accuracy sweep varies label noise and needs a synthetic world"
         )
-    rows: list[SweepRow] = []
     for i, noise in enumerate(spec.grid):
         world = generate_world(replace(spec.base_world, label_noise=float(noise)))
         ood = world.ood_tables[ood_table_name(spec.base_world.ood_distance)]
         m = min(world.id_test.n, ood.n, spec.n_per_side or world.id_test.n)
         id_test = _subsample(world.id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
-        rows += _score_rows(
-            spec, noise, id_test, ood, world.id_fit, world.classifier_accuracy, {}
-        )
-    return SweepResult(tuple(rows), _provenance(spec))
+        yield noise, world.id_fit, id_test, ood, world.classifier_accuracy
 
 
-def run_domain_shift_sweep(spec: SweepSpec) -> SweepResult:
+def _domain_points(spec: SweepSpec):
     """One world (or manifest), one OOD set per grid value, sizes matched."""
-    if spec.axis != Axis.DOMAIN_DISTANCE:
-        raise ValidationError(f"expected axis {Axis.DOMAIN_DISTANCE!r}, got {spec.axis!r}")
     if spec.is_synthetic:
         distances = tuple(float(v) for v in spec.grid)
         world = generate_world(
@@ -266,40 +224,33 @@ def run_domain_shift_sweep(spec: SweepSpec) -> SweepResult:
         ood_sets = [(d, world.ood_tables[ood_table_name(d)]) for d in distances]
     else:
         manifest = _load_manifest(spec)
-        id_test = manifest.load(manifest.single(Role.ID_TEST))
         by_name = {e.ood_name: e for e in manifest.ood_entries()}
-        fit_entries = [e for e in manifest.entries if e.role is Role.ID_FIT_DETECTOR]
-        fit_table = manifest.load(fit_entries[0]) if fit_entries else None
-        accuracy = _accuracy_of(id_test)
-        ood_sets = []
         for name in spec.grid:
             if name not in by_name:
                 raise ValidationError(f"manifest has no OOD_TEST named {name!r}")
-            ood_sets.append((name, manifest.load(by_name[name])))
+        id_test = manifest.load(manifest.single(Role.ID_TEST))
+        fit_entries = [e for e in manifest.entries if e.role is Role.ID_FIT_DETECTOR]
+        fit_table = manifest.load(fit_entries[0]) if fit_entries else None
+        accuracy = _accuracy_of(id_test)
+        ood_sets = [(name, manifest.load(by_name[name])) for name in spec.grid]
 
     m = min([id_test.n] + [t.n for _, t in ood_sets] + ([spec.n_per_side] if spec.n_per_side else []))
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
-    rows: list[SweepRow] = []
-    mah_models: dict[float, GaussianClassModel] = {}
     for i, (value, ood) in enumerate(ood_sets):
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
-        rows += _score_rows(spec, value, id_matched, ood, fit_table, accuracy, mah_models)
-    return SweepResult(tuple(rows), _provenance(spec))
+        yield value, fit_table, id_matched, ood, accuracy
 
 
-def run_imbalance_sweep(spec: SweepSpec) -> SweepResult:
-    """Refit the Mahalanobis detector per imbalance law; others are fixed.
+def _imbalance_points(spec: SweepSpec):
+    """Resample the detector-fit table per imbalance law; the test sets are fixed.
 
-    All laws must request the same fit total. With a manifest world the
-    first OOD_TEST entry is the comparison set.
+    All laws must request the same fit total, and every law's rows are drawn
+    before the first fit. With a manifest world the first OOD_TEST entry is
+    the comparison set.
     """
-    if spec.axis != Axis.IMBALANCE:
-        raise ValidationError(f"expected axis {Axis.IMBALANCE!r}, got {spec.axis!r}")
-    laws: list[CountLaw] = []
-    for v in spec.grid:
-        if isinstance(v, (int, float, str)):
-            raise ValidationError("imbalance grid values must be count laws")
-        laws.append(v)
+    laws = spec.grid
+    if any(isinstance(law, (int, float, str)) for law in laws):
+        raise ValidationError("imbalance grid values must be count laws")
 
     if spec.is_synthetic:
         world = generate_world(spec.base_world, n_ood=spec.n_per_side)
@@ -320,21 +271,61 @@ def run_imbalance_sweep(spec: SweepSpec) -> SweepResult:
             f"imbalance laws must request equal totals over {c} classes, got {sorted(totals)}"
         )
 
-    rows: list[SweepRow] = []
-    for i, law in enumerate(laws):
-        child_seed = int(
-            np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_CHILD_SEED, i))
-            .generate_state(1)[0]
-        )
-        fit_variant = sample_imbalanced(id_fit, law, child_seed)
-        rows += _score_rows(spec, law, id_test, ood, fit_variant, accuracy, {})
-    return SweepResult(tuple(rows), _provenance(spec))
+    fit_rows = [
+        imbalanced_rows(id_fit, law, int(np.random.SeedSequence(
+            spec.seed, spawn_key=(_STREAM_CHILD_SEED, i)).generate_state(1)[0]))
+        for i, law in enumerate(laws)
+    ]
+    for law, rows in zip(laws, fit_rows):
+        yield law, id_fit.take(rows), id_test, ood, accuracy
+
+
+_PROVIDERS = {
+    Axis.ACCURACY: _accuracy_points,
+    Axis.DOMAIN_DISTANCE: _domain_points,
+    Axis.IMBALANCE: _imbalance_points,
+}
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Dispatch on the sweep axis."""
-    return {
-        Axis.ACCURACY: run_accuracy_sweep,
-        Axis.DOMAIN_DISTANCE: run_domain_shift_sweep,
-        Axis.IMBALANCE: run_imbalance_sweep,
-    }[spec.axis](spec)
+    """Run one sweep: one row per (grid value, detector), in that order.
+
+    The axis's provider hands over each grid point's tables; this loop fits
+    and scores them. Score-once rule: a fit or a scoring whose inputs are the
+    very same objects (``is``) as in a call of the current or previous grid
+    point reuses that result, so a fixed test set is scored once per detector.
+    Only two grid points' calls are kept, so memory does not grow with the
+    grid, and a kept call holds its inputs, so none is freed meanwhile.
+    """
+    kept: list[tuple] = []  # (grid point, (fn, *args), result)
+
+    def call(i: int, fn, *args):
+        key = (fn, *args)
+        for _, k, result in kept:
+            if len(k) == len(key) and all(a is b for a, b in zip(k, key)):
+                break
+        else:
+            result = fn(*args)
+        kept.append((i, key, result))
+        return result
+
+    rows: list[SweepRow] = []
+    points = _PROVIDERS[spec.axis](spec)
+    for i, (value, fit_table, id_table, ood_table, accuracy) in enumerate(points):
+        kept[:] = [e for e in kept if e[0] >= i - 1]
+        for config in spec.detectors:
+            model = None
+            if config.method is Method.MAH:
+                if fit_table is None:
+                    raise ValidationError("mahalanobis detector needs a fit table")
+                model = call(i, fit_mahalanobis, fit_table, config.ridge)
+            id_scores, ood_scores = (
+                call(i, score_table, config, t, model) for t in (id_table, ood_table)
+            )
+            curve = roc_curve(id_scores, ood_scores)
+            rows.append(SweepRow(
+                axis=spec.axis, axis_value=_grid_text(value), method=config.method.value,
+                classifier_accuracy=accuracy, auroc=auroc(curve),
+                fpr95=fpr_at_tpr(curve, 0.95), n_id=id_table.n, n_ood=ood_table.n,
+            ))
+    return SweepResult(tuple(rows), _provenance(spec))

@@ -51,34 +51,36 @@ class RocCurve:
         object.__setattr__(self, "fpr", fp)
 
 
-def _accept_rate(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Fraction of scores >= each threshold (scores pre-sorted ascending)."""
-    below = np.searchsorted(sorted_scores, thresholds, side="left")
-    return (sorted_scores.size - below) / sorted_scores.size
-
-
 def _check_pair(id_scores: ScoreSet, ood_scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
     if id_scores.method != ood_scores.method:
         raise ValidationError(
             f"score sets disagree on method: {id_scores.method} vs {ood_scores.method}"
         )
-    if id_scores.orientation != ood_scores.orientation:
-        raise ValidationError("score sets disagree on orientation")
     return id_scores.scores, ood_scores.scores
+
+
+def _cuts(id_scores: ScoreSet, ood_scores: ScoreSet):
+    """Every observed score as a cut, descending, with the ID (``tp``) and
+    OOD (``fp``) counts accepted (score >= cut) at each; the last cut, the
+    smallest score, accepts every sample."""
+    id_s, ood_s = _check_pair(id_scores, ood_scores)
+    cuts = np.unique(np.concatenate([id_s, ood_s]))[::-1]  # tie groups merged
+    tp = id_s.size - np.searchsorted(np.sort(id_s), cuts, side="left")
+    fp = ood_s.size - np.searchsorted(np.sort(ood_s), cuts, side="left")
+    return cuts, tp, fp
+
+
+def _curve(cuts: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> RocCurve:
+    return RocCurve(
+        np.concatenate([[np.inf], cuts, [-np.inf]]),
+        np.concatenate([[0], tp, tp[-1:]]) / tp[-1],
+        np.concatenate([[0], fp, fp[-1:]]) / fp[-1],
+    )
 
 
 def roc_curve(id_scores: ScoreSet, ood_scores: ScoreSet) -> RocCurve:
     """Build the ROC staircase over all observed score cuts."""
-    id_s, ood_s = _check_pair(id_scores, ood_scores)
-    uniq = np.unique(np.concatenate([id_s, ood_s]))  # ascending, tie groups merged
-    thresholds = np.concatenate([[np.inf], uniq[::-1], [-np.inf]])
-    id_sorted = np.sort(id_s)
-    ood_sorted = np.sort(ood_s)
-    return RocCurve(
-        thresholds,
-        _accept_rate(id_sorted, thresholds),
-        _accept_rate(ood_sorted, thresholds),
-    )
+    return _curve(*_cuts(id_scores, ood_scores))
 
 
 def auroc(curve: RocCurve) -> float:
@@ -94,6 +96,21 @@ def fpr_at_tpr(curve: RocCurve, target_tpr: float = 0.95) -> float:
     return float(curve.fpr[idx])
 
 
+def _calibrated(cuts, tp, fp, criterion, target_tpr) -> tuple[int, float, float, float]:
+    """The index of the cut ``criterion`` picks, and its (threshold, tpr, fpr)."""
+    n_id, n_ood = tp[-1], fp[-1]
+    criterion = Criterion(criterion)
+    if criterion is Criterion.YOUDEN:
+        # Integer cross-multiplied Youden index keeps tie detection exact.
+        j = tp * n_ood - fp * n_id
+        i = int(np.flatnonzero(j == j.max())[-1])
+    else:
+        if not 0.0 < target_tpr <= 1.0:
+            raise ValidationError(f"target TPR must be in (0,1], got {target_tpr}")
+        i = int(np.argmax(tp / n_id >= target_tpr))
+    return i, float(cuts[i]), float(tp[i] / n_id), float(fp[i] / n_ood)
+
+
 def calibrate_threshold(
     id_scores: ScoreSet,
     ood_scores: ScoreSet,
@@ -106,26 +123,7 @@ def calibrate_threshold(
     (accepting more as ID). FPR_AT_TPR picks the largest threshold whose TPR
     reaches the target. Returns ``(threshold, tpr, fpr)`` at the chosen cut.
     """
-    id_s, ood_s = _check_pair(id_scores, ood_scores)
-    candidates = np.unique(np.concatenate([id_s, ood_s]))[::-1]  # descending
-    id_sorted, ood_sorted = np.sort(id_s), np.sort(ood_s)
-    tp = id_s.size - np.searchsorted(id_sorted, candidates, side="left")
-    fp = ood_s.size - np.searchsorted(ood_sorted, candidates, side="left")
-
-    criterion = Criterion(criterion)
-    if criterion is Criterion.YOUDEN:
-        # Integer cross-multiplied Youden index keeps tie detection exact.
-        j = tp * ood_s.size - fp * id_s.size
-        idx = int(np.flatnonzero(j == j.max())[-1])
-    else:
-        if not 0.0 < target_tpr <= 1.0:
-            raise ValidationError(f"target TPR must be in (0,1], got {target_tpr}")
-        idx = int(np.argmax(tp / id_s.size >= target_tpr))
-    return (
-        float(candidates[idx]),
-        float(tp[idx] / id_s.size),
-        float(fp[idx] / ood_s.size),
-    )
+    return _calibrated(*_cuts(id_scores, ood_scores), criterion, target_tpr)[1:]
 
 
 def accuracy_at_threshold(
@@ -193,20 +191,22 @@ def evaluate(
     target_tpr: float = 0.95,
 ) -> EvalReport:
     """Full evaluation: curve, AUROC, FPR95, calibrated cut, quartiles."""
-    curve = roc_curve(id_scores, ood_scores)
-    area = auroc(curve)
-    threshold, tpr, fpr = calibrate_threshold(id_scores, ood_scores, criterion, target_tpr)
+    cuts, tp, fp = _cuts(id_scores, ood_scores)
+    curve = _curve(cuts, tp, fp)
+    i, threshold, tpr, fpr = _calibrated(cuts, tp, fp, criterion, target_tpr)
+    n_id, n_ood = len(id_scores), len(ood_scores)
     method = id_scores.method.value if id_scores.method is not None else None
     return EvalReport(
         method=method,
-        auroc=area,
+        auroc=auroc(curve),
         fpr95=fpr_at_tpr(curve, 0.95),
         threshold=threshold,
         tpr_at_threshold=tpr,
         fpr_at_threshold=fpr,
-        accuracy_at_threshold=accuracy_at_threshold(id_scores, ood_scores, threshold),
+        # ID accepted plus OOD rejected, as accuracy_at_threshold counts them
+        accuracy_at_threshold=int(tp[i] + n_ood - fp[i]) / (n_id + n_ood),
         id_quartiles=five_number_summary(id_scores),
         ood_quartiles=five_number_summary(ood_scores),
-        n_id=len(id_scores),
-        n_ood=len(ood_scores),
+        n_id=n_id,
+        n_ood=n_ood,
     )

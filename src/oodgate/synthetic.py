@@ -22,7 +22,7 @@ paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -310,20 +310,15 @@ def generate_world(
     )
 
 
-def with_label_noise(spec: SyntheticSpec, label_noise: float) -> SyntheticSpec:
-    return replace(spec, label_noise=label_noise)
-
-
 # ---------------------------------------------------------------------------
 # imbalanced subsampling
 
 
-def sample_imbalanced(table: FeatureTable, law: CountLaw, seed: int) -> FeatureTable:
-    """Subsample a labeled table to the per-class counts of ``law``.
+def imbalanced_rows(table: FeatureTable, law: CountLaw, seed: int) -> np.ndarray:
+    """Sorted row indices of a labeled table subsampled to the counts of ``law``.
 
-    Rows are kept verbatim (original order); a class that cannot supply its
-    requested count raises naming the class. Laws rank classes by ascending
-    label value.
+    A class that cannot supply its requested count raises naming the class.
+    Laws rank classes by ascending label value.
     """
     if not table.is_labeled:
         raise ValidationError("imbalanced sampling requires a labeled table")
@@ -338,7 +333,12 @@ def sample_imbalanced(table: FeatureTable, law: CountLaw, seed: int) -> FeatureT
                 f"class {cls} has {idx.size} samples, law requests {int(want)}"
             )
         keep.append(rng.choice(idx, size=int(want), replace=False))
-    return table.take(np.sort(np.concatenate(keep)))
+    return np.sort(np.concatenate(keep))
+
+
+def sample_imbalanced(table: FeatureTable, law: CountLaw, seed: int) -> FeatureTable:
+    """The rows of :func:`imbalanced_rows`, kept verbatim in their original order."""
+    return table.take(imbalanced_rows(table, law, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from oodgate import (
     score_msp,
     softmax,
 )
-from oodgate.experiments import Axis, run_domain_shift_sweep, run_imbalance_sweep
+from oodgate.experiments import Axis, run_sweep
 
 GOLDEN = Path(__file__).parent / "data" / "golden_eval_report.json"
 
@@ -194,7 +194,7 @@ def test_criterion_5_domain_distance_trend():
         seed=17,
         n_per_side=2000,
     )
-    result = run_domain_shift_sweep(spec)
+    result = run_sweep(spec)
     by = {(r.axis_value, r.method): r.auroc for r in result.rows}
     gap = by[(4.0, "ebm")] - by[(0.5, "ebm")]
     near_half = [by[(0.0, m)] for m in ("msp", "ebm", "mah")]
@@ -230,7 +230,7 @@ def test_criterion_6_imbalance_trend():
         ),
         seed=99,
     )
-    result = run_imbalance_sweep(spec)
+    result = run_sweep(spec)
     mah = {r.axis_value: r.auroc for r in result.rows if r.method == "mah"}
     gap = mah["balanced:15"] - mah["powerlaw:2:300"]
     flat = True

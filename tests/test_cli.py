@@ -270,6 +270,46 @@ def test_explicit_flag_beats_config(tmp_path):
     assert json.loads((out / "world.json").read_text())["seed"] == 5
 
 
+def test_config_repeatable_flag_takes_a_scalar_line(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("classes = 3\ndim = 4\nlaw = balanced:40\nood-distance = 1.5\n")
+    out = tmp_path / "w"
+    assert run("synth", "--config", str(cfg), "--out", str(out)) == 0
+    assert json.loads((out / "world.json").read_text())["ood_distances"] == [1.5]
+
+
+def test_explicit_flag_equal_to_default_beats_config(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("classes = 3\ndim = 4\nlaw = balanced:40\nseed = 7\n")
+    out = tmp_path / "w"
+    assert run("synth", "--seed", "42", "--config", str(cfg), "--out", str(out)) == 0
+    assert json.loads((out / "world.json").read_text())["seed"] == 42
+
+
+def test_append_flag_given_with_config(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("classes = 3\ndim = 4\nlaw = balanced:40\nood-distance = 1.5\n")
+    out = tmp_path / "w"
+    assert run("synth", "--config", str(cfg), "--ood-distance", "2.0",
+               "--out", str(out)) == 0
+    assert json.loads((out / "world.json").read_text())["ood_distances"] == [2.0]
+    cfg.write_text("classes = 3\ndim = 4\nlaw = balanced:40\nn-per-side = 20\n")
+    assert run("sweep", "--config", str(cfg), "--axis", "domain-distance",
+               "--grid", "1.0,2.0", "--ood-distance", "2.0",
+               "--out", str(tmp_path / "s")) == 0
+
+
+def test_config_bad_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("classes = three\ndim = 4\n")
+    assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "w")) == 2
+    assert "line 1" in capsys.readouterr().err
+    cfg.write_text("criterion = sideways\n")
+    assert run("eval", "--config", str(cfg), "--id-scores", "i.csv",
+               "--ood-scores", "o.csv") == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("classses = 3\n")

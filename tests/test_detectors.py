@@ -339,8 +339,6 @@ def test_scoreset_validation():
         ScoreSet(Method.MSP, np.array([]))
     with pytest.raises(ValidationError):
         ScoreSet(Method.MSP, np.array([1.0, np.nan]))
-    with pytest.raises(ValidationError):
-        ScoreSet(Method.MSP, np.array([1.0]), orientation="lower_is_id")
 
 
 def test_detector_config_validation():

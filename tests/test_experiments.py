@@ -1,9 +1,11 @@
 """Sweep orchestration: shapes, determinism, and trend behavior."""
 
+import hashlib
 import json
 
 import pytest
 
+from oodgate import experiments
 from oodgate import (
     Axis,
     Balanced,
@@ -19,9 +21,6 @@ from oodgate import (
     UnbalancedUniform,
     ValidationError,
     generate_world,
-    run_accuracy_sweep,
-    run_domain_shift_sweep,
-    run_imbalance_sweep,
     run_sweep,
     write_feature_table,
 )
@@ -57,12 +56,6 @@ def test_sweep_spec_validation():
         SweepSpec(Axis.ACCURACY, world_spec(), (0.1,), ())
 
 
-def test_axis_mismatch_rejected():
-    spec = SweepSpec(Axis.ACCURACY, world_spec(), (0.1,), ALL)
-    with pytest.raises(ValidationError, match="axis"):
-        run_domain_shift_sweep(spec)
-
-
 # ---------------------------------------------------------------------------
 # accuracy axis
 
@@ -71,7 +64,7 @@ def test_accuracy_sweep_single_point_single_detector():
     spec = SweepSpec(
         Axis.ACCURACY, world_spec(), (0.1,), (DetectorConfig(Method.EBM),), seed=3
     )
-    result = run_accuracy_sweep(spec)
+    result = run_sweep(spec)
     assert len(result.rows) == 1
     row = result.rows[0]
     assert row.method == "ebm" and row.axis_value == 0.1
@@ -87,15 +80,15 @@ def test_accuracy_sweep_accuracy_strictly_decreasing():
     spec = SweepSpec(
         Axis.ACCURACY, base, (0.0, 0.3), (DetectorConfig(Method.EBM),), seed=3
     )
-    result = run_accuracy_sweep(spec)
+    result = run_sweep(spec)
     accs = [r.classifier_accuracy for r in result.rows]
     assert accs[1] < accs[0]
 
 
 def test_accuracy_sweep_deterministic():
     spec = SweepSpec(Axis.ACCURACY, world_spec(), (0.0, 0.2), ALL, seed=3)
-    a = run_accuracy_sweep(spec)
-    b = run_accuracy_sweep(spec)
+    a = run_sweep(spec)
+    b = run_sweep(spec)
     assert a.to_jsonl() == b.to_jsonl()
     assert a.to_summary_json() == b.to_summary_json()
 
@@ -103,7 +96,7 @@ def test_accuracy_sweep_deterministic():
 def test_accuracy_sweep_rejects_manifest(tmp_path):
     spec = SweepSpec(Axis.ACCURACY, tmp_path / "m.manifest", (0.1,), ALL)
     with pytest.raises(ValidationError, match="synthetic"):
-        run_accuracy_sweep(spec)
+        run_sweep(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +105,7 @@ def test_accuracy_sweep_rejects_manifest(tmp_path):
 
 def test_domain_sweep_single_distance_three_detectors():
     spec = SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1.5,), ALL, seed=3)
-    result = run_domain_shift_sweep(spec)
+    result = run_sweep(spec)
     assert len(result.rows) == 3
     assert [r.method for r in result.rows] == ["msp", "ebm", "mah"]
     assert len({r.n_id for r in result.rows} | {r.n_ood for r in result.rows}) == 1
@@ -127,7 +120,7 @@ def test_domain_sweep_trend_and_size_matching():
         Axis.DOMAIN_DISTANCE, base, (0.5, 4.0),
         (DetectorConfig(Method.EBM),), seed=17, n_per_side=2000,
     )
-    result = run_domain_shift_sweep(spec)
+    result = run_sweep(spec)
     by_value = {r.axis_value: r for r in result.rows}
     assert by_value[4.0].auroc > by_value[0.5].auroc
     assert all(r.n_id == r.n_ood == 2000 for r in result.rows)
@@ -154,7 +147,7 @@ def _manifest_world(tmp_path):
 def test_domain_sweep_from_manifest(tmp_path):
     path = _manifest_world(tmp_path)
     spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL, seed=3)
-    result = run_domain_shift_sweep(spec)
+    result = run_sweep(spec)
     assert len(result.rows) == 6
     by = {(r.axis_value, r.method): r.auroc for r in result.rows}
     assert by[("far", "ebm")] > by[("near", "ebm")]
@@ -165,7 +158,7 @@ def test_domain_sweep_manifest_unknown_name(tmp_path):
     path = _manifest_world(tmp_path)
     spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("nowhere",), ALL, seed=3)
     with pytest.raises(ValidationError, match="nowhere"):
-        run_domain_shift_sweep(spec)
+        run_sweep(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +181,7 @@ def imbalance_spec(**kw):
 
 
 def test_imbalance_sweep_shape_and_flat_discriminative_rows():
-    result = run_imbalance_sweep(imbalance_spec())
+    result = run_sweep(imbalance_spec())
     assert len(result.rows) == 9
     for method in ("msp", "ebm"):
         rows = [(r.auroc, r.fpr95) for r in result.rows if r.method == method]
@@ -196,7 +189,7 @@ def test_imbalance_sweep_shape_and_flat_discriminative_rows():
 
 
 def test_imbalance_sweep_mah_prefers_balanced():
-    result = run_imbalance_sweep(imbalance_spec())
+    result = run_sweep(imbalance_spec())
     mah = {r.axis_value: r.auroc for r in result.rows if r.method == "mah"}
     assert mah["balanced:15"] - mah["powerlaw:2:300"] > 0
 
@@ -204,13 +197,13 @@ def test_imbalance_sweep_mah_prefers_balanced():
 def test_imbalance_sweep_equal_totals_enforced():
     spec = imbalance_spec(grid=(Balanced(15), UnbalancedPowerlaw(2.0, 200)))
     with pytest.raises(ValidationError, match="equal totals"):
-        run_imbalance_sweep(spec)
+        run_sweep(spec)
 
 
 def test_imbalance_grid_type_checked():
     spec = imbalance_spec(grid=(0.5, 1.0))
     with pytest.raises(ValidationError, match="count laws"):
-        run_imbalance_sweep(spec)
+        run_sweep(spec)
 
 
 def test_imbalance_sweep_from_manifest(tmp_path):
@@ -222,7 +215,7 @@ def test_imbalance_sweep_from_manifest(tmp_path):
         (DetectorConfig(Method.MAH),),
         seed=3,
     )
-    result = run_imbalance_sweep(spec)
+    result = run_sweep(spec)
     assert len(result.rows) == 2
     assert {r.axis_value for r in result.rows} == {"balanced:3", "uniform:15"}
 
@@ -262,3 +255,113 @@ def test_jsonl_and_summary_structure():
 def test_run_sweep_dispatch():
     acc = SweepSpec(Axis.ACCURACY, world_spec(), (0.1,), (DetectorConfig(Method.MSP),))
     assert run_sweep(acc).rows[0].axis == "accuracy"
+
+
+# ---------------------------------------------------------------------------
+# the one sweep loop: fixed outputs, score once, grid checked up front
+
+#: sha256 of rows.jsonl for one small sweep per axis, recorded with the
+#: per-axis run_*_sweep functions that run_sweep replaced. Never regenerate
+#: these to make a test pass: a change here is a change in the sweep's output.
+ROWS_SHA256 = {
+    "accuracy": "6f9e11b336806a526ae9f8a8b6881345107accc446c295f43881bd55f2067e92",
+    "domain": "e278b00030bdd20a693666d7e16302c41d4aca6889778ca71764da9bdd94703d",
+    "domain-manifest": "e07b9ff01bf0a0b7cb0420f6cc65d3513d818d0e741cbf7e58a62e9e0a518716",
+    "imbalance": "ce9d9c32c3306ece7558153ec80083ae23c08592a89a5fc112d251aa90838b36",
+    "imbalance-manifest": "fcea31b4ddab37c8cc16918c5d647d58fadd72b069dfd49038addd2c41d958d5",
+}
+
+
+def _digest_spec(name, tmp_path=None):
+    laws = (Balanced(20), UnbalancedPowerlaw(1.5, 100), UnbalancedUniform(100))
+    if name == "accuracy":
+        return SweepSpec(Axis.ACCURACY, world_spec(), (0.0, 0.1, 0.3), ALL,
+                         seed=3, n_per_side=150)
+    if name == "domain":
+        return SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (0.5, 1.0, 3.0), ALL,
+                         seed=3, n_per_side=150)
+    if name == "imbalance":
+        return SweepSpec(Axis.IMBALANCE, world_spec(law=Balanced(400)), laws, ALL,
+                         seed=5, n_per_side=150)
+    path = _manifest_world(tmp_path)
+    if name == "domain-manifest":
+        return SweepSpec(Axis.DOMAIN_DISTANCE, path, ("far", "near"), ALL,
+                         seed=3, n_per_side=150)
+    return SweepSpec(Axis.IMBALANCE, path, (Balanced(8), UnbalancedUniform(40)), ALL,
+                     seed=5)
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_SHA256))
+def test_rows_match_recorded_digests(name, tmp_path):
+    text = run_sweep(_digest_spec(name, tmp_path)).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256[name]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the fits and the scorings, by method, that the sweep makes."""
+    counts = {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
+    fit, score = experiments.fit_mahalanobis, experiments.score_table
+
+    def counting_fit(*args, **kwargs):
+        counts["fit"] += 1
+        return fit(*args, **kwargs)
+
+    def counting_score(config, *args, **kwargs):
+        counts[config.method.value] += 1
+        return score(config, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_mahalanobis", counting_fit)
+    monkeypatch.setattr(experiments, "score_table", counting_score)
+    return counts
+
+
+def test_domain_sweep_scores_each_table_once(calls):
+    grid = (0.5, 1.0, 2.0, 4.0)
+    run_sweep(SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), grid, ALL, seed=3))
+    # one ID test set for the whole grid, one OOD set per grid point
+    g = len(grid)
+    assert calls == {"fit": 1, "msp": g + 1, "ebm": g + 1, "mah": g + 1}
+
+
+def test_imbalance_sweep_scores_fixed_detectors_once(calls):
+    spec = _digest_spec("imbalance")
+    run_sweep(spec)
+    g = len(spec.grid)
+    assert calls == {"fit": g, "msp": 2, "ebm": 2, "mah": 2 * g}
+
+
+def test_accuracy_sweep_fits_and_scores_per_world(calls):
+    spec = _digest_spec("accuracy")
+    run_sweep(spec)
+    g = len(spec.grid)
+    assert calls == {"fit": g, "msp": 2 * g, "ebm": 2 * g, "mah": 2 * g}
+
+
+def test_short_class_in_later_law_raises_before_any_fit(calls):
+    # the fit split holds 60 rows per class: powerlaw:1.5:100 asks class 0
+    # for 57 of them, powerlaw:3:100 for more than 60
+    spec = SweepSpec(
+        Axis.IMBALANCE, world_spec(law=Balanced(400)),
+        (UnbalancedPowerlaw(1.5, 100), UnbalancedPowerlaw(3.0, 100)), ALL, seed=5,
+    )
+    with pytest.raises(ValidationError, match="class 0 has 60 samples"):
+        run_sweep(spec)
+    assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
+
+
+def test_unknown_ood_name_raises_before_any_table_is_read(tmp_path, monkeypatch, calls):
+    path = _manifest_world(tmp_path)
+    loaded = []
+    load = DatasetManifest.load
+
+    def recording_load(self, entry):
+        loaded.append(entry)
+        return load(self, entry)
+
+    monkeypatch.setattr(DatasetManifest, "load", recording_load)
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "nowhere"), ALL, seed=3)
+    with pytest.raises(ValidationError, match="nowhere"):
+        run_sweep(spec)
+    assert loaded == []
+    assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
