@@ -27,6 +27,7 @@ from .data import (
     ManifestEntry,
     Role,
     TableFormat,
+    _ingesting,
     read_feature_table,
     write_feature_table,
 )
@@ -73,14 +74,9 @@ def _default_seed() -> int:
     return int(os.environ.get("OODGATE_SEED", "42"))
 
 
-def _infer_format(path: str, explicit: str | None) -> TableFormat:
-    if explicit:
-        return TableFormat.CSV if explicit == "csv" else TableFormat.BINARY_DUMP
-    return TableFormat.CSV if path.endswith(".csv") else TableFormat.BINARY_DUMP
-
-
 def _read_table(path: str, explicit_format: str | None):
-    return read_feature_table(path, _infer_format(path, explicit_format))
+    is_csv = explicit_format == "csv" if explicit_format else path.endswith(".csv")
+    return read_feature_table(path, TableFormat.CSV if is_csv else TableFormat.BINARY_DUMP)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -229,6 +225,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _items(flag: str, text: str, parse) -> tuple:
+    """``parse`` of each item of a comma list; a bad item is named in the error."""
+    try:
+        return tuple(parse(item) for item in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
     axis = args.axis.replace("-", "_")
     if args.manifest:
@@ -238,16 +242,12 @@ def cmd_sweep(args) -> int:
             raise ValidationError("sweep needs --manifest or --classes/--dim world flags")
         base_world = _world_spec(args, args.world_seed)
 
-    if axis == Axis.IMBALANCE:
-        grid = tuple(parse_law(v) for v in args.grid.split(","))
-    elif args.manifest:
-        grid = tuple(v.strip() for v in args.grid.split(","))
-    else:
-        grid = tuple(float(v) for v in args.grid.split(","))
+    parse = parse_law if axis == Axis.IMBALANCE else str.strip if args.manifest else float
+    grid = _items("--grid", args.grid, parse)
 
     detectors = tuple(
-        DetectorConfig(Method(m.strip()), temperature=args.temperature, ridge=args.ridge)
-        for m in args.detectors.split(",")
+        DetectorConfig(method, temperature=args.temperature, ridge=args.ridge)
+        for method in _items("--detectors", args.detectors, lambda m: Method(m.strip()))
     )
     spec = SweepSpec(
         axis=axis,
@@ -412,7 +412,8 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
     sub._defaults.clear()
     given = set(vars(parser.parse_args(argv)))
     actions = {a.dest: a for a in sub._actions}
-    text = Path(args.config).read_text(encoding="utf-8")
+    with _ingesting(args.config):
+        text = Path(args.config).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -25,7 +25,7 @@ bytes     meaning
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import enum
 import hashlib
 import struct
@@ -100,18 +100,18 @@ class FeatureTable:
                     f"non-finite value in logits at row {_first_bad_row(logits)}"
                 )
 
-        labels = np.ascontiguousarray(labels, dtype=np.int32)
+        labels = np.asarray(labels)
         if labels.shape != (n,):
             raise ValidationError(f"labels shape {labels.shape} does not match n={n}")
-        real = labels[labels != UNLABELED]
-        if real.size and real.min() < 0:
-            bad = int(np.argwhere((labels < 0) & (labels != UNLABELED))[0][0])
-            raise ValidationError(f"negative label at row {bad}")
-        if logits is not None and real.size and real.max() >= logits.shape[1]:
-            bad = int(np.argwhere(labels >= logits.shape[1])[0][0])
-            raise ValidationError(
-                f"label out of range at row {bad}: {labels[bad]} >= c={logits.shape[1]}"
-            )
+        negative = (labels < 0) & (labels != UNLABELED)
+        if negative.any():
+            raise ValidationError(f"negative label at row {int(np.argmax(negative))}")
+        limit = 2**31 if logits is None else logits.shape[1]
+        over = labels >= limit
+        if over.any():  # checked before the int32 cast, which would wrap
+            bad = int(np.argmax(over))
+            raise ValidationError(f"label out of range at row {bad}: {labels[bad]} >= {limit}")
+        labels = np.ascontiguousarray(labels, dtype=np.int32)
 
         for arr in (features, logits, labels):
             if arr is not None:
@@ -187,19 +187,10 @@ def write_feature_table(
                 fh.write(table.logits.tobytes())
             fh.write(table.labels.astype("<i4").tobytes())
     elif fmt is TableFormat.CSV:
-        d, c = table.d, table.c
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["label"] + [f"f{j}" for j in range(d)] + [f"l{j}" for j in range(c)]
-            )
-            logits = table.logits
-            for i in range(table.n):
-                row = [str(int(table.labels[i]))]
-                row += [repr(float(v)) for v in table.features[i]]
-                if logits is not None:
-                    row += [repr(float(v)) for v in logits[i]]
-                writer.writerow(row)
+        header = ["label"] + [f"f{j}" for j in range(table.d)]
+        header += [f"l{j}" for j in range(table.c)]
+        values = np.hstack([x for x in (table.features, table.logits) if x is not None])
+        _write_csv(path, header, table.labels, values, repr)
     else:  # pragma: no cover - enum is closed
         raise ValidationError(f"unknown table format {fmt!r}")
 
@@ -209,15 +200,12 @@ def read_feature_table(
 ) -> FeatureTable:
     """Read and validate a table; malformed contents raise IngestionError."""
     path = Path(path)
-    try:
+    with _ingesting(path):
         if fmt is TableFormat.BINARY_DUMP:
             return _read_binary(path)
         if fmt is TableFormat.CSV:
-            return _read_csv(path)
-    except ValidationError as exc:
-        if isinstance(exc, IngestionError):
-            raise
-        raise IngestionError(f"{path}: {exc}") from exc
+            labels, features, logits = _read_csv(path, _parse_csv_header)
+            return FeatureTable(features, logits if logits.shape[1] else None, labels)
     raise ValidationError(f"unknown table format {fmt!r}")  # pragma: no cover
 
 
@@ -249,46 +237,72 @@ def _read_binary(path: Path) -> FeatureTable:
 
 
 def _parse_csv_header(header: list[str]) -> tuple[int, int]:
-    if not header or header[0] != "label":
-        raise IngestionError("CSV header must start with 'label'")
-    d = sum(1 for name in header[1:] if name.startswith("f"))
+    d = sum(1 for name in header if name.startswith("f"))
     c = len(header) - 1 - d
     expected = ["label"] + [f"f{j}" for j in range(d)] + [f"l{j}" for j in range(c)]
     if header != expected:
-        raise IngestionError(f"CSV header {header} does not match label,f0..,l0.. form")
+        raise ValidationError(f"CSV header {header} does not match label,f0..,l0.. form")
     return d, c
 
 
-def _read_csv(path: Path) -> FeatureTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+@contextlib.contextmanager
+def _ingesting(path):
+    """Report undecodable text or invalid contents read in the block as an
+    IngestionError naming ``path``."""
+    try:
+        yield
+    except IngestionError:
+        raise
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValidationError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+
+
+def _write_csv(path, header: list[str], first: np.ndarray, values: np.ndarray, fmt) -> None:
+    """Write the UTF-8, CRLF CSV of tables and score files: ``header``, then per
+    row ``first[i]`` and ``fmt`` of each ``values[i]``, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for head, row in zip(first.tolist(), values):
+            fh.write(f"{head},{','.join(map(fmt, row.tolist()))}\r\n")
+
+
+def _read_csv(path, parse_header) -> list[np.ndarray]:
+    """The int64 first column and one float64 array per column group of a
+    :func:`_write_csv` file, to be read inside :func:`_ingesting`.
+    ``parse_header`` checks the header fields and returns the group widths.
+    Blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        widths = parse_header([name.strip('"') for name in header])
+        dtype = [("first", np.int64), ("rest", np.float64, (sum(widths),))]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        d, c = _parse_csv_header(header)
-        labels, feats, logits = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1 + d + c:
-                raise IngestionError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {1 + d + c}"
-                )
-            try:
-                labels.append(int(row[0]))
-                feats.append([float(v) for v in row[1 : 1 + d]])
-                if c:
-                    logits.append([float(v) for v in row[1 + d :]])
-            except ValueError as exc:
-                raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
-    if not labels:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header-only input
+                rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', ndmin=1)
+        except ValueError as exc:  # a decoding error too: the re-scan meets it again
+            raise IngestionError(f"{path}: {_bad_line(path, 1 + sum(widths)) or exc}") from None
+    if rows.size == 0:
         raise IngestionError(f"{path}: no data rows")
-    return FeatureTable(
-        np.array(feats, dtype=np.float64),
-        np.array(logits, dtype=np.float64) if c else None,
-        np.array(labels),
-    )
+    return [rows["first"], *np.split(rows["rest"], np.cumsum(widths)[:-1], axis=1)]
+
+
+def _bad_line(path, width: int) -> str:
+    """The first row of a CSV with a wrong field count or value, cited by line;
+    empty if every row parses."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 or line == "\n":
+                continue
+            fields = [field.strip('"') for field in line.rstrip("\n").split(",")]
+            if len(fields) != width:
+                return f"line {lineno} has {len(fields)} fields, expected {width}"
+            try:
+                np.int64(fields[0]), [float(field) for field in fields[1:]]
+            except (ValueError, OverflowError) as exc:
+                return f"line {lineno}: {exc}"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +409,9 @@ class DatasetManifest:
         path = Path(path)
         name = ""
         entries = []
-        for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        with _ingesting(path):
+            text = path.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue

@@ -16,7 +16,6 @@ All arithmetic runs in float64 regardless of table storage precision.
 
 from __future__ import annotations
 
-import csv
 import enum
 import struct
 import warnings
@@ -24,9 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .data import FeatureTable
+from .data import FeatureTable, _ingesting, _read_csv, _write_csv
 from .errors import IngestionError, NumericalError, ValidationError
 
 #: Absolute diagonal loading used when the scatter has zero trace.
@@ -78,35 +76,20 @@ class ScoreSet:
 
 def write_scores(scores: ScoreSet, path: str | Path) -> None:
     """Export as ``index,score`` CSV with 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "score"])
-        for i, s in enumerate(scores.scores):
-            writer.writerow([i, f"{s:.17g}"])
+    index = np.arange(len(scores))
+    _write_csv(path, ["index", "score"], index, scores.scores[:, None], "{:.17g}".format)
+
+
+def _score_columns(header: list[str]) -> tuple[int]:
+    if header != ["index", "score"]:
+        raise ValidationError(f"expected 'index,score' header, got {header}")
+    return (1,)
 
 
 def read_scores(path: str | Path, method: Method | None = None) -> ScoreSet:
-    path = Path(path)
-    values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "score"]:
-            raise IngestionError(f"{path}: expected 'index,score' header, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                int(row[0])
-                values.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
-    if not values:
-        raise IngestionError(f"{path}: no score rows")
-    try:
-        return ScoreSet(method, np.array(values))
-    except ValidationError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    with _ingesting(path):
+        _, scores = _read_csv(path, _score_columns)
+        return ScoreSet(method, scores[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +261,8 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
         )
     if not np.isfinite(feats).all():
         raise ValidationError("features contain non-finite values")
+    from scipy.linalg import solve_triangular  # scipy loads only for mah scoring
+
     best = np.full(feats.shape[0], np.inf)
     for k in range(model.c):
         diff = feats - model.means[k]
@@ -338,7 +323,5 @@ def load_model(path: str | Path) -> GaussianClassModel:
     counts = np.frombuffer(raw, dtype="<u8", count=c, offset=off)
     cov64 = cov.astype(np.float64)
     cov64 = (cov64 + cov64.T) / 2.0  # binary32 quantization can break symmetry
-    try:
+    with _ingesting(path):
         return GaussianClassModel(means, cov64, counts, ridge)
-    except ValidationError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc

@@ -1,6 +1,8 @@
 """CLI contract: commands, exit codes, determinism, config and env handling."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -185,6 +187,46 @@ def test_score_dimension_mismatch_exits_2(world_dir, tmp_path):
 def test_missing_input_exits_3(tmp_path):
     assert run("score", "--input", str(tmp_path / "absent.oodf"), "--method", "ebm",
                "--out", str(tmp_path / "s.csv")) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, item",
+    [
+        (["--grid", "a,b"], "--grid: could not convert string to float: 'a'"),
+        (["--grid", "1,2", "--detectors", "msp,foo"], "--detectors: 'foo' is not a valid"),
+    ],
+)
+def test_sweep_bad_list_item_exits_2(tmp_path, capsys, argv, item):
+    assert run("sweep", "--axis", "domain-distance", "--classes", "3", "--dim", "4",
+               *argv, "--out", str(tmp_path / "s")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and item in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["table", "scores", "manifest", "config"])
+def test_undecodable_input_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / f"bad.{kind}"
+    scores = tmp_path / "ok.csv"
+    write_score_csv(scores, [1.0, 0.0])
+    argv = {
+        "table": ["score", "--input", str(bad), "--format", "csv", "--method", "msp",
+                  "--out", str(tmp_path / "s.csv")],
+        "scores": ["eval", "--id-scores", str(scores), "--ood-scores", str(bad)],
+        "manifest": ["fit", "--manifest", str(bad), "--out", str(tmp_path / "m.oodm")],
+        "config": ["synth", "--config", str(bad), "--out", str(tmp_path / "w")],
+    }[kind]
+    head = {"table": b"label,f0,l0,l1\r\n0,", "scores": b"index,score\r\n0,",
+            "manifest": b"ID_FIT_DETECTOR\tCSV\t", "config": b"classes = 3\n"}[kind]
+    bad.write_bytes(head + b"\xff\n")
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    code = "import sys, oodgate.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 def test_degenerate_fit_without_ridge_exits_4(tmp_path):

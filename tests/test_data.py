@@ -190,6 +190,101 @@ def test_csv_bad_field_cites_line(tmp_path):
         read_feature_table(path, TableFormat.CSV)
 
 
+_F32 = np.finfo(np.float32)
+_F32_EDGES = [0.0, -0.0, _F32.smallest_subnormal, -_F32.smallest_subnormal,
+              _F32.tiny, _F32.max, -_F32.max]
+
+
+@given(
+    n=st.integers(1, 4),
+    d=st.integers(1, 3),
+    c=st.sampled_from([0, 2, 3]),
+    data=st.data(),
+)
+def test_csv_round_trip_arbitrary_f32(n, d, c, data):
+    import tempfile
+
+    value = st.one_of(
+        st.sampled_from(_F32_EDGES),
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+    )
+    feats = np.array(data.draw(st.lists(value, min_size=n * d, max_size=n * d)))
+    logits = np.array(data.draw(st.lists(value, min_size=n * c, max_size=n * c)))
+    labels = data.draw(st.lists(st.integers(-1, (c or 5) - 1), min_size=n, max_size=n))
+    t = FeatureTable(
+        feats.reshape(n, d), logits.reshape(n, c) if c else None, np.array(labels)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/t.csv"
+        write_feature_table(t, path, TableFormat.CSV)
+        back = read_feature_table(path, TableFormat.CSV)
+    assert back == t  # bit-exact, so -0.0 and subnormals survive
+
+
+def test_csv_bytes_pinned(tmp_path):
+    """CRLF rows of shortest-repr binary32 values; digest fixed before the
+    CSV codec was shared with score files."""
+    import hashlib
+
+    t = FeatureTable(
+        np.array([[0.0, -0.0, 1.5], [_F32.smallest_subnormal, -_F32.max, 0.1],
+                  [123456.789, -_F32.tiny, 2.0 / 3.0]]),
+        np.array([[1.0, -2.5], [1.0 / 3.0, 7e-8], [-0.0, _F32.max]]),
+        np.array([0, 1, UNLABELED]),
+    )
+    path = tmp_path / "t.csv"
+    write_feature_table(t, path, TableFormat.CSV)
+    raw = path.read_bytes()
+    assert raw.splitlines(keepends=True)[1] == b"0,0.0,-0.0,1.5,1.0,-2.5\r\n"
+    assert hashlib.sha256(raw).hexdigest() == (
+        "8a8e2df2bdaed2709bd73fe4cb0172828a0c32a92fb131cf3e8cfa383f5d00f3"
+    )
+
+
+def test_csv_blank_line_skipped_and_quoted_field_parsed(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'"label",f0,"f1"\r\n0,0.5,1\r\n\r\n"1","0.25",2\r\n')
+    t = read_feature_table(path, TableFormat.CSV)
+    assert t.labels.tolist() == [0, 1]
+    assert t.features.tolist() == [[0.5, 1.0], [0.25, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("label,f0\n0,0.5\n#1,0.5\n", "line 3: invalid literal"),
+        ("label,f0\n0,0.5\n\n1,0.5,2\n", "line 4 has 3 fields, expected 2"),
+        ("label,f0\n0,0.5\n   \n", "line 3 has 1 fields, expected 2"),
+        ("label,f0\n99999999999999999999,0.5\n", "line 2: "),
+        ("label,f0,l0,l1\r\n", "no data rows"),
+        ("", "header"),
+    ],
+)
+def test_csv_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match=message):
+        read_feature_table(path, TableFormat.CSV)
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        (2**31, "label out of range at row 1"),
+        (2**32 - 1, "label out of range at row 1"),
+        (2**32, "label out of range at row 1"),
+        (-(2**31) - 1, "negative label at row 1"),
+    ],
+)
+def test_label_outside_int32_rejected(tmp_path, label, message):
+    with pytest.raises(ValidationError, match=message):
+        FeatureTable(np.zeros((2, 1)), None, np.array([0, label]))
+    path = tmp_path / "t.csv"
+    path.write_text(f"label,f0\n0,0.5\n{label},0.5\n")
+    with pytest.raises(IngestionError, match=message):
+        read_feature_table(path, TableFormat.CSV)
+
+
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         read_feature_table(tmp_path / "absent.oodf")

@@ -15,6 +15,7 @@ from oodgate import (
     DetectorConfig,
     FeatureTable,
     GaussianClassModel,
+    IngestionError,
     Method,
     NumericalError,
     ScoreSet,
@@ -332,6 +333,62 @@ def test_scores_csv_round_trip(tmp_path, rng):
     back = read_scores(path, Method.EBM)
     assert (back.scores == s.scores).all()  # 17 significant digits round-trip
     assert back.method is Method.EBM
+
+
+_F64 = np.finfo(np.float64)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, _F64.smallest_subnormal, _F64.tiny, _F64.max,
+                             -_F64.max, -_F64.smallest_subnormal]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_scores_csv_round_trip_float64_extremes(values):
+    import tempfile
+
+    s = ScoreSet(Method.MAH, np.array(values))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scores(s, f"{tmp}/s.csv")
+        back = read_scores(f"{tmp}/s.csv")
+    assert back.scores.tobytes() == s.scores.tobytes()
+
+
+def test_scores_csv_bytes_pinned(tmp_path):
+    """CRLF ``index,score`` rows with 17 significant digits; digest fixed
+    before the CSV codec was shared with tables."""
+    import hashlib
+
+    s = ScoreSet(Method.MAH, np.array([0.0, -0.0, _F64.smallest_subnormal, _F64.max,
+                                       -_F64.tiny, 0.1, 1.0 / 3.0, -123456789.0]))
+    path = tmp_path / "s.csv"
+    write_scores(s, path)
+    raw = path.read_bytes()
+    assert raw.startswith(b"index,score\r\n0,0\r\n1,-0\r\n")
+    assert hashlib.sha256(raw).hexdigest() == (
+        "35846c8a36315bcb9c24497d06752bc4714684acb10ce8c37e03e70f532a3030"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,score\n0,1\n\n1,2,3\n", "line 4 has 3 fields, expected 2"),
+        ("index,score\n0,1\n1,oops\n", "line 3: could not convert"),
+        ("index,score\r\n", "no data rows"),
+        ("idx,score\n0,1\n", "expected 'index,score' header"),
+    ],
+)
+def test_scores_csv_malformed(tmp_path, text, message):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match=message):
+        read_scores(path)
 
 
 def test_scoreset_validation():
