@@ -3,7 +3,8 @@
 Commands communicate only through files (tables, models, score CSVs, JSON
 reports), so pipelines are reproducible and each stage can be inspected or
 replaced. Exit codes are a stable contract: 0 success, 2 usage/validation,
-3 I/O, 4 numerical failure.
+3 I/O, 4 numerical failure (a numpy ``LinAlgError`` or running out of memory
+included).
 
 The default seed is 42, overridable by the ``OODGATE_SEED`` environment
 variable; an explicit ``--seed`` flag wins over both. Any flag can also be
@@ -21,6 +22,8 @@ import logging
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .data import (
     DatasetManifest,
@@ -460,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

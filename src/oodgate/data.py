@@ -299,6 +299,9 @@ def _bad_line(path, width: int) -> str:
             if len(fields) != width:
                 return f"line {lineno} has {len(fields)} fields, expected {width}"
             try:
+                for field in fields:  # int() and float() take these, np.loadtxt does not
+                    if "_" in field or not field.strip().isascii():
+                        raise ValueError(f"could not convert string to a number: {field!r}")
                 np.int64(fields[0]), [float(field) for field in fields[1:]]
             except (ValueError, OverflowError) as exc:
                 return f"line {lineno}: {exc}"

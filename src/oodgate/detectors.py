@@ -30,6 +30,10 @@ from .errors import IngestionError, NumericalError, ValidationError
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
 
+#: Rows per block in :func:`score_mahalanobis`; a block's distance matrix
+#: holds this many rows times c float64 values.
+SCORE_CHUNK_ROWS = 4096
+
 _MODEL_MAGIC = b"OODM"
 _MODEL_VERSION = 1
 _MODEL_HEADER = struct.Struct("<4sIQQd")  # magic, version, c, d, ridge
@@ -150,8 +154,9 @@ class GaussianClassModel:
 
     The stored ``covariance`` is the unregularized pooled within-class
     scatter (divisor: total fit sample count). ``precision_factor`` is the
-    lower Cholesky factor of the regularized covariance; scoring solves
-    against it rather than ever forming an explicit inverse.
+    lower Cholesky factor of the regularized covariance. Scoring forms its
+    explicit inverse only to pick each row's candidate classes; every
+    returned distance comes from a triangular solve against the factor.
     """
 
     __slots__ = ("means", "covariance", "precision_factor", "per_class_counts", "ridge")
@@ -234,24 +239,50 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
             "estimates may be unstable"
         )
 
-    means = np.empty((c, d))
-    counts = np.zeros(c, dtype=np.int64)
-    scatter = np.zeros((d, d))
-    for k in range(c):
-        rows = feats[labels == k]
-        counts[k] = rows.shape[0]
-        if counts[k] == 0:
-            raise ValidationError(f"class {k} has no samples in the fit table")
-        means[k] = rows.mean(axis=0)
-        resid = rows - means[k]
-        scatter += resid.T @ resid
-    covariance = scatter / n
+    counts = np.bincount(labels, minlength=c)
+    if (counts == 0).any():
+        raise ValidationError(f"class {int(np.argmin(counts))} has no samples in the fit table")
+    means = np.zeros((c, d))
+    np.add.at(means, labels, feats)
+    means /= counts[:, None]
+    feats -= means[labels]  # within-class residuals, in the float64 copy
+    covariance = (feats.T @ feats) / n
     covariance = (covariance + covariance.T) / 2.0
     return GaussianClassModel(means, covariance, counts, ridge)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow only widens the set
+def _candidates(block, means, factor, whiten):
+    """Row and class indices of each row's candidate nearest classes.
+
+    The estimate is the expanded distance ``|z|^2 + |m_k|^2 - 2 z.m_k`` in
+    whitened coordinates (``z = W x``, ``m_k = W mu_k``, ``W`` the inverse of
+    the factor ``L``). A class is kept while its estimate lies within a
+    rounding slack, ``8 d eps |L|_F |W|_F (|z| + |m_k|)^2``, of the row's
+    least. A row whose estimate is not finite keeps every class.
+    """
+    z = block @ whiten.T
+    white_means = means @ whiten.T
+    z_sq = np.sum(z * z, axis=1)
+    mean_sq = np.sum(white_means * white_means, axis=1)
+    approx = z_sq[:, None] + mean_sq - 2.0 * (z @ white_means.T)
+    scale = 8 * block.shape[1] * np.finfo(np.float64).eps
+    scale *= np.linalg.norm(factor) * np.linalg.norm(whiten)
+    slack = scale * (np.sqrt(z_sq)[:, None] + np.sqrt(mean_sq)) ** 2
+    far = approx - slack > np.min(approx + slack, axis=1, keepdims=True)  # NaN: not far
+    return np.nonzero(~far)
+
+
 def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreSet:
-    """Negative squared Mahalanobis distance to the closest class mean."""
+    """Negative squared Mahalanobis distance to the closest class mean.
+
+    Rows go in blocks of :data:`SCORE_CHUNK_ROWS`. One GEMM per block in
+    whitened coordinates picks each row's candidate classes
+    (:func:`_candidates`); each candidate's distance is then the sum of
+    squares of the triangular solve of ``x - mu_k`` against the precision
+    factor, and the row keeps the least of these. The scores are those of one
+    solve per class over all rows, bit for bit.
+    """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats[None, :]
@@ -263,11 +294,23 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
         raise ValidationError("features contain non-finite values")
     from scipy.linalg import solve_triangular  # scipy loads only for mah scoring
 
+    factor, means = model.precision_factor, model.means
+    whiten = solve_triangular(factor, np.eye(model.d), lower=True)
+    # A one-column triangular solve rounds differently from a wider one, so,
+    # as when every row is solved at once, a one-row input is refined one
+    # column at a time and a wider input never is.
+    width = min(feats.shape[0], 2)
+    step = SCORE_CHUNK_ROWS if width == 2 else 1
     best = np.full(feats.shape[0], np.inf)
-    for k in range(model.c):
-        diff = feats - model.means[k]
-        z = solve_triangular(model.precision_factor, diff.T, lower=True)
-        np.minimum(best, np.sum(z * z, axis=0), out=best)
+    for start in range(0, feats.shape[0], SCORE_CHUNK_ROWS):
+        block = feats[start : start + SCORE_CHUNK_ROWS]
+        rows, classes = _candidates(block, means, factor, whiten)
+        for lo in range(0, rows.size, step):
+            r, k = rows[lo : lo + step], classes[lo : lo + step]
+            if r.size < width:  # a lone column is solved beside its twin
+                r, k = np.repeat(r, 2), np.repeat(k, 2)
+            z = solve_triangular(factor, (block[r] - means[k]).T, lower=True)
+            np.minimum.at(best, start + r, np.sum(z * z, axis=0))
     return ScoreSet(Method.MAH, -best)
 
 

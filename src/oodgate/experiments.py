@@ -73,6 +73,14 @@ GridValue = Union[float, str, CountLaw]
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One sweep: an axis, its grid, the detectors and the world they run on.
+
+    ``n_per_side`` caps both test sets at the same size on the accuracy and
+    domain-distance axes. On the imbalance axis it sizes only the OOD set that
+    a synthetic world generates: the ID test set is used whole, and a
+    manifest's tables are used as they are.
+    """
+
     axis: str
     base_world: SyntheticSpec | str | Path
     grid: tuple[GridValue, ...]

@@ -13,6 +13,7 @@ from oodgate import (
     FeatureTable,
     write_feature_table,
 )
+import oodgate.cli
 from oodgate.cli import build_parser, main
 
 
@@ -238,6 +239,31 @@ def test_degenerate_fit_without_ridge_exits_4(tmp_path):
     write_feature_table(t, tmp_path / "flat.oodf")
     assert run("fit", "--input", str(tmp_path / "flat.oodf"), "--ridge", "0.0",
                "--out", str(tmp_path / "m.oodm")) == 4
+
+
+@pytest.mark.parametrize(
+    "exc", [np.linalg.LinAlgError("Singular matrix"), MemoryError("Unable to allocate 8.00 TiB")]
+)
+def test_linalg_and_memory_errors_exit_4(tmp_path, capsys, monkeypatch, exc):
+    def scorer(*args):
+        raise exc
+
+    monkeypatch.setattr(oodgate.cli, "score_table", scorer)
+    t = FeatureTable(np.zeros((3, 2)), np.zeros((3, 2)), np.full(3, UNLABELED))
+    write_feature_table(t, tmp_path / "t.oodf")
+    assert run("score", "--input", str(tmp_path / "t.oodf"), "--method", "msp",
+               "--out", str(tmp_path / "s.csv")) == 4
+    assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])
+def test_csv_value_numpy_rejects_cites_line(tmp_path, capsys, value):
+    table = tmp_path / "t.csv"
+    table.write_bytes(f"label,f0\r\n0,1.5\r\n1,{value}\r\n".encode())
+    assert run("score", "--input", str(table), "--format", "csv", "--method", "msp",
+               "--out", str(tmp_path / "s.csv")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {table}: line 3: could not convert string to a number: {value!r}\n"
 
 
 def test_unknown_command_exits_2(capsys):

@@ -256,6 +256,8 @@ def test_csv_blank_line_skipped_and_quoted_field_parsed(tmp_path):
         ("label,f0\n0,0.5\n\n1,0.5,2\n", "line 4 has 3 fields, expected 2"),
         ("label,f0\n0,0.5\n   \n", "line 3 has 1 fields, expected 2"),
         ("label,f0\n99999999999999999999,0.5\n", "line 2: "),
+        ("label,f0\n0,0.5\n1_0,0.5\n", "line 3: could not convert string to a number: '1_0'"),
+        ("label,f0\n0,\u0661\n", "line 2: could not convert string to a number: '\u0661'"),
         ("label,f0,l0,l1\r\n", "no data rows"),
         ("", "header"),
     ],

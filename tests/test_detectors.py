@@ -20,6 +20,7 @@ from oodgate import (
     NumericalError,
     ScoreSet,
     ValidationError,
+    direct_mahalanobis_oracle,
     direct_pooled_covariance,
     fit_mahalanobis,
     load_model,
@@ -32,6 +33,7 @@ from oodgate import (
     softmax,
     write_scores,
 )
+from oodgate.detectors import SCORE_CHUNK_ROWS
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -283,6 +285,97 @@ def test_batch_partition_determinism(rng):
     assert (full == again).all()
 
 
+def per_class_scores(model, queries):
+    """The one-solve-per-class scorer that whitened scoring must reproduce bit
+    for bit: a triangular solve of ``queries - mean`` per class, then the least
+    column sum of squares."""
+    from scipy.linalg import solve_triangular
+
+    best = np.full(queries.shape[0], np.inf)
+    for mean in model.means:
+        z = solve_triangular(model.precision_factor, (queries - mean).T, lower=True)
+        np.minimum(best, np.sum(z * z, axis=0), out=best)
+    return -best
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 12),
+    c=st.integers(2, 6),
+    squashed=st.integers(0, 3),
+    ridge=st.sampled_from([0.0, 1e-12, 1e-6]),
+)
+def test_mahalanobis_near_ties_match_per_class_solves(seed, d, c, squashed, ridge):
+    rng = np.random.default_rng(seed)
+    n = 4 * d + 3 * c
+    labels = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
+    feats = rng.normal(size=(n, d)) + 2.0 * rng.normal(size=(c, d))[labels]
+    feats[:, : min(squashed, d - 1)] *= 1e-6  # ill-conditioned covariance
+    table = table_from(feats, labels)
+    model = fit_mahalanobis(table, ridge)
+    j = int(rng.integers(c))
+    k = (j + 1 + int(rng.integers(c - 1))) % c
+    mid = (model.means[j] + model.means[k]) / 2.0  # equidistant from two means
+    queries = np.vstack([
+        model.means,
+        mid,
+        mid + 1e-12 * rng.normal(size=(2, d)),
+        model.means[j] + 1e-9 * rng.normal(size=(3, d)),
+        1e6 * rng.normal(size=(2, d)),
+    ])
+    fast = score_mahalanobis(model, queries).scores
+    assert fast.tobytes() == per_class_scores(model, queries).tobytes()
+    one = score_mahalanobis(model, mid[None]).scores
+    assert one.tobytes() == per_class_scores(model, mid[None]).tobytes()
+    oracle = [direct_mahalanobis_oracle(table, q, ridge) for q in queries]
+    np.testing.assert_allclose(fast, oracle, rtol=1e-8, atol=1e-8)
+
+
+def test_mahalanobis_one_row_last_block(rng):
+    """A last block of one row is refined as part of a wide input, which for
+    some rows differs in the last bit from a one-column solve."""
+    model = fit_mahalanobis(table_from(rng.normal(size=(60, 8)), rng.integers(0, 3, 60)))
+    queries = rng.normal(size=(SCORE_CHUNK_ROWS + 30, 8))
+    reference = per_class_scores(model, queries)
+    for last in range(SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 30):
+        rows = np.r_[:SCORE_CHUNK_ROWS, last]
+        assert score_mahalanobis(model, queries[rows]).scores.tobytes() == reference[rows].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # distances to far means
+def test_mahalanobis_overflowing_estimate_keeps_every_class():
+    """Whitened norms overflow to inf here, the direct differences do not."""
+    model = identity_model([[1e160, 0.0], [0.0, 1e160], [-1e160, 0.0]])
+    queries = model.means[[0, 1]] + np.array([[3e144, -2e144], [1e144, 5e144]])
+    fast = score_mahalanobis(model, queries).scores
+    assert np.isfinite(fast).all()
+    assert fast.tobytes() == per_class_scores(model, queries).tobytes()
+
+
+def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
+    """c=142, d=128 over two whole row blocks plus 3 rows; the score CSV digest
+    was recorded with the one-solve-per-class scorer."""
+    import hashlib
+
+    c, d, n = 142, 128, 8195
+    assert n == 2 * SCORE_CHUNK_ROWS + 3
+    rng = np.random.default_rng(20261018)
+    mix = rng.normal(size=(d, d)) / np.sqrt(d)
+    means = 3.0 * rng.normal(size=(c, d)) / np.sqrt(d)
+    model = GaussianClassModel(means, mix @ mix.T + np.eye(d), np.full(c, 400))
+    queries = means[rng.integers(0, c, n)] + rng.normal(size=(n, d))
+    full = score_mahalanobis(model, queries)
+    # parts of 2, chunk + 1 (a one-row last block), chunk - 2 and 2 rows
+    cuts = [0, 2, SCORE_CHUNK_ROWS + 3, 2 * SCORE_CHUNK_ROWS + 1, n]
+    parts = [score_mahalanobis(model, queries[a:b]).scores for a, b in zip(cuts, cuts[1:])]
+    assert full.scores.tobytes() == np.concatenate(parts).tobytes()
+    path = tmp_path / "s.csv"
+    write_scores(full, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "acda38640147f83641accfe68770f098e845e759bc914c69f2b1603a24d8acbc"
+    )
+
+
 def test_logit_scorers_batch_partition_determinism(rng):
     logits = np.asarray(rng.normal(size=(40, 5)) * 10)
     for scorer in (score_msp, score_energy):
@@ -380,6 +473,8 @@ def test_scores_csv_bytes_pinned(tmp_path):
     [
         ("index,score\n0,1\n\n1,2,3\n", "line 4 has 3 fields, expected 2"),
         ("index,score\n0,1\n1,oops\n", "line 3: could not convert"),
+        ("index,score\n0,1\n1,1_0\n", "line 3: could not convert string to a number: '1_0'"),
+        ("index,score\n0,\u0661\n", "line 2: could not convert string to a number: '\u0661'"),
         ("index,score\r\n", "no data rows"),
         ("idx,score\n0,1\n", "expected 'index,score' header"),
     ],
