@@ -426,6 +426,8 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
         key, _, value = line.partition("=")
         dest = key.strip().replace("-", "_")
         value = value.strip()
+        if "\0" in value:  # argv cannot hold one; open() raises ValueError on it
+            raise ValidationError(f"{args.config}: line {lineno}: NUL character in value")
         if dest not in actions or dest in ("config", "func", "command"):
             raise ValidationError(f"{args.config}: unknown option {key.strip()!r}")
         if dest in given:

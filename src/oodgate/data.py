@@ -429,6 +429,8 @@ class DatasetManifest:
                     f"{path}: line {lineno}: expected role<TAB>format<TAB>path"
                 )
             role_text, fmt_text, entry_path = parts
+            if "\0" in entry_path:  # open() raises ValueError, not OSError, on it
+                raise IngestionError(f"{path}: line {lineno}: NUL character in path")
             role, ood_name = _parse_role(role_text)
             try:
                 fmt = TableFormat(fmt_text)

@@ -11,12 +11,14 @@ in-distribution, so a single thresholding convention serves every method:
 
 ``msp`` and ``ebm`` read logits straight off a table; ``mah`` needs a
 :class:`GaussianClassModel` fitted on a labeled detector-fit table first.
-All arithmetic runs in float64 regardless of table storage precision.
+All arithmetic runs in float64 regardless of table storage precision, one
+block of :data:`SCORE_CHUNK_ROWS` rows at a time.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -30,8 +32,11 @@ from .errors import IngestionError, NumericalError, ValidationError
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
 
-#: Rows per block in :func:`score_mahalanobis`; a block's distance matrix
-#: holds this many rows times c float64 values.
+#: Rows per block in all three scorers and in the fit's residual pass. Only
+#: one block at a time is widened to float64, so a scorer or fit holds its
+#: input plus a few float64 arrays of this many rows times c (or d) values.
+#: Every row's reductions run over that row alone, so no score or fitted
+#: value depends on the block size.
 SCORE_CHUNK_ROWS = 4096
 
 _MODEL_MAGIC = b"OODM"
@@ -52,10 +57,10 @@ class DetectorConfig:
     ridge: float = 1e-6  # mah covariance regularizer, relative to trace/d
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
-        if self.ridge < 0:
-            raise ValidationError(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 < self.temperature < math.inf:
+            raise ValidationError(f"temperature must be finite and > 0, got {self.temperature}")
+        if not 0 <= self.ridge < math.inf:
+            raise ValidationError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass(frozen=True)
@@ -97,15 +102,41 @@ def read_scores(path: str | Path, method: Method | None = None) -> ScoreSet:
 
 
 # ---------------------------------------------------------------------------
+# row blocks
+
+
+def _floats(values) -> np.ndarray:
+    """``values`` as is when its dtype widens to float64 exactly (float16, 32
+    or 64); anything else is converted to float64 once."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and arr.dtype.itemsize <= 8:
+        return arr
+    return arr.astype(np.float64)
+
+
+def _row_blocks(arr: np.ndarray, what: str):
+    """Yield ``(start, block)``: the rows of the 2-D array ``arr`` from
+    ``start`` in blocks of :data:`SCORE_CHUNK_ROWS`, as float64.
+
+    Each block is checked finite in its own dtype before it is widened, which
+    is exact for the dtypes :func:`_floats` keeps. A block of a float64 array
+    is a view of it.
+    """
+    for start in range(0, arr.shape[0], SCORE_CHUNK_ROWS):
+        rows = arr[start : start + SCORE_CHUNK_ROWS]
+        if not np.isfinite(rows).all():
+            raise ValidationError(f"{what} contain non-finite values")
+        yield start, rows.astype(np.float64, copy=False)
+
+
+# ---------------------------------------------------------------------------
 # logit-based detectors
 
 
-def _as_finite_2d(logits: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(logits, dtype=np.float64)
+def _logit_rows(logits) -> np.ndarray:
+    arr = _floats(logits)
     if arr.ndim != 2:
-        raise ValidationError(f"{what} must be 2-D (rows of logits), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contain non-finite values")
+        raise ValidationError(f"logits must be 2-D (rows of logits), got {arr.shape}")
     return arr
 
 
@@ -129,20 +160,32 @@ def logsumexp(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return m + np.log(total)
 
 
+# Logit scorers run quietly: a score that overflows or turns NaN (say, under a
+# subnormal temperature) fails ScoreSet's finite check with one error instead.
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def score_msp(logits: np.ndarray) -> ScoreSet:
     """Max softmax probability ``1 / sum(exp(x - max))`` per row; needs c >= 2."""
-    arr = _as_finite_2d(logits, "logits")
+    arr = _logit_rows(logits)
     if arr.shape[1] < 2:
         raise ValidationError(f"msp needs c >= 2 logit columns, got {arr.shape[1]}")
-    return ScoreSet(Method.MSP, 1.0 / _max_and_expsum(arr, 1)[1])
+    scores = np.empty(arr.shape[0])
+    for start, block in _row_blocks(arr, "logits"):
+        scores[start : start + len(block)] = 1.0 / _max_and_expsum(block, 1)[1]
+    return ScoreSet(Method.MSP, scores)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
     """Negated free energy ``T * logsumexp(logits / T)`` per row."""
-    if temperature <= 0:
-        raise ValidationError(f"temperature must be > 0, got {temperature}")
-    arr = _as_finite_2d(logits, "logits")
-    return ScoreSet(Method.EBM, temperature * logsumexp(arr / temperature, axis=1))
+    if not 0 < temperature < math.inf:
+        raise ValidationError(f"temperature must be finite and > 0, got {temperature}")
+    arr = _logit_rows(logits)
+    scores = np.empty(arr.shape[0])
+    for start, block in _row_blocks(arr, "logits"):
+        scores[start : start + len(block)] = temperature * logsumexp(block / temperature, axis=1)
+    return ScoreSet(Method.EBM, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +214,8 @@ class GaussianClassModel:
         means = np.ascontiguousarray(means, dtype=np.float64)
         covariance = np.ascontiguousarray(covariance, dtype=np.float64)
         counts = np.ascontiguousarray(per_class_counts, dtype=np.int64)
-        if means.ndim != 2:
-            raise ValidationError(f"means must be c x d, got shape {means.shape}")
+        if means.ndim != 2 or means.size == 0:
+            raise ValidationError(f"means must be c x d with c, d >= 1, got shape {means.shape}")
         c, d = means.shape
         if covariance.shape != (d, d):
             raise ValidationError(
@@ -183,8 +226,12 @@ class GaussianClassModel:
         if (counts < 1).any():
             bad = int(np.argmin(counts))
             raise ValidationError(f"class {bad} has no fit samples")
-        if ridge < 0:
-            raise ValidationError(f"ridge must be >= 0, got {ridge}")
+        if not 0 <= ridge < math.inf:
+            raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
+        if not np.isfinite(means).all():
+            raise ValidationError("means contain non-finite values")
+        if not np.isfinite(covariance).all():
+            raise ValidationError("covariance contains non-finite values")
         if np.abs(covariance - covariance.T).max() > 1e-9:
             raise ValidationError("covariance is not symmetric within 1e-9")
 
@@ -192,7 +239,10 @@ class GaussianClassModel:
         self.covariance = covariance
         self.per_class_counts = counts
         self.ridge = float(ridge)
-        regularized = covariance + self._ridge_scale() * np.eye(d)
+        scale = self._ridge_scale()
+        if not math.isfinite(scale):
+            raise NumericalError(f"ridge * trace / d overflows to {scale}; decrease ridge")
+        regularized = covariance + scale * np.eye(d)
         try:
             self.precision_factor = np.linalg.cholesky(regularized)
         except np.linalg.LinAlgError:
@@ -227,8 +277,8 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     """
     if not fit_table.is_labeled:
         raise ValidationError("mahalanobis fit requires a fully labeled table")
-    if ridge < 0:
-        raise ValidationError(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < math.inf:
+        raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
     feats = fit_table.features.astype(np.float64)
     labels = fit_table.labels
     n, d = feats.shape
@@ -245,7 +295,8 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     means = np.zeros((c, d))
     np.add.at(means, labels, feats)
     means /= counts[:, None]
-    feats -= means[labels]  # within-class residuals, in the float64 copy
+    for start, block in _row_blocks(feats, "features"):  # views of the float64 copy
+        block -= means[labels[start : start + len(block)]]  # within-class residuals
     covariance = (feats.T @ feats) / n
     covariance = (covariance + covariance.T) / 2.0
     return GaussianClassModel(means, covariance, counts, ridge)
@@ -283,15 +334,13 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     factor, and the row keeps the least of these. The scores are those of one
     solve per class over all rows, bit for bit.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = _floats(features)
     if feats.ndim == 1:
         feats = feats[None, :]
     if feats.ndim != 2 or feats.shape[1] != model.d:
         raise ValidationError(
             f"features shape {feats.shape} does not match model d={model.d}"
         )
-    if not np.isfinite(feats).all():
-        raise ValidationError("features contain non-finite values")
     from scipy.linalg import solve_triangular  # scipy loads only for mah scoring
 
     factor, means = model.precision_factor, model.means
@@ -302,8 +351,7 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     width = min(feats.shape[0], 2)
     step = SCORE_CHUNK_ROWS if width == 2 else 1
     best = np.full(feats.shape[0], np.inf)
-    for start in range(0, feats.shape[0], SCORE_CHUNK_ROWS):
-        block = feats[start : start + SCORE_CHUNK_ROWS]
+    for start, block in _row_blocks(feats, "features"):
         rows, classes = _candidates(block, means, factor, whiten)
         for lo in range(0, rows.size, step):
             r, k = rows[lo : lo + step], classes[lo : lo + step]
@@ -311,7 +359,7 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
                 r, k = np.repeat(r, 2), np.repeat(k, 2)
             z = solve_triangular(factor, (block[r] - means[k]).T, lower=True)
             np.minimum.at(best, start + r, np.sum(z * z, axis=0))
-    return ScoreSet(Method.MAH, -best)
+    return ScoreSet(Method.MAH, np.negative(best, out=best))
 
 
 def score_table(
@@ -365,6 +413,6 @@ def load_model(path: str | Path) -> GaussianClassModel:
     off += 4 * d * d
     counts = np.frombuffer(raw, dtype="<u8", count=c, offset=off)
     cov64 = cov.astype(np.float64)
-    cov64 = (cov64 + cov64.T) / 2.0  # binary32 quantization can break symmetry
-    with _ingesting(path):
+    with _ingesting(path), np.errstate(invalid="ignore"):  # inf + -inf: NaN, rejected
+        cov64 = (cov64 + cov64.T) / 2.0  # binary32 quantization can break symmetry
         return GaussianClassModel(means, cov64, counts, ridge)

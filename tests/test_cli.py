@@ -1,6 +1,7 @@
 """CLI contract: commands, exit codes, determinism, config and env handling."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -254,6 +255,50 @@ def test_linalg_and_memory_errors_exit_4(tmp_path, capsys, monkeypatch, exc):
     assert run("score", "--input", str(tmp_path / "t.oodf"), "--method", "msp",
                "--out", str(tmp_path / "s.csv")) == 4
     assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "case", ["ridge-nan", "ridge-inf", "model-nan-mean", "model-nan-covariance", "model-inf-ridge"]
+)
+def test_non_finite_ridge_or_model_exits_2(tmp_path, capsys, case):
+    t = FeatureTable(
+        np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 3.0], [4.0, 2.0]]), None, np.array([0, 1, 0, 1])
+    )
+    table, model = str(tmp_path / "t.oodf"), tmp_path / "m.oodm"
+    write_feature_table(t, table)
+    if case.startswith("ridge-"):
+        argv = ["fit", "--input", table, "--ridge", case[len("ridge-"):], "--out", str(model)]
+        message = "error: ridge must be finite and >= 0"
+    else:
+        assert run("fit", "--input", table, "--out", str(model)) == 0
+        raw = bytearray(model.read_bytes())  # header <4sIQQd, then c x d means, d x d cov
+        fmt, offset, value, message = {
+            "model-nan-mean": ("<f", 32, np.nan, "means contain non-finite values"),
+            "model-nan-covariance": ("<f", 32 + 4 * 2 * 2, np.nan,
+                                     "covariance contains non-finite values"),
+            "model-inf-ridge": ("<d", 24, np.inf, "ridge must be finite and >= 0"),
+        }[case]
+        struct.pack_into(fmt, raw, offset, value)
+        model.write_bytes(raw)
+        argv = ["score", "--input", table, "--method", "mah", "--model", str(model),
+                "--out", str(tmp_path / "s.csv")]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_subnormal_temperature_prints_one_error_line(tmp_path):
+    """logits / 1e-310 overflows; the scorer stays quiet and its scores fail
+    the finite check, so stderr holds the error line and no numpy warning."""
+    t = FeatureTable(np.zeros((2, 2)), np.array([[1.0, 2.0], [0.5, -1.0]]), np.full(2, UNLABELED))
+    write_feature_table(t, tmp_path / "t.oodf")
+    argv = ["score", "--input", str(tmp_path / "t.oodf"), "--method", "ebm",
+            "--temperature", "1e-310", "--out", str(tmp_path / "s.csv")]
+    out = subprocess.run([sys.executable, "-m", "oodgate.cli", *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == "error: scores contain non-finite values\n"
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661"])

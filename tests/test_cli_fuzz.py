@@ -1,0 +1,236 @@
+"""CLI fuzz: every malformed input the CLI reads ends in exit 2, 3 or 4 with
+one ``error:`` line on stderr, never a traceback, exit 1 or a warning.
+
+Each test starts from a valid file, breaks it in a way that makes it invalid
+for sure, and runs one command on it in-process.
+"""
+
+import contextlib
+import io
+import struct
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oodgate import FeatureTable, write_feature_table
+from oodgate.cli import main
+
+# A 4-row table: d=2 features, c=3 logits, labels in [0, 3).
+TABLE = FeatureTable(
+    np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 3.0], [4.0, 2.0]]),
+    np.array([[1.0, 0.0, -1.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0], [2.0, 1.0, 0.0]]),
+    np.array([0, 1, 2, 0]),
+)
+N, D, C = 4, 2, 3
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+def run_cli(*argv) -> None:
+    """Run ``oodgate *argv`` and check the error contract."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    err = stderr.getvalue()
+    assert code in (2, 3, 4), (code, err)
+    assert err.endswith("\n") and err.count("\n") == 1 and "error: " in err, err
+    assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
+def prepared(tmp: Path) -> tuple[str, str]:
+    """Write the valid table and a model fitted on it; return their paths."""
+    table, model = str(tmp / "t.oodf"), str(tmp / "m.oodm")
+    write_feature_table(TABLE, table)
+    assert main(["fit", "--input", table, "--out", model]) == 0
+    return table, model
+
+
+def patched(raw: bytes, fmt: str, offset: int, value) -> bytes:
+    out = bytearray(raw)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+def resized(raw: bytes, cut: int, extra: bytes) -> bytes:
+    """``raw`` shortened by ``cut`` bytes, or grown by ``extra`` when cut is 0."""
+    return raw[: len(raw) - cut] if cut else raw + extra
+
+
+RESIZE = st.tuples(st.integers(0, 40), st.binary(min_size=1, max_size=8))
+
+
+# ---------------------------------------------------------------------------
+# OODF tables: header <4sIQQQB7x (magic, version, n, d, c, dtype code), then
+# n*d features and n*c logits as f4 and n labels as i4
+
+
+oodf_breaks = st.one_of(
+    st.tuples(st.just("<4s"), st.just(0), st.binary(min_size=4, max_size=4).filter(
+        lambda b: b != b"OODF")),
+    st.tuples(st.just("<I"), st.just(4), st.integers(0, 2**32 - 1).filter(lambda v: v != 1)),
+    # n, d and c each appear alone in the payload size, so any other value
+    # contradicts it
+    st.tuples(st.just("<Q"), st.just(8), st.integers(0, 2**64 - 1).filter(lambda v: v != N)),
+    st.tuples(st.just("<Q"), st.just(16), st.integers(0, 2**64 - 1).filter(lambda v: v != D)),
+    st.tuples(st.just("<Q"), st.just(24), st.integers(0, 2**64 - 1).filter(lambda v: v != C)),
+    st.tuples(st.just("<B"), st.just(32), st.integers(1, 255)),
+    st.tuples(st.just("<f"), st.integers(0, N * (D + C) - 1).map(lambda i: 40 + 4 * i),
+              NON_FINITE),
+    st.tuples(st.just("<i"), st.integers(0, N - 1).map(lambda i: 40 + 4 * N * (D + C) + 4 * i),
+              st.integers(-(2**31), -2) | st.integers(C, 2**31 - 1)),
+)
+
+
+@given(brk=oodf_breaks | RESIZE)
+def test_fuzz_oodf_table(brk):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table, _ = prepared(tmp)
+        raw = Path(table).read_bytes()
+        raw = resized(raw, *brk) if len(brk) == 2 else patched(raw, *brk)
+        (tmp / "bad.oodf").write_bytes(raw)
+        run_cli("score", "--input", tmp / "bad.oodf", "--method", "ebm", "--out", tmp / "s.csv")
+
+
+# ---------------------------------------------------------------------------
+# OODM models: header <4sIQQd (magic, version, c, d, ridge), then c*d means and
+# d*d covariance as f4 and c counts as u8
+
+
+oodm_breaks = st.one_of(
+    st.tuples(st.just("<4s"), st.just(0), st.binary(min_size=4, max_size=4).filter(
+        lambda b: b != b"OODM")),
+    st.tuples(st.just("<I"), st.just(4), st.integers(0, 2**32 - 1).filter(lambda v: v != 1)),
+    st.tuples(st.just("<Q"), st.just(8), st.integers(0, 2**64 - 1).filter(lambda v: v != C)),
+    st.tuples(st.just("<Q"), st.just(16), st.integers(0, 2**64 - 1).filter(lambda v: v != D)),
+    st.tuples(st.just("<d"), st.just(24), NON_FINITE | st.floats(max_value=-1e-300)),
+    st.tuples(st.just("<f"), st.integers(0, C * D + D * D - 1).map(lambda i: 32 + 4 * i),
+              NON_FINITE),
+    # a negative variance: the covariance is not positive-definite
+    st.tuples(st.just("<f"), st.sampled_from([32 + 4 * C * D, 32 + 4 * (C * D + D + 1)]),
+              st.floats(-1e30, -1e3)),
+    st.tuples(st.just("<Q"), st.integers(0, C - 1).map(lambda i: 32 + 4 * (C * D + D * D) + 8 * i),
+              st.just(0) | st.integers(2**63, 2**64 - 1)),
+)
+
+
+@given(brk=oodm_breaks | RESIZE)
+def test_fuzz_oodm_model(brk):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _, model = prepared(tmp)
+        raw = Path(model).read_bytes()
+        raw = resized(raw, *brk) if len(brk) == 2 else patched(raw, *brk)
+        (tmp / "bad.oodm").write_bytes(raw)
+        run_cli("score", "--input", tmp / "t.oodf", "--method", "mah", "--model", tmp / "bad.oodm",
+                "--out", tmp / "s.csv")
+
+
+# ---------------------------------------------------------------------------
+# score CSVs: an ``index,score`` header and rows, one of them broken
+
+
+score_values = st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format)
+bad_score_rows = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "", "x", "1_0", "0x10", "١", "1,2"]).map(
+        lambda v: f"0,{v}"),
+    st.sampled_from(["1", "x,1", "1.5,1", "1,2,3"]),  # a blank line is skipped
+)
+
+
+@given(
+    rows=st.lists(score_values, max_size=6),
+    bad=bad_score_rows,
+    at=st.integers(0, 6),
+    header=st.sampled_from(["index,score", "idx,score", "score", "index,score,x", ""]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_fuzz_score_csv(rows, bad, at, header, newline):
+    lines = [f"{i},{v}" for i, v in enumerate(rows)]
+    if header == "index,score":
+        lines.insert(min(at, len(lines)), bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "bad.csv").write_text(newline.join([header, *lines]) + newline)
+        (tmp / "ok.csv").write_text("index,score\n0,1.5\n1,-0.5\n")
+        run_cli("eval", "--id-scores", tmp / "ok.csv", "--ood-scores", tmp / "bad.csv")
+
+
+# ---------------------------------------------------------------------------
+# manifests: role<TAB>format<TAB>path lines, read by ``fit --manifest``
+
+
+ROLES = ["ID_TRAIN_CLASSIFIER", "ID_FIT_DETECTOR", "ID_TEST", "OOD_TEST(far)"]
+FORMATS = ["BINARY_DUMP", "CSV"]
+# none of these is the valid fit table read as BINARY_DUMP, so no fit entry loads
+fit_entries = st.sampled_from([
+    "ID_FIT_DETECTOR\tBINARY_DUMP\tmissing.oodf",
+    "ID_FIT_DETECTOR\tBINARY_DUMP\t.",
+    "ID_FIT_DETECTOR\tCSV\tt.oodf",
+    "ID_FIT_DETECTOR\tBINARY_DUMP\tt\0.oodf",
+])
+other_entries = st.builds(
+    "{}\t{}\t{}".format,
+    st.sampled_from([r for r in ROLES if r != "ID_FIT_DETECTOR"]),
+    st.sampled_from(FORMATS),
+    st.sampled_from(["t.oodf", "missing.oodf", "sub/x.csv", "t\0.oodf"]),
+) | st.sampled_from(["", "# name: fuzz", "# any comment"])
+bad_lines = st.one_of(
+    st.text(st.characters(blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+            min_size=1).filter(lambda t: t.strip() and not t.strip().startswith("#")),
+    st.sampled_from(["OOD_TEST\tCSV\tt.oodf", "OOD_TEST()x\tCSV\tt.oodf", "ID_FIT\tCSV\tt.oodf",
+                     "ID_TEST\tJSON\tt.oodf", "ID_TEST\tCSV", "ID_TEST\tCSV\tt.oodf\textra"]),
+)
+
+
+@given(
+    lines=st.lists(other_entries, max_size=5),
+    fits=st.lists(fit_entries, max_size=2),
+    bad=st.none() | bad_lines,
+    at=st.integers(0, 8),
+)
+def test_fuzz_manifest(lines, fits, bad, at):
+    lines = lines + fits
+    if bad is not None:
+        lines.insert(min(at, len(lines)), bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        prepared(tmp)
+        (tmp / "bad.manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        run_cli("fit", "--manifest", tmp / "bad.manifest", "--out", tmp / "out.oodm")
+
+
+# ---------------------------------------------------------------------------
+# --config files: flat key = value lines for ``fit``, one of them broken
+
+
+FIT_KEYS = {"input", "manifest", "format", "method", "ridge", "out", "verbose"}
+# a later line of the same key would win over the broken one, so none sets one
+good_config = st.sampled_from(["verbose = true", "verbose = false", "# comment", "  # x", ""])
+bad_config = st.one_of(
+    st.sampled_from([
+        "ridge = nan", "ridge = inf", "ridge = -1", "ridge = abc", "ridge =",
+        "format = xml", "method = foo", "method = msp", "manifest = missing.manifest",
+        "manifest = a\0b", "config = other.cfg", "no equals sign",
+    ]),
+    st.builds("{} = {}".format,
+              st.from_regex(r"[a-z][a-z_-]{0,11}", fullmatch=True).filter(
+                  lambda k: k.replace("-", "_") not in FIT_KEYS),
+              st.sampled_from(["1", "x", ""])),
+)
+
+
+@given(lines=st.lists(good_config, max_size=4), bad=bad_config, at=st.integers(0, 4))
+def test_fuzz_config(lines, bad, at):
+    lines.insert(min(at, len(lines)), bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        table, _ = prepared(tmp)
+        (tmp / "bad.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        run_cli("fit", "--input", table, "--out", tmp / "out.oodm", "--config", tmp / "bad.cfg")

@@ -123,8 +123,9 @@ def test_energy_hand_cases():
 
 
 def test_energy_temperature_validated():
-    with pytest.raises(ValidationError):
-        score_energy(np.zeros((1, 2)), temperature=0.0)
+    for temperature in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="temperature must be finite and > 0"):
+            score_energy(np.zeros((1, 2)), temperature=temperature)
 
 
 @given(row=logit_rows, shift=st.floats(min_value=-40, max_value=40, allow_nan=False))
@@ -198,6 +199,15 @@ def test_fit_missing_class_named():
     )
     with pytest.raises(ValidationError, match="class 1"):
         fit_mahalanobis(t)
+
+
+def test_fit_rejects_non_finite_ridge():
+    t = table_from([[0.0], [20.0], [100.0], [120.0]], [0, 0, 1, 1])
+    for ridge in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="ridge must be finite and >= 0"):
+            fit_mahalanobis(t, ridge)
+    with pytest.raises(NumericalError, match="overflows"):
+        fit_mahalanobis(t, 1e307)  # finite, but ridge * trace / d (trace 100) is not
 
 
 def test_fit_requires_labels():
@@ -374,9 +384,21 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "acda38640147f83641accfe68770f098e845e759bc914c69f2b1603a24d8acbc"
     )
+    # float32 queries, widened one block at a time; digest recorded with the
+    # scorer that widened the whole input at once
+    narrow = queries.astype(np.float32)
+    full = score_mahalanobis(model, narrow)
+    parts = [score_mahalanobis(model, narrow[a:b]).scores for a, b in zip(cuts, cuts[1:])]
+    assert full.scores.tobytes() == np.concatenate(parts).tobytes()
+    write_scores(full, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f3ccd8fc8c8ee5128c231676639472c3d3657809b715a240ed1af0b37ecaa0ad"
+    )
 
 
-def test_logit_scorers_batch_partition_determinism(rng):
+def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
+    import hashlib
+
     logits = np.asarray(rng.normal(size=(40, 5)) * 10)
     for scorer in (score_msp, score_energy):
         full = scorer(logits).scores
@@ -385,12 +407,88 @@ def test_logit_scorers_batch_partition_determinism(rng):
         )
         assert (full == parts).all()
 
+    # c=142 over two whole row blocks plus 3 rows, cut as in the Mahalanobis
+    # case (one part ends in a one-row block); digests recorded with the
+    # scorers that widened and reduced the whole input at once
+    n = 2 * SCORE_CHUNK_ROWS + 3
+    wide = np.random.default_rng(20261019).normal(size=(n, 142)) * 10
+    cuts = [0, 2, SCORE_CHUNK_ROWS + 3, 2 * SCORE_CHUNK_ROWS + 1, n]
+    pinned = {
+        ("float32", "msp"): "897dc30feb730c150b9aca06792fe33887bacc8c61309fad1bbe5084b7d8632c",
+        ("float32", "ebm"): "f65d488480874f2ad5c9d2285f8fce05a2227daf565b112b37916bad9c86b6a1",
+        ("float64", "msp"): "6df295330758b90c16e47a675853401b02554f001043b1a1fdd33576e33cebc9",
+        ("float64", "ebm"): "3d97dd220ae6b3a63dc7e9108c487230e2dd2421f7a4d23d215a399b1da71043",
+    }
+    scorers = {"msp": score_msp, "ebm": lambda x: score_energy(x, 0.75)}
+    for (dtype, name), digest in pinned.items():
+        x, scorer = wide.astype(dtype), scorers[name]
+        full = scorer(x)
+        parts = [scorer(x[a:b]).scores for a, b in zip(cuts, cuts[1:])]
+        assert full.scores.tobytes() == np.concatenate(parts).tobytes()
+        write_scores(full, tmp_path / "s.csv")
+        assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
+
+
+def test_peak_memory_does_not_grow_with_rows():
+    """Traced allocation peaks on float32 input of 3 and of 12 row blocks.
+
+    Past the float64 score vector (8 bytes a row, plus ScoreSet's 1-byte
+    finite mask) and, for the fit, its one float64 copy of the features and
+    an intp label index, the peak must not grow with n: each block is widened
+    to float64 on its own. Widening or gathering the whole input at once
+    adds at least d or c float64 values a row.
+    """
+    import tracemalloc
+
+    c, d = 16, 8
+    rng = np.random.default_rng(7)
+    warm = table_from(rng.normal(size=(12, 4)), np.arange(12) % 2)
+    score_mahalanobis(fit_mahalanobis(warm), np.zeros((2, 4)))  # imports scipy
+
+    def peaks(blocks):
+        n = blocks * SCORE_CHUNK_ROWS
+        logits = rng.normal(size=(n, c)).astype(np.float32)
+        table = FeatureTable(rng.normal(size=(n, d)), None, np.arange(n) % c)
+        model = fit_mahalanobis(table)
+        calls = {
+            "msp": lambda: score_msp(logits),
+            "ebm": lambda: score_energy(logits, 2.0),
+            "mah": lambda: score_mahalanobis(model, table.features),
+            "fit": lambda: fit_mahalanobis(table),
+        }
+        found = {}
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                found[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return found
+
+    small, large = peaks(3), peaks(12)
+    added = 9 * SCORE_CHUNK_ROWS
+    for name in small:
+        per_row = 8 * (d + 1) if name == "fit" else 9
+        assert large[name] - small[name] <= added * per_row + 64 * 1024, name
+
 
 def test_model_validation():
     with pytest.raises(ValidationError, match="no fit samples"):
         GaussianClassModel(np.zeros((2, 2)), np.eye(2), np.array([1, 0]))
     with pytest.raises(ValidationError, match="symmetric"):
         GaussianClassModel(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValidationError, match="c, d >= 1"):
+        GaussianClassModel(np.zeros((0, 2)), np.eye(2), np.ones(0))
+    with pytest.raises(ValidationError, match="means contain non-finite"):
+        GaussianClassModel(np.array([[0.0, np.nan], [1.0, 1.0]]), np.eye(2), np.ones(2))
+    cov = np.eye(2)
+    cov[0, 1] = cov[1, 0] = np.inf
+    with pytest.raises(ValidationError, match="covariance contains non-finite"):
+        GaussianClassModel(np.zeros((2, 2)), cov, np.ones(2))
+    for ridge in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="ridge must be finite"):
+            GaussianClassModel(np.zeros((2, 2)), np.eye(2), np.ones(2), ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +596,11 @@ def test_detector_config_validation():
         DetectorConfig(Method.EBM, temperature=0.0)
     with pytest.raises(ValidationError):
         DetectorConfig(Method.MAH, ridge=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="temperature must be finite"):
+            DetectorConfig(Method.EBM, temperature=bad)
+        with pytest.raises(ValidationError, match="ridge must be finite"):
+            DetectorConfig(Method.MAH, ridge=bad)
 
 
 def test_score_table_dispatch(rng):
