@@ -492,6 +492,15 @@ def _part_sizes(m: int, f1: float, f2: float) -> list[int]:
     return sizes
 
 
+def _class_rows(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(label, rows)`` for each distinct label, ascending, from one stable
+    sort: ``rows`` are the indices of that label in ascending order, the
+    array ``np.flatnonzero(labels == label)`` gives."""
+    order = np.argsort(labels, kind="stable")
+    classes, starts = np.unique(labels[order], return_index=True)
+    return list(zip(classes.tolist(), np.split(order, starts[1:])))
+
+
 def split_id_data(
     table: FeatureTable, policy: SplitPolicy
 ) -> tuple[FeatureTable, FeatureTable, FeatureTable]:
@@ -509,8 +518,8 @@ def split_id_data(
         np.random.SeedSequence(policy.seed, spawn_key=(_SPLIT_STREAM,))
     )
     parts: list[list[np.ndarray]] = [[], [], []]
-    for cls in np.unique(table.labels):
-        idx = rng.permutation(np.flatnonzero(table.labels == cls))
+    for cls, rows in _class_rows(table.labels):
+        idx = rng.permutation(rows)
         m = idx.size
         if m < 3:
             warnings.warn(

@@ -32,11 +32,11 @@ from .errors import IngestionError, NumericalError, ValidationError
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
 
-#: Rows per block in all three scorers and in the fit's residual pass. Only
-#: one block at a time is widened to float64, so a scorer or fit holds its
-#: input plus a few float64 arrays of this many rows times c (or d) values.
-#: Every row's reductions run over that row alone, so no score or fitted
-#: value depends on the block size.
+#: Rows per block in all three scorers, the fit's residual pass and the
+#: synthetic worlds' logits. Only one block at a time is widened to float64,
+#: so each holds its input plus a few float64 arrays of this many rows times
+#: c (or d) values. Every row's reductions run over that row alone, so no
+#: score, fitted value or logit depends on the block size.
 SCORE_CHUNK_ROWS = 4096
 
 _MODEL_MAGIC = b"OODM"
@@ -116,17 +116,22 @@ def _floats(values) -> np.ndarray:
 
 def _row_blocks(arr: np.ndarray, what: str):
     """Yield ``(start, block)``: the rows of the 2-D array ``arr`` from
-    ``start`` in blocks of :data:`SCORE_CHUNK_ROWS`, as float64.
+    ``start`` in blocks of :data:`SCORE_CHUNK_ROWS`, as float64. A lone last
+    row joins the block before it: a one-row matrix product is a GEMV, which
+    rounds differently from the GEMM of its neighbours.
 
     Each block is checked finite in its own dtype before it is widened, which
     is exact for the dtypes :func:`_floats` keeps. A block of a float64 array
     is a view of it.
     """
-    for start in range(0, arr.shape[0], SCORE_CHUNK_ROWS):
-        rows = arr[start : start + SCORE_CHUNK_ROWS]
+    n, start = arr.shape[0], 0
+    while start < n:
+        stop = n if n - start <= SCORE_CHUNK_ROWS + 1 else start + SCORE_CHUNK_ROWS
+        rows = arr[start:stop]
         if not np.isfinite(rows).all():
             raise ValidationError(f"{what} contain non-finite values")
         yield start, rows.astype(np.float64, copy=False)
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +417,10 @@ def load_model(path: str | Path) -> GaussianClassModel:
     cov = np.frombuffer(raw, dtype="<f4", count=d * d, offset=off).reshape(d, d)
     off += 4 * d * d
     counts = np.frombuffer(raw, dtype="<u8", count=c, offset=off)
+    wraps = counts > np.iinfo(np.int64).max  # the int64 cast would wrap it negative
+    if wraps.any():
+        bad = int(np.argmax(wraps))
+        raise IngestionError(f"{path}: per-class count out of range for class {bad}")
     cov64 = cov.astype(np.float64)
     with _ingesting(path), np.errstate(invalid="ignore"):  # inf + -inf: NaN, rejected
         cov64 = (cov64 + cov64.T) / 2.0  # binary32 quantization can break symmetry

@@ -16,6 +16,13 @@ Randomness is drawn from named PCG64 streams spawned off the world seed
 the i-th OOD cloud, 5 count-law draws, 6 subsampling), so every table is a
 pure function of the spec.
 
+No whole table is ever held in float64. Each class's draws are cast into one
+float32 pool as they are made, the centers are means of per-class row
+slices, and logits are computed one :data:`~oodgate.detectors.SCORE_CHUNK_ROWS`
+block at a time. Generation peaks at about twice the float32 bytes of the ID
+features, while the pool and its three split copies coexist: under twice the
+bytes of the returned world.
+
 This module also houses the brute-force oracles used to verify the fast
 paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
 """
@@ -27,8 +34,8 @@ from typing import Union
 
 import numpy as np
 
-from .data import UNLABELED, FeatureTable, SplitPolicy, split_id_data
-from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet
+from .data import UNLABELED, FeatureTable, SplitPolicy, _class_rows, split_id_data
+from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet, _row_blocks
 from .errors import NumericalError, ValidationError
 
 _STREAM_MEANS = 1
@@ -188,16 +195,30 @@ def ood_table_name(distance: float) -> str:
     return f"d{distance:g}"
 
 
+def _draw_clusters(
+    centers: np.ndarray, sigma: float, sizes: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``sizes[k]`` isotropic draws around ``centers[k]`` for each k in turn,
+    each class cast to float32 as it is written into the one output array."""
+    out = np.empty((int(sizes.sum()), centers.shape[1]), dtype=np.float32)
+    start = 0
+    for center, m in zip(centers, sizes.tolist()):
+        out[start : start + m] = center + sigma * rng.standard_normal((m, centers.shape[1]))
+        start += m
+    return out
+
+
 def _log_density_logits(
     features: np.ndarray, centers: np.ndarray, sigma: float
 ) -> np.ndarray:
-    x = features.astype(np.float64)
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    return -sq / (2.0 * sigma * sigma)
+    """float32 ``-||x - center_k||^2 / (2 sigma^2)``, one float64 row block at
+    a time (the blocks' GEMMs give the bits of one whole-table GEMM)."""
+    out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
+    center_sq = np.sum(centers * centers, axis=1)
+    for start, x in _row_blocks(features, "features"):
+        sq = np.sum(x * x, axis=1)[:, None] - 2.0 * x @ centers.T + center_sq
+        out[start : start + len(x)] = -sq / (2.0 * sigma * sigma)
+    return out
 
 
 def _corrupt_labels(
@@ -238,28 +259,26 @@ def generate_world(
     true_means = sep * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
     sizes = spec.law.class_sizes(c, stream_rng(spec.seed, _STREAM_LAW))
-    rng_samples = stream_rng(spec.seed, _STREAM_SAMPLES)
-    blocks = [
-        true_means[k] + sigma * rng_samples.standard_normal((int(sizes[k]), d))
-        for k in range(c)
-    ]
-    pool_features = np.concatenate(blocks).astype(np.float32)
-    pool_labels = np.repeat(np.arange(c, dtype=np.int32), sizes)
-
-    pool = FeatureTable(pool_features, None, pool_labels)
+    pool = FeatureTable(
+        _draw_clusters(true_means, sigma, sizes, stream_rng(spec.seed, _STREAM_SAMPLES)),
+        None,
+        np.repeat(np.arange(c, dtype=np.int32), sizes),
+    )
     id1, id2, id3 = split_id_data(pool, split)
+    del pool  # the splits hold copies of its rows
 
     rng_noise = stream_rng(spec.seed, _STREAM_NOISE)
     id1_labels = _corrupt_labels(id1.labels, c, spec.label_noise, rng_noise)
     id2_labels = _corrupt_labels(id2.labels, c, spec.label_noise, rng_noise)
 
-    # Implicit classifier: per-class centers of the (noisy) train split.
-    feats1 = id1.features.astype(np.float64)
-    global_mean = feats1.mean(axis=0)
+    # Implicit classifier: per-class centers of the (noisy) train split; a
+    # class the noise emptied gets the split's global mean.
+    classes = _class_rows(id1_labels)
     centers = np.empty((c, d))
-    for k in range(c):
-        rows = feats1[id1_labels == k]
-        centers[k] = rows.mean(axis=0) if rows.shape[0] else global_mean
+    if len(classes) < c:
+        centers[:] = id1.features.astype(np.float64).mean(axis=0)
+    for k, rows in classes:
+        centers[k] = id1.features[rows].astype(np.float64).mean(axis=0)
 
     def with_logits(features: np.ndarray, labels: np.ndarray) -> FeatureTable:
         return FeatureTable(features, _log_density_logits(features, centers, sigma), labels)
@@ -286,11 +305,7 @@ def generate_world(
         if osizes is None:  # fewer samples than clusters: fill round-robin
             osizes = np.zeros(c, dtype=np.int64)
             osizes[:n_ood_eff] = 1
-        chunks = [
-            ocenters[k] + pooled_sigma * rng_ood.standard_normal((int(osizes[k]), d))
-            for k in range(c)
-        ]
-        ofeat = np.concatenate([ch for ch in chunks if ch.shape[0]]).astype(np.float32)
+        ofeat = _draw_clusters(ocenters, pooled_sigma, osizes, rng_ood)
         ood_tables[ood_table_name(dist)] = with_logits(
             ofeat, np.full(ofeat.shape[0], UNLABELED, dtype=np.int32)
         )
@@ -322,12 +337,11 @@ def imbalanced_rows(table: FeatureTable, law: CountLaw, seed: int) -> np.ndarray
     """
     if not table.is_labeled:
         raise ValidationError("imbalanced sampling requires a labeled table")
-    classes = np.unique(table.labels)
-    sizes = law.class_sizes(classes.size, stream_rng(seed, _STREAM_LAW))
+    classes = _class_rows(table.labels)
+    sizes = law.class_sizes(len(classes), stream_rng(seed, _STREAM_LAW))
     rng = stream_rng(seed, _STREAM_SUBSAMPLE)
     keep = []
-    for cls, want in zip(classes, sizes):
-        idx = np.flatnonzero(table.labels == cls)
+    for (cls, idx), want in zip(classes, sizes):
         if idx.size < want:
             raise ValidationError(
                 f"class {cls} has {idx.size} samples, law requests {int(want)}"

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+# pyproject's ``pythonpath`` reaches this process only; child interpreters
+# (``python -m oodgate.cli``) find the checkout's package through the env.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "ci",

@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, determinism, config and env handling."""
 
+import hashlib
 import json
 import struct
 import subprocess
@@ -62,6 +63,26 @@ def test_synth_rerun_byte_identical(world_dir, tmp_path):
     ) == 0
     for p in sorted(world_dir.iterdir()):
         assert (again / p.name).read_bytes() == p.read_bytes()
+
+
+#: sha256 of every file the ``world_dir`` synth run writes, recorded with the
+#: generator that drew each class as a float64 block and took logits in one
+#: whole-table GEMM. Never regenerate these to make a test pass.
+SYNTH_SHA256 = {
+    "id1.oodf": "1928255fcbb62491ae0b5d8e1dccd66627558406e8e78e6b63f5f969b0a44554",
+    "id2.oodf": "137c747d0c00ce124536333512ca46c11f75334a035a64538232884115e0bfba",
+    "id3.oodf": "f93faff38bf8cdb241aa52c6cdcc11617524a7986fad55accae233207ffbab36",
+    "ood_d2.oodf": "9921fdacdeb704c82865321b58445213fed5d4f6a4334510d77bdf0b21dde3b3",
+    "world.json": "f96434c9c9520531479e50168872dd42cabaec71507353b4581f0af3d5beefb9",
+    "world.manifest": "9e09f635ac466e59154eee4a395440d68463f4c0dae506abbe612d42d79c4dba",
+}
+
+
+def test_synth_bytes_pinned(world_dir):
+    found = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in world_dir.iterdir()
+    }
+    assert found == SYNTH_SHA256
 
 
 def test_synth_rejects_single_class(tmp_path, capsys):
@@ -258,7 +279,9 @@ def test_linalg_and_memory_errors_exit_4(tmp_path, capsys, monkeypatch, exc):
 
 
 @pytest.mark.parametrize(
-    "case", ["ridge-nan", "ridge-inf", "model-nan-mean", "model-nan-covariance", "model-inf-ridge"]
+    "case",
+    ["ridge-nan", "ridge-inf", "model-nan-mean", "model-nan-covariance", "model-inf-ridge",
+     "model-count-2**63"],
 )
 def test_non_finite_ridge_or_model_exits_2(tmp_path, capsys, case):
     t = FeatureTable(
@@ -271,12 +294,16 @@ def test_non_finite_ridge_or_model_exits_2(tmp_path, capsys, case):
         message = "error: ridge must be finite and >= 0"
     else:
         assert run("fit", "--input", table, "--out", str(model)) == 0
-        raw = bytearray(model.read_bytes())  # header <4sIQQd, then c x d means, d x d cov
+        # header <4sIQQd, then c x d means, d x d cov (f4), then c counts (u8)
+        raw = bytearray(model.read_bytes())
         fmt, offset, value, message = {
             "model-nan-mean": ("<f", 32, np.nan, "means contain non-finite values"),
             "model-nan-covariance": ("<f", 32 + 4 * 2 * 2, np.nan,
                                      "covariance contains non-finite values"),
             "model-inf-ridge": ("<d", 24, np.inf, "ridge must be finite and >= 0"),
+            # an int64 cast would wrap it negative: "class 0 has no fit samples"
+            "model-count-2**63": ("<Q", 32 + 4 * (2 * 2 + 2 * 2), 2**63,
+                                  "per-class count out of range"),
         }[case]
         struct.pack_into(fmt, raw, offset, value)
         model.write_bytes(raw)

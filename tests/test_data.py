@@ -21,6 +21,7 @@ from oodgate import (
     split_id_data,
     write_feature_table,
 )
+from oodgate.data import _class_rows
 
 
 def make_table(rng, n=20, d=3, c=4, labeled=True):
@@ -440,6 +441,16 @@ def test_split_requires_labels_and_min_size(rng):
     tiny = FeatureTable(rng.normal(size=(2, 2)), None, np.array([0, 1]))
     with pytest.raises(ValidationError, match="n=2"):
         split_id_data(tiny, SplitPolicy())
+
+
+@given(st.lists(st.integers(-1, 6), max_size=60))
+def test_class_rows_match_per_class_masks(values):
+    labels = np.array(values, dtype=np.int32)
+    found = _class_rows(labels)
+    assert [k for k, _ in found] == np.unique(labels).tolist()
+    for k, rows in found:  # the reference: one boolean mask per class
+        expected = np.flatnonzero(labels == k)
+        assert rows.dtype == expected.dtype and rows.tolist() == expected.tolist()
 
 
 def test_split_policy_validates_fractions():

@@ -33,7 +33,7 @@ from oodgate import (
     softmax,
     write_scores,
 )
-from oodgate.detectors import SCORE_CHUNK_ROWS
+from oodgate.detectors import SCORE_CHUNK_ROWS, _row_blocks
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -341,9 +341,21 @@ def test_mahalanobis_near_ties_match_per_class_solves(seed, d, c, squashed, ridg
     np.testing.assert_allclose(fast, oracle, rtol=1e-8, atol=1e-8)
 
 
+def test_row_blocks_fold_a_lone_last_row():
+    """No block is one row of a wider input: that row's products would be
+    GEMVs, which round differently from the GEMM of the rows around it."""
+    chunk = SCORE_CHUNK_ROWS
+    cases = {1: [1], 2: [2], chunk: [chunk], chunk + 1: [chunk + 1],
+             chunk + 2: [chunk, 2], 2 * chunk + 1: [chunk, chunk + 1]}
+    for n, sizes in cases.items():
+        blocks = list(_row_blocks(np.zeros((n, 1), np.float32), "features"))
+        assert [len(b) for _, b in blocks] == sizes
+        assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+
+
 def test_mahalanobis_one_row_last_block(rng):
-    """A last block of one row is refined as part of a wide input, which for
-    some rows differs in the last bit from a one-column solve."""
+    """A lone last row is refined as part of a wide input, which for some
+    rows differs in the last bit from a one-column solve."""
     model = fit_mahalanobis(table_from(rng.normal(size=(60, 8)), rng.integers(0, 3, 60)))
     queries = rng.normal(size=(SCORE_CHUNK_ROWS + 30, 8))
     reference = per_class_scores(model, queries)
@@ -375,7 +387,7 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     model = GaussianClassModel(means, mix @ mix.T + np.eye(d), np.full(c, 400))
     queries = means[rng.integers(0, c, n)] + rng.normal(size=(n, d))
     full = score_mahalanobis(model, queries)
-    # parts of 2, chunk + 1 (a one-row last block), chunk - 2 and 2 rows
+    # parts of 2, chunk + 1 (a lone last row), chunk - 2 and 2 rows
     cuts = [0, 2, SCORE_CHUNK_ROWS + 3, 2 * SCORE_CHUNK_ROWS + 1, n]
     parts = [score_mahalanobis(model, queries[a:b]).scores for a, b in zip(cuts, cuts[1:])]
     assert full.scores.tobytes() == np.concatenate(parts).tobytes()
@@ -408,7 +420,7 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
         assert (full == parts).all()
 
     # c=142 over two whole row blocks plus 3 rows, cut as in the Mahalanobis
-    # case (one part ends in a one-row block); digests recorded with the
+    # case (one part ends in a lone row); digests recorded with the
     # scorers that widened and reduced the whole input at once
     n = 2 * SCORE_CHUNK_ROWS + 3
     wide = np.random.default_rng(20261019).normal(size=(n, 142)) * 10

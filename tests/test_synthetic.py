@@ -1,5 +1,6 @@
 """World generation, count laws, imbalanced subsampling, and the oracles."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from oodgate import (
     score_energy,
     score_mahalanobis,
 )
+from oodgate.detectors import SCORE_CHUNK_ROWS
 
 
 def small_spec(**kw):
@@ -135,6 +137,74 @@ def test_ebm_auroc_nondecreasing_in_ood_distance():
         for d in distances
     ]
     assert all(b >= a - 0.01 for a, b in zip(values, values[1:]))
+
+
+#: sha256 over every table's features, logits and labels, the classifier
+#: centers and the accuracy, recorded with the generator that drew each class
+#: as a float64 block and took logits in one whole-table GEMM. Never
+#: regenerate these to make a test pass: a change here is a change in the world.
+WORLD_SHA256 = {
+    "ood-4096": "f9488a87463e3a836f195e461a2a963a544e3f68759b796836e62588831aabf4",
+    "ood-4097": "7f1989416a1c3de9f2f8980351a32e0de2516d423fee26a78bf34c718554444e",
+    "ood-8193": "b0d3c0a4901b723e1c09fb529196f4f9b14a43c7dab27c90467c51e6546582f3",
+    "ood-1": "ec0371602452beea06fbe34a8682ac22809eafebe1b23585e2f8bdcf74f7bce3",
+    "powerlaw": "c7b837748bae1b92f66954a1f4690464e01fdad8be2d80e4c05f17cef6da7e0c",
+    "empty-class": "72a7b62aa1cc7e3fd6521a52059e4e66ffefcedcb5672167ca54f3060dfee3ff",
+}
+
+
+def _digest_world(name):
+    """The world of one ``WORLD_SHA256`` case; OOD sizes and the powerlaw
+    train split sit on and just past the 4096-row block edges, and the
+    empty-class noise leaves some class without a noisy train label."""
+    if name.startswith("ood-"):
+        spec = SyntheticSpec(classes=7, dim=24, law=Balanced(50), seed=3)
+        return generate_world(spec, ood_distances=(0.5, 2.0), n_ood=int(name[4:]))
+    if name == "powerlaw":
+        spec = SyntheticSpec(classes=6, dim=20, law=UnbalancedPowerlaw(1.2, 7000),
+                             label_noise=0.2, seed=8)
+        return generate_world(spec)
+    spec = SyntheticSpec(classes=30, dim=5, law=Balanced(3), label_noise=0.9, seed=4)
+    return generate_world(spec, n_ood=9)
+
+
+@pytest.mark.parametrize("name", list(WORLD_SHA256))
+def test_world_bytes_pinned(name):
+    world = _digest_world(name)
+    tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
+    h = hashlib.sha256()
+    for table in tables:
+        for arr in (table.features, table.logits, table.labels):
+            h.update(arr.tobytes())
+    h.update(world.classifier_centers.tobytes())
+    h.update(repr(world.classifier_accuracy).encode())
+    assert h.hexdigest() == WORLD_SHA256[name]
+    if name == "empty-class":  # the global-mean fallback ran
+        assert np.bincount(world.id_train.labels, minlength=30).min() == 0
+    if name == "powerlaw":
+        assert world.id_train.n > SCORE_CHUNK_ROWS + 1
+
+
+def test_generate_world_peak_memory_near_world_bytes():
+    """The traced peak stays within twice the float32 world it returns.
+
+    The pool and its three split copies hold twice the ID features at once;
+    logits take one float64 block at a time. Float64 class draws, a float64
+    pool or a whole-split float64 copy each add at least the world's bytes.
+    """
+    import tracemalloc
+
+    spec = SyntheticSpec(classes=8, dim=32, law=Balanced(6000), seed=2)
+    generate_world(small_spec())  # first-call allocations are not the world's
+    tracemalloc.start()
+    try:
+        world = generate_world(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
+    world_bytes = sum(t.features.nbytes + t.logits.nbytes for t in tables)
+    assert peak <= 2 * world_bytes, (peak, world_bytes)
 
 
 # ---------------------------------------------------------------------------
