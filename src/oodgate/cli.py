@@ -271,10 +271,7 @@ def cmd_sweep(args) -> int:
         series: dict[str, list[float]] = {}
         for row in result.rows:
             series.setdefault(row.method, []).append(row.auroc)
-        _write_text(
-            str(out / "sweep.svg"),
-            series_svg(labels, series, f"{args.axis} sweep", "AUROC"),
-        )
+        _write_text(str(out / "sweep.svg"), series_svg(labels, series, f"{args.axis} sweep"))
     return 0
 
 

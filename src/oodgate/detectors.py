@@ -145,24 +145,10 @@ def _logit_rows(logits) -> np.ndarray:
     return arr
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted)."""
-    x = np.asarray(logits, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def _max_and_expsum(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """The max along ``axis`` and the sum of ``exp(x - max)`` (at least 1)."""
     m = np.max(x, axis=axis, keepdims=True)
     return np.squeeze(m, axis=axis), np.sum(np.exp(x - m), axis=axis)
-
-
-def logsumexp(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted log-sum-exp along ``axis``."""
-    m, total = _max_and_expsum(np.asarray(logits, dtype=np.float64), axis)
-    return m + np.log(total)
 
 
 # Logit scorers run quietly: a score that overflows or turns NaN (say, under a
@@ -183,13 +169,15 @@ def score_msp(logits: np.ndarray) -> ScoreSet:
 
 @np.errstate(over="ignore", invalid="ignore")
 def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
-    """Negated free energy ``T * logsumexp(logits / T)`` per row."""
+    """Negated free energy ``T * logsumexp(logits / T)`` per row, the
+    log-sum-exp taken as ``max + log(sum(exp(x - max)))``."""
     if not 0 < temperature < math.inf:
         raise ValidationError(f"temperature must be finite and > 0, got {temperature}")
     arr = _logit_rows(logits)
     scores = np.empty(arr.shape[0])
     for start, block in _row_blocks(arr, "logits"):
-        scores[start : start + len(block)] = temperature * logsumexp(block / temperature, axis=1)
+        m, total = _max_and_expsum(block / temperature, 1)
+        scores[start : start + len(block)] = temperature * (m + np.log(total))
     return ScoreSet(Method.EBM, scores)
 
 
@@ -308,22 +296,21 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow only widens the set
-def _candidates(block, means, factor, whiten):
+def _candidates(block, whiten, white_means, mean_sq, scale):
     """Row and class indices of each row's candidate nearest classes.
 
     The estimate is the expanded distance ``|z|^2 + |m_k|^2 - 2 z.m_k`` in
     whitened coordinates (``z = W x``, ``m_k = W mu_k``, ``W`` the inverse of
     the factor ``L``). A class is kept while its estimate lies within a
-    rounding slack, ``8 d eps |L|_F |W|_F (|z| + |m_k|)^2``, of the row's
-    least. A row whose estimate is not finite keeps every class.
+    rounding slack, ``scale (|z| + |m_k|)^2``, of the row's least. A row whose
+    estimate is not finite keeps every class. The per-model constants, the
+    ``m_k`` (``white_means``), the ``|m_k|^2`` (``mean_sq``) and ``scale =
+    8 d eps |L|_F |W|_F``, are computed once per call by
+    :func:`score_mahalanobis`.
     """
     z = block @ whiten.T
-    white_means = means @ whiten.T
     z_sq = np.sum(z * z, axis=1)
-    mean_sq = np.sum(white_means * white_means, axis=1)
     approx = z_sq[:, None] + mean_sq - 2.0 * (z @ white_means.T)
-    scale = 8 * block.shape[1] * np.finfo(np.float64).eps
-    scale *= np.linalg.norm(factor) * np.linalg.norm(whiten)
     slack = scale * (np.sqrt(z_sq)[:, None] + np.sqrt(mean_sq)) ** 2
     far = approx - slack > np.min(approx + slack, axis=1, keepdims=True)  # NaN: not far
     return np.nonzero(~far)
@@ -350,6 +337,11 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
 
     factor, means = model.precision_factor, model.means
     whiten = solve_triangular(factor, np.eye(model.d), lower=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _candidates
+        white_means = means @ whiten.T
+        mean_sq = np.sum(white_means * white_means, axis=1)
+        scale = 8 * model.d * np.finfo(np.float64).eps
+        scale *= np.linalg.norm(factor) * np.linalg.norm(whiten)
     # A one-column triangular solve rounds differently from a wider one, so,
     # as when every row is solved at once, a one-row input is refined one
     # column at a time and a wider input never is.
@@ -357,7 +349,7 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     step = SCORE_CHUNK_ROWS if width == 2 else 1
     best = np.full(feats.shape[0], np.inf)
     for start, block in _row_blocks(feats, "features"):
-        rows, classes = _candidates(block, means, factor, whiten)
+        rows, classes = _candidates(block, whiten, white_means, mean_sq, scale)
         for lo in range(0, rows.size, step):
             r, k = rows[lo : lo + step], classes[lo : lo + step]
             if r.size < width:  # a lone column is solved beside its twin

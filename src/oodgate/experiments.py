@@ -25,7 +25,7 @@ resampling at grid point i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Union
 
@@ -78,7 +78,8 @@ class SweepSpec:
     ``n_per_side`` caps both test sets at the same size on the accuracy and
     domain-distance axes. On the imbalance axis it sizes only the OOD set that
     a synthetic world generates: the ID test set is used whole, and a
-    manifest's tables are used as they are.
+    manifest's tables are used as they are. It must be >= 1; ``None`` sets no
+    cap (and the test-split size for a generated OOD set).
     """
 
     axis: str
@@ -99,6 +100,8 @@ class SweepSpec:
                 raise ValidationError("numeric grid values must be strictly increasing")
         if not self.detectors:
             raise ValidationError("sweep needs at least one detector")
+        if self.n_per_side is not None and self.n_per_side < 1:
+            raise ValidationError(f"n_per_side must be >= 1, got {self.n_per_side}")
 
     @property
     def is_synthetic(self) -> bool:
@@ -117,16 +120,7 @@ class SweepRow:
     n_ood: int
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "axis_value": self.axis_value,
-            "method": self.method,
-            "classifier_accuracy": self.classifier_accuracy,
-            "auroc": self.auroc,
-            "fpr95": self.fpr95,
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -154,27 +148,14 @@ def _grid_text(value: GridValue) -> float | str:
 
 def _provenance(spec: SweepSpec) -> dict:
     if spec.is_synthetic:
-        w = spec.base_world
-        world = {
-            "classes": w.classes,
-            "dim": w.dim,
-            "class_separation": w.class_separation,
-            "within_class_sigma": w.within_class_sigma,
-            "label_noise": w.label_noise,
-            "ood_distance": w.ood_distance,
-            "law": w.law.text(),
-            "seed": w.seed,
-        }
+        world = {**asdict(spec.base_world), "law": spec.base_world.law.text()}
     else:
         world = {"manifest": str(spec.base_world)}
     return {
         "axis": spec.axis,
         "base_world": world,
         "grid": [_grid_text(v) for v in spec.grid],
-        "detectors": [
-            {"method": c.method.value, "temperature": c.temperature, "ridge": c.ridge}
-            for c in spec.detectors
-        ],
+        "detectors": [{**asdict(c), "method": c.method.value} for c in spec.detectors],
         "seed": spec.seed,
         "n_per_side": spec.n_per_side,
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -167,17 +167,9 @@ class EvalReport:
             return {"min": q[0], "q1": q[1], "median": q[2], "q3": q[3], "max": q[4]}
 
         return {
-            "method": self.method,
-            "auroc": self.auroc,
-            "fpr95": self.fpr95,
-            "threshold": self.threshold,
-            "tpr_at_threshold": self.tpr_at_threshold,
-            "fpr_at_threshold": self.fpr_at_threshold,
-            "accuracy_at_threshold": self.accuracy_at_threshold,
+            **asdict(self),
             "id_quartiles": quart(self.id_quartiles),
             "ood_quartiles": quart(self.ood_quartiles),
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
         }
 
     def to_json(self) -> str:

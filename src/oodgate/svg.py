@@ -18,14 +18,12 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _x(u: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    span = _SIZE - 2 * _MARGIN
-    return _MARGIN + span * (u - lo) / (hi - lo)
+def _x(u: float) -> float:
+    return _MARGIN + (_SIZE - 2 * _MARGIN) * u
 
 
-def _y(v: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    span = _SIZE - 2 * _MARGIN
-    return _SIZE - _MARGIN - span * (v - lo) / (hi - lo)
+def _y(v: float) -> float:
+    return _SIZE - _MARGIN - (_SIZE - 2 * _MARGIN) * v
 
 
 def _frame(title: str, x_label: str, y_label: str) -> list[str]:
@@ -62,9 +60,9 @@ def _frame(title: str, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def roc_svg(curve: RocCurve, title: str = "ROC") -> str:
+def roc_svg(curve: RocCurve) -> str:
     """Standalone SVG: unit square, staircase polyline, diagonal reference."""
-    parts = _frame(title, "FPR", "TPR")
+    parts = _frame("ROC", "FPR", "TPR")
     parts.append(
         f'<line x1="{_fmt(_x(0))}" y1="{_fmt(_y(0))}" x2="{_fmt(_x(1))}" '
         f'y2="{_fmt(_y(1))}" stroke="#999999" stroke-width="1" stroke-dasharray="5,4"/>'
@@ -79,14 +77,9 @@ def roc_svg(curve: RocCurve, title: str = "ROC") -> str:
     return "\n".join(parts) + "\n"
 
 
-def series_svg(
-    x_labels: list[str],
-    series: dict[str, list[float]],
-    title: str,
-    y_label: str = "AUROC",
-) -> str:
-    """Line chart of one metric per method over categorical grid positions."""
-    parts = _frame(title, "", y_label)
+def series_svg(x_labels: list[str], series: dict[str, list[float]], title: str) -> str:
+    """Line chart of AUROC per method over categorical grid positions."""
+    parts = _frame(title, "", "AUROC")
     k = max(len(x_labels) - 1, 1)
     for i, label in enumerate(x_labels):
         parts.append(

@@ -29,6 +29,7 @@ paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -81,7 +82,12 @@ class UnbalancedPowerlaw:
     total_count: int
 
     def class_sizes(self, c: int, rng: np.random.Generator) -> np.ndarray:
-        weights = np.arange(1, c + 1, dtype=np.float64) ** (-self.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.arange(1, c + 1, dtype=np.float64) ** (-self.alpha)
+            if not np.isfinite(weights.sum()):  # also when only the sum overflows
+                raise ValidationError(
+                    f"count law {self.text()} has non-finite weights over {c} classes"
+                )
         return _apportion(weights, self.total_count)
 
     def total(self, c: int) -> int:
@@ -167,14 +173,13 @@ class SyntheticSpec:
             raise ValidationError(f"need c >= 2 classes, got {self.classes}")
         if self.dim < 2:
             raise ValidationError(f"need d >= 2 dimensions, got {self.dim}")
-        if self.class_separation <= 0:
-            raise ValidationError("class_separation must be > 0")
-        if self.within_class_sigma <= 0:
-            raise ValidationError("within_class_sigma must be > 0")
+        for name in ("class_separation", "within_class_sigma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValidationError(f"label_noise must be in [0,1), got {self.label_noise}")
-        if self.ood_distance < 0:
-            raise ValidationError("ood_distance must be >= 0")
+        if not 0 <= self.ood_distance < math.inf:
+            raise ValidationError(f"ood_distance must be finite and >= 0, got {self.ood_distance}")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
 
@@ -247,18 +252,24 @@ def generate_world(
     defaults to the test-split size. OOD clouds consist of ``c`` clusters at
     the requested distance (in units of class separation) from the ID
     centroid, with the pooled ID standard deviation, so distance 0
-    reproduces the overall ID spread.
+    reproduces the overall ID spread. A bad distance, ``n_ood`` or count law
+    is rejected before the first draw.
     """
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     if ood_distances is None:
         ood_distances = (spec.ood_distance,)
+    for dist in ood_distances:
+        if not 0 <= dist < math.inf:
+            raise ValidationError(f"ood distances must be finite and >= 0, got {dist}")
+    if n_ood is not None and int(n_ood) < 1:
+        raise ValidationError("n_ood must be >= 1")
     if split is None:
         split = SplitPolicy(0.7, 0.5, seed=spec.seed)
+    sizes = spec.law.class_sizes(c, stream_rng(spec.seed, _STREAM_LAW))
 
     dirs = stream_rng(spec.seed, _STREAM_MEANS).standard_normal((c, d))
     true_means = sep * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    sizes = spec.law.class_sizes(c, stream_rng(spec.seed, _STREAM_LAW))
     pool = FeatureTable(
         _draw_clusters(true_means, sigma, sizes, stream_rng(spec.seed, _STREAM_SAMPLES)),
         None,
@@ -292,12 +303,8 @@ def generate_world(
         np.sqrt(sigma**2 + np.mean(np.sum((true_means - centroid) ** 2, axis=1)) / d)
     )
     n_ood_eff = id_test.n if n_ood is None else int(n_ood)
-    if n_ood_eff < 1:
-        raise ValidationError("n_ood must be >= 1")
     ood_tables: dict[str, FeatureTable] = {}
     for i, dist in enumerate(ood_distances):
-        if dist < 0:
-            raise ValidationError("ood distances must be >= 0")
         rng_ood = stream_rng(spec.seed, _STREAM_OOD, i)
         odirs = rng_ood.standard_normal((c, d))
         ocenters = centroid + dist * sep * odirs / np.linalg.norm(odirs, axis=1, keepdims=True)

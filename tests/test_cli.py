@@ -5,6 +5,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oodgate import (
     write_feature_table,
 )
 import oodgate.cli
+from oodgate import synthetic
 from oodgate.cli import build_parser, main
 
 
@@ -181,6 +183,29 @@ def test_eval_reruns_byte_identical(world_dir, tmp_path):
     assert (tmp_path / "report_a.json").read_bytes() == (tmp_path / "report_b.json").read_bytes()
 
 
+#: sha256 of an ebm report written without --method ("method": null) and of
+#: its ROC SVG, recorded with the hand-written report key list and the SVG
+#: options that the report's dataclass fields and constants replaced.
+EVAL_SHA256 = {
+    "report.json": "cd9bc1692c75a1d90ce11bed6dc3093156058bffc94d92cbac80c1aae6427118",
+    "roc.svg": "bd85c821d8aa0eca356655ede94bb563da4f2890e841d6e080f3831d1b2ed6db",
+}
+
+
+def test_eval_without_method_bytes_pinned(world_dir, tmp_path):
+    for name in ("id3", "ood_d2"):
+        assert run("score", "--input", str(world_dir / f"{name}.oodf"), "--method", "ebm",
+                   "--out", str(tmp_path / f"{name}.csv")) == 0
+    assert run("eval", "--id-scores", str(tmp_path / "id3.csv"),
+               "--ood-scores", str(tmp_path / "ood_d2.csv"),
+               "--out", str(tmp_path / "report.json"), "--svg", str(tmp_path / "roc.svg")) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["method"] is None
+    found = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in EVAL_SHA256
+    }
+    assert found == EVAL_SHA256
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -224,6 +249,39 @@ def test_sweep_bad_list_item_exits_2(tmp_path, capsys, argv, item):
                *argv, "--out", str(tmp_path / "s")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and item in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--classes", "142", "--dim", "2", "--law", "powerlaw:-500:1000"],
+         "count law powerlaw:-500:1000 has non-finite weights over 142 classes"),
+        (["synth", "--classes", "142", "--dim", "2", "--law", "powerlaw:nan:1000"],
+         "count law powerlaw:nan:1000 has non-finite weights over 142 classes"),
+        (["synth", "--classes", "3", "--dim", "4", "--sigma", "nan"],
+         "within_class_sigma must be finite and > 0, got nan"),
+        (["sweep", "--axis", "domain-distance", "--grid", "1,inf", "--classes", "3",
+          "--dim", "4"], "ood distances must be finite and >= 0, got inf"),
+        (["sweep", "--axis", "domain-distance", "--manifest", "MANIFEST", "--grid", "d2",
+          "--n-per-side", "-5"], "n_per_side must be >= 1, got -5"),
+        (["sweep", "--axis", "accuracy", "--grid", "0.1", "--classes", "3", "--dim", "4",
+          "--n-per-side", "0"], "n_per_side must be >= 1, got 0"),
+    ],
+)
+def test_bad_world_input_exits_2_before_any_draw(
+    world_dir, tmp_path, capsys, monkeypatch, argv, message
+):
+    def refuse(*args):
+        raise AssertionError("drew a world or read a manifest before rejecting the input")
+
+    monkeypatch.setattr(synthetic, "_draw_clusters", refuse)
+    monkeypatch.setattr(DatasetManifest, "read", refuse)
+    argv = [str(world_dir / "world.manifest") if a == "MANIFEST" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert not caught
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["table", "scores", "manifest", "config"])
@@ -359,6 +417,9 @@ def test_sweep_cli_writes_outputs(tmp_path):
     assert len(lines) == 6  # 2 distances x 3 default detectors
     assert (out / "summary.json").exists()
     assert (out / "sweep.svg").read_text().startswith("<svg")
+    # recorded with series_svg's y_label option, which every caller set to AUROC
+    digest = hashlib.sha256((out / "sweep.svg").read_bytes()).hexdigest()
+    assert digest == "ded6c3c6709764e6a5d0165241eefe30995bdda91b6c5942d0f5db8aa242d528"
 
 
 def test_sweep_cli_imbalance_laws(tmp_path):

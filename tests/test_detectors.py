@@ -30,7 +30,6 @@ from oodgate import (
     score_mahalanobis,
     score_msp,
     score_table,
-    softmax,
     write_scores,
 )
 from oodgate.detectors import SCORE_CHUNK_ROWS, _row_blocks
@@ -47,41 +46,6 @@ logit_rows = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# softmax
-
-
-def test_softmax_uniform():
-    np.testing.assert_allclose(softmax([0.0, 0.0, 0.0, 0.0]), [0.25] * 4, atol=1e-15)
-
-
-def test_softmax_single_class():
-    np.testing.assert_allclose(softmax([5.0]), [1.0], atol=0)
-
-
-def test_softmax_frozen_value():
-    assert abs(softmax([1.0, 2.0, 3.0]).max() - MSP_123) < 1e-12
-
-
-@given(row=logit_rows)
-def test_softmax_normalizes(row):
-    p = softmax(row)
-    assert abs(p.sum() - 1.0) < 1e-12
-    assert (p >= 0).all()
-
-
-@given(row=logit_rows, shift=st.floats(min_value=-100, max_value=100, allow_nan=False))
-def test_softmax_shift_invariant(row, shift):
-    a = softmax(row)
-    b = softmax(np.asarray(row) + shift)
-    assert np.abs(a - b).max() < 1e-12
-
-
-def test_softmax_extreme_logits_stable():
-    p = softmax([1000.0, 0.0])
-    assert np.isfinite(p).all() and abs(p.sum() - 1.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # msp
 
 
@@ -91,6 +55,8 @@ def test_msp_hand_cases():
     assert s.scores[0] == 0.5
     assert abs(s.scores[1] - 1.0) < 1e-12
     assert abs(score_msp(np.array([[1.0, 2.0, 3.0]])).scores[0] - MSP_123) < 1e-12
+    assert score_msp(np.zeros((1, 4))).scores[0] == 0.25  # uniform row: 1/c
+    assert score_msp(np.array([[1000.0, 0.0]])).scores[0] == 1.0  # no overflow
 
 
 def test_msp_needs_two_classes():

@@ -56,6 +56,21 @@ def test_sweep_spec_validation():
         SweepSpec(Axis.ACCURACY, world_spec(), (0.1,), ())
 
 
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize(
+    "axis, world, grid",
+    [
+        (Axis.ACCURACY, world_spec(), (0.1,)),
+        (Axis.DOMAIN_DISTANCE, world_spec(), (1.0,)),
+        (Axis.DOMAIN_DISTANCE, "world.manifest", ("d2",)),
+        (Axis.IMBALANCE, world_spec(), (Balanced(20),)),
+    ],
+)
+def test_sweep_spec_rejects_n_per_side_below_one(axis, world, grid, n):
+    with pytest.raises(ValidationError, match=f"n_per_side must be >= 1, got {n}"):
+        SweepSpec(axis, world, grid, ALL, n_per_side=n)
+
+
 # ---------------------------------------------------------------------------
 # accuracy axis
 
@@ -295,6 +310,22 @@ def _digest_spec(name, tmp_path=None):
 def test_rows_match_recorded_digests(name, tmp_path):
     text = run_sweep(_digest_spec(name, tmp_path)).to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256[name]
+
+
+#: sha256 of the stamped summary.json of the synthetic digest sweeps, recorded
+#: with the hand-written provenance and row key lists that the dataclass
+#: fields replaced. (A manifest sweep's provenance holds its path.)
+SUMMARY_SHA256 = {
+    "accuracy": "6809a7026b91d7d278d1770255be4e6db6f9c79a6e59193b270aee1117e5c418",
+    "domain": "70785f882e65a454b47cc86e9d69402709f185b53ddbe57d07242fc390a25865",
+    "imbalance": "c438517db6ca0898a4a03df87b41cdb0ee16d2ec0727e9aa2cd2e2efb54056ba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
+def test_summary_matches_recorded_digests(name):
+    text = run_sweep(_digest_spec(name)).to_summary_json("2026-01-01T00:00:00Z")
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_SHA256[name]
 
 
 @pytest.fixture

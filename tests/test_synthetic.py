@@ -1,6 +1,7 @@
 """World generation, count laws, imbalanced subsampling, and the oracles."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from oodgate import (
     score_energy,
     score_mahalanobis,
 )
+from oodgate import synthetic
 from oodgate.detectors import SCORE_CHUNK_ROWS
 
 
@@ -53,6 +55,50 @@ def test_spec_validation():
         small_spec(label_noise=1.0)
     with pytest.raises(ValidationError):
         small_spec(ood_distance=-0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["class_separation", "within_class_sigma", "ood_distance"])
+def test_spec_rejects_non_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        small_spec(**{name: value})
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if generate_world draws a single cluster."""
+
+    def refuse(*args):
+        raise AssertionError("drew clusters before rejecting the input")
+
+    monkeypatch.setattr(synthetic, "_draw_clusters", refuse)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"ood_distances": (1.0, math.inf)}, "ood distances must be finite"),
+        ({"ood_distances": (math.nan,)}, "ood distances must be finite"),
+        ({"ood_distances": (0.5, -1.0)}, "ood distances must be finite and >= 0"),
+        ({"n_ood": 0}, "n_ood must be >= 1"),
+    ],
+)
+def test_generate_world_rejects_before_drawing(no_draws, kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        generate_world(small_spec(), **kwargs)
+
+
+@pytest.mark.parametrize("alpha", [-500.0, math.nan])
+def test_powerlaw_non_finite_weights_rejected_before_drawing(no_draws, alpha):
+    law = UnbalancedPowerlaw(alpha, 1000)
+    with pytest.raises(ValidationError, match=f"count law {law.text()} has non-finite"):
+        generate_world(small_spec(classes=142, dim=2, law=law))
+
+
+def test_powerlaw_weight_sum_overflow_rejected():
+    """Each weight k**58 is finite for k <= 200000, but their sum is not."""
+    with pytest.raises(ValidationError, match="non-finite weights"):
+        UnbalancedPowerlaw(-58.0, 10**6).class_sizes(200_000, None)
 
 
 # ---------------------------------------------------------------------------
