@@ -55,8 +55,18 @@ def test_msp_hand_cases():
     assert s.scores[0] == 0.5
     assert abs(s.scores[1] - 1.0) < 1e-12
     assert abs(score_msp(np.array([[1.0, 2.0, 3.0]])).scores[0] - MSP_123) < 1e-12
-    assert score_msp(np.zeros((1, 4))).scores[0] == 0.25  # uniform row: 1/c
-    assert score_msp(np.array([[1000.0, 0.0]])).scores[0] == 1.0  # no overflow
+
+
+def test_softmax_uniform():
+    # a uniform row's softmax is 1/c in every class, so its max is 1/c
+    assert score_msp(np.zeros((1, 4))).scores[0] == 0.25
+
+
+def test_softmax_extreme_logits_stable():
+    # the max-shifted softmax inside score_msp must not overflow
+    s = score_msp(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
+    assert np.isfinite(s.scores).all()
+    assert (s.scores == 1.0).all()
 
 
 def test_msp_needs_two_classes():
