@@ -297,9 +297,6 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--law", type=parse_law, default=parse_law("balanced:200"),
                    help="per-class count law: balanced:N, powerlaw:ALPHA:TOTAL, "
                         "uniform:TOTAL")
-    p.add_argument("--n-ood", type=_size, default=None,
-                   help="OOD samples per cloud (int or size preset; "
-                        "default: test-split size)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -319,6 +316,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("synth", help="generate a synthetic world", epilog=_EPILOG)
     _add_world_flags(p)
+    p.add_argument("--n-ood", type=_size, default=None,
+                   help="OOD samples per cloud (int or size preset; "
+                        "default: test-split size)")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--timestamp", dest="timestamp", action="store_true",
@@ -413,35 +413,34 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
     given = set(vars(parser.parse_args(argv)))
     actions = {a.dest: a for a in sub._actions}
     with _ingesting(args.config):
-        text = Path(args.config).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{args.config}: line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        if "\0" in value:  # argv cannot hold one; open() raises ValueError on it
-            raise ValidationError(f"{args.config}: line {lineno}: NUL character in value")
-        if dest not in actions or dest in ("config", "func", "command"):
-            raise ValidationError(f"{args.config}: unknown option {key.strip()!r}")
-        if dest in given:
-            continue
-        action = actions[dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            parsed = value.lower() in ("1", "true", "yes", "on")
-        else:
-            try:
-                parsed = action.type(value) if action.type is not None else value
-                if action.choices is not None and parsed not in action.choices:
-                    raise ValueError(f"invalid choice {value!r}")
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValidationError(f"{args.config}: line {lineno}: {exc}") from None
-        if isinstance(action, argparse._AppendAction):  # repeatable: lines add up
-            parsed = (getattr(args, dest) or []) + [parsed]
-        setattr(args, dest, parsed)
+        for lineno, line in enumerate(Path(args.config).read_text("utf-8").splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValidationError(f"line {lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            dest = key.strip().replace("-", "_")
+            value = value.strip()
+            if "\0" in value:  # argv cannot hold one; open() raises ValueError on it
+                raise ValidationError(f"line {lineno}: NUL character in value")
+            if dest not in actions or dest in ("config", "func", "command"):
+                raise ValidationError(f"unknown option {key.strip()!r}")
+            if dest in given:
+                continue
+            action = actions[dest]
+            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+                parsed = value.lower() in ("1", "true", "yes", "on")
+            else:
+                try:
+                    parsed = action.type(value) if action.type is not None else value
+                    if action.choices is not None and parsed not in action.choices:
+                        raise ValueError(f"invalid choice {value!r}")
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ValidationError(f"line {lineno}: {exc}") from None
+            if isinstance(action, argparse._AppendAction):  # repeatable: lines add up
+                parsed = (getattr(args, dest) or []) + [parsed]
+            setattr(args, dest, parsed)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import hashlib
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .errors import IngestionError, ValidationError
 UNLABELED = -1
 
 _MAGIC = b"OODF"
-_VERSION = 1
+_VERSION = 1  # of both binary containers, OODF and OODM
 _HEADER = struct.Struct("<4sIQQQB7x")  # magic, version, n, d, c, dtype code
 _DTYPE_F32 = 0
 
@@ -180,12 +181,8 @@ def write_feature_table(
     path = Path(path)
     if fmt is TableFormat.BINARY_DUMP:
         header = _HEADER.pack(_MAGIC, _VERSION, table.n, table.d, table.c, _DTYPE_F32)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(table.features.tobytes())
-            if table.logits is not None:
-                fh.write(table.logits.tobytes())
-            fh.write(table.labels.astype("<i4").tobytes())
+        arrays = (table.features, table.logits, table.labels.astype("<i4"))
+        _write_packed(path, header, [arr for arr in arrays if arr is not None])
     elif fmt is TableFormat.CSV:
         header = ["label"] + [f"f{j}" for j in range(table.d)]
         header += [f"l{j}" for j in range(table.c)]
@@ -202,38 +199,53 @@ def read_feature_table(
     path = Path(path)
     with _ingesting(path):
         if fmt is TableFormat.BINARY_DUMP:
-            return _read_binary(path)
-        if fmt is TableFormat.CSV:
+            _, (features, logits, labels) = _read_packed(path, _MAGIC, _HEADER, _oodf_layout)
+        elif fmt is TableFormat.CSV:
             labels, features, logits = _read_csv(path, _parse_csv_header)
-            return FeatureTable(features, logits if logits.shape[1] else None, labels)
-    raise ValidationError(f"unknown table format {fmt!r}")  # pragma: no cover
+        else:  # pragma: no cover - enum is closed
+            raise ValidationError(f"unknown table format {fmt!r}")
+        return FeatureTable(features, logits if logits.shape[1] else None, labels)
 
 
-def _read_binary(path: Path) -> FeatureTable:
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise IngestionError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, n, d, c, dtype_code = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise IngestionError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise IngestionError(f"{path}: unsupported version {version}")
+def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
     if dtype_code != _DTYPE_F32:
-        raise IngestionError(f"{path}: unsupported dtype code {dtype_code}")
-    expected = _HEADER.size + 4 * (n * d + n * c + n)
+        raise ValidationError(f"unsupported dtype code {dtype_code}")
+    return [("<f4", (n, d)), ("<f4", (n, c)), ("<i4", (n,))]
+
+
+def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
+    """The header fields after magic and version, and read-only views of the
+    arrays, of an OODF or OODM file, to be read inside :func:`_ingesting`. The
+    file is ``header`` (``magic``, u32 :data:`_VERSION`, then ``fields``) and
+    the ``(dtype, shape)`` arrays of ``layout(*fields)``, back to back."""
+    raw = path.read_bytes()
+    if len(raw) < header.size:
+        raise ValidationError(f"truncated header ({len(raw)} bytes)")
+    found, version, *fields = header.unpack_from(raw)
+    if found != magic:
+        raise ValidationError(f"bad magic {found!r}")
+    if version != _VERSION:
+        raise ValidationError(f"unsupported version {version}")
+    specs = [(np.dtype(dtype), shape, math.prod(shape)) for dtype, shape in layout(*fields)]
+    expected = header.size + sum(dtype.itemsize * count for dtype, _, count in specs)
     if len(raw) != expected:
-        raise IngestionError(
-            f"{path}: payload is {len(raw)} bytes, format implies {expected}"
-        )
-    off = _HEADER.size
-    features = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off).reshape(n, d)
-    off += 4 * n * d
-    logits = None
-    if c:
-        logits = np.frombuffer(raw, dtype="<f4", count=n * c, offset=off).reshape(n, c)
-        off += 4 * n * c
-    labels = np.frombuffer(raw, dtype="<i4", count=n, offset=off)
-    return FeatureTable(features, logits, labels)
+        raise ValidationError(f"payload is {len(raw)} bytes, format implies {expected}")
+    arrays, offset = [], header.size
+    for dtype, shape, count in specs:
+        try:  # an empty array can still have a dimension numpy cannot hold
+            arrays.append(np.frombuffer(raw, dtype, count, offset).reshape(shape))
+        except ValueError as exc:
+            raise ValidationError(f"array shape {shape}: {exc}") from None
+        offset += dtype.itemsize * count
+    return fields, arrays
+
+
+def _write_packed(path, header: bytes, arrays) -> None:
+    """Write the packed ``header``, then the bytes of each array in turn."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def _parse_csv_header(header: list[str]) -> tuple[int, int]:
@@ -248,11 +260,9 @@ def _parse_csv_header(header: list[str]) -> tuple[int, int]:
 @contextlib.contextmanager
 def _ingesting(path):
     """Report undecodable text or invalid contents read in the block as an
-    IngestionError naming ``path``."""
+    IngestionError naming ``path``, the only place a reader names its file."""
     try:
         yield
-    except IngestionError:
-        raise
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except ValidationError as exc:
@@ -282,9 +292,9 @@ def _read_csv(path, parse_header) -> list[np.ndarray]:
                 warnings.simplefilter("ignore", UserWarning)  # header-only input
                 rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', ndmin=1)
         except ValueError as exc:  # a decoding error too: the re-scan meets it again
-            raise IngestionError(f"{path}: {_bad_line(path, 1 + sum(widths)) or exc}") from None
+            raise ValidationError(_bad_line(path, 1 + sum(widths)) or str(exc)) from None
     if rows.size == 0:
-        raise IngestionError(f"{path}: no data rows")
+        raise ValidationError("no data rows")
     return [rows["first"], *np.split(rows["rest"], np.cumsum(widths)[:-1], axis=1)]
 
 
@@ -330,18 +340,6 @@ class ManifestEntry:
         if self.role is Role.OOD_TEST:
             return f"OOD_TEST({self.ood_name})"
         return self.role.value
-
-
-def _parse_role(text: str) -> tuple[Role, str]:
-    if text.startswith("OOD_TEST(") and text.endswith(")"):
-        return Role.OOD_TEST, text[len("OOD_TEST(") : -1]
-    try:
-        role = Role(text)
-    except ValueError:
-        raise IngestionError(f"unknown manifest role {text!r}") from None
-    if role is Role.OOD_TEST:
-        raise IngestionError("OOD_TEST entries must carry a name: OOD_TEST(name)")
-    return role, ""
 
 
 @dataclass(frozen=True)
@@ -413,32 +411,35 @@ class DatasetManifest:
         name = ""
         entries = []
         with _ingesting(path):
-            text = path.read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("name:"):
-                    name = comment[len("name:") :].strip()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected role<TAB>format<TAB>path"
-                )
-            role_text, fmt_text, entry_path = parts
-            if "\0" in entry_path:  # open() raises ValueError, not OSError, on it
-                raise IngestionError(f"{path}: line {lineno}: NUL character in path")
-            role, ood_name = _parse_role(role_text)
-            try:
-                fmt = TableFormat(fmt_text)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: line {lineno}: unknown format {fmt_text!r}"
-                ) from None
-            entries.append(ManifestEntry(entry_path, role, fmt, ood_name))
+            for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    comment = line.lstrip("#").strip()
+                    if comment.startswith("name:"):
+                        name = comment[len("name:") :].strip()
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ValidationError(f"line {lineno}: expected role<TAB>format<TAB>path")
+                role_text, fmt_text, entry_path = parts
+                if "\0" in entry_path:  # open() raises ValueError, not OSError, on it
+                    raise ValidationError(f"line {lineno}: NUL character in path")
+                ood_name = ""
+                if role_text.startswith("OOD_TEST(") and role_text.endswith(")"):
+                    role_text, ood_name = "OOD_TEST", role_text[len("OOD_TEST(") : -1]
+                elif role_text == "OOD_TEST":
+                    raise ValidationError(
+                        f"line {lineno}: OOD_TEST entries must carry a name: OOD_TEST(name)"
+                    )
+                # Both enums name each member by its value.
+                role, fmt = Role.__members__.get(role_text), TableFormat.__members__.get(fmt_text)
+                if role is None:
+                    raise ValidationError(f"line {lineno}: unknown manifest role {role_text!r}")
+                if fmt is None:
+                    raise ValidationError(f"line {lineno}: unknown format {fmt_text!r}")
+                entries.append(ManifestEntry(entry_path, role, fmt, ood_name))
         return DatasetManifest(tuple(entries), name=name, base_dir=path.parent)
 
 

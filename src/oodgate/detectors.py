@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureTable, _ingesting, _read_csv, _write_csv
-from .errors import IngestionError, NumericalError, ValidationError
+from .data import (FeatureTable, _VERSION, _ingesting, _read_csv, _read_packed,
+                   _write_csv, _write_packed)
+from .errors import NumericalError, ValidationError
 
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
@@ -40,7 +41,6 @@ ZERO_TRACE_RIDGE_FLOOR = 1e-6
 SCORE_CHUNK_ROWS = 4096
 
 _MODEL_MAGIC = b"OODM"
-_MODEL_VERSION = 1
 _MODEL_HEADER = struct.Struct("<4sIQQd")  # magic, version, c, d, ridge
 
 
@@ -342,18 +342,16 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
         mean_sq = np.sum(white_means * white_means, axis=1)
         scale = 8 * model.d * np.finfo(np.float64).eps
         scale *= np.linalg.norm(factor) * np.linalg.norm(whiten)
-    # A one-column triangular solve rounds differently from a wider one, so,
-    # as when every row is solved at once, a one-row input is refined one
-    # column at a time and a wider input never is.
-    width = min(feats.shape[0], 2)
-    step = SCORE_CHUNK_ROWS if width == 2 else 1
     best = np.full(feats.shape[0], np.inf)
     for start, block in _row_blocks(feats, "features"):
         rows, classes = _candidates(block, whiten, white_means, mean_sq, scale)
-        for lo in range(0, rows.size, step):
-            r, k = rows[lo : lo + step], classes[lo : lo + step]
-            if r.size < width:  # a lone column is solved beside its twin
-                r, k = np.repeat(r, 2), np.repeat(k, 2)
+        # A one-column triangular solve rounds differently from a wider one, so,
+        # as when every row is solved at once, a one-row input is refined one
+        # column at a time and a wider input never is: each of its blocks has
+        # two or more rows, so k >= 2 candidates, split evenly into chunks of at
+        # most SCORE_CHUNK_ROWS.
+        chunks = rows.size if feats.shape[0] == 1 else -(-rows.size // SCORE_CHUNK_ROWS)
+        for r, k in zip(np.array_split(rows, chunks), np.array_split(classes, chunks)):
             z = solve_triangular(factor, (block[r] - means[k]).T, lower=True)
             np.minimum.at(best, start + r, np.sum(z * z, axis=0))
     return ScoreSet(Method.MAH, np.negative(best, out=best))
@@ -382,38 +380,26 @@ def score_table(
 
 def save_model(model: GaussianClassModel, path: str | Path) -> None:
     """Write the ``OODM`` container (means/covariance stored as binary32)."""
-    header = _MODEL_HEADER.pack(_MODEL_MAGIC, _MODEL_VERSION, model.c, model.d, model.ridge)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(model.means.astype("<f4").tobytes())
-        fh.write(model.covariance.astype("<f4").tobytes())
-        fh.write(model.per_class_counts.astype("<u8").tobytes())
+    header = _MODEL_HEADER.pack(_MODEL_MAGIC, _VERSION, model.c, model.d, model.ridge)
+    arrays = (model.means.astype("<f4"), model.covariance.astype("<f4"),
+              model.per_class_counts.astype("<u8"))
+    _write_packed(path, header, arrays)
+
+
+def _model_layout(c: int, d: int, ridge: float) -> list:
+    return [("<f4", (c, d)), ("<f4", (d, d)), ("<u8", (c,))]
 
 
 def load_model(path: str | Path) -> GaussianClassModel:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _MODEL_HEADER.size:
-        raise IngestionError(f"{path}: truncated header")
-    magic, version, c, d, ridge = _MODEL_HEADER.unpack_from(raw)
-    if magic != _MODEL_MAGIC:
-        raise IngestionError(f"{path}: bad magic {magic!r}")
-    if version != _MODEL_VERSION:
-        raise IngestionError(f"{path}: unsupported version {version}")
-    expected = _MODEL_HEADER.size + 4 * (c * d + d * d) + 8 * c
-    if len(raw) != expected:
-        raise IngestionError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    off = _MODEL_HEADER.size
-    means = np.frombuffer(raw, dtype="<f4", count=c * d, offset=off).reshape(c, d)
-    off += 4 * c * d
-    cov = np.frombuffer(raw, dtype="<f4", count=d * d, offset=off).reshape(d, d)
-    off += 4 * d * d
-    counts = np.frombuffer(raw, dtype="<u8", count=c, offset=off)
-    wraps = counts > np.iinfo(np.int64).max  # the int64 cast would wrap it negative
-    if wraps.any():
-        bad = int(np.argmax(wraps))
-        raise IngestionError(f"{path}: per-class count out of range for class {bad}")
-    cov64 = cov.astype(np.float64)
     with _ingesting(path), np.errstate(invalid="ignore"):  # inf + -inf: NaN, rejected
+        (_, _, ridge), (means, cov, counts) = _read_packed(
+            path, _MODEL_MAGIC, _MODEL_HEADER, _model_layout
+        )
+        wraps = counts > np.iinfo(np.int64).max  # the int64 cast would wrap it negative
+        if wraps.any():
+            bad = int(np.argmax(wraps))
+            raise ValidationError(f"per-class count out of range for class {bad}")
+        cov64 = cov.astype(np.float64)
         cov64 = (cov64 + cov64.T) / 2.0  # binary32 quantization can break symmetry
         return GaussianClassModel(means, cov64, counts, ridge)

@@ -14,8 +14,9 @@ One loop, :func:`run_sweep`, serves every axis. Each axis has a small
 provider that yields the (fit, ID test, OOD test) tables of each grid point;
 the loop fits and scores, and a table the provider hands back again (the
 domain axis's ID test set, the imbalance axis's test sets) is scored once.
-Providers check the whole grid (OOD names, per-class counts of every law)
-before the first fit or score.
+Providers check the whole grid (label-noise levels, OOD names, per-class
+counts of every law) before the first fit or score, and before the first
+world is generated wherever the check needs no table.
 
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample and
 (8, i) OOD subsample at grid point i, (10, i) child seed for imbalance
@@ -36,6 +37,7 @@ from .detectors import DetectorConfig, Method, fit_mahalanobis, score_table
 from .errors import ValidationError
 from .metrics import auroc, fpr_at_tpr, roc_curve
 from .synthetic import (
+    _STREAM_LAW,
     CountLaw,
     SyntheticSpec,
     generate_world,
@@ -95,9 +97,8 @@ class SweepSpec:
         if not self.grid:
             raise ValidationError("sweep grid must be nonempty")
         numeric = [v for v in self.grid if isinstance(v, (int, float))]
-        if len(numeric) == len(self.grid) and len(numeric) > 1:
-            if (np.diff(numeric) <= 0).any():
-                raise ValidationError("numeric grid values must be strictly increasing")
+        if len(numeric) == len(self.grid) and not (np.diff(numeric) > 0).all():  # NaN fails
+            raise ValidationError("numeric grid values must be strictly increasing")
         if not self.detectors:
             raise ValidationError("sweep needs at least one detector")
         if self.n_per_side is not None and self.n_per_side < 1:
@@ -187,13 +188,15 @@ def _load_manifest(spec: SweepSpec) -> DatasetManifest:
 
 
 def _accuracy_points(spec: SweepSpec):
-    """Regenerate the world per label-noise level; equal-sized test sets."""
+    """Regenerate the world per label-noise level, each level checked before the
+    first world; equal-sized test sets."""
     if not spec.is_synthetic:
         raise ValidationError(
             "the accuracy sweep varies label noise and needs a synthetic world"
         )
-    for i, noise in enumerate(spec.grid):
-        world = generate_world(replace(spec.base_world, label_noise=float(noise)))
+    levels = [replace(spec.base_world, label_noise=float(noise)) for noise in spec.grid]
+    for i, (noise, level) in enumerate(zip(spec.grid, levels)):
+        world = generate_world(level)
         ood = world.ood_tables[ood_table_name(spec.base_world.ood_distance)]
         m = min(world.id_test.n, ood.n, spec.n_per_side or world.id_test.n)
         id_test = _subsample(world.id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
@@ -242,6 +245,15 @@ def _imbalance_points(spec: SweepSpec):
         raise ValidationError("imbalance grid values must be count laws")
 
     if spec.is_synthetic:
+        # Whether a law can be met depends on the fit table's class count alone.
+        # That is the world's class count when no label is noised and every
+        # class has 3 or more rows (the split puts each such class in every
+        # part), so then every law is checked before the world is drawn.
+        base = spec.base_world
+        base_sizes = base.law.class_sizes(base.classes, stream_rng(base.seed, _STREAM_LAW))
+        if base.label_noise == 0 and base_sizes.min() >= 3:
+            for law in laws:
+                law.class_sizes(base.classes, np.random.default_rng(0))
         world = generate_world(spec.base_world, n_ood=spec.n_per_side)
         id_fit, id_test = world.id_fit, world.id_test
         ood = world.ood_tables[ood_table_name(spec.base_world.ood_distance)]

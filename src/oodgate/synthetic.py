@@ -303,15 +303,12 @@ def generate_world(
         np.sqrt(sigma**2 + np.mean(np.sum((true_means - centroid) ** 2, axis=1)) / d)
     )
     n_ood_eff = id_test.n if n_ood is None else int(n_ood)
+    osizes = np.bincount(np.arange(n_ood_eff) % c, minlength=c)  # first clusters +1
     ood_tables: dict[str, FeatureTable] = {}
     for i, dist in enumerate(ood_distances):
         rng_ood = stream_rng(spec.seed, _STREAM_OOD, i)
         odirs = rng_ood.standard_normal((c, d))
         ocenters = centroid + dist * sep * odirs / np.linalg.norm(odirs, axis=1, keepdims=True)
-        osizes = _apportion(np.ones(c), n_ood_eff) if n_ood_eff >= c else None
-        if osizes is None:  # fewer samples than clusters: fill round-robin
-            osizes = np.zeros(c, dtype=np.int64)
-            osizes[:n_ood_eff] = 1
         ofeat = _draw_clusters(ocenters, pooled_sigma, osizes, rng_ood)
         ood_tables[ood_table_name(dist)] = with_logits(
             ofeat, np.full(ofeat.shape[0], UNLABELED, dtype=np.int32)

@@ -17,7 +17,7 @@ from oodgate import (
     write_feature_table,
 )
 import oodgate.cli
-from oodgate import synthetic
+from oodgate import experiments, synthetic
 from oodgate.cli import build_parser, main
 
 
@@ -304,6 +304,45 @@ def test_undecodable_input_exits_2(tmp_path, capsys, kind):
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
+#: One broken file per reader: its name, its bytes, and the error that follows
+#: the file name on the one stderr line.
+BROKEN_FILES = {
+    "oodf": ("t.oodf", b"OODF\x01\0\0\0", "truncated header (8 bytes)"),
+    "oodm": ("m.oodm", b"OODM\x01\0\0\0", "truncated header (8 bytes)"),
+    "table-csv": ("t.csv", b"label,f0\n0,x\n", "line 2: could not convert string to float: 'x'"),
+    "score-csv": ("s.csv", b"index,score\n0,1\n1,2,3\n", "line 3 has 3 fields, expected 2"),
+    "manifest-role": ("m1", b"# name: w\nFOO\tBINARY_DUMP\tx.oodf\n",
+                      "line 2: unknown manifest role 'FOO'"),
+    "manifest-format": ("m2", b"ID_FIT_DETECTOR\tXML\tx.oodf\n", "line 1: unknown format 'XML'"),
+    "config": ("c.cfg", b"classes = 3\ndim 4\n", "line 2: expected key = value"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BROKEN_FILES))
+def test_every_reader_names_its_file(tmp_path, capsys, kind):
+    name, raw, message = BROKEN_FILES[kind]
+    bad = tmp_path / name
+    bad.write_bytes(raw)
+    table, scores = tmp_path / "ok.oodf", tmp_path / "ok.csv"
+    write_feature_table(FeatureTable(np.eye(3), np.eye(3), np.arange(3)), table)
+    write_score_csv(scores, [1.0, 0.0])
+    out = str(tmp_path / "out")
+    argv = {
+        "oodf": ["score", "--input", bad, "--method", "ebm", "--out", out],
+        "oodm": ["score", "--input", table, "--method", "mah", "--model", bad, "--out", out],
+        "table-csv": ["fit", "--input", bad, "--out", out],
+        "score-csv": ["eval", "--id-scores", scores, "--ood-scores", bad],
+        "manifest-role": ["fit", "--manifest", bad, "--out", out],
+        "manifest-format": ["fit", "--manifest", bad, "--out", out],
+        "config": ["synth", "--config", bad, "--out", out],
+    }[kind]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*map(str, argv)) == 2
+    assert not caught
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def test_import_cli_leaves_scipy_unloaded():
     code = "import sys, oodgate.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -431,6 +470,38 @@ def test_sweep_cli_imbalance_laws(tmp_path):
     ) == 0
     rows = [json.loads(l) for l in (out / "rows.jsonl").read_text().splitlines()]
     assert [r["axis_value"] for r in rows] == ["balanced:5", "uniform:20"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--axis", "accuracy", "--grid", "0.0,0.1,1.0"], "label_noise must be in [0,1), got 1.0"),
+        (["--axis", "accuracy", "--grid", "0.0,nan"],
+         "numeric grid values must be strictly increasing"),
+        (["--axis", "imbalance", "--grid", "balanced:10,powerlaw:-500:1420"],
+         "count law powerlaw:-500:1420 has non-finite weights over 142 classes"),
+    ],
+    ids=["accuracy-last-level", "nan-in-grid", "imbalance-law"],
+)
+def test_sweep_checks_whole_grid_before_any_world(tmp_path, capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated a world before rejecting the grid")
+
+    monkeypatch.setattr(experiments, "generate_world", refuse)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("sweep", *argv, "--classes", "142", "--dim", "64",
+                   "--out", str(tmp_path / "s")) == 2
+    assert not caught
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sweep_has_no_n_ood_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("sweep", "--axis", "domain-distance", "--grid", "1,2", "--classes", "3",
+            "--dim", "4", "--n-ood", "5", "--out", str(tmp_path / "s"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-ood 5" in capsys.readouterr().err
 
 
 def test_sweep_cli_needs_world_or_manifest(tmp_path, capsys):

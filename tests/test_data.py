@@ -140,6 +140,53 @@ def test_binary_size_mismatch(tmp_path, rng):
         read_feature_table(path)
 
 
+def _fit_model_file(path, rng):
+    from oodgate import fit_mahalanobis, save_model
+
+    save_model(fit_mahalanobis(make_table(rng, n=30, d=3, c=3)), path)
+
+
+@pytest.mark.parametrize("kind", ["oodf", "oodm"])
+@pytest.mark.parametrize("fault", ["truncated", "magic", "version", "length"])
+def test_binary_containers_report_faults_alike(tmp_path, rng, kind, fault):
+    """OODF tables and OODM models share one codec, so each container fault
+    reads the same, naming the file once."""
+    from oodgate import load_model
+
+    path = tmp_path / f"x.{kind}"
+    if kind == "oodf":
+        write_feature_table(make_table(rng), path)
+        read = read_feature_table
+    else:
+        _fit_model_file(path, rng)
+        read = load_model
+    raw = bytearray(path.read_bytes())
+    if fault == "truncated":
+        raw, message = raw[:10], "truncated header (10 bytes)"
+    elif fault == "magic":
+        raw[:4], message = b"XXXX", "bad magic b'XXXX'"
+    elif fault == "version":
+        struct.pack_into("<I", raw, 4, 2)
+        message = "unsupported version 2"
+    else:
+        message = f"payload is {len(raw) + 1} bytes, format implies {len(raw)}"
+        raw += b"\0"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IngestionError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("d, c", [(2**64 - 1, 0), (3, 2**64 - 1), (2**62, 2**62)])
+def test_binary_empty_table_with_huge_width_rejected(tmp_path, d, c):
+    """n = 0 implies a 40-byte file whatever d and c are; a dimension numpy
+    cannot hold is an error, not a crash."""
+    path = tmp_path / "empty.oodf"
+    path.write_bytes(struct.pack("<4sIQQQB7x", b"OODF", 1, 0, d, c, 0))
+    with pytest.raises(IngestionError, match=f"^{path}: "):
+        read_feature_table(path)
+
+
 @given(
     data=st.lists(
         st.floats(width=32, allow_nan=False, allow_infinity=False),

@@ -381,6 +381,18 @@ def test_short_class_in_later_law_raises_before_any_fit(calls):
     assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
 
 
+def test_laws_cover_the_classes_the_fit_table_holds():
+    # powerlaw:2:300 leaves 12 of the 20 classes under 3 rows, so none of
+    # their rows reaches the fit split: uniform:8 covers the 8 that do
+    spec = SweepSpec(
+        Axis.IMBALANCE, world_spec(classes=20, law=UnbalancedPowerlaw(2.0, 300)),
+        (UnbalancedUniform(8),), (DetectorConfig(Method.EBM),),
+    )
+    with pytest.warns(UserWarning, match="assigning to ID1"):
+        (row,) = run_sweep(spec).rows
+    assert row.axis_value == "uniform:8"
+
+
 def test_unknown_ood_name_raises_before_any_table_is_read(tmp_path, monkeypatch, calls):
     path = _manifest_world(tmp_path)
     loaded = []
