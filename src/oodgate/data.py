@@ -215,7 +215,7 @@ def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
 
 def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
     """The header fields after magic and version, and read-only views of the
-    arrays, of an OODF or OODM file, to be read inside :func:`_ingesting`. The
+    arrays, of an OODF or OODM file; call it inside :func:`_ingesting`. The
     file is ``header`` (``magic``, u32 :data:`_VERSION`, then ``fields``) and
     the ``(dtype, shape)`` arrays of ``layout(*fields)``, back to back."""
     raw = path.read_bytes()

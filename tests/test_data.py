@@ -140,25 +140,19 @@ def test_binary_size_mismatch(tmp_path, rng):
         read_feature_table(path)
 
 
-def _fit_model_file(path, rng):
-    from oodgate import fit_mahalanobis, save_model
-
-    save_model(fit_mahalanobis(make_table(rng, n=30, d=3, c=3)), path)
-
-
 @pytest.mark.parametrize("kind", ["oodf", "oodm"])
 @pytest.mark.parametrize("fault", ["truncated", "magic", "version", "length"])
 def test_binary_containers_report_faults_alike(tmp_path, rng, kind, fault):
     """OODF tables and OODM models share one codec, so each container fault
     reads the same, naming the file once."""
-    from oodgate import load_model
+    from oodgate import fit_mahalanobis, load_model, save_model
 
     path = tmp_path / f"x.{kind}"
     if kind == "oodf":
         write_feature_table(make_table(rng), path)
         read = read_feature_table
     else:
-        _fit_model_file(path, rng)
+        save_model(fit_mahalanobis(make_table(rng, n=30, d=3, c=3)), path)
         read = load_model
     raw = bytearray(path.read_bytes())
     if fault == "truncated":
