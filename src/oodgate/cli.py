@@ -425,12 +425,14 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
             if "\0" in value:  # argv cannot hold one; open() raises ValueError on it
                 raise ValidationError(f"line {lineno}: NUL character in value")
             if dest not in actions or dest in ("config", "func", "command"):
-                raise ValidationError(f"unknown option {key.strip()!r}")
+                raise ValidationError(f"line {lineno}: unknown option {key.strip()!r}")
             if dest in given:
                 continue
             action = actions[dest]
             if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
                 parsed = value.lower() in ("1", "true", "yes", "on")
+                if not parsed and value.lower() not in ("0", "false", "no", "off"):
+                    raise ValidationError(f"line {lineno}: expected a boolean, got {value!r}")
             else:
                 try:
                     parsed = action.type(value) if action.type is not None else value

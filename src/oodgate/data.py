@@ -510,16 +510,22 @@ def split_id_data(
     Classes with fewer samples than parts cannot cover all three parts; they
     are assigned preferentially to ID1 then ID3 with a warning.
     """
-    if table.n < 3:
-        raise ValidationError(f"cannot split a table with n={table.n} < 3")
-    if not table.is_labeled:
+    return tuple(table.take(rows) for rows in _split_rows(table.labels, policy))
+
+
+def _split_rows(labels: np.ndarray, policy: SplitPolicy) -> list[np.ndarray]:
+    """The sorted row indices of :func:`split_id_data`'s three parts: the
+    split reads only the labels."""
+    if labels.size < 3:
+        raise ValidationError(f"cannot split a table with n={labels.size} < 3")
+    if (labels == UNLABELED).any():
         raise ValidationError("split requires a fully labeled table")
 
     rng = np.random.default_rng(
         np.random.SeedSequence(policy.seed, spawn_key=(_SPLIT_STREAM,))
     )
     parts: list[list[np.ndarray]] = [[], [], []]
-    for cls, rows in _class_rows(table.labels):
+    for cls, rows in _class_rows(labels):
         idx = rng.permutation(rows)
         m = idx.size
         if m < 3:
@@ -534,10 +540,7 @@ def split_id_data(
         for p in range(3):
             parts[p].append(idx[bounds[p] : bounds[p + 1]])
 
-    out = []
-    for chunks in parts:
-        sel = np.sort(np.concatenate(chunks)) if chunks else np.array([], dtype=int)
-        if sel.size == 0:
-            raise ValidationError("a split part received no samples")
-        out.append(table.take(sel))
-    return out[0], out[1], out[2]
+    out = [np.sort(np.concatenate(chunks)) for chunks in parts]
+    if any(rows.size == 0 for rows in out):
+        raise ValidationError("a split part received no samples")
+    return out

@@ -197,11 +197,13 @@ def _accuracy_points(spec: SweepSpec):
     levels = [replace(spec.base_world, label_noise=float(noise)) for noise in spec.grid]
     for i, (noise, level) in enumerate(zip(spec.grid, levels)):
         world = generate_world(level)
+        id_fit, id_test, accuracy = world.id_fit, world.id_test, world.classifier_accuracy
         ood = world.ood_tables[ood_table_name(spec.base_world.ood_distance)]
-        m = min(world.id_test.n, ood.n, spec.n_per_side or world.id_test.n)
-        id_test = _subsample(world.id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
+        del world  # the next level is drawn with only the tables yielded alive
+        m = min(id_test.n, ood.n, spec.n_per_side or id_test.n)
+        id_test = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
-        yield noise, world.id_fit, id_test, ood, world.classifier_accuracy
+        yield noise, id_fit, id_test, ood, accuracy
 
 
 def _domain_points(spec: SweepSpec):
@@ -214,6 +216,7 @@ def _domain_points(spec: SweepSpec):
         id_test, fit_table = world.id_test, world.id_fit
         accuracy = world.classifier_accuracy
         ood_sets = [(d, world.ood_tables[ood_table_name(d)]) for d in distances]
+        del world  # its classifier-train split is never read
     else:
         manifest = _load_manifest(spec)
         by_name = {e.ood_name: e for e in manifest.ood_entries()}
@@ -258,6 +261,7 @@ def _imbalance_points(spec: SweepSpec):
         id_fit, id_test = world.id_fit, world.id_test
         ood = world.ood_tables[ood_table_name(spec.base_world.ood_distance)]
         accuracy = world.classifier_accuracy
+        del world  # its classifier-train split is never read
     else:
         manifest = _load_manifest(spec)
         id_fit = manifest.load(manifest.single(Role.ID_FIT_DETECTOR))
@@ -295,8 +299,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     and scores them. Score-once rule: a fit or a scoring whose inputs are the
     very same objects (``is``) as in a call of the current or previous grid
     point reuses that result, so a fixed test set is scored once per detector.
-    Only two grid points' calls are kept, so memory does not grow with the
-    grid, and a kept call holds its inputs, so none is freed meanwhile.
+    Only the last grid point's calls are kept when the next is drawn, so
+    memory does not grow with the grid, and a kept call holds its inputs, so
+    none is freed meanwhile.
     """
     kept: list[tuple] = []  # (grid point, (fn, *args), result)
 
@@ -313,7 +318,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[SweepRow] = []
     points = _PROVIDERS[spec.axis](spec)
     for i, (value, fit_table, id_table, ood_table, accuracy) in enumerate(points):
-        kept[:] = [e for e in kept if e[0] >= i - 1]
         for config in spec.detectors:
             model = None
             if config.method is Method.MAH:
@@ -329,4 +333,5 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 classifier_accuracy=accuracy, auroc=auroc(curve),
                 fpr95=fpr_at_tpr(curve, 0.95), n_id=id_table.n, n_ood=ood_table.n,
             ))
+        kept[:] = [e for e in kept if e[0] == i]
     return SweepResult(tuple(rows), _provenance(spec))

@@ -16,12 +16,12 @@ Randomness is drawn from named PCG64 streams spawned off the world seed
 the i-th OOD cloud, 5 count-law draws, 6 subsampling), so every table is a
 pure function of the spec.
 
-No whole table is ever held in float64. Each class's draws are cast into one
-float32 pool as they are made, the centers are means of per-class row
-slices, and logits are computed one :data:`~oodgate.detectors.SCORE_CHUNK_ROWS`
-block at a time. Generation peaks at about twice the float32 bytes of the ID
-features, while the pool and its three split copies coexist: under twice the
-bytes of the returned world.
+No whole table is ever held in float64. The split rows are worked out from
+the labels before any sample exists, each class is drawn straight into its
+rows of the three float32 split arrays, the centers are means of per-class
+row slices, and logits are computed one
+:data:`~oodgate.detectors.SCORE_CHUNK_ROWS` block at a time. Generation peaks
+at about the float32 bytes of the returned world plus one float64 block.
 
 This module also houses the brute-force oracles used to verify the fast
 paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import UNLABELED, FeatureTable, SplitPolicy, _class_rows, split_id_data
+from .data import UNLABELED, FeatureTable, SplitPolicy, _class_rows, _first_bad_row, _split_rows
 from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet, _row_blocks
 from .errors import NumericalError, ValidationError
 
@@ -201,14 +201,26 @@ def ood_table_name(distance: float) -> str:
 
 
 def _draw_clusters(
-    centers: np.ndarray, sigma: float, sizes: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+    centers: np.ndarray, sigma: float, sizes: np.ndarray, parts: list, rng: np.random.Generator
+) -> list[np.ndarray]:
     """``sizes[k]`` isotropic draws around ``centers[k]`` for each k in turn,
-    each class cast to float32 as it is written into the one output array."""
-    out = np.empty((int(sizes.sum()), centers.shape[1]), dtype=np.float32)
+    each class written straight into float32 arrays, one per part: a part is
+    a sorted selection of rows in draw order, and its array holds them in
+    that order. A value that overflows binary32 is reported at its draw row."""
+    d = centers.shape[1]
+    out = [np.empty((rows.size, d), dtype=np.float32) for rows in parts]
     start = 0
     for center, m in zip(centers, sizes.tolist()):
-        out[start : start + m] = center + sigma * rng.standard_normal((m, centers.shape[1]))
+        z = rng.standard_normal((m, d))
+        z *= sigma  # the bits of center + sigma * z: IEEE * and + commute
+        z += center
+        block = z.astype(np.float32)
+        if not np.isfinite(block).all():
+            bad = start + _first_bad_row(block)
+            raise ValidationError(f"non-finite value in features at row {bad}")
+        for rows, arr in zip(parts, out):
+            lo, hi = np.searchsorted(rows, (start, start + m))
+            arr[lo:hi] = block[rows[lo:hi] - start]
         start += m
     return out
 
@@ -220,9 +232,14 @@ def _log_density_logits(
     a time (the blocks' GEMMs give the bits of one whole-table GEMM)."""
     out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
     center_sq = np.sum(centers * centers, axis=1)
-    for start, x in _row_blocks(features, "features"):
-        sq = np.sum(x * x, axis=1)[:, None] - 2.0 * x @ centers.T + center_sq
-        out[start : start + len(x)] = -sq / (2.0 * sigma * sigma)
+    for start, x in _row_blocks(features, "features"):  # x: a float64 copy
+        g = x @ centers.T
+        g *= 2.0  # exact: the bits of (2.0 * x) @ centers.T
+        x *= x
+        np.subtract(x.sum(axis=1)[:, None], g, out=g)
+        g += center_sq
+        g /= -2.0 * sigma * sigma
+        out[start : start + len(x)] = g
     return out
 
 
@@ -253,7 +270,8 @@ def generate_world(
     the requested distance (in units of class separation) from the ID
     centroid, with the pooled ID standard deviation, so distance 0
     reproduces the overall ID spread. A bad distance, ``n_ood`` or count law
-    is rejected before the first draw.
+    is rejected before the first draw, and a world the split cannot cover
+    before the first class sample.
     """
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     if ood_distances is None:
@@ -270,33 +288,29 @@ def generate_world(
     dirs = stream_rng(spec.seed, _STREAM_MEANS).standard_normal((c, d))
     true_means = sep * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    pool = FeatureTable(
-        _draw_clusters(true_means, sigma, sizes, stream_rng(spec.seed, _STREAM_SAMPLES)),
-        None,
-        np.repeat(np.arange(c, dtype=np.int32), sizes),
-    )
-    id1, id2, id3 = split_id_data(pool, split)
-    del pool  # the splits hold copies of its rows
+    labels = np.repeat(np.arange(c, dtype=np.int32), sizes)
+    parts = _split_rows(labels, split)  # fails before the first class draw
+    feats = _draw_clusters(true_means, sigma, sizes, parts, stream_rng(spec.seed, _STREAM_SAMPLES))
 
     rng_noise = stream_rng(spec.seed, _STREAM_NOISE)
-    id1_labels = _corrupt_labels(id1.labels, c, spec.label_noise, rng_noise)
-    id2_labels = _corrupt_labels(id2.labels, c, spec.label_noise, rng_noise)
+    id1_labels = _corrupt_labels(labels[parts[0]], c, spec.label_noise, rng_noise)
+    id2_labels = _corrupt_labels(labels[parts[1]], c, spec.label_noise, rng_noise)
 
     # Implicit classifier: per-class centers of the (noisy) train split; a
     # class the noise emptied gets the split's global mean.
     classes = _class_rows(id1_labels)
     centers = np.empty((c, d))
     if len(classes) < c:
-        centers[:] = id1.features.astype(np.float64).mean(axis=0)
+        centers[:] = feats[0].astype(np.float64).mean(axis=0)
     for k, rows in classes:
-        centers[k] = id1.features[rows].astype(np.float64).mean(axis=0)
+        centers[k] = feats[0][rows].astype(np.float64).mean(axis=0)
 
     def with_logits(features: np.ndarray, labels: np.ndarray) -> FeatureTable:
         return FeatureTable(features, _log_density_logits(features, centers, sigma), labels)
 
-    id_train = with_logits(id1.features, id1_labels)
-    id_fit = with_logits(id2.features, id2_labels)
-    id_test = with_logits(id3.features, id3.labels)
+    id_train = with_logits(feats[0], id1_labels)
+    id_fit = with_logits(feats[1], id2_labels)
+    id_test = with_logits(feats[2], labels[parts[2]])
 
     centroid = true_means.mean(axis=0)
     pooled_sigma = float(
@@ -309,7 +323,7 @@ def generate_world(
         rng_ood = stream_rng(spec.seed, _STREAM_OOD, i)
         odirs = rng_ood.standard_normal((c, d))
         ocenters = centroid + dist * sep * odirs / np.linalg.norm(odirs, axis=1, keepdims=True)
-        ofeat = _draw_clusters(ocenters, pooled_sigma, osizes, rng_ood)
+        (ofeat,) = _draw_clusters(ocenters, pooled_sigma, osizes, [np.arange(n_ood_eff)], rng_ood)
         ood_tables[ood_table_name(dist)] = with_logits(
             ofeat, np.full(ofeat.shape[0], UNLABELED, dtype=np.int32)
         )

@@ -315,6 +315,8 @@ BROKEN_FILES = {
                       "line 2: unknown manifest role 'FOO'"),
     "manifest-format": ("m2", b"ID_FIT_DETECTOR\tXML\tx.oodf\n", "line 1: unknown format 'XML'"),
     "config": ("c.cfg", b"classes = 3\ndim 4\n", "line 2: expected key = value"),
+    "config-key": ("c.cfg", b"# typo\nclassses = 3\n", "line 2: unknown option 'classses'"),
+    "config-boolean": ("c.cfg", b"timestamp = ture\n", "line 1: expected a boolean, got 'ture'"),
 }
 
 
@@ -335,6 +337,8 @@ def test_every_reader_names_its_file(tmp_path, capsys, kind):
         "manifest-role": ["fit", "--manifest", bad, "--out", out],
         "manifest-format": ["fit", "--manifest", bad, "--out", out],
         "config": ["synth", "--config", bad, "--out", out],
+        "config-key": ["synth", "--config", bad, "--out", out],
+        "config-boolean": ["synth", "--config", bad, "--out", out],
     }[kind]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -588,6 +592,15 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert run("synth", "--config", str(cfg), "--classes", "3", "--dim", "4",
                "--out", str(tmp_path / "w")) == 2
     assert "unknown option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, stamped", [("Yes", True), ("1", True), ("OFF", False), ("0", False)])
+def test_config_boolean_takes_either_spelling_in_any_case(tmp_path, value, stamped):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(f"classes = 3\ndim = 4\nlaw = balanced:40\ntimestamp = {value}\n")
+    out = tmp_path / "w"
+    assert run("synth", "--config", str(cfg), "--out", str(out)) == 0
+    assert ("timestamp" in json.loads((out / "world.json").read_text())) is stamped
 
 
 def test_env_seed_overrides_default(tmp_path, monkeypatch):

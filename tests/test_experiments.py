@@ -408,3 +408,35 @@ def test_unknown_ood_name_raises_before_any_table_is_read(tmp_path, monkeypatch,
         run_sweep(spec)
     assert loaded == []
     assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
+
+
+@pytest.mark.parametrize("axis, grid, bound", [
+    (Axis.ACCURACY, (0.0, 0.2, 0.4), 2.0),
+    (Axis.DOMAIN_DISTANCE, (0.5, 1.0, 2.0), 1.4),
+])
+def test_sweep_peak_memory_near_one_world(axis, grid, bound):
+    """A sweep keeps of each world only the tables it scores, and of those
+    only the last grid point's while the next world is drawn: the traced
+    peak of a three-point sweep stays near the float32 bytes of one world.
+
+    A provider that holds its world while the next level is drawn, or holds
+    the classifier-train split it never yields, adds most of a world.
+    """
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401  (mah imports it on first use)
+
+    base = world_spec(classes=8, dim=32, law=Balanced(4000), seed=2)
+    detectors = (DetectorConfig(Method.EBM), DetectorConfig(Method.MAH))
+    world = generate_world(base, ood_distances=grid if axis == Axis.DOMAIN_DISTANCE else None)
+    tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
+    world_bytes = sum(t.features.nbytes + t.logits.nbytes for t in tables)
+    del world, tables
+    run_sweep(SweepSpec(axis, world_spec(), grid, detectors))  # first-call allocations
+    tracemalloc.start()
+    try:
+        run_sweep(SweepSpec(axis, base, grid, detectors))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * world_bytes, peak / world_bytes

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from oodgate import (
     Balanced,
     FeatureTable,
     NumericalError,
+    SplitPolicy,
     SyntheticSpec,
     UnbalancedPowerlaw,
     UnbalancedUniform,
@@ -187,8 +189,10 @@ def test_ebm_auroc_nondecreasing_in_ood_distance():
 
 #: sha256 over every table's features, logits and labels, the classifier
 #: centers and the accuracy, recorded with the generator that drew each class
-#: as a float64 block and took logits in one whole-table GEMM. Never
-#: regenerate these to make a test pass: a change here is a change in the world.
+#: as a float64 block and took logits in one whole-table GEMM (the last two
+#: with the one that cast each class into a float32 pool and split copies of
+#: it). Never regenerate these to make a test pass: a change here is a change
+#: in the world.
 WORLD_SHA256 = {
     "ood-4096": "f9488a87463e3a836f195e461a2a963a544e3f68759b796836e62588831aabf4",
     "ood-4097": "7f1989416a1c3de9f2f8980351a32e0de2516d423fee26a78bf34c718554444e",
@@ -196,13 +200,22 @@ WORLD_SHA256 = {
     "ood-1": "ec0371602452beea06fbe34a8682ac22809eafebe1b23585e2f8bdcf74f7bce3",
     "powerlaw": "c7b837748bae1b92f66954a1f4690464e01fdad8be2d80e4c05f17cef6da7e0c",
     "empty-class": "72a7b62aa1cc7e3fd6521a52059e4e66ffefcedcb5672167ca54f3060dfee3ff",
+    "split-0.2-0.84": "ca8379c3c6df811ad58e8fa3216fd99c1bfe376c81f7a0822617fac413e281ef",
+    "tiny-classes": "70b321c2a06983762f4639a8ef81b96a7f25bcd58dbf52c7e9ad597e56293bba",
 }
+
+#: The split warnings of the ``tiny-classes`` world (class sizes 45, 6, 2, 1 x 7).
+TINY_CLASS_WARNINGS = ["class 2 has only 2 sample(s); assigning to ID1/ID3"] + [
+    f"class {k} has only 1 sample(s); assigning to ID1" for k in range(3, 10)
+]
 
 
 def _digest_world(name):
     """The world of one ``WORLD_SHA256`` case; OOD sizes and the powerlaw
-    train split sit on and just past the 4096-row block edges, and the
-    empty-class noise leaves some class without a noisy train label."""
+    train split sit on and just past the 4096-row block edges, the
+    empty-class noise leaves some class without a noisy train label, the
+    split case uses the benchmark's split with a seed of its own, and the
+    tiny classes take the split's 1- and 2-row branches."""
     if name.startswith("ood-"):
         spec = SyntheticSpec(classes=7, dim=24, law=Balanced(50), seed=3)
         return generate_world(spec, ood_distances=(0.5, 2.0), n_ood=int(name[4:]))
@@ -210,13 +223,24 @@ def _digest_world(name):
         spec = SyntheticSpec(classes=6, dim=20, law=UnbalancedPowerlaw(1.2, 7000),
                              label_noise=0.2, seed=8)
         return generate_world(spec)
+    if name == "split-0.2-0.84":
+        spec = SyntheticSpec(classes=9, dim=12, law=Balanced(40), label_noise=0.1, seed=6)
+        return generate_world(spec, ood_distances=(1.0,), n_ood=50,
+                              split=SplitPolicy(0.2, 0.84, seed=13))
+    if name == "tiny-classes":
+        spec = SyntheticSpec(classes=10, dim=6, law=UnbalancedPowerlaw(3.0, 60), seed=9)
+        return generate_world(spec)
     spec = SyntheticSpec(classes=30, dim=5, law=Balanced(3), label_noise=0.9, seed=4)
     return generate_world(spec, n_ood=9)
 
 
 @pytest.mark.parametrize("name", list(WORLD_SHA256))
 def test_world_bytes_pinned(name):
-    world = _digest_world(name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        world = _digest_world(name)
+    expected = TINY_CLASS_WARNINGS if name == "tiny-classes" else []
+    assert [str(w.message) for w in caught] == expected
     tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
     h = hashlib.sha256()
     for table in tables:
@@ -232,11 +256,13 @@ def test_world_bytes_pinned(name):
 
 
 def test_generate_world_peak_memory_near_world_bytes():
-    """The traced peak stays within twice the float32 world it returns.
+    """The traced peak stays within 1.5 times the float32 world it returns.
 
-    The pool and its three split copies hold twice the ID features at once;
-    logits take one float64 block at a time. Float64 class draws, a float64
-    pool or a whole-split float64 copy each add at least the world's bytes.
+    Each class is drawn straight into its rows of the three split arrays,
+    and logits take one float64 block at a time, so generation holds about
+    one world plus one block. A pool of all draws that the split then
+    copies, float64 class draws or a whole-split float64 copy each add at
+    least half the world's bytes.
     """
     import tracemalloc
 
@@ -250,7 +276,27 @@ def test_generate_world_peak_memory_near_world_bytes():
         tracemalloc.stop()
     tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
     world_bytes = sum(t.features.nbytes + t.logits.nbytes for t in tables)
-    assert peak <= 2 * world_bytes, (peak, world_bytes)
+    assert peak <= 1.5 * world_bytes, (peak, world_bytes)
+
+
+@pytest.mark.filterwarnings("ignore:class")
+@pytest.mark.parametrize("classes, match", [(2, "n=2 < 3"), (3, "received no samples")])
+def test_unsplittable_world_fails_before_any_class_draw(monkeypatch, classes, match):
+    def unreached(*args):
+        raise AssertionError("a class sample was drawn")
+
+    monkeypatch.setattr(synthetic, "_draw_clusters", unreached)
+    with pytest.raises(ValidationError, match=match):
+        generate_world(SyntheticSpec(classes=classes, dim=3, law=Balanced(1)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_overflowing_draw_reported_at_its_row_of_all_draws():
+    """Row 34 of all ID draws in class order (the 15th of class 1), whichever
+    split part it lands in."""
+    spec = SyntheticSpec(classes=3, dim=2, within_class_sigma=1.5e38, law=Balanced(20), seed=0)
+    with pytest.raises(ValidationError, match="^non-finite value in features at row 34$"):
+        generate_world(spec)
 
 
 # ---------------------------------------------------------------------------
