@@ -232,7 +232,7 @@ def _log_density_logits(
     a time (the blocks' GEMMs give the bits of one whole-table GEMM)."""
     out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
     center_sq = np.sum(centers * centers, axis=1)
-    for start, x in _row_blocks(features, "features"):  # x: a float64 copy
+    for start, x in _row_blocks(features, "features"):  # x: a copy of float32 rows
         g = x @ centers.T
         g *= 2.0  # exact: the bits of (2.0 * x) @ centers.T
         x *= x
