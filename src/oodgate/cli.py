@@ -237,6 +237,8 @@ def _items(flag: str, text: str, parse) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    if len(args.ood_distance or ()) > 1:
+        raise ValidationError(f"sweep takes one --ood-distance, got {len(args.ood_distance)}")
     axis = args.axis.replace("-", "_")
     if args.manifest:
         base_world = args.manifest
@@ -293,7 +295,7 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-noise", type=float, default=0.0,
                    help="fraction of fit labels randomized among other classes")
     p.add_argument("--ood-distance", type=float, action="append", default=None,
-                   help="OOD cloud distance in units of separation (repeatable)")
+                   help="OOD cloud distance in units of separation (synth: repeatable)")
     p.add_argument("--law", type=parse_law, default=parse_law("balanced:200"),
                    help="per-class count law: balanced:N, powerlaw:ALPHA:TOTAL, "
                         "uniform:TOTAL")
@@ -411,7 +413,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
         action.default = argparse.SUPPRESS
     sub._defaults.clear()
     given = set(vars(parser.parse_args(argv)))
-    actions = {a.dest: a for a in sub._actions}
+    actions = {o[2:]: a for a in sub._actions for o in a.option_strings if o.startswith("--")}
     with _ingesting(args.config):
         for lineno, line in enumerate(Path(args.config).read_text("utf-8").splitlines(), 1):
             line = line.strip()
@@ -420,19 +422,20 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
             if "=" not in line:
                 raise ValidationError(f"line {lineno}: expected key = value")
             key, _, value = line.partition("=")
-            dest = key.strip().replace("-", "_")
+            name = key.strip().replace("_", "-")
             value = value.strip()
             if "\0" in value:  # argv cannot hold one; open() raises ValueError on it
                 raise ValidationError(f"line {lineno}: NUL character in value")
-            if dest not in actions or dest in ("config", "func", "command"):
+            if name not in actions or name in ("config", "help"):
                 raise ValidationError(f"line {lineno}: unknown option {key.strip()!r}")
-            if dest in given:
+            action = actions[name]
+            if action.dest in given:
                 continue
-            action = actions[dest]
             if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                parsed = value.lower() in ("1", "true", "yes", "on")
-                if not parsed and value.lower() not in ("0", "false", "no", "off"):
+                on = value.lower() in ("1", "true", "yes", "on")
+                if not on and value.lower() not in ("0", "false", "no", "off"):
                     raise ValidationError(f"line {lineno}: expected a boolean, got {value!r}")
+                parsed = action.const if on else not action.const
             else:
                 try:
                     parsed = action.type(value) if action.type is not None else value
@@ -441,8 +444,8 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise ValidationError(f"line {lineno}: {exc}") from None
             if isinstance(action, argparse._AppendAction):  # repeatable: lines add up
-                parsed = (getattr(args, dest) or []) + [parsed]
-            setattr(args, dest, parsed)
+                parsed = (getattr(args, action.dest) or []) + [parsed]
+            setattr(args, action.dest, parsed)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,9 +14,10 @@ One loop, :func:`run_sweep`, serves every axis. Each axis has a small
 provider that yields the (fit, ID test, OOD test) tables of each grid point;
 the loop fits and scores, and a table the provider hands back again (the
 domain axis's ID test set, the imbalance axis's test sets) is scored once.
-Providers check the whole grid (label-noise levels, OOD names, per-class
-counts of every law) before the first fit or score, and before the first
-world is generated wherever the check needs no table.
+Providers take their world's tables from one loader, :func:`_base_tables`,
+and check the whole grid (label-noise levels, OOD names, the class sizes and
+totals of every law) before the first fit or score, and on a synthetic world
+before it is drawn.
 
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample and
 (8, i) OOD subsample at grid point i, (10, i) child seed for imbalance
@@ -37,9 +38,9 @@ from .detectors import DetectorConfig, Method, fit_mahalanobis, score_table
 from .errors import ValidationError
 from .metrics import auroc, fpr_at_tpr, roc_curve
 from .synthetic import (
-    _STREAM_LAW,
     CountLaw,
     SyntheticSpec,
+    _world_labels,
     generate_world,
     imbalanced_rows,
     ood_table_name,
@@ -163,23 +164,51 @@ def _provenance(spec: SweepSpec) -> dict:
 
 
 def _subsample(table: FeatureTable, m: int, rng: np.random.Generator) -> FeatureTable:
-    if m > table.n:
-        raise ValidationError(f"cannot subsample {m} rows from {table.n}")
     if m == table.n:
         return table
     return table.take(np.sort(rng.choice(table.n, size=m, replace=False)))
 
 
-def _accuracy_of(table: FeatureTable) -> float | None:
-    if table.c < 2 or not table.is_labeled:
-        return None
-    return float(np.mean(np.argmax(table.logits, axis=1) == table.labels))
+def _base_tables(world: SyntheticSpec | str | Path, oods: tuple | None, n_ood: int | None):
+    """(fit table, ID test table, OOD tables, classifier accuracy) of a base world.
 
+    ``oods`` names the OOD tables (distances, or a manifest's OOD_TEST names);
+    ``None`` takes the world's first. A generated world is dropped on return.
+    A manifest's OOD names are checked before any table is read, and its fit
+    table is its one ID_FIT_DETECTOR entry, or ``None`` when it has none.
+    """
+    if isinstance(world, SyntheticSpec):
+        distances = (world.ood_distance,) if oods is None else tuple(float(v) for v in oods)
+        w = generate_world(world, ood_distances=distances, n_ood=n_ood)
+        ood = [w.ood_tables[ood_table_name(d)] for d in distances]
+        return w.id_fit, w.id_test, ood, w.classifier_accuracy
 
-def _load_manifest(spec: SweepSpec) -> DatasetManifest:
-    manifest = DatasetManifest.read(spec.base_world)
+    manifest = DatasetManifest.read(world)
     manifest.validate_for_eval()
-    return manifest
+    by_name = {e.ood_name: e for e in manifest.ood_entries()}
+    for name in oods or ():
+        if name not in by_name:
+            raise ValidationError(f"manifest has no OOD_TEST named {name!r}")
+    ood_entries = manifest.ood_entries()[:1] if oods is None else [by_name[n] for n in oods]
+    has_fit = any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries)
+    fit_entry = manifest.single(Role.ID_FIT_DETECTOR) if has_fit else None
+    id_test = manifest.load(manifest.single(Role.ID_TEST))
+    accuracy = None
+    if id_test.c >= 2 and id_test.is_labeled:
+        accuracy = float(np.mean(np.argmax(id_test.logits, axis=1) == id_test.labels))
+    fit = manifest.load(fit_entry) if fit_entry else None
+    return fit, id_test, [manifest.load(e) for e in ood_entries], accuracy
+
+
+def _check_laws(laws: tuple[CountLaw, ...], c: int) -> None:
+    """Each law's class sizes over ``c`` classes, and one total for all."""
+    for law in laws:
+        law.class_sizes(c, np.random.default_rng(0))
+    totals = {law.total(c) for law in laws}
+    if len(totals) != 1:
+        raise ValidationError(
+            f"imbalance laws must request equal totals over {c} classes, got {sorted(totals)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +225,7 @@ def _accuracy_points(spec: SweepSpec):
         )
     levels = [replace(spec.base_world, label_noise=float(noise)) for noise in spec.grid]
     for i, (noise, level) in enumerate(zip(spec.grid, levels)):
-        world = generate_world(level)
-        id_fit, id_test, accuracy = world.id_fit, world.id_test, world.classifier_accuracy
-        ood = world.ood_tables[ood_table_name(spec.base_world.ood_distance)]
-        del world  # the next level is drawn with only the tables yielded alive
+        id_fit, id_test, (ood,), accuracy = _base_tables(level, None, None)
         m = min(id_test.n, ood.n, spec.n_per_side or id_test.n)
         id_test = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
@@ -208,30 +234,12 @@ def _accuracy_points(spec: SweepSpec):
 
 def _domain_points(spec: SweepSpec):
     """One world (or manifest), one OOD set per grid value, sizes matched."""
-    if spec.is_synthetic:
-        distances = tuple(float(v) for v in spec.grid)
-        world = generate_world(
-            spec.base_world, ood_distances=distances, n_ood=spec.n_per_side
-        )
-        id_test, fit_table = world.id_test, world.id_fit
-        accuracy = world.classifier_accuracy
-        ood_sets = [(d, world.ood_tables[ood_table_name(d)]) for d in distances]
-        del world  # its classifier-train split is never read
-    else:
-        manifest = _load_manifest(spec)
-        by_name = {e.ood_name: e for e in manifest.ood_entries()}
-        for name in spec.grid:
-            if name not in by_name:
-                raise ValidationError(f"manifest has no OOD_TEST named {name!r}")
-        id_test = manifest.load(manifest.single(Role.ID_TEST))
-        fit_entries = [e for e in manifest.entries if e.role is Role.ID_FIT_DETECTOR]
-        fit_table = manifest.load(fit_entries[0]) if fit_entries else None
-        accuracy = _accuracy_of(id_test)
-        ood_sets = [(name, manifest.load(by_name[name])) for name in spec.grid]
-
-    m = min([id_test.n] + [t.n for _, t in ood_sets] + ([spec.n_per_side] if spec.n_per_side else []))
+    fit_table, id_test, ood_sets, accuracy = _base_tables(
+        spec.base_world, spec.grid, spec.n_per_side
+    )
+    m = min([id_test.n, *(t.n for t in ood_sets), spec.n_per_side or id_test.n])
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
-    for i, (value, ood) in enumerate(ood_sets):
+    for i, (value, ood) in enumerate(zip(spec.grid, ood_sets)):
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
         yield value, fit_table, id_matched, ood, accuracy
 
@@ -239,43 +247,20 @@ def _domain_points(spec: SweepSpec):
 def _imbalance_points(spec: SweepSpec):
     """Resample the detector-fit table per imbalance law; the test sets are fixed.
 
-    All laws must request the same fit total, and every law's rows are drawn
-    before the first fit. With a manifest world the first OOD_TEST entry is
-    the comparison set.
+    Every law must size the fit table's classes, all with one total: checked
+    from a synthetic world's labels before it is drawn, and on a manifest's
+    fit table once read. Every law's rows are drawn before the first fit. The
+    OOD set is the spec's distance, or a manifest's first OOD_TEST entry.
     """
     laws = spec.grid
     if any(isinstance(law, (int, float, str)) for law in laws):
         raise ValidationError("imbalance grid values must be count laws")
-
-    if spec.is_synthetic:
-        # Whether a law can be met depends on the fit table's class count alone.
-        # That is the world's class count when no label is noised and every
-        # class has 3 or more rows (the split puts each such class in every
-        # part), so then every law is checked before the world is drawn.
-        base = spec.base_world
-        base_sizes = base.law.class_sizes(base.classes, stream_rng(base.seed, _STREAM_LAW))
-        if base.label_noise == 0 and base_sizes.min() >= 3:
-            for law in laws:
-                law.class_sizes(base.classes, np.random.default_rng(0))
-        world = generate_world(spec.base_world, n_ood=spec.n_per_side)
-        id_fit, id_test = world.id_fit, world.id_test
-        ood = world.ood_tables[ood_table_name(spec.base_world.ood_distance)]
-        accuracy = world.classifier_accuracy
-        del world  # its classifier-train split is never read
-    else:
-        manifest = _load_manifest(spec)
-        id_fit = manifest.load(manifest.single(Role.ID_FIT_DETECTOR))
-        id_test = manifest.load(manifest.single(Role.ID_TEST))
-        ood = manifest.load(manifest.ood_entries()[0])
-        accuracy = _accuracy_of(id_test)
-
-    c = int(np.unique(id_fit.labels).size)
-    totals = {law.total(c) for law in laws}
-    if len(totals) != 1:
-        raise ValidationError(
-            f"imbalance laws must request equal totals over {c} classes, got {sorted(totals)}"
-        )
-
+    if spec.is_synthetic:  # c of the fit part's labels, worked out before any draw
+        _check_laws(laws, np.unique(_world_labels(spec.base_world)[2][1]).size)
+    else:  # the axis resamples the fit table: no table is read without one
+        DatasetManifest.read(spec.base_world).single(Role.ID_FIT_DETECTOR)
+    id_fit, id_test, (ood,), accuracy = _base_tables(spec.base_world, None, spec.n_per_side)
+    _check_laws(laws, np.unique(id_fit.labels).size)
     fit_rows = [
         imbalanced_rows(id_fit, law, int(np.random.SeedSequence(
             spec.seed, spawn_key=(_STREAM_CHILD_SEED, i)).generate_state(1)[0]))

@@ -257,6 +257,19 @@ def _corrupt_labels(
     return out
 
 
+def _world_labels(spec: SyntheticSpec, split: SplitPolicy | None = None) -> tuple:
+    """The class sizes, the split's three row sets, and the labels of the
+    train, fit (both noised) and test parts of a world, before any draw."""
+    c = spec.classes
+    split = split or SplitPolicy(0.7, 0.5, seed=spec.seed)
+    sizes = spec.law.class_sizes(c, stream_rng(spec.seed, _STREAM_LAW))
+    labels = np.repeat(np.arange(c, dtype=np.int32), sizes)
+    parts = _split_rows(labels, split)
+    rng_noise = stream_rng(spec.seed, _STREAM_NOISE)
+    noised = [_corrupt_labels(labels[rows], c, spec.label_noise, rng_noise) for rows in parts[:2]]
+    return sizes, parts, [*noised, labels[parts[2]]]
+
+
 def generate_world(
     spec: SyntheticSpec,
     ood_distances: tuple[float, ...] | None = None,
@@ -269,9 +282,8 @@ def generate_world(
     defaults to the test-split size. OOD clouds consist of ``c`` clusters at
     the requested distance (in units of class separation) from the ID
     centroid, with the pooled ID standard deviation, so distance 0
-    reproduces the overall ID spread. A bad distance, ``n_ood`` or count law
-    is rejected before the first draw, and a world the split cannot cover
-    before the first class sample.
+    reproduces the overall ID spread. A bad distance, ``n_ood`` or count law,
+    and a world the split cannot cover, are rejected before the first sample.
     """
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     if ood_distances is None:
@@ -281,20 +293,11 @@ def generate_world(
             raise ValidationError(f"ood distances must be finite and >= 0, got {dist}")
     if n_ood is not None and int(n_ood) < 1:
         raise ValidationError("n_ood must be >= 1")
-    if split is None:
-        split = SplitPolicy(0.7, 0.5, seed=spec.seed)
-    sizes = spec.law.class_sizes(c, stream_rng(spec.seed, _STREAM_LAW))
+    sizes, parts, (id1_labels, id2_labels, id3_labels) = _world_labels(spec, split)
 
     dirs = stream_rng(spec.seed, _STREAM_MEANS).standard_normal((c, d))
     true_means = sep * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    labels = np.repeat(np.arange(c, dtype=np.int32), sizes)
-    parts = _split_rows(labels, split)  # fails before the first class draw
     feats = _draw_clusters(true_means, sigma, sizes, parts, stream_rng(spec.seed, _STREAM_SAMPLES))
-
-    rng_noise = stream_rng(spec.seed, _STREAM_NOISE)
-    id1_labels = _corrupt_labels(labels[parts[0]], c, spec.label_noise, rng_noise)
-    id2_labels = _corrupt_labels(labels[parts[1]], c, spec.label_noise, rng_noise)
 
     # Implicit classifier: per-class centers of the (noisy) train split; a
     # class the noise emptied gets the split's global mean.
@@ -310,7 +313,7 @@ def generate_world(
 
     id_train = with_logits(feats[0], id1_labels)
     id_fit = with_logits(feats[1], id2_labels)
-    id_test = with_logits(feats[2], labels[parts[2]])
+    id_test = with_logits(feats[2], id3_labels)
 
     centroid = true_means.mean(axis=0)
     pooled_sigma = float(

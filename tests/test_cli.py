@@ -232,6 +232,21 @@ def test_score_dimension_mismatch_exits_2(world_dir, tmp_path):
                "--model", str(model), "--out", str(tmp_path / "s.csv")) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--dim", "4"], "synth requires --classes and --dim"),
+        (["fit"], "fit needs --input TABLE or --manifest MANIFEST"),
+        (["score", "--input", "TABLE", "--method", "mah"], "mah scoring needs --model MODEL"),
+    ],
+    ids=["synth-no-classes", "fit-no-input", "score-mah-no-model"],
+)
+def test_missing_required_input_exits_2(world_dir, tmp_path, capsys, argv, message):
+    argv = [str(world_dir / "id3.oodf") if a == "TABLE" else a for a in argv]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_input_exits_3(tmp_path):
     assert run("score", "--input", str(tmp_path / "absent.oodf"), "--method", "ebm",
                "--out", str(tmp_path / "s.csv")) == 3
@@ -500,6 +515,35 @@ def test_sweep_checks_whole_grid_before_any_world(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("config", ["", "ood-distance = 1\nood-distance = 3\n"],
+                         ids=["flags", "config-lines"])
+def test_sweep_takes_one_ood_distance(tmp_path, capsys, config):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(config)
+    flags = [] if config else ["--ood-distance", "1", "--ood-distance", "3"]
+    assert run("sweep", "--axis", "accuracy", "--grid", "0.0", "--classes", "3", "--dim", "4",
+               "--config", str(cfg), *flags, "--out", str(tmp_path / "s")) == 2
+    assert capsys.readouterr().err == "error: sweep takes one --ood-distance, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "fit_lines, message",
+    [(0, "mahalanobis detector needs a fit table"),
+     (2, "manifest needs exactly one ID_FIT_DETECTOR entry, found 2")],
+    ids=["none-with-mah", "two"],
+)
+def test_domain_manifest_sweep_takes_at_most_one_fit_table(
+    world_dir, tmp_path, capsys, fit_lines, message
+):
+    manifest = tmp_path / "m.manifest"
+    fit = [f"ID_FIT_DETECTOR\tBINARY_DUMP\t{world_dir / f}\n" for f in ("id1.oodf", "id2.oodf")]
+    manifest.write_text("".join(fit[:fit_lines]) + f"ID_TEST\tBINARY_DUMP\t{world_dir}/id3.oodf\n"
+                        f"OOD_TEST(d2)\tBINARY_DUMP\t{world_dir}/ood_d2.oodf\n")
+    assert run("sweep", "--axis", "domain-distance", "--manifest", str(manifest), "--grid", "d2",
+               "--detectors", "mah", "--out", str(tmp_path / "s")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_has_no_n_ood_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("sweep", "--axis", "domain-distance", "--grid", "1,2", "--classes", "3",
@@ -588,16 +632,22 @@ def test_config_bad_value_exits_2(tmp_path, capsys):
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
-    cfg.write_text("classses = 3\n")
-    assert run("synth", "--config", str(cfg), "--classes", "3", "--dim", "4",
-               "--out", str(tmp_path / "w")) == 2
-    assert "unknown option" in capsys.readouterr().err
+    for text in ("classses = 3\n", "help = 1\n"):
+        cfg.write_text(text)
+        assert run("synth", "--config", str(cfg), "--classes", "3", "--dim", "4",
+                   "--out", str(tmp_path / "w")) == 2
+        assert "unknown option" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value, stamped", [("Yes", True), ("1", True), ("OFF", False), ("0", False)])
-def test_config_boolean_takes_either_spelling_in_any_case(tmp_path, value, stamped):
+@pytest.mark.parametrize(
+    "setting, stamped",
+    [("Yes", True), ("1", True), ("OFF", False), ("0", False),
+     ("no-timestamp = 1", False), ("no-timestamp = 0", True)],
+)
+def test_config_boolean_takes_either_spelling_in_any_case(tmp_path, setting, stamped):
+    line = setting if "=" in setting else f"timestamp = {setting}"  # a bare value sets timestamp
     cfg = tmp_path / "synth.cfg"
-    cfg.write_text(f"classes = 3\ndim = 4\nlaw = balanced:40\ntimestamp = {value}\n")
+    cfg.write_text(f"classes = 3\ndim = 4\nlaw = balanced:40\n{line}\n")
     out = tmp_path / "w"
     assert run("synth", "--config", str(cfg), "--out", str(out)) == 0
     assert ("timestamp" in json.loads((out / "world.json").read_text())) is stamped

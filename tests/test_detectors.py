@@ -271,6 +271,13 @@ def test_batch_partition_determinism(rng):
     assert (full == again).all()
 
 
+def test_one_query_vector_scores_as_a_one_row_matrix(rng):
+    t = table_from(rng.normal(size=(60, 4)), rng.integers(0, 3, 60))
+    model, x = fit_mahalanobis(t), rng.normal(size=4)
+    vector, row = (score_mahalanobis(model, q).scores for q in (x, x[None, :]))
+    assert vector.shape == (1,) and vector.tobytes() == row.tobytes()
+
+
 def per_class_scores(model, queries):
     """The one-solve-per-class scorer that whitened scoring must reproduce bit
     for bit: a triangular solve of ``queries - mean`` per class, then the least

@@ -215,6 +215,23 @@ def test_imbalance_sweep_equal_totals_enforced():
         run_sweep(spec)
 
 
+@pytest.mark.parametrize(
+    "world, laws, message",
+    [
+        (world_spec(), (Balanced(10), Balanced(20)), "equal totals over 5 classes"),
+        (world_spec(label_noise=0.1), (UnbalancedUniform(3),), "total 3 cannot cover 5 classes"),
+    ],
+    ids=["unequal-totals", "noisy-world-short-law"],
+)
+def test_imbalance_laws_checked_before_the_world_is_drawn(monkeypatch, world, laws, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated a world before rejecting the grid")
+
+    monkeypatch.setattr(experiments, "generate_world", refuse)
+    with pytest.raises(ValidationError, match=message):
+        run_sweep(SweepSpec(Axis.IMBALANCE, world, laws, ALL))
+
+
 def test_imbalance_grid_type_checked():
     spec = imbalance_spec(grid=(0.5, 1.0))
     with pytest.raises(ValidationError, match="count laws"):
@@ -408,6 +425,22 @@ def test_unknown_ood_name_raises_before_any_table_is_read(tmp_path, monkeypatch,
         run_sweep(spec)
     assert loaded == []
     assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
+
+
+def test_imbalance_manifest_without_fit_table_raises_before_any_table_is_read(
+    tmp_path, monkeypatch
+):
+    path = _manifest_world(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith("ID_FIT_DETECTOR")))
+
+    def refuse(self, entry):
+        raise AssertionError(f"read {entry.path} before rejecting the manifest")
+
+    monkeypatch.setattr(DatasetManifest, "load", refuse)
+    spec = SweepSpec(Axis.IMBALANCE, path, (Balanced(3),), ALL)
+    with pytest.raises(ValidationError, match="one ID_FIT_DETECTOR entry, found 0"):
+        run_sweep(spec)
 
 
 @pytest.mark.parametrize("axis, grid, bound", [
