@@ -186,8 +186,10 @@ def write_feature_table(
     elif fmt is TableFormat.CSV:
         header = ["label"] + [f"f{j}" for j in range(table.d)]
         header += [f"l{j}" for j in range(table.c)]
-        values = np.hstack([x for x in (table.features, table.logits) if x is not None])
-        _write_csv(path, header, table.labels, values, repr)
+        rows = map(np.ndarray.tolist, table.features)
+        if table.logits is not None:  # each row's logits follow its features
+            rows = map(list.__add__, rows, map(np.ndarray.tolist, table.logits))
+        _write_csv(path, header, table.labels.tolist(), rows, repr)
     else:  # pragma: no cover - enum is closed
         raise ValidationError(f"unknown table format {fmt!r}")
 
@@ -201,7 +203,7 @@ def read_feature_table(
         if fmt is TableFormat.BINARY_DUMP:
             _, (features, logits, labels) = _read_packed(path, _MAGIC, _HEADER, _oodf_layout)
         elif fmt is TableFormat.CSV:
-            labels, features, logits = _read_csv(path, _parse_csv_header)
+            labels, features, logits = _read_csv(path, _parse_csv_header, np.float32)
         else:  # pragma: no cover - enum is closed
             raise ValidationError(f"unknown table format {fmt!r}")
         return FeatureTable(features, logits if logits.shape[1] else None, labels)
@@ -269,28 +271,34 @@ def _ingesting(path):
         raise IngestionError(f"{path}: {exc}") from exc
 
 
-def _write_csv(path, header: list[str], first: np.ndarray, values: np.ndarray, fmt) -> None:
-    """Write the UTF-8, CRLF CSV of tables and score files: ``header``, then per
-    row ``first[i]`` and ``fmt`` of each ``values[i]``, one row at a time."""
+def _write_csv(path, header: list[str], first, rows, fmt) -> None:
+    """Write the UTF-8, CRLF CSV of tables and score files: ``header``, then
+    per row the row's integer from ``first`` and ``fmt`` of each Python number
+    of its list from ``rows``, both iterables taken one row at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for head, row in zip(first.tolist(), values):
-            fh.write(f"{head},{','.join(map(fmt, row.tolist()))}\r\n")
+        for head, values in zip(first, rows):
+            fh.write(f"{head},{','.join(map(fmt, values))}\r\n")
 
 
-def _read_csv(path, parse_header) -> list[np.ndarray]:
-    """The int64 first column and one float64 array per column group of a
+def _read_csv(path, parse_header, dtype=np.float64) -> list[np.ndarray]:
+    """The int64 first column and one ``dtype`` array per column group of a
     :func:`_write_csv` file, to be read inside :func:`_ingesting`.
     ``parse_header`` checks the header fields and returns the group widths.
-    Blank lines are skipped."""
+    Blank lines are skipped.
+
+    Values are parsed straight into ``dtype``, so binary32 columns are never
+    held as float64 too. numpy's binary32 converter parses to float64 and
+    rounds that, so the bits are those of a float64 parse cast to binary32;
+    a value that overflows becomes inf, for the caller's finite check."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         widths = parse_header([name.strip('"') for name in header])
-        dtype = [("first", np.int64), ("rest", np.float64, (sum(widths),))]
+        columns = [("first", np.int64), ("rest", dtype, (sum(widths),))]
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # header-only input
-                rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', ndmin=1)
+                rows = np.loadtxt(fh, columns, comments=None, delimiter=",", quotechar='"', ndmin=1)
         except ValueError as exc:  # a decoding error too: the re-scan meets it again
             raise ValidationError(_bad_line(path, 1 + sum(widths)) or str(exc)) from None
     if rows.size == 0:

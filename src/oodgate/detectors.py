@@ -35,9 +35,10 @@ ZERO_TRACE_RIDGE_FLOOR = 1e-6
 
 #: Rows per block in all three scorers, the fit's residual pass and the
 #: synthetic worlds' logits. Only one block at a time is widened to float64,
-#: so each holds its input plus a few float64 arrays of this many rows times
-#: c (or d) values. Every row's reductions run over that row alone, so no
-#: score, fitted value or logit depends on the block size.
+#: so each holds its input plus that block and one or two float64 working
+#: arrays of this many rows times c (or d) values. Every row's reductions run
+#: over that row alone, so no score, fitted value or logit depends on the
+#: block size.
 SCORE_CHUNK_ROWS = 4096
 
 _MODEL_MAGIC = b"OODM"
@@ -85,8 +86,8 @@ class ScoreSet:
 
 def write_scores(scores: ScoreSet, path: str | Path) -> None:
     """Export as ``index,score`` CSV with 17 significant digits."""
-    index = np.arange(len(scores))
-    _write_csv(path, ["index", "score"], index, scores.scores[:, None], "{:.17g}".format)
+    rows = map(np.ndarray.tolist, scores.scores[:, None])
+    _write_csv(path, ["index", "score"], range(len(scores)), rows, "{:.17g}".format)
 
 
 def _score_columns(header: list[str]) -> tuple[int]:
@@ -145,14 +146,19 @@ def _logit_rows(logits) -> np.ndarray:
     return arr
 
 
-def _max_and_expsum(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """The max along ``axis`` and the sum of ``exp(x - max)`` (at least 1)."""
-    m = np.max(x, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis), np.sum(np.exp(x - m), axis=axis)
+def _max_and_expsum(x: np.ndarray, overwrite: bool = False):
+    """The row max of the 2-D ``x`` and the row sum of ``exp(x - max)`` (at
+    least 1). ``x - max``, then its ``exp``, is written over ``x`` if
+    ``overwrite``, else into the one new array of ``x``'s size."""
+    m = np.max(x, axis=1, keepdims=True)
+    out = np.subtract(x, m, out=x if overwrite else None)
+    np.exp(out, out=out)
+    return m[:, 0], np.sum(out, axis=1)
 
 
 # Logit scorers run quietly: a score that overflows or turns NaN (say, under a
 # subnormal temperature) fails ScoreSet's finite check with one error instead.
+# Neither writes into a row block: a block of a float64 input is the caller's.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -163,7 +169,7 @@ def score_msp(logits: np.ndarray) -> ScoreSet:
         raise ValidationError(f"msp needs c >= 2 logit columns, got {arr.shape[1]}")
     scores = np.empty(arr.shape[0])
     for start, block in _row_blocks(arr, "logits"):
-        scores[start : start + len(block)] = 1.0 / _max_and_expsum(block, 1)[1]
+        scores[start : start + len(block)] = 1.0 / _max_and_expsum(block)[1]
     return ScoreSet(Method.MSP, scores)
 
 
@@ -176,7 +182,7 @@ def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
     arr = _logit_rows(logits)
     scores = np.empty(arr.shape[0])
     for start, block in _row_blocks(arr, "logits"):
-        m, total = _max_and_expsum(block / temperature, 1)
+        m, total = _max_and_expsum(block / temperature, overwrite=True)
         scores[start : start + len(block)] = temperature * (m + np.log(total))
     return ScoreSet(Method.EBM, scores)
 
@@ -296,24 +302,35 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow only widens the set
-def _candidates(block, whiten, white_means, mean_sq, scale):
+def _candidates(block, whiten, white_means2, mean_sq, mean_norm, scale):
     """Row and class indices of each row's candidate nearest classes.
 
-    The estimate is the expanded distance ``|z|^2 + |m_k|^2 - 2 z.m_k`` in
-    whitened coordinates (``z = W x``, ``m_k = W mu_k``, ``W`` the inverse of
-    the factor ``L``). A class is kept while its estimate lies within a
-    rounding slack, ``scale (|z| + |m_k|)^2``, of the row's least. A row whose
-    estimate is not finite keeps every class. The per-model constants, the
-    ``m_k`` (``white_means``), the ``|m_k|^2`` (``mean_sq``) and ``scale =
-    8 d eps |L|_F |W|_F``, are computed once per call by
-    :func:`score_mahalanobis`.
+    In whitened coordinates (``z = W x``, ``m_k = W mu_k``, ``W`` the inverse
+    of the factor ``L``) the squared distance to class k is ``|z|^2 + e_k``,
+    ``e_k = |m_k|^2 - 2 z.m_k``. The row constant ``|z|^2`` does not change
+    which class is nearest, so only the estimates ``est_k`` of ``e_k`` are
+    formed, as one block x c array. Each ``est_k`` lies within the rounding
+    slack ``s_k = scale (|z| + |m_k|)^2`` of ``e_k``, and every ``s_k`` is at
+    most the row's bound ``B = scale (|z| + max_j |m_j|)^2``. So the nearest
+    class k* has ``est_k* <= e_k* + B <= e_j + B <= est_j + 2B`` for every j,
+    and a class is kept unless ``est_k > min_j est_j + 2B``. For the same
+    estimates this keeps every class that the per-class test, far when
+    ``est_k - s_k > min_j (est_j + s_j)``, keeps: ``min_j (est_j + s_j) + s_k
+    <= min_j est_j + 2B``. A row whose bound or least estimate is not finite
+    keeps every class, and a NaN estimate is kept.
+
+    The per-model constants, ``-2 m_k`` (``white_means2``), ``|m_k|^2``
+    (``mean_sq``), ``max_j |m_j|`` (``mean_norm``) and ``scale = 8 d eps
+    |L|_F |W|_F``, are computed once per call by :func:`score_mahalanobis`.
     """
     z = block @ whiten.T
-    z_sq = np.sum(z * z, axis=1)
-    approx = z_sq[:, None] + mean_sq - 2.0 * (z @ white_means.T)
-    slack = scale * (np.sqrt(z_sq)[:, None] + np.sqrt(mean_sq)) ** 2
-    far = approx - slack > np.min(approx + slack, axis=1, keepdims=True)  # NaN: not far
-    return np.nonzero(~far)
+    est = z @ white_means2.T
+    est += mean_sq
+    bound = scale * (np.sqrt(np.einsum("ij,ij->i", z, z)) + mean_norm) ** 2
+    limit = np.min(est, axis=1) + 2.0 * bound
+    limit[~np.isfinite(limit)] = np.inf
+    far = np.greater(est, limit[:, None])
+    return np.nonzero(np.logical_not(far, out=far))  # NaN: not far
 
 
 def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreSet:
@@ -325,6 +342,11 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     squares of the triangular solve of ``x - mu_k`` against the precision
     factor, and the row keeps the least of these. The scores are those of one
     solve per class over all rows, bit for bit.
+
+    Beyond its input, a block holds its float64 widening, the whitened rows
+    and one block x c array of estimates; a refinement chunk holds its
+    gathered rows, their means and the squared solve, all written in place.
+    A difference ``x - mu_k`` that overflows float64 raises NumericalError.
     """
     feats = _floats(features)
     if feats.ndim == 1:
@@ -338,13 +360,15 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     factor, means = model.precision_factor, model.means
     whiten = solve_triangular(factor, np.eye(model.d), lower=True)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _candidates
-        white_means = means @ whiten.T
-        mean_sq = np.sum(white_means * white_means, axis=1)
+        white_means2 = means @ whiten.T
+        mean_sq = np.sum(white_means2 * white_means2, axis=1)
+        mean_norm = np.sqrt(np.max(mean_sq))
+        white_means2 *= -2.0  # exact: folds the 2 of -2 z.m_k in once
         scale = 8 * model.d * np.finfo(np.float64).eps
         scale *= np.linalg.norm(factor) * np.linalg.norm(whiten)
     best = np.full(feats.shape[0], np.inf)
     for start, block in _row_blocks(feats, "features"):
-        rows, classes = _candidates(block, whiten, white_means, mean_sq, scale)
+        rows, classes = _candidates(block, whiten, white_means2, mean_sq, mean_norm, scale)
         # A one-column triangular solve rounds differently from a wider one, so,
         # as when every row is solved at once, a one-row input is refined one
         # column at a time and a wider input never is: each of its blocks has
@@ -352,8 +376,16 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
         # most SCORE_CHUNK_ROWS.
         chunks = rows.size if feats.shape[0] == 1 else -(-rows.size // SCORE_CHUNK_ROWS)
         for r, k in zip(np.array_split(rows, chunks), np.array_split(classes, chunks)):
-            z = solve_triangular(factor, (block[r] - means[k]).T, lower=True)
-            np.minimum.at(best, start + r, np.sum(z * z, axis=0))
+            diff = block[r]
+            with np.errstate(over="ignore"):
+                diff -= means[k]
+            if not np.isfinite(diff).all():
+                raise NumericalError("a feature row minus a class mean overflows float64")
+            # diff.T is Fortran-ordered, so the solve writes over it
+            z = solve_triangular(factor, diff.T, lower=True, overwrite_b=True,
+                                 check_finite=False)
+            z *= z
+            np.minimum.at(best, start + r, np.sum(z, axis=0))
     return ScoreSet(Method.MAH, np.negative(best, out=best))
 
 

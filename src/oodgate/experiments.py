@@ -233,7 +233,13 @@ def _accuracy_points(spec: SweepSpec):
 
 
 def _domain_points(spec: SweepSpec):
-    """One world (or manifest), one OOD set per grid value, sizes matched."""
+    """One world (or manifest), one OOD set per grid value, sizes matched. A
+    manifest without a fit table is rejected for ``mah`` before any table is
+    read."""
+    if not spec.is_synthetic and any(c.method is Method.MAH for c in spec.detectors):
+        manifest = DatasetManifest.read(spec.base_world)
+        if not any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries):
+            raise ValidationError("mahalanobis detector needs a fit table")
     fit_table, id_test, ood_sets, accuracy = _base_tables(
         spec.base_world, spec.grid, spec.n_per_side
     )
@@ -305,9 +311,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for i, (value, fit_table, id_table, ood_table, accuracy) in enumerate(points):
         for config in spec.detectors:
             model = None
-            if config.method is Method.MAH:
-                if fit_table is None:
-                    raise ValidationError("mahalanobis detector needs a fit table")
+            if config.method is Method.MAH:  # every provider yields a fit table for it
                 model = call(i, fit_mahalanobis, fit_table, config.ridge)
             id_scores, ood_scores = (
                 call(i, score_table, config, t, model) for t in (id_table, ood_table)

@@ -14,12 +14,15 @@ from oodgate import (
     IngestionError,
     ManifestEntry,
     Role,
+    ScoreSet,
     SplitPolicy,
     TableFormat,
     ValidationError,
     read_feature_table,
+    read_scores,
     split_id_data,
     write_feature_table,
+    write_scores,
 )
 from oodgate.data import _class_rows
 
@@ -281,6 +284,36 @@ def test_csv_bytes_pinned(tmp_path):
     assert hashlib.sha256(raw).hexdigest() == (
         "8a8e2df2bdaed2709bd73fe4cb0172828a0c32a92fb131cf3e8cfa383f5d00f3"
     )
+
+
+def test_csv_tables_parse_straight_to_binary32(tmp_path):
+    """A CSV table's values parse to binary32 with the bits of a float64 parse
+    cast to binary32: double rounding, underflow to zero and overflow to inf
+    included. Score CSVs still parse to float64."""
+    values = [
+        "1e-46",  # under half the least binary32 subnormal: 0.0
+        "-0.0",
+        repr(float(np.float32(3e-42))),  # a binary32 subnormal
+        "1.0000000596046448",  # just above the binary32 halfway point 1 + 2**-24
+        "0.1",
+    ]
+    path = tmp_path / "t.csv"
+    path.write_text("label,f0,f1,f2,f3,f4,l0,l1\n"
+                    f"1,{','.join(values)},{values[3]},-0.0\n0,{','.join(values[::-1])},1e-46,7\n")
+    parsed = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)  # float64
+    table = read_feature_table(path, TableFormat.CSV)
+    assert table == FeatureTable(parsed[:, 1:6], parsed[:, 6:], parsed[:, 0].astype(np.int64))
+    assert table.features[0].tolist()[:4] == [0.0, -0.0, float(np.float32(3e-42)), 1.0]
+    assert np.signbit(table.features[0, :2]).tolist() == [False, True]
+
+    # rounds to inf in binary32, as the cast of its float64 parse did
+    path.write_text("label,f0\n0,1.5\n1,3.4028235677973366e+38\n")
+    with pytest.raises(IngestionError, match="non-finite value in features at row 1$"):
+        read_feature_table(path, TableFormat.CSV)
+
+    scores = ScoreSet(None, [0.1, -0.0, 5e-324, 1.7976931348623157e308, 2.0 / 3.0, 1e-300])
+    write_scores(scores, path)
+    assert read_scores(path).scores.tobytes() == scores.scores.tobytes()
 
 
 def test_csv_blank_line_skipped_and_quoted_field_parsed(tmp_path):

@@ -5,6 +5,8 @@ with mpmath: max softmax of [1,2,3] = 1/(1+e^-1+e^-2), energy of [1,2,3]
 at T=1 = 3+ln(1+e^-1+e^-2).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from oodgate import (
     UNLABELED,
+    Balanced,
     DetectorConfig,
     FeatureTable,
     GaussianClassModel,
@@ -19,10 +22,12 @@ from oodgate import (
     Method,
     NumericalError,
     ScoreSet,
+    SyntheticSpec,
     ValidationError,
     direct_mahalanobis_oracle,
     direct_pooled_covariance,
     fit_mahalanobis,
+    generate_world,
     load_model,
     read_scores,
     save_model,
@@ -466,6 +471,78 @@ def test_peak_memory_does_not_grow_with_rows():
     for name in small:
         per_row = 8 * (d + 1) if name == "fit" else 9
         assert large[name] - small[name] <= added * per_row + 64 * 1024, name
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    """No score, fitted value or world logit changes by a bit with the rows
+    per block, and no scorer writes into a float64 input."""
+    from oodgate import detectors
+
+    spec = SyntheticSpec(classes=40, dim=96, class_separation=3.0, law=Balanced(30), seed=11)
+
+    def results():
+        world = generate_world(spec, ood_distances=(1.0,))
+        tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
+        model = fit_mahalanobis(world.id_fit)
+        wide = world.id_train.logits.astype(np.float64)
+        out = [t.logits for t in tables] + [model.means, model.covariance]
+        for x in (world.id_train.logits, wide):
+            out += [score_msp(x).scores, score_energy(x, 0.75).scores]
+        for x in (world.id_train.features, world.id_test.features.astype(np.float64)):
+            out.append(score_mahalanobis(model, x).scores)
+        assert wide.tobytes() == world.id_train.logits.astype(np.float64).tobytes()
+        return [a.tobytes() for a in out]
+
+    reference = results()
+    for rows in (2, 5, 17, 64, 257, 4096):
+        monkeypatch.setattr(detectors, "SCORE_CHUNK_ROWS", rows)
+        assert results() == reference, rows
+
+
+def test_each_block_holds_one_widened_copy_and_one_working_array(monkeypatch):
+    """Traced peaks over 3 blocks of float32 rows at a wide c: msp and ebm
+    hold the float64 block plus one block x c array (``x - max``, then its
+    exp); mah holds the float64 block, its whitened rows, one block x c
+    array of estimates (and its candidate mask) and the refinement's
+    gathered rows and means, beyond the model's c x d whitened means. Both
+    allow the score vector, its finite mask and 128 KiB of small arrays and
+    ufunc buffers; a second block x c float64 array exceeds that."""
+    import tracemalloc
+
+    from oodgate import detectors
+
+    rows, c, d = 256, 512, 32
+    monkeypatch.setattr(detectors, "SCORE_CHUNK_ROWS", rows)
+    n = 3 * rows
+    rng = np.random.default_rng(3)
+    logits = (4.0 * rng.normal(size=(n, c))).astype(np.float32)
+    means = rng.normal(size=(c, d))
+    model = GaussianClassModel(means, np.eye(d), np.full(c, 3))
+    feats = (means[rng.integers(0, c, n)] + 0.3 * rng.normal(size=(n, d))).astype(np.float32)
+    block_c, block_d, small = rows * c * 8, rows * d * 8, n * 9 + 128 * 1024
+    calls = {
+        "msp": (lambda: score_msp(logits), 2 * block_c),
+        "ebm": (lambda: score_energy(logits, 0.75), 2 * block_c),
+        "mah": (lambda: score_mahalanobis(model, feats),
+                block_c + rows * c + 4 * block_d + c * d * 8),
+    }
+    for name, (call, held) in calls.items():
+        call()  # first-call allocations, scipy's import
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + small, (name, peak - held - small)
+
+
+def test_mahalanobis_overflowing_difference_is_a_numerical_error():
+    model = GaussianClassModel([[1e308, 0.0], [0.0, 1.0]], np.eye(2), [5, 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^a feature row minus a class mean overflows"):
+            score_mahalanobis(model, [[-1e308, 0.0], [0.0, 0.0]])
 
 
 def test_model_validation():

@@ -443,6 +443,29 @@ def test_imbalance_manifest_without_fit_table_raises_before_any_table_is_read(
         run_sweep(spec)
 
 
+def test_domain_manifest_without_fit_table_rejects_mah_before_any_table_is_read(
+    tmp_path, monkeypatch
+):
+    path = _manifest_world(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith("ID_FIT_DETECTOR")))
+    loaded = []
+    load = DatasetManifest.load
+
+    def recording_load(self, entry):
+        loaded.append(entry.path)
+        return load(self, entry)
+
+    monkeypatch.setattr(DatasetManifest, "load", recording_load)
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL, seed=3)
+    with pytest.raises(ValidationError, match="mahalanobis detector needs a fit table"):
+        run_sweep(spec)
+    assert loaded == []
+    # the logit detectors need no fit table
+    logit_only = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL[:2], seed=3)
+    assert len(run_sweep(logit_only).rows) == 4
+
+
 @pytest.mark.parametrize("axis, grid, bound", [
     (Axis.ACCURACY, (0.0, 0.2, 0.4), 2.0),
     (Axis.DOMAIN_DISTANCE, (0.5, 1.0, 2.0), 1.4),
