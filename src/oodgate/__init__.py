@@ -48,7 +48,6 @@ from .metrics import (
     Criterion,
     EvalReport,
     RocCurve,
-    accuracy_at_threshold,
     auroc,
     calibrate_threshold,
     evaluate,
@@ -102,7 +101,6 @@ __all__ = [
     "UnbalancedPowerlaw",
     "UnbalancedUniform",
     "ValidationError",
-    "accuracy_at_threshold",
     "auroc",
     "calibrate_threshold",
     "direct_mahalanobis_oracle",

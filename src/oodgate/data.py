@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import hashlib
 import math
 import struct
 import warnings
@@ -387,7 +386,7 @@ class DatasetManifest:
             raise ValidationError("manifest has no OOD_TEST entry")
         self.check_disjoint()
 
-    def check_disjoint(self, content_hash: bool = False) -> None:
+    def check_disjoint(self) -> None:
         fit = [e for e in self.entries if e.role is Role.ID_FIT_DETECTOR]
         test = [e for e in self.entries if e.role is Role.ID_TEST]
         for ef in fit:
@@ -395,13 +394,6 @@ class DatasetManifest:
                 if self.resolve(ef).resolve() == self.resolve(et).resolve():
                     raise ValidationError(
                         f"detector-fit and test entries share the path {ef.path!r}"
-                    )
-                if content_hash and _sha256(self.resolve(ef)) == _sha256(
-                    self.resolve(et)
-                ):
-                    raise ValidationError(
-                        f"detector-fit table {ef.path!r} and test table "
-                        f"{et.path!r} have identical contents"
                     )
 
     def write(self, path: str | Path) -> None:
@@ -449,14 +441,6 @@ class DatasetManifest:
                     raise ValidationError(f"line {lineno}: unknown format {fmt_text!r}")
                 entries.append(ManifestEntry(entry_path, role, fmt, ood_name))
         return DatasetManifest(tuple(entries), name=name, base_dir=path.parent)
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ in-distribution, so a single thresholding convention serves every method:
 ``msp`` and ``ebm`` read logits straight off a table; ``mah`` needs a
 :class:`GaussianClassModel` fitted on a labeled detector-fit table first.
 All arithmetic runs in float64 regardless of table storage precision, one
-block of :data:`SCORE_CHUNK_ROWS` rows at a time.
+row block of about :data:`BLOCK_BYTES` at a time.
 """
 
 from __future__ import annotations
@@ -33,13 +33,16 @@ from .errors import NumericalError, ValidationError
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
 
-#: Rows per block in all three scorers, the fit's residual pass and the
-#: synthetic worlds' logits. Only one block at a time is widened to float64,
-#: so each holds its input plus that block and one or two float64 working
-#: arrays of this many rows times c (or d) values. Every row's reductions run
-#: over that row alone, so no score, fitted value or logit depends on the
-#: block size.
-SCORE_CHUNK_ROWS = 4096
+#: Bytes of one float64 row block in all three scorers, the fit's residual
+#: pass and the synthetic worlds' logits: a block has ``max(2, BLOCK_BYTES //
+#: (8 * width))`` rows, ``width`` being the widest float64 row its caller builds
+#: (c for msp and ebm, d for the fit, ``max(c, d)`` for mah scoring and world
+#: logits). Only one block at a time is widened to float64, so each holds its
+#: input plus that block and one or two float64 working arrays of about this
+#: size, at any width. Every row's reductions run over that row alone, so no
+#: score, fitted value or logit depends on the block size. The paper's
+#: (c, d) = (142, 128) gets 4096-row blocks, d = 512 gets 1136.
+BLOCK_BYTES = 4096 * 142 * 8
 
 _MODEL_MAGIC = b"OODM"
 _MODEL_HEADER = struct.Struct("<4sIQQd")  # magic, version, c, d, ridge
@@ -115,19 +118,27 @@ def _floats(values) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _row_blocks(arr: np.ndarray, what: str):
+def _block_rows(width: int) -> int:
+    """Rows per block when the widest float64 row a block builds has
+    ``width`` values (taken as at least 1): as many as fit in
+    :data:`BLOCK_BYTES`, and at least 2."""
+    return max(2, BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def _row_blocks(arr: np.ndarray, what: str, width: int):
     """Yield ``(start, block)``: the rows of the 2-D array ``arr`` from
-    ``start`` in blocks of :data:`SCORE_CHUNK_ROWS`, as float64. A lone last
-    row joins the block before it: a one-row matrix product is a GEMV, which
-    rounds differently from the GEMM of its neighbours.
+    ``start`` in blocks of ``_block_rows(width)`` rows, as float64, where
+    ``width`` is the widest float64 row the caller builds per block row. A
+    lone last row joins the block before it: a one-row matrix product is a
+    GEMV, which rounds differently from the GEMM of its neighbours.
 
     Each block is checked finite in its own dtype before it is widened, which
     is exact for the dtypes :func:`_floats` keeps. A block of a float64 array
     is a view of it.
     """
-    n, start = arr.shape[0], 0
+    n, start, size = arr.shape[0], 0, _block_rows(width)
     while start < n:
-        stop = n if n - start <= SCORE_CHUNK_ROWS + 1 else start + SCORE_CHUNK_ROWS
+        stop = n if n - start <= size + 1 else start + size
         rows = arr[start:stop]
         if not np.isfinite(rows).all():
             raise ValidationError(f"{what} contain non-finite values")
@@ -168,7 +179,7 @@ def score_msp(logits: np.ndarray) -> ScoreSet:
     if arr.shape[1] < 2:
         raise ValidationError(f"msp needs c >= 2 logit columns, got {arr.shape[1]}")
     scores = np.empty(arr.shape[0])
-    for start, block in _row_blocks(arr, "logits"):
+    for start, block in _row_blocks(arr, "logits", arr.shape[1]):
         scores[start : start + len(block)] = 1.0 / _max_and_expsum(block)[1]
     return ScoreSet(Method.MSP, scores)
 
@@ -181,7 +192,7 @@ def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
         raise ValidationError(f"temperature must be finite and > 0, got {temperature}")
     arr = _logit_rows(logits)
     scores = np.empty(arr.shape[0])
-    for start, block in _row_blocks(arr, "logits"):
+    for start, block in _row_blocks(arr, "logits", arr.shape[1]):
         m, total = _max_and_expsum(block / temperature, overwrite=True)
         scores[start : start + len(block)] = temperature * (m + np.log(total))
     return ScoreSet(Method.EBM, scores)
@@ -294,7 +305,7 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     means = np.zeros((c, d))
     np.add.at(means, labels, feats)
     means /= counts[:, None]
-    for start, block in _row_blocks(feats, "features"):  # views of the float64 copy
+    for start, block in _row_blocks(feats, "features", d):  # views of the float64 copy
         block -= means[labels[start : start + len(block)]]  # within-class residuals
     covariance = (feats.T @ feats) / n
     covariance = (covariance + covariance.T) / 2.0
@@ -336,7 +347,8 @@ def _candidates(block, whiten, white_means2, mean_sq, mean_norm, scale):
 def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreSet:
     """Negative squared Mahalanobis distance to the closest class mean.
 
-    Rows go in blocks of :data:`SCORE_CHUNK_ROWS`. One GEMM per block in
+    Rows go in blocks of :data:`BLOCK_BYTES` over ``max(c, d)`` values a row
+    (the whitened rows are d wide, the estimates c). One GEMM per block in
     whitened coordinates picks each row's candidate classes
     (:func:`_candidates`); each candidate's distance is then the sum of
     squares of the triangular solve of ``x - mu_k`` against the precision
@@ -367,14 +379,20 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
         scale = 8 * model.d * np.finfo(np.float64).eps
         scale *= np.linalg.norm(factor) * np.linalg.norm(whiten)
     best = np.full(feats.shape[0], np.inf)
-    for start, block in _row_blocks(feats, "features"):
+    width = max(model.c, model.d)
+    chunk = _block_rows(width)
+    for start, block in _row_blocks(feats, "features", width):
         rows, classes = _candidates(block, whiten, white_means2, mean_sq, mean_norm, scale)
         # A one-column triangular solve rounds differently from a wider one, so,
         # as when every row is solved at once, a one-row input is refined one
         # column at a time and a wider input never is: each of its blocks has
         # two or more rows, so k >= 2 candidates, split evenly into chunks of at
-        # most SCORE_CHUNK_ROWS.
-        chunks = rows.size if feats.shape[0] == 1 else -(-rows.size // SCORE_CHUNK_ROWS)
+        # most a block's rows (so a chunk's gathered rows fit in BLOCK_BYTES)
+        # and at least 2: only 2-row blocks get 3-row chunks that way.
+        if feats.shape[0] == 1:
+            chunks = rows.size
+        else:
+            chunks = min(-(-rows.size // chunk), rows.size // 2)
         for r, k in zip(np.array_split(rows, chunks), np.array_split(classes, chunks)):
             diff = block[r]
             with np.errstate(over="ignore"):

@@ -126,15 +126,6 @@ def calibrate_threshold(
     return _calibrated(*_cuts(id_scores, ood_scores), criterion, target_tpr)[1:]
 
 
-def accuracy_at_threshold(
-    id_scores: ScoreSet, ood_scores: ScoreSet, threshold: float
-) -> float:
-    """(ID accepted + OOD rejected) / total, with acceptance at score >= t."""
-    id_s, ood_s = _check_pair(id_scores, ood_scores)
-    correct = int((id_s >= threshold).sum()) + int((ood_s < threshold).sum())
-    return correct / (id_s.size + ood_s.size)
-
-
 def five_number_summary(scores: ScoreSet) -> tuple[float, float, float, float, float]:
     """(min, Q1, median, Q3, max) with linear interpolation at p*(n-1)."""
     s = scores.scores if isinstance(scores, ScoreSet) else np.asarray(scores, dtype=np.float64)
@@ -195,7 +186,7 @@ def evaluate(
         threshold=threshold,
         tpr_at_threshold=tpr,
         fpr_at_threshold=fpr,
-        # ID accepted plus OOD rejected, as accuracy_at_threshold counts them
+        # ID accepted plus OOD rejected; a score equal to the cut is accepted
         accuracy_at_threshold=int(tp[i] + n_ood - fp[i]) / (n_id + n_ood),
         id_quartiles=five_number_summary(id_scores),
         ood_quartiles=five_number_summary(ood_scores),

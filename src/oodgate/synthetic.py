@@ -19,9 +19,10 @@ pure function of the spec.
 No whole table is ever held in float64. The split rows are worked out from
 the labels before any sample exists, each class is drawn straight into its
 rows of the three float32 split arrays, the centers are means of per-class
-row slices, and logits are computed one
-:data:`~oodgate.detectors.SCORE_CHUNK_ROWS` block at a time. Generation peaks
-at about the float32 bytes of the returned world plus one float64 block.
+row slices, and logits are computed one float64 row block at a time, a
+block holding :data:`~oodgate.detectors.BLOCK_BYTES` over ``max(c, d)`` values
+a row. Generation peaks at about the float32 bytes of the returned world plus
+one such block.
 
 This module also houses the brute-force oracles used to verify the fast
 paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
@@ -229,10 +230,11 @@ def _log_density_logits(
     features: np.ndarray, centers: np.ndarray, sigma: float
 ) -> np.ndarray:
     """float32 ``-||x - center_k||^2 / (2 sigma^2)``, one float64 row block at
-    a time (the blocks' GEMMs give the bits of one whole-table GEMM)."""
+    a time (the blocks' GEMMs give the bits of one whole-table GEMM); a block
+    holds d-wide rows and their c-wide products."""
     out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
     center_sq = np.sum(centers * centers, axis=1)
-    for start, x in _row_blocks(features, "features"):  # x: a copy of float32 rows
+    for start, x in _row_blocks(features, "features", max(centers.shape)):  # a float64 copy
         g = x @ centers.T
         g *= 2.0  # exact: the bits of (2.0 * x) @ centers.T
         x *= x

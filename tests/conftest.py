@@ -23,3 +23,15 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """``block_rows(rows, width)`` sets the row-block budget to ``rows`` rows
+    of ``width`` float64 values, for the rest of the test."""
+    from oodgate import detectors
+
+    def set_rows(rows, width):
+        monkeypatch.setattr(detectors, "BLOCK_BYTES", rows * 8 * width)
+
+    return set_rows

@@ -37,7 +37,7 @@ from oodgate import (
     score_table,
     write_scores,
 )
-from oodgate.detectors import SCORE_CHUNK_ROWS, _row_blocks
+from oodgate.detectors import _block_rows, _row_blocks
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -329,26 +329,43 @@ def test_mahalanobis_near_ties_match_per_class_solves(seed, d, c, squashed, ridg
     np.testing.assert_allclose(fast, oracle, rtol=1e-8, atol=1e-8)
 
 
-def test_row_blocks_fold_a_lone_last_row():
+def test_block_rows_from_the_byte_budget():
+    """Paper-scale stages, (c, d) = (142, 128), keep 4096-row blocks; wider
+    rows get fewer, and a block never has fewer than 2 rows."""
+    assert _block_rows(142) == 4096
+    assert _block_rows(512) == 1136
+    assert _block_rows(2048) == 284
+    assert _block_rows(10**9) == 2
+
+
+def test_row_blocks_fold_a_lone_last_row(block_rows):
     """No block is one row of a wider input: that row's products would be
     GEMVs, which round differently from the GEMM of the rows around it."""
-    chunk = SCORE_CHUNK_ROWS
+    chunk = 4096
+    block_rows(chunk, 1)
     cases = {1: [1], 2: [2], chunk: [chunk], chunk + 1: [chunk + 1],
              chunk + 2: [chunk, 2], 2 * chunk + 1: [chunk, chunk + 1]}
     for n, sizes in cases.items():
-        blocks = list(_row_blocks(np.zeros((n, 1), np.float32), "features"))
+        blocks = list(_row_blocks(np.zeros((n, 1), np.float32), "features", 1))
         assert [len(b) for _, b in blocks] == sizes
         assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
 
 
-def test_mahalanobis_one_row_last_block(rng):
+def test_mahalanobis_one_row_last_block(rng, block_rows):
     """A lone last row is refined as part of a wide input, which for some
-    rows differs in the last bit from a one-column solve."""
+    rows differs in the last bit from a one-column solve. With 2-row blocks,
+    the 3-row last block's candidates are refined as one chunk, not 2 + 1."""
     model = fit_mahalanobis(table_from(rng.normal(size=(60, 8)), rng.integers(0, 3, 60)))
-    queries = rng.normal(size=(SCORE_CHUNK_ROWS + 30, 8))
+    chunk = 4096
+    block_rows(chunk, 8)
+    queries = rng.normal(size=(chunk + 30, 8))
     reference = per_class_scores(model, queries)
-    for last in range(SCORE_CHUNK_ROWS, SCORE_CHUNK_ROWS + 30):
-        rows = np.r_[:SCORE_CHUNK_ROWS, last]
+    for last in range(chunk, chunk + 30):
+        rows = np.r_[:chunk, last]
+        assert score_mahalanobis(model, queries[rows]).scores.tobytes() == reference[rows].tobytes()
+    block_rows(2, 8)
+    for start in range(0, 90, 3):
+        rows = np.r_[start : start + 3]
         assert score_mahalanobis(model, queries[rows]).scores.tobytes() == reference[rows].tobytes()
 
 
@@ -368,7 +385,8 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     import hashlib
 
     c, d, n = 142, 128, 8195
-    assert n == 2 * SCORE_CHUNK_ROWS + 3
+    chunk = _block_rows(max(c, d))
+    assert n == 2 * chunk + 3
     rng = np.random.default_rng(20261018)
     mix = rng.normal(size=(d, d)) / np.sqrt(d)
     means = 3.0 * rng.normal(size=(c, d)) / np.sqrt(d)
@@ -376,7 +394,7 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     queries = means[rng.integers(0, c, n)] + rng.normal(size=(n, d))
     full = score_mahalanobis(model, queries)
     # parts of 2, chunk + 1 (a lone last row), chunk - 2 and 2 rows
-    cuts = [0, 2, SCORE_CHUNK_ROWS + 3, 2 * SCORE_CHUNK_ROWS + 1, n]
+    cuts = [0, 2, chunk + 3, 2 * chunk + 1, n]
     parts = [score_mahalanobis(model, queries[a:b]).scores for a, b in zip(cuts, cuts[1:])]
     assert full.scores.tobytes() == np.concatenate(parts).tobytes()
     path = tmp_path / "s.csv"
@@ -410,9 +428,10 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
     # c=142 over two whole row blocks plus 3 rows, cut as in the Mahalanobis
     # case (one part ends in a lone row); digests recorded with the
     # scorers that widened and reduced the whole input at once
-    n = 2 * SCORE_CHUNK_ROWS + 3
+    chunk = _block_rows(142)
+    n = 2 * chunk + 3
     wide = np.random.default_rng(20261019).normal(size=(n, 142)) * 10
-    cuts = [0, 2, SCORE_CHUNK_ROWS + 3, 2 * SCORE_CHUNK_ROWS + 1, n]
+    cuts = [0, 2, chunk + 3, 2 * chunk + 1, n]
     pinned = {
         ("float32", "msp"): "897dc30feb730c150b9aca06792fe33887bacc8c61309fad1bbe5084b7d8632c",
         ("float32", "ebm"): "f65d488480874f2ad5c9d2285f8fce05a2227daf565b112b37916bad9c86b6a1",
@@ -429,8 +448,9 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
         assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
 
 
-def test_peak_memory_does_not_grow_with_rows():
-    """Traced allocation peaks on float32 input of 3 and of 12 row blocks.
+def test_peak_memory_does_not_grow_with_rows(block_rows):
+    """Traced allocation peaks on float32 input of 3 and of 12 row blocks of
+    4096 rows.
 
     Past the float64 score vector (8 bytes a row, plus ScoreSet's 1-byte
     finite mask) and, for the fit, its one float64 copy of the features and
@@ -446,18 +466,19 @@ def test_peak_memory_does_not_grow_with_rows():
     score_mahalanobis(fit_mahalanobis(warm), np.zeros((2, 4)))  # imports scipy
 
     def peaks(blocks):
-        n = blocks * SCORE_CHUNK_ROWS
+        n = blocks * 4096
         logits = rng.normal(size=(n, c)).astype(np.float32)
         table = FeatureTable(rng.normal(size=(n, d)), None, np.arange(n) % c)
         model = fit_mahalanobis(table)
-        calls = {
-            "msp": lambda: score_msp(logits),
-            "ebm": lambda: score_energy(logits, 2.0),
-            "mah": lambda: score_mahalanobis(model, table.features),
-            "fit": lambda: fit_mahalanobis(table),
+        calls = {  # each with the width its blocks are sized by
+            "msp": (lambda: score_msp(logits), c),
+            "ebm": (lambda: score_energy(logits, 2.0), c),
+            "mah": (lambda: score_mahalanobis(model, table.features), max(c, d)),
+            "fit": (lambda: fit_mahalanobis(table), d),
         }
         found = {}
-        for name, call in calls.items():
+        for name, (call, width) in calls.items():
+            block_rows(4096, width)
             tracemalloc.start()
             try:
                 call()
@@ -467,17 +488,15 @@ def test_peak_memory_does_not_grow_with_rows():
         return found
 
     small, large = peaks(3), peaks(12)
-    added = 9 * SCORE_CHUNK_ROWS
+    added = 9 * 4096
     for name in small:
         per_row = 8 * (d + 1) if name == "fit" else 9
         assert large[name] - small[name] <= added * per_row + 64 * 1024, name
 
 
-def test_results_do_not_depend_on_the_block_size(monkeypatch):
+def test_results_do_not_depend_on_the_block_size(block_rows):
     """No score, fitted value or world logit changes by a bit with the rows
     per block, and no scorer writes into a float64 input."""
-    from oodgate import detectors
-
     spec = SyntheticSpec(classes=40, dim=96, class_separation=3.0, law=Balanced(30), seed=11)
 
     def results():
@@ -494,12 +513,14 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         return [a.tobytes() for a in out]
 
     reference = results()
-    for rows in (2, 5, 17, 64, 257, 4096):
-        monkeypatch.setattr(detectors, "SCORE_CHUNK_ROWS", rows)
+    # rows per block at d=96 (mah, the fit and world logits); msp and ebm, at
+    # c=40, get 2.4 times as many, and 2 rows at a budget of 1 row
+    for rows in (1, 2, 5, 17, 64, 257, 4096):
+        block_rows(rows, 96)
         assert results() == reference, rows
 
 
-def test_each_block_holds_one_widened_copy_and_one_working_array(monkeypatch):
+def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows):
     """Traced peaks over 3 blocks of float32 rows at a wide c: msp and ebm
     hold the float64 block plus one block x c array (``x - max``, then its
     exp); mah holds the float64 block, its whitened rows, one block x c
@@ -509,10 +530,8 @@ def test_each_block_holds_one_widened_copy_and_one_working_array(monkeypatch):
     ufunc buffers; a second block x c float64 array exceeds that."""
     import tracemalloc
 
-    from oodgate import detectors
-
     rows, c, d = 256, 512, 32
-    monkeypatch.setattr(detectors, "SCORE_CHUNK_ROWS", rows)
+    block_rows(rows, max(c, d))
     n = 3 * rows
     rng = np.random.default_rng(3)
     logits = (4.0 * rng.normal(size=(n, c))).astype(np.float32)
@@ -535,6 +554,45 @@ def test_each_block_holds_one_widened_copy_and_one_working_array(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= held + small, (name, peak - held - small)
+
+
+def test_wide_rows_peak_within_a_few_block_bytes():
+    """At c = 1024 (d = 1024 for world logits, 512 for mah) a block is 567
+    rows, where 4096 rows would be 7 times the byte budget. Beyond what a
+    call returns or needs once per call (the score vector and its finite
+    mask, the float32 logits, mah's d x d whitening, its identity and its
+    c x d whitened means), each traced peak stays within 4 block budgets: a
+    block, its working array and the refinement's gathered rows. 3000 rows in
+    one block exceed that."""
+    import tracemalloc
+
+    from oodgate.detectors import BLOCK_BYTES
+    from oodgate.synthetic import _log_density_logits
+
+    n, c, d = 3000, 1024, 1024
+    rng = np.random.default_rng(5)
+    logits = (4.0 * rng.normal(size=(n, c))).astype(np.float32)
+    centers = rng.normal(size=(c, d))
+    feats = (centers[rng.integers(0, c, n)] + rng.normal(size=(n, d))).astype(np.float32)
+    narrow, m = np.ascontiguousarray(feats[:, :512]), 512  # mah's solves cost d^3
+    model = GaussianClassModel(centers[:, :m], np.eye(m), np.full(c, 3))
+    scores = n * 9
+    calls = {
+        "msp": (lambda rows: score_msp(logits[rows]), scores),
+        "ebm": (lambda rows: score_energy(logits[rows], 0.75), scores),
+        "mah": (lambda rows: score_mahalanobis(model, narrow[rows]),
+                scores + 2 * m * m * 8 + c * m * 8),
+        "logits": (lambda rows: _log_density_logits(feats[rows], centers, 1.0), n * c * 4),
+    }
+    for name, (call, held) in calls.items():
+        call(slice(2))  # first-call allocations, scipy's import
+        tracemalloc.start()
+        try:
+            call(slice(None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + 4 * BLOCK_BYTES, (name, (peak - held) / BLOCK_BYTES)
 
 
 def test_mahalanobis_overflowing_difference_is_a_numerical_error():

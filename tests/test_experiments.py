@@ -470,10 +470,11 @@ def test_domain_manifest_without_fit_table_rejects_mah_before_any_table_is_read(
     (Axis.ACCURACY, (0.0, 0.2, 0.4), 2.0),
     (Axis.DOMAIN_DISTANCE, (0.5, 1.0, 2.0), 1.4),
 ])
-def test_sweep_peak_memory_near_one_world(axis, grid, bound):
+def test_sweep_peak_memory_near_one_world(axis, grid, bound, block_rows):
     """A sweep keeps of each world only the tables it scores, and of those
     only the last grid point's while the next world is drawn: the traced
-    peak of a three-point sweep stays near the float32 bytes of one world.
+    peak of a three-point sweep, with blocks of 4096 rows at its d=32, stays
+    near the float32 bytes of one world.
 
     A provider that holds its world while the next level is drawn, or holds
     the classifier-train split it never yields, adds most of a world.
@@ -483,6 +484,7 @@ def test_sweep_peak_memory_near_one_world(axis, grid, bound):
     import scipy.linalg  # noqa: F401  (mah imports it on first use)
 
     base = world_spec(classes=8, dim=32, law=Balanced(4000), seed=2)
+    block_rows(4096, 32)
     detectors = (DetectorConfig(Method.EBM), DetectorConfig(Method.MAH))
     world = generate_world(base, ood_distances=grid if axis == Axis.DOMAIN_DISTANCE else None)
     tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]

@@ -14,7 +14,6 @@ from oodgate import (
     Method,
     ScoreSet,
     ValidationError,
-    accuracy_at_threshold,
     auroc,
     calibrate_threshold,
     evaluate,
@@ -190,19 +189,30 @@ def test_youden_beats_every_observed_cut(id_scores, ood_scores):
 
 
 # ---------------------------------------------------------------------------
-# accuracy_at_threshold
+# evaluate's accuracy at its threshold: (ID accepted + OOD rejected) / total,
+# a score equal to the threshold counting as accepted
 
 
 def test_accuracy_perfect_interior():
-    assert accuracy_at_threshold(ss([3.0, 2.0]), ss([1.0, 0.0]), 1.5) == 1.0
+    report = evaluate(ss([3.0, 2.0]), ss([1.0, 0.0]))
+    assert (report.threshold, report.accuracy_at_threshold) == (2.0, 1.0)
 
 
 def test_accuracy_hand_count():
-    assert accuracy_at_threshold(ss([3.0, 1.0]), ss([2.0, 0.0]), 2.0) == 0.5
+    # Youden ties cuts 3 and 1 (J = 0.5) and takes the smaller: at 1 both ID
+    # scores are accepted, the OOD 2 is accepted and the OOD 0 rejected
+    report = evaluate(ss([3.0, 1.0]), ss([2.0, 0.0]))
+    assert (report.threshold, report.accuracy_at_threshold) == (1.0, 0.75)
+    # the largest cut with TPR >= 0.5 is 3: one ID accepted, both OOD rejected
+    report = evaluate(ss([3.0, 1.0]), ss([2.0, 0.0]), Criterion.FPR_AT_TPR, 0.5)
+    assert (report.threshold, report.accuracy_at_threshold) == (3.0, 0.75)
 
 
 def test_accuracy_all_identical():
-    assert accuracy_at_threshold(ss([5.0] * 3), ss([5.0] * 7), 5.0) == 0.3
+    # the one cut is 5: every ID score and every OOD score equals it, so all
+    # are accepted, the 3 ID rightly and the 7 OOD wrongly
+    report = evaluate(ss([5.0] * 3), ss([5.0] * 7))
+    assert (report.threshold, report.accuracy_at_threshold) == (5.0, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from oodgate import (
     score_mahalanobis,
 )
 from oodgate import synthetic
-from oodgate.detectors import SCORE_CHUNK_ROWS
 
 
 def small_spec(**kw):
@@ -234,13 +233,7 @@ def _digest_world(name):
     return generate_world(spec, n_ood=9)
 
 
-@pytest.mark.parametrize("name", list(WORLD_SHA256))
-def test_world_bytes_pinned(name):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        world = _digest_world(name)
-    expected = TINY_CLASS_WARNINGS if name == "tiny-classes" else []
-    assert [str(w.message) for w in caught] == expected
+def _world_sha256(world):
     tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
     h = hashlib.sha256()
     for table in tables:
@@ -248,15 +241,32 @@ def test_world_bytes_pinned(name):
             h.update(arr.tobytes())
     h.update(world.classifier_centers.tobytes())
     h.update(repr(world.classifier_accuracy).encode())
-    assert h.hexdigest() == WORLD_SHA256[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(WORLD_SHA256))
+def test_world_bytes_pinned(name, block_rows):
+    """Each world is drawn with the production block budget, then with the
+    4096-row blocks at its width whose edges the sizes above sit on."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        world = _digest_world(name)
+    expected = TINY_CLASS_WARNINGS if name == "tiny-classes" else []
+    assert [str(w.message) for w in caught] == expected
+    assert _world_sha256(world) == WORLD_SHA256[name]
+    block_rows(4096, max(world.id_train.c, world.id_train.d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _world_sha256(_digest_world(name)) == WORLD_SHA256[name]
     if name == "empty-class":  # the global-mean fallback ran
         assert np.bincount(world.id_train.labels, minlength=30).min() == 0
     if name == "powerlaw":
-        assert world.id_train.n > SCORE_CHUNK_ROWS + 1
+        assert world.id_train.n > 4096 + 1
 
 
-def test_generate_world_peak_memory_near_world_bytes():
-    """The traced peak stays within 1.5 times the float32 world it returns.
+def test_generate_world_peak_memory_near_world_bytes(block_rows):
+    """The traced peak stays within 1.5 times the float32 world it returns,
+    with blocks of 4096 rows at its d=32.
 
     Each class is drawn straight into its rows of the three split arrays,
     and logits take one float64 block at a time, so generation holds about
@@ -267,6 +277,7 @@ def test_generate_world_peak_memory_near_world_bytes():
     import tracemalloc
 
     spec = SyntheticSpec(classes=8, dim=32, law=Balanced(6000), seed=2)
+    block_rows(4096, 32)
     generate_world(small_spec())  # first-call allocations are not the world's
     tracemalloc.start()
     try:
