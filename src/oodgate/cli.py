@@ -164,9 +164,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    method = Method(args.method)
-    if method is not Method.MAH:
-        raise ValidationError(f"{method.value} has no fitting step; only mah is fitted")
+    config = DetectorConfig(Method(args.method), ridge=args.ridge)  # before any read
+    if config.method is not Method.MAH:
+        raise ValidationError(f"{config.method.value} has no fitting step; only mah is fitted")
     if args.manifest:
         manifest = DatasetManifest.read(args.manifest)
         table = manifest.load(manifest.single(Role.ID_FIT_DETECTOR))
@@ -174,21 +174,20 @@ def cmd_fit(args) -> int:
         table = _read_table(args.input, args.format)
     else:
         raise ValidationError("fit needs --input TABLE or --manifest MANIFEST")
-    model = fit_mahalanobis(table, args.ridge)
+    model = fit_mahalanobis(table, config.ridge)
     save_model(model, args.out)
     log.info("wrote %s", args.out)
     return 0
 
 
 def cmd_score(args) -> int:
-    method = Method(args.method)
-    table = _read_table(args.input, args.format)
+    config = DetectorConfig(Method(args.method), temperature=args.temperature)
     model = None
-    if method is Method.MAH:
+    if config.method is Method.MAH:
         if not args.model:
             raise ValidationError("mah scoring needs --model MODEL")
         model = load_model(args.model)
-    config = DetectorConfig(method, temperature=args.temperature)
+    table = _read_table(args.input, args.format)  # after every flag check
     scores = score_table(config, table, model)
     write_scores(scores, args.out)
     log.info("wrote %s", args.out)

@@ -166,9 +166,6 @@ class FeatureTable:
             )
         return same
 
-    def __hash__(self):  # pragma: no cover - tables are not dict keys
-        return hash((self.n, self.d, self.c))
-
     def __repr__(self) -> str:
         return f"FeatureTable(n={self.n}, d={self.d}, c={self.c})"
 
@@ -384,9 +381,6 @@ class DatasetManifest:
         self.single(Role.ID_TEST)
         if not self.ood_entries():
             raise ValidationError("manifest has no OOD_TEST entry")
-        self.check_disjoint()
-
-    def check_disjoint(self) -> None:
         fit = [e for e in self.entries if e.role is Role.ID_FIT_DETECTOR]
         test = [e for e in self.entries if e.role is Role.ID_TEST]
         for ef in fit:

@@ -307,8 +307,7 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     means /= counts[:, None]
     for start, block in _row_blocks(feats, "features", d):  # views of the float64 copy
         block -= means[labels[start : start + len(block)]]  # within-class residuals
-    covariance = (feats.T @ feats) / n
-    covariance = (covariance + covariance.T) / 2.0
+    covariance = (feats.T @ feats) / n  # numpy's SYRK: exactly symmetric
     return GaussianClassModel(means, covariance, counts, ridge)
 
 
@@ -451,5 +450,5 @@ def load_model(path: str | Path) -> GaussianClassModel:
             bad = int(np.argmax(wraps))
             raise ValidationError(f"per-class count out of range for class {bad}")
         cov64 = cov.astype(np.float64)
-        cov64 = (cov64 + cov64.T) / 2.0  # binary32 quantization can break symmetry
+        cov64 = (cov64 + cov64.T) / 2.0  # for foreign files: binary32 keeps ours symmetric
         return GaussianClassModel(means, cov64, counts, ridge)

@@ -121,9 +121,6 @@ class SweepRow:
     n_id: int
     n_ood: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -131,10 +128,10 @@ class SweepResult:
     provenance: dict
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_dict()) + "\n" for r in self.rows)
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.rows)
 
     def to_summary_json(self, timestamp: str | None = None) -> str:
-        obj = {"provenance": self.provenance, "rows": [r.to_dict() for r in self.rows]}
+        obj = {"provenance": self.provenance, "rows": [asdict(r) for r in self.rows]}
         if timestamp is not None:
             obj["timestamp"] = timestamp
         return json.dumps(obj, indent=2) + "\n"

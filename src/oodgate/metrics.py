@@ -51,19 +51,15 @@ class RocCurve:
         object.__setattr__(self, "fpr", fp)
 
 
-def _check_pair(id_scores: ScoreSet, ood_scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
-    if id_scores.method != ood_scores.method:
-        raise ValidationError(
-            f"score sets disagree on method: {id_scores.method} vs {ood_scores.method}"
-        )
-    return id_scores.scores, ood_scores.scores
-
-
 def _cuts(id_scores: ScoreSet, ood_scores: ScoreSet):
     """Every observed score as a cut, descending, with the ID (``tp``) and
     OOD (``fp``) counts accepted (score >= cut) at each; the last cut, the
     smallest score, accepts every sample."""
-    id_s, ood_s = _check_pair(id_scores, ood_scores)
+    if id_scores.method != ood_scores.method:
+        raise ValidationError(
+            f"score sets disagree on method: {id_scores.method} vs {ood_scores.method}"
+        )
+    id_s, ood_s = id_scores.scores, ood_scores.scores
     cuts = np.unique(np.concatenate([id_s, ood_s]))[::-1]  # tie groups merged
     tp = id_s.size - np.searchsorted(np.sort(id_s), cuts, side="left")
     fp = ood_s.size - np.searchsorted(np.sort(ood_s), cuts, side="left")
@@ -126,12 +122,9 @@ def calibrate_threshold(
     return _calibrated(*_cuts(id_scores, ood_scores), criterion, target_tpr)[1:]
 
 
-def five_number_summary(scores: ScoreSet) -> tuple[float, float, float, float, float]:
+def _quartiles(scores: ScoreSet) -> tuple[float, float, float, float, float]:
     """(min, Q1, median, Q3, max) with linear interpolation at p*(n-1)."""
-    s = scores.scores if isinstance(scores, ScoreSet) else np.asarray(scores, dtype=np.float64)
-    if s.size == 0:
-        raise ValidationError("cannot summarize an empty score set")
-    q = np.quantile(s, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
+    q = np.quantile(scores.scores, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
     return tuple(float(v) for v in q)
 
 
@@ -153,18 +146,16 @@ class EvalReport:
         if self.auroc == 1.0 and self.fpr95 != 0.0:
             raise ValidationError("auroc = 1 requires fpr95 = 0")
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
         def quart(q):
             return {"min": q[0], "q1": q[1], "median": q[2], "q3": q[3], "max": q[4]}
 
-        return {
+        obj = {
             **asdict(self),
             "id_quartiles": quart(self.id_quartiles),
             "ood_quartiles": quart(self.ood_quartiles),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(obj, indent=2) + "\n"
 
 
 def evaluate(
@@ -188,8 +179,8 @@ def evaluate(
         fpr_at_threshold=fpr,
         # ID accepted plus OOD rejected; a score equal to the cut is accepted
         accuracy_at_threshold=int(tp[i] + n_ood - fp[i]) / (n_id + n_ood),
-        id_quartiles=five_number_summary(id_scores),
-        ood_quartiles=five_number_summary(ood_scores),
+        id_quartiles=_quartiles(id_scores),
+        ood_quartiles=_quartiles(ood_scores),
         n_id=n_id,
         n_ood=n_ood,
     )

@@ -242,6 +242,7 @@ def _log_density_logits(
         g += center_sq
         g /= -2.0 * sigma * sigma
         out[start : start + len(x)] = g
+        del x, g  # so the next block is widened with neither alive
     return out
 
 

@@ -29,8 +29,8 @@ from oodgate import (
     calibrate_threshold,
     direct_mahalanobis_oracle,
     direct_pooled_covariance,
+    evaluate,
     fit_mahalanobis,
-    five_number_summary,
     fpr_at_tpr,
     pairwise_auroc_oracle,
     roc_curve,
@@ -158,9 +158,9 @@ def test_criterion_4_metric_hand_cases():
     a = auroc(roc_curve(ss([3.0, 1.0]), ss([2.0, 0.0])))
     f = fpr_at_tpr(roc_curve(ss([5.0, 4.0, 3.0, 2.0, 1.0]), ss([1.5, 0.5])), 0.95)
     threshold, _, _ = calibrate_threshold(ss([3.0, 2.0]), ss([1.0, 0.0]))
-    q4 = five_number_summary(ss([1.0, 2.0, 3.0, 4.0]))
-    q5 = five_number_summary(ss([1.0, 2.0, 3.0, 4.0, 5.0]))
-    singleton = five_number_summary(ss([7.0]))
+    q4 = evaluate(ss([1.0, 2.0, 3.0, 4.0]), ss([0.0])).id_quartiles
+    q5 = evaluate(ss([1.0, 2.0, 3.0, 4.0, 5.0]), ss([0.0])).id_quartiles
+    singleton = evaluate(ss([0.0]), ss([7.0])).ood_quartiles
     ok = (
         a == 0.75
         and f == 0.5

@@ -247,6 +247,40 @@ def test_missing_required_input_exits_2(world_dir, tmp_path, capsys, argv, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["score", "--method", "mah"], "mah scoring needs --model MODEL"),
+        (["score", "--method", "ebm", "--temperature", "0"],
+         "temperature must be finite and > 0, got 0.0"),
+        (["fit", "--ridge", "-1"], "ridge must be finite and >= 0, got -1.0"),
+        (["fit", "--manifest", "MISSING", "--ridge", "inf"],
+         "ridge must be finite and >= 0, got inf"),
+    ],
+    ids=["score-mah-no-model", "score-temperature-0", "fit-ridge-negative",
+         "fit-manifest-ridge-inf"],
+)
+def test_bad_flag_exits_2_before_any_read(tmp_path, capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("read an input before checking the flags")
+
+    monkeypatch.setattr(oodgate.cli, "read_feature_table", refuse)
+    monkeypatch.setattr(DatasetManifest, "read", refuse)
+    missing = str(tmp_path / "missing.oodf")
+    argv = [missing if a == "MISSING" else a for a in argv]
+    assert run(*argv, "--input", missing, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_calibrate_tpr_target_out_of_range_exits_2(tmp_path, capsys):
+    write_score_csv(tmp_path / "id.csv", [3.0, 2.0])
+    write_score_csv(tmp_path / "ood.csv", [1.0, 0.0])
+    assert run("calibrate", "--id-scores", str(tmp_path / "id.csv"),
+               "--ood-scores", str(tmp_path / "ood.csv"),
+               "--criterion", "fpr-at-tpr", "--target", "0") == 2
+    assert capsys.readouterr().err == "error: target TPR must be in (0,1], got 0.0\n"
+
+
 def test_missing_input_exits_3(tmp_path):
     assert run("score", "--input", str(tmp_path / "absent.oodf"), "--method", "ebm",
                "--out", str(tmp_path / "s.csv")) == 3
@@ -281,6 +315,8 @@ def test_sweep_bad_list_item_exits_2(tmp_path, capsys, argv, item):
           "--n-per-side", "-5"], "n_per_side must be >= 1, got -5"),
         (["sweep", "--axis", "accuracy", "--grid", "0.1", "--classes", "3", "--dim", "4",
           "--n-per-side", "0"], "n_per_side must be >= 1, got 0"),
+        (["synth", "--classes", "3", "--dim", "4", "--law", "balanced:0"],
+         "balanced law needs per_class >= 1"),
     ],
 )
 def test_bad_world_input_exits_2_before_any_draw(

@@ -519,3 +519,22 @@ def test_split_policy_validates_fractions():
         SplitPolicy(train_fraction=1.0)
     with pytest.raises(ValidationError):
         SplitPolicy(detector_vs_test_fraction=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SplitPolicy(seed=-1), "seed must be a nonnegative integer"),
+        (lambda: FeatureTable(np.zeros(3), None, np.zeros(3)),
+         "features must be 2-D, got shape (3,)"),
+        (lambda: FeatureTable(np.zeros((3, 2)), np.zeros((2, 4)), np.zeros(3)),
+         "logits shape (2, 4) does not match n=3"),
+        (lambda: FeatureTable(np.zeros((3, 2)), None, np.zeros((3, 1))),
+         "labels shape (3, 1) does not match n=3"),
+    ],
+    ids=["split-seed", "features-1d", "logit-rows", "label-shape"],
+)
+def test_table_and_split_input_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValidationError, message)

@@ -561,9 +561,10 @@ def test_wide_rows_peak_within_a_few_block_bytes():
     rows, where 4096 rows would be 7 times the byte budget. Beyond what a
     call returns or needs once per call (the score vector and its finite
     mask, the float32 logits, mah's d x d whitening, its identity and its
-    c x d whitened means), each traced peak stays within 4 block budgets: a
-    block, its working array and the refinement's gathered rows. 3000 rows in
-    one block exceed that."""
+    c x d whitened means), each traced peak stays within 2.5 block budgets: a
+    block and its working array, or, for mah, the refinement's gathered rows
+    too. The world logits release each block before the next is widened.
+    3000 rows in one block exceed that."""
     import tracemalloc
 
     from oodgate.detectors import BLOCK_BYTES
@@ -592,7 +593,48 @@ def test_wide_rows_peak_within_a_few_block_bytes():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= held + 4 * BLOCK_BYTES, (name, (peak - held) / BLOCK_BYTES)
+        assert peak <= held + 2.5 * BLOCK_BYTES, (name, (peak - held) / BLOCK_BYTES)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: score_msp(np.zeros(3)), "logits must be 2-D (rows of logits), got (3,)"),
+        # integer logits are widened to float64 before the shape check
+        (lambda: score_msp(np.arange(3)), "logits must be 2-D (rows of logits), got (3,)"),
+        (lambda: GaussianClassModel(np.zeros((2, 2)), np.eye(3), np.ones(2)),
+         "covariance shape (3, 3) does not match d=2"),
+        (lambda: GaussianClassModel(np.zeros((2, 2)), np.eye(2), np.ones(3)),
+         "per_class_counts length must equal class count"),
+    ],
+    ids=["msp-1d", "msp-1d-integer", "covariance-shape", "count-shape"],
+)
+def test_logit_and_model_shape_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+
+def test_integer_logits_score_as_their_float64_values():
+    ints = np.array([[1, 2, 3], [0, 0, 0]])
+    assert score_msp(ints).scores.tobytes() == score_msp(ints.astype(float)).scores.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, d, c",
+    [(1, 3, 1), (4, 2, 3), (160, 96, 40), (300, 16, 20), (4800, 32, 8), (49152, 8, 16),
+     (20000, 128, 142)],
+)
+def test_fitted_covariance_is_exactly_symmetric(n, d, c):
+    """numpy computes ``feats.T @ feats`` with SYRK, which fills one triangle
+    and mirrors it, so the fit needs no symmetrizing pass. The shapes are
+    ones the other tests fit, a one-row fit, and 20000 x 128 in 5 blocks."""
+    rng = np.random.default_rng(n)
+    table = FeatureTable(rng.normal(size=(n, d)), None, np.arange(n) % c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n <= d warns
+        cov = fit_mahalanobis(table).covariance
+    assert cov.tobytes() == cov.T.tobytes()
 
 
 def test_mahalanobis_overflowing_difference_is_a_numerical_error():

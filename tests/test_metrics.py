@@ -12,12 +12,12 @@ from oodgate import (
     Criterion,
     EvalReport,
     Method,
+    RocCurve,
     ScoreSet,
     ValidationError,
     auroc,
     calibrate_threshold,
     evaluate,
-    five_number_summary,
     fpr_at_tpr,
     pairwise_auroc_oracle,
     roc_curve,
@@ -219,16 +219,21 @@ def test_accuracy_all_identical():
 # five-number summary
 
 
+def quartiles(values):
+    """The five-number summary ``evaluate`` reports for ID scores ``values``."""
+    return evaluate(ss(values), ss([0.0])).id_quartiles
+
+
 def test_five_number_exact_positions():
-    assert five_number_summary(ss([1, 2, 3, 4, 5])) == (1, 2, 3, 4, 5)
+    assert quartiles([1, 2, 3, 4, 5]) == (1, 2, 3, 4, 5)
 
 
 def test_five_number_singleton():
-    assert five_number_summary(ss([7.0])) == (7, 7, 7, 7, 7)
+    assert quartiles([7.0]) == (7, 7, 7, 7, 7)
 
 
 def test_five_number_interpolation():
-    mn, q1, med, q3, mx = five_number_summary(ss([1, 2, 3, 4]))
+    mn, q1, med, q3, mx = quartiles([1, 2, 3, 4])
     assert (mn, q1, med, q3, mx) == (1.0, 1.75, 2.5, 3.25, 4.0)
 
 
@@ -283,6 +288,28 @@ def test_report_accuracy_identity(rng):
     tp = int((id_set.scores >= report.threshold).sum())
     tn = int((ood_set.scores < report.threshold).sum())
     assert report.accuracy_at_threshold == (tp + tn) / 60
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: calibrate_threshold(ss([1.0]), ss([0.0]), Criterion.FPR_AT_TPR, 0.0),
+         "target TPR must be in (0,1], got 0.0"),
+        (lambda: RocCurve([np.inf, -np.inf], [0.0, 1.0], [0.0, 0.5, 1.0]),
+         "curve arrays must be equal-length vectors"),
+        (lambda: RocCurve([-np.inf, np.inf], [0.0, 1.0], [0.0, 1.0]),
+         "thresholds must be strictly descending"),
+        (lambda: RocCurve([np.inf, 0.0, -np.inf], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]),
+         "tpr must rise from 0 to 1 as thresholds descend"),
+        (lambda: RocCurve([np.inf, 0.0, -np.inf], [0.0, 0.5, 1.0], [0.0, 0.5, 0.5]),
+         "fpr must rise from 0 to 1 as thresholds descend"),
+    ],
+    ids=["tpr-target-0", "curve-lengths", "curve-ascending", "curve-tpr", "curve-fpr"],
+)
+def test_metric_input_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValidationError, message)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,20 @@ def test_spec_rejects_non_finite(name, value):
         small_spec(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generate_world(small_spec(law=Balanced(0))), "balanced law needs per_class >= 1"),
+        (lambda: small_spec(seed=-1), "seed must be a nonnegative integer"),
+    ],
+    ids=["balanced-0", "spec-seed"],
+)
+def test_law_and_seed_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fail the test if generate_world draws a single cluster."""
