@@ -52,7 +52,7 @@ from .experiments import (
     SweepSpec,
     run_sweep,
 )
-from .metrics import Criterion, calibrate_threshold, evaluate, roc_curve
+from .metrics import Criterion, _check_target, calibrate_threshold, evaluate, roc_curve
 from .svg import roc_svg, series_svg
 from .synthetic import SyntheticSpec, generate_world, parse_law
 
@@ -195,16 +195,20 @@ def cmd_score(args) -> int:
 
 
 def _criterion(args) -> Criterion:
-    return Criterion.YOUDEN if args.criterion == "youden" else Criterion.FPR_AT_TPR
+    """The ``--criterion``; its ``--target``, if it reads one, is checked here,
+    before any score file is read."""
+    if args.criterion == "youden":
+        return Criterion.YOUDEN
+    _check_target(args.target)
+    return Criterion.FPR_AT_TPR
 
 
 def cmd_calibrate(args) -> int:
     method = Method(args.method) if args.method else None
+    criterion = _criterion(args)
     id_scores = read_scores(args.id_scores, method)
     ood_scores = read_scores(args.ood_scores, method)
-    threshold, tpr, fpr = calibrate_threshold(
-        id_scores, ood_scores, _criterion(args), args.target
-    )
+    threshold, tpr, fpr = calibrate_threshold(id_scores, ood_scores, criterion, args.target)
     obj = {
         "criterion": args.criterion,
         "target": args.target if args.criterion == "fpr-at-tpr" else None,
@@ -218,9 +222,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_eval(args) -> int:
     method = Method(args.method) if args.method else None
+    criterion = _criterion(args)
     id_scores = read_scores(args.id_scores, method)
     ood_scores = read_scores(args.ood_scores, method)
-    report = evaluate(id_scores, ood_scores, _criterion(args), args.target)
+    report = evaluate(id_scores, ood_scores, criterion, args.target)
     _write_text(args.out, report.to_json())
     if args.svg:
         _write_text(args.svg, roc_svg(roc_curve(id_scores, ood_scores)))

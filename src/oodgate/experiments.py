@@ -170,13 +170,14 @@ def _base_tables(world: SyntheticSpec | str | Path, oods: tuple | None, n_ood: i
     """(fit table, ID test table, OOD tables, classifier accuracy) of a base world.
 
     ``oods`` names the OOD tables (distances, or a manifest's OOD_TEST names);
-    ``None`` takes the world's first. A generated world is dropped on return.
+    ``None`` takes the world's first. A generated world is drawn without
+    storing its classifier-train split, and is dropped on return.
     A manifest's OOD names are checked before any table is read, and its fit
     table is its one ID_FIT_DETECTOR entry, or ``None`` when it has none.
     """
     if isinstance(world, SyntheticSpec):
         distances = (world.ood_distance,) if oods is None else tuple(float(v) for v in oods)
-        w = generate_world(world, ood_distances=distances, n_ood=n_ood)
+        w = generate_world(world, ood_distances=distances, n_ood=n_ood, keep_train=False)
         ood = [w.ood_tables[ood_table_name(d)] for d in distances]
         return w.id_fit, w.id_test, ood, w.classifier_accuracy
 
@@ -230,9 +231,9 @@ def _accuracy_points(spec: SweepSpec):
 
 
 def _domain_points(spec: SweepSpec):
-    """One world (or manifest), one OOD set per grid value, sizes matched. A
-    manifest without a fit table is rejected for ``mah`` before any table is
-    read."""
+    """One world (or manifest), one OOD set per grid value, sizes matched; the
+    full ID test table is dropped once subsampled. A manifest without a fit
+    table is rejected for ``mah`` before any table is read."""
     if not spec.is_synthetic and any(c.method is Method.MAH for c in spec.detectors):
         manifest = DatasetManifest.read(spec.base_world)
         if not any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries):
@@ -242,6 +243,7 @@ def _domain_points(spec: SweepSpec):
     )
     m = min([id_test.n, *(t.n for t in ood_sets), spec.n_per_side or id_test.n])
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
+    del id_test  # only the subsample is scored
     for i, (value, ood) in enumerate(zip(spec.grid, ood_sets)):
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
         yield value, fit_table, id_matched, ood, accuracy

@@ -84,10 +84,14 @@ def auroc(curve: RocCurve) -> float:
     return float(np.sum(np.diff(curve.fpr) * (curve.tpr[1:] + curve.tpr[:-1]) / 2.0))
 
 
-def fpr_at_tpr(curve: RocCurve, target_tpr: float = 0.95) -> float:
-    """Smallest FPR over operating points with TPR >= target (no interpolation)."""
+def _check_target(target_tpr: float) -> None:
     if not 0.0 < target_tpr <= 1.0:
         raise ValidationError(f"target TPR must be in (0,1], got {target_tpr}")
+
+
+def fpr_at_tpr(curve: RocCurve, target_tpr: float = 0.95) -> float:
+    """Smallest FPR over operating points with TPR >= target (no interpolation)."""
+    _check_target(target_tpr)
     idx = int(np.argmax(curve.tpr >= target_tpr))
     return float(curve.fpr[idx])
 
@@ -101,8 +105,7 @@ def _calibrated(cuts, tp, fp, criterion, target_tpr) -> tuple[int, float, float,
         j = tp * n_ood - fp * n_id
         i = int(np.flatnonzero(j == j.max())[-1])
     else:
-        if not 0.0 < target_tpr <= 1.0:
-            raise ValidationError(f"target TPR must be in (0,1], got {target_tpr}")
+        _check_target(target_tpr)
         i = int(np.argmax(tp / n_id >= target_tpr))
     return i, float(cuts[i]), float(tp[i] / n_id), float(fp[i] / n_ood)
 

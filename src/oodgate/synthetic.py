@@ -17,12 +17,16 @@ the i-th OOD cloud, 5 count-law draws, 6 subsampling), so every table is a
 pure function of the spec.
 
 No whole table is ever held in float64. The split rows are worked out from
-the labels before any sample exists, each class is drawn straight into its
-rows of the three float32 split arrays, the centers are means of per-class
-row slices, and logits are computed one float64 row block at a time, a
-block holding :data:`~oodgate.detectors.BLOCK_BYTES` over ``max(c, d)`` values
-a row. Generation peaks at about the float32 bytes of the returned world plus
-one such block.
+the labels before any sample exists, and each class is drawn straight into
+its rows of the float32 split arrays. While a class is drawn, its
+classifier-train rows are added, widened to float64 and in row order, to a
+running sum per noisy label, so the centers have the bits of each label's
+``mean(axis=0)`` without a pass over the stored split; a world drawn with
+``keep_train=False`` (as sweeps draw theirs) never stores that split. Logits
+are computed one float64 row block at a time, a block holding
+:data:`~oodgate.detectors.BLOCK_BYTES` over ``max(c, d)`` values a row.
+Generation peaks at about the float32 bytes of the returned world plus one
+such block.
 
 This module also houses the brute-force oracles used to verify the fast
 paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
@@ -187,8 +191,11 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class SyntheticWorld:
+    """One generated world; ``id_train`` is ``None`` when it was drawn with
+    ``keep_train=False``."""
+
     spec: SyntheticSpec
-    id_train: FeatureTable
+    id_train: FeatureTable | None
     id_fit: FeatureTable
     id_test: FeatureTable
     ood_tables: dict[str, FeatureTable]
@@ -202,28 +209,75 @@ def ood_table_name(distance: float) -> str:
 
 
 def _draw_clusters(
-    centers: np.ndarray, sigma: float, sizes: np.ndarray, parts: list, rng: np.random.Generator
+    centers: np.ndarray,
+    sigma: float,
+    sizes: np.ndarray,
+    parts: list,
+    rng: np.random.Generator,
+    summed: tuple | None = None,
 ) -> list[np.ndarray]:
     """``sizes[k]`` isotropic draws around ``centers[k]`` for each k in turn,
     each class written straight into float32 arrays, one per part: a part is
     a sorted selection of rows in draw order, and its array holds them in
-    that order. A value that overflows binary32 is reported at its draw row."""
+    that order. ``summed = (rows, labels)`` appends one more array, of
+    float64 sums: row ``l`` sums the draws at the sorted ``rows`` whose row
+    of the n x j ``labels`` holds ``l`` (see :func:`_add_rows`), whether or
+    not a part stores them. A value that overflows binary32 is reported at
+    its draw row."""
     d = centers.shape[1]
     out = [np.empty((rows.size, d), dtype=np.float32) for rows in parts]
+    if summed is not None:
+        out.append(np.zeros((int(summed[1].max()) + 1, d)))
     start = 0
     for center, m in zip(centers, sizes.tolist()):
         z = rng.standard_normal((m, d))
         z *= sigma  # the bits of center + sigma * z: IEEE * and + commute
         z += center
         block = z.astype(np.float32)
+        del z  # only the float32 block is kept
         if not np.isfinite(block).all():
             bad = start + _first_bad_row(block)
             raise ValidationError(f"non-finite value in features at row {bad}")
         for rows, arr in zip(parts, out):
             lo, hi = np.searchsorted(rows, (start, start + m))
             arr[lo:hi] = block[rows[lo:hi] - start]
+        if summed is not None:
+            rows, labels = summed
+            lo, hi = np.searchsorted(rows, (start, start + m))
+            _add_rows(out[-1], labels[lo:hi], block, rows[lo:hi] - start)
         start += m
+        del block  # so the next class is drawn without it
     return out
+
+
+def _add_rows(
+    sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.ndarray
+) -> None:
+    """Add ``block[rows[i]]``, widened to float64, to ``sums[l]`` for each
+    label ``l`` in row ``i`` of the n x j ``labels``.
+
+    Called on each draw block in turn with ``sums`` starting at +0.0, this
+    leaves each label's sum with the bits ``mean(axis=0)`` sums its rows to:
+    one ``np.add.reduce`` over the label's carried sum and its rows in row
+    order, which like ``mean`` starts from the identity +0.0 (a label with
+    one row in the block adds it). ``np.add.reduceat`` sums a segment in
+    another order and moves the last bits.
+    """
+    flat = labels.ravel()
+    if not flat.size:
+        return
+    order = np.argsort(flat, kind="stable")  # each label's rows stay in order
+    flat = flat[order]
+    x = np.empty((flat.size + 1, block.shape[1]))
+    x[1:] = block[rows[order // labels.shape[1]]]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    ends = np.append(starts[1:], flat.size)
+    lone = ends - starts == 1
+    sums[flat[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
+    for lo, hi in zip(starts[~lone].tolist(), ends[~lone].tolist()):
+        k = flat[lo]
+        x[lo] = sums[k]  # the row before a label's rows is already summed
+        sums[k] = np.add.reduce(x[lo : hi + 1], axis=0)
 
 
 def _log_density_logits(
@@ -278,6 +332,7 @@ def generate_world(
     ood_distances: tuple[float, ...] | None = None,
     n_ood: int | None = None,
     split: SplitPolicy | None = None,
+    keep_train: bool = True,
 ) -> SyntheticWorld:
     """Generate ID splits, OOD clouds, logits, and the measured accuracy.
 
@@ -287,6 +342,10 @@ def generate_world(
     centroid, with the pooled ID standard deviation, so distance 0
     reproduces the overall ID spread. A bad distance, ``n_ood`` or count law,
     and a world the split cannot cover, are rejected before the first sample.
+
+    The classifier centers are summed from the train split while it is
+    drawn. ``keep_train=False`` still draws that split, so every other table
+    is the same, but stores none of it: ``id_train`` is then ``None``.
     """
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     if ood_distances is None:
@@ -298,25 +357,30 @@ def generate_world(
         raise ValidationError("n_ood must be >= 1")
     sizes, parts, (id1_labels, id2_labels, id3_labels) = _world_labels(spec, split)
 
+    # Implicit classifier: per-class means of the (noisy) train split, summed
+    # as it is drawn; a class the noise emptied gets the split's global mean,
+    # for which every train row is also summed under an extra label c.
+    counts = np.bincount(id1_labels, minlength=c)
+    sum_labels = id1_labels[:, None] if counts.all() else np.stack(
+        [id1_labels, np.full_like(id1_labels, c)], axis=1
+    )
     dirs = stream_rng(spec.seed, _STREAM_MEANS).standard_normal((c, d))
     true_means = sep * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    feats = _draw_clusters(true_means, sigma, sizes, parts, stream_rng(spec.seed, _STREAM_SAMPLES))
-
-    # Implicit classifier: per-class centers of the (noisy) train split; a
-    # class the noise emptied gets the split's global mean.
-    classes = _class_rows(id1_labels)
-    centers = np.empty((c, d))
-    if len(classes) < c:
-        centers[:] = feats[0].astype(np.float64).mean(axis=0)
-    for k, rows in classes:
-        centers[k] = feats[0][rows].astype(np.float64).mean(axis=0)
+    *train, fit, test, sums = _draw_clusters(
+        true_means, sigma, sizes, parts if keep_train else parts[1:],
+        stream_rng(spec.seed, _STREAM_SAMPLES), summed=(parts[0], sum_labels),
+    )
+    del parts, sum_labels  # the split's row indices, spent once drawn
+    centers = sums[:c] / np.maximum(counts, 1)[:, None]
+    if not counts.all():
+        centers[counts == 0] = sums[c] / id1_labels.size
 
     def with_logits(features: np.ndarray, labels: np.ndarray) -> FeatureTable:
         return FeatureTable(features, _log_density_logits(features, centers, sigma), labels)
 
-    id_train = with_logits(feats[0], id1_labels)
-    id_fit = with_logits(feats[1], id2_labels)
-    id_test = with_logits(feats[2], id3_labels)
+    id_train = with_logits(train[0], id1_labels) if keep_train else None
+    id_fit = with_logits(fit, id2_labels)
+    id_test = with_logits(test, id3_labels)
 
     centroid = true_means.mean(axis=0)
     pooled_sigma = float(

@@ -281,6 +281,29 @@ def test_calibrate_tpr_target_out_of_range_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: target TPR must be in (0,1], got 0.0\n"
 
 
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
+def test_bad_tpr_target_exits_2_before_any_score_file_is_read(
+    tmp_path, capsys, monkeypatch, command
+):
+    def refuse(*args):
+        raise AssertionError("a score file was read")
+
+    monkeypatch.setattr(oodgate.cli, "read_scores", refuse)
+    assert run(command, "--id-scores", str(tmp_path / "id.csv"),
+               "--ood-scores", str(tmp_path / "ood.csv"),
+               "--criterion", "fpr-at-tpr", "--target", "1.5") == 2
+    assert capsys.readouterr().err == "error: target TPR must be in (0,1], got 1.5\n"
+
+
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
+def test_youden_ignores_the_tpr_target(tmp_path, command):
+    write_score_csv(tmp_path / "id.csv", [3.0, 2.0])
+    write_score_csv(tmp_path / "ood.csv", [1.0, 0.0])
+    assert run(command, "--id-scores", str(tmp_path / "id.csv"),
+               "--ood-scores", str(tmp_path / "ood.csv"),
+               "--criterion", "youden", "--target", "0") == 0
+
+
 def test_missing_input_exits_3(tmp_path):
     assert run("score", "--input", str(tmp_path / "absent.oodf"), "--method", "ebm",
                "--out", str(tmp_path / "s.csv")) == 3

@@ -223,28 +223,29 @@ TINY_CLASS_WARNINGS = ["class 2 has only 2 sample(s); assigning to ID1/ID3"] + [
 ]
 
 
-def _digest_world(name):
+def _digest_world(name, **kw):
     """The world of one ``WORLD_SHA256`` case; OOD sizes and the powerlaw
     train split sit on and just past the 4096-row block edges, the
     empty-class noise leaves some class without a noisy train label, the
     split case uses the benchmark's split with a seed of its own, and the
-    tiny classes take the split's 1- and 2-row branches."""
+    tiny classes take the split's 1- and 2-row branches. ``kw`` goes to
+    ``generate_world``."""
     if name.startswith("ood-"):
         spec = SyntheticSpec(classes=7, dim=24, law=Balanced(50), seed=3)
-        return generate_world(spec, ood_distances=(0.5, 2.0), n_ood=int(name[4:]))
+        return generate_world(spec, ood_distances=(0.5, 2.0), n_ood=int(name[4:]), **kw)
     if name == "powerlaw":
         spec = SyntheticSpec(classes=6, dim=20, law=UnbalancedPowerlaw(1.2, 7000),
                              label_noise=0.2, seed=8)
-        return generate_world(spec)
+        return generate_world(spec, **kw)
     if name == "split-0.2-0.84":
         spec = SyntheticSpec(classes=9, dim=12, law=Balanced(40), label_noise=0.1, seed=6)
         return generate_world(spec, ood_distances=(1.0,), n_ood=50,
-                              split=SplitPolicy(0.2, 0.84, seed=13))
+                              split=SplitPolicy(0.2, 0.84, seed=13), **kw)
     if name == "tiny-classes":
         spec = SyntheticSpec(classes=10, dim=6, law=UnbalancedPowerlaw(3.0, 60), seed=9)
-        return generate_world(spec)
+        return generate_world(spec, **kw)
     spec = SyntheticSpec(classes=30, dim=5, law=Balanced(3), label_noise=0.9, seed=4)
-    return generate_world(spec, n_ood=9)
+    return generate_world(spec, n_ood=9, **kw)
 
 
 def _world_sha256(world):
@@ -278,16 +279,80 @@ def test_world_bytes_pinned(name, block_rows):
         assert world.id_train.n > 4096 + 1
 
 
-def test_generate_world_peak_memory_near_world_bytes(block_rows):
-    """The traced peak stays within 1.5 times the float32 world it returns,
-    with blocks of 4096 rows at its d=32.
+@pytest.mark.parametrize("name", list(WORLD_SHA256))
+def test_world_drawn_without_train_split_matches_the_pinned_world(name):
+    """``keep_train=False`` still draws the train split, so the other tables,
+    the centers summed from it and the accuracy keep every bit."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lean = _digest_world(name, keep_train=False)
+        full = _digest_world(name)
+    expected = TINY_CLASS_WARNINGS if name == "tiny-classes" else []
+    assert [str(w.message) for w in caught] == expected * 2
+    assert _world_sha256(full) == WORLD_SHA256[name]
+    assert lean.id_train is None
+    assert list(lean.ood_tables) == list(full.ood_tables)
+    pairs = zip([lean.id_fit, lean.id_test, *lean.ood_tables.values()],
+                [full.id_fit, full.id_test, *full.ood_tables.values()])
+    for a, b in pairs:
+        for x, y in ((a.features, b.features), (a.logits, b.logits), (a.labels, b.labels)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert lean.classifier_centers.tobytes() == full.classifier_centers.tobytes()
+    assert repr(lean.classifier_accuracy) == repr(full.classifier_accuracy)
 
-    Each class is drawn straight into its rows of the three split arrays,
-    and logits take one float64 block at a time, so generation holds about
-    one world plus one block. A pool of all draws that the split then
-    copies, float64 class draws or a whole-split float64 copy each add at
-    least half the world's bytes.
+
+class _Draws:
+    """A stand-in generator whose ``standard_normal`` hands out given blocks."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+
+    def standard_normal(self, shape):
+        block = next(self.blocks)
+        assert block.shape == shape
+        return block
+
+
+def test_draw_sums_have_the_bits_of_each_labels_mean():
+    """The sums taken while drawing, over a count, are bit for bit
+    ``rows.astype(np.float64).mean(axis=0)`` of each label's rows.
+
+    The float32 values near 2**23 and near 2**-30 round differently in
+    float64 when summed in another order, each label's rows are spread over
+    the draw blocks (label 3 has one row in each), column 0 is all -0.0,
+    whose mean is +0.0 (numpy's sum starts from its identity +0.0), and a
+    second label column sums every row under label 4, as the global-mean
+    fallback does.
     """
+    rng = np.random.default_rng(5)
+    sizes = np.array([13, 1, 20, 9, 26])
+    n, d = int(sizes.sum()), 4
+    big = 2.0**23 + rng.integers(0, 64, (n, d))
+    small = (1.0 + rng.random((n, d))) * 2.0**-30
+    values = np.where(rng.random((n, d)) < 0.4, big, small).astype(np.float32)
+    values[:, 0] = -0.0
+    rows = np.sort(rng.choice(n, size=50, replace=False))
+    starts = np.cumsum(sizes) - sizes
+    block_of = np.searchsorted(starts, rows, side="right") - 1
+    labels = rng.integers(0, 3, rows.size)
+    labels[np.flatnonzero(np.diff(block_of, prepend=-1))] = 3
+    both = np.stack([labels, np.full_like(labels, 4)], axis=1)
+    blocks = np.split(values.astype(np.float64), starts[1:])
+    centers = np.full((sizes.size, d), -0.0)  # keeps each drawn value's bits
+    (sums,) = synthetic._draw_clusters(centers, 1.0, sizes, [], _Draws(blocks), (rows, both))
+    picked = values[rows]
+    for label in range(4):
+        mine = picked[labels == label]
+        assert mine.shape[0] > 1
+        expected = mine.astype(np.float64).mean(axis=0)
+        assert (sums[label] / mine.shape[0]).tobytes() == expected.tobytes(), label
+    expected = picked.astype(np.float64).mean(axis=0)
+    assert (sums[4] / rows.size).tobytes() == expected.tobytes()
+
+
+def _peak_and_returned_bytes(block_rows, keep_train):
+    """The traced peak of one world's generation, with blocks of 4096 rows at
+    its d=32, and the float32 bytes of the tables it returns."""
     import tracemalloc
 
     spec = SyntheticSpec(classes=8, dim=32, law=Balanced(6000), seed=2)
@@ -295,12 +360,34 @@ def test_generate_world_peak_memory_near_world_bytes(block_rows):
     generate_world(small_spec())  # first-call allocations are not the world's
     tracemalloc.start()
     try:
-        world = generate_world(spec)
+        world = generate_world(spec, keep_train=keep_train)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert (world.id_train is None) is not keep_train
     tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
-    world_bytes = sum(t.features.nbytes + t.logits.nbytes for t in tables)
+    return peak, sum(t.features.nbytes + t.logits.nbytes for t in tables if t is not None)
+
+
+def test_generate_world_peak_memory_near_world_bytes(block_rows):
+    """The traced peak stays within 1.5 times the float32 world it returns.
+
+    Each class is drawn straight into its rows of the three split arrays and
+    summed into the centers as it is drawn, and logits take one float64
+    block at a time, so generation holds about one world plus one block. A
+    pool of all draws that the split then copies, float64 class draws or a
+    whole-split float64 copy each add at least half the world's bytes.
+    """
+    peak, world_bytes = _peak_and_returned_bytes(block_rows, keep_train=True)
+    assert peak <= 1.5 * world_bytes, (peak, world_bytes)
+
+
+def test_world_without_train_split_peak_memory_near_its_bytes(block_rows):
+    """Without the train split the peak stays within 1.5 times the float32
+    tables returned (it measures 1.48): the split's rows are summed as they
+    are drawn and never stored, and each class block and the split's row
+    indices are freed before the next allocation needs their room."""
+    peak, world_bytes = _peak_and_returned_bytes(block_rows, keep_train=False)
     assert peak <= 1.5 * world_bytes, (peak, world_bytes)
 
 
