@@ -4,7 +4,8 @@ Commands communicate only through files (tables, models, score CSVs, JSON
 reports), so pipelines are reproducible and each stage can be inspected or
 replaced. Exit codes are a stable contract: 0 success, 2 usage/validation,
 3 I/O, 4 numerical failure (a numpy ``LinAlgError`` or running out of memory
-included).
+included). Stderr holds a failure's one error line, and one ``warning:
+MESSAGE`` line per library warning that the warning filters let through.
 
 The default seed is 42, overridable by the ``OODGATE_SEED`` environment
 variable; an explicit ``--seed`` flag wins over both. Any flag can also be
@@ -21,6 +22,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +454,10 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
             setattr(args, action.dest, parsed)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, _ = build_parser()
     args = parser.parse_args(argv)
@@ -459,21 +465,23 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(message)s",
     )
-    try:
-        _apply_config(args, argv)
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
-    except (np.linalg.LinAlgError, MemoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    with warnings.catch_warnings():  # puts the caller's showwarning back
+        warnings.showwarning = _warning_line
+        try:
+            _apply_config(args, argv)
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 3
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return 4
+        except (np.linalg.LinAlgError, MemoryError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

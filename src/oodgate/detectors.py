@@ -289,19 +289,18 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
         raise ValidationError("mahalanobis fit requires a fully labeled table")
     if not 0 <= ridge < math.inf:
         raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
-    feats = fit_table.features.astype(np.float64)
     labels = fit_table.labels
-    n, d = feats.shape
+    n, d = fit_table.features.shape
     c = fit_table.c if fit_table.c else int(labels.max()) + 1
+    counts = np.bincount(labels, minlength=c)
+    if (counts == 0).any():
+        raise ValidationError(f"class {int(np.argmin(counts))} has no samples in the fit table")
     if n <= d:
         warnings.warn(
             f"fitting a {d}-dimensional covariance from only {n} samples; "
             "estimates may be unstable"
         )
-
-    counts = np.bincount(labels, minlength=c)
-    if (counts == 0).any():
-        raise ValidationError(f"class {int(np.argmin(counts))} has no samples in the fit table")
+    feats = fit_table.features.astype(np.float64)
     means = np.zeros((c, d))
     np.add.at(means, labels, feats)
     means /= counts[:, None]

@@ -15,9 +15,9 @@ provider that yields the (fit, ID test, OOD test) tables of each grid point;
 the loop fits and scores, and a table the provider hands back again (the
 domain axis's ID test set, the imbalance axis's test sets) is scored once.
 Providers take their world's tables from one loader, :func:`_base_tables`,
-and check the whole grid (label-noise levels, OOD names, the class sizes and
-totals of every law) before the first fit or score, and on a synthetic world
-before it is drawn.
+which decides whether the fit table is read and checks the whole grid
+(label-noise levels, OOD names, the class sizes and totals of every law)
+before the first fit or score, on a synthetic world before it is drawn.
 
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample and
 (8, i) OOD subsample at grid point i, (10, i) child seed for imbalance
@@ -166,35 +166,45 @@ def _subsample(table: FeatureTable, m: int, rng: np.random.Generator) -> Feature
     return table.take(np.sort(rng.choice(table.n, size=m, replace=False)))
 
 
-def _base_tables(world: SyntheticSpec | str | Path, oods: tuple | None, n_ood: int | None):
+def _base_tables(world: SyntheticSpec | str | Path, oods: tuple | None, n_ood: int | None,
+                 laws: tuple[CountLaw, ...] | None = None, mah: bool = False):
     """(fit table, ID test table, OOD tables, classifier accuracy) of a base world.
 
     ``oods`` names the OOD tables (distances, or a manifest's OOD_TEST names);
-    ``None`` takes the world's first. A generated world is drawn without
-    storing its classifier-train split, and is dropped on return.
-    A manifest's OOD names are checked before any table is read, and its fit
-    table is its one ID_FIT_DETECTOR entry, or ``None`` when it has none.
+    ``None`` takes the world's first. Imbalance ``laws`` are checked on the
+    fit labels before anything else is read or drawn. A world is drawn
+    without its classifier-train split and dropped on return; a manifest is
+    read once and checked before any table is read. Its one ID_FIT_DETECTOR
+    table is read first, and only to be resampled (``laws``) or fitted (``mah``).
     """
     if isinstance(world, SyntheticSpec):
+        if laws is not None:
+            _check_laws(laws, np.unique(_world_labels(world)[2][1]).size)
         distances = (world.ood_distance,) if oods is None else tuple(float(v) for v in oods)
         w = generate_world(world, ood_distances=distances, n_ood=n_ood, keep_train=False)
         ood = [w.ood_tables[ood_table_name(d)] for d in distances]
         return w.id_fit, w.id_test, ood, w.classifier_accuracy
 
     manifest = DatasetManifest.read(world)
+    has_fit = any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries)
+    if laws is not None:  # the imbalance axis resamples the fit table
+        manifest.single(Role.ID_FIT_DETECTOR)
+    elif mah and not has_fit:
+        raise ValidationError("mahalanobis detector needs a fit table")
     manifest.validate_for_eval()
     by_name = {e.ood_name: e for e in manifest.ood_entries()}
     for name in oods or ():
         if name not in by_name:
             raise ValidationError(f"manifest has no OOD_TEST named {name!r}")
     ood_entries = manifest.ood_entries()[:1] if oods is None else [by_name[n] for n in oods]
-    has_fit = any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries)
-    fit_entry = manifest.single(Role.ID_FIT_DETECTOR) if has_fit else None
+    fit_entry = manifest.single(Role.ID_FIT_DETECTOR) if has_fit else None  # two fail any sweep
+    fit = manifest.load(fit_entry) if laws is not None or mah else None
+    if laws is not None:
+        _check_laws(laws, np.unique(fit.labels).size)
     id_test = manifest.load(manifest.single(Role.ID_TEST))
     accuracy = None
     if id_test.c >= 2 and id_test.is_labeled:
         accuracy = float(np.mean(np.argmax(id_test.logits, axis=1) == id_test.labels))
-    fit = manifest.load(fit_entry) if fit_entry else None
     return fit, id_test, [manifest.load(e) for e in ood_entries], accuracy
 
 
@@ -232,14 +242,10 @@ def _accuracy_points(spec: SweepSpec):
 
 def _domain_points(spec: SweepSpec):
     """One world (or manifest), one OOD set per grid value, sizes matched; the
-    full ID test table is dropped once subsampled. A manifest without a fit
-    table is rejected for ``mah`` before any table is read."""
-    if not spec.is_synthetic and any(c.method is Method.MAH for c in spec.detectors):
-        manifest = DatasetManifest.read(spec.base_world)
-        if not any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries):
-            raise ValidationError("mahalanobis detector needs a fit table")
+    full ID test table is dropped once subsampled."""
     fit_table, id_test, ood_sets, accuracy = _base_tables(
-        spec.base_world, spec.grid, spec.n_per_side
+        spec.base_world, spec.grid, spec.n_per_side,
+        mah=any(c.method is Method.MAH for c in spec.detectors),
     )
     m = min([id_test.n, *(t.n for t in ood_sets), spec.n_per_side or id_test.n])
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
@@ -252,20 +258,14 @@ def _domain_points(spec: SweepSpec):
 def _imbalance_points(spec: SweepSpec):
     """Resample the detector-fit table per imbalance law; the test sets are fixed.
 
-    Every law must size the fit table's classes, all with one total: checked
-    from a synthetic world's labels before it is drawn, and on a manifest's
-    fit table once read. Every law's rows are drawn before the first fit. The
-    OOD set is the spec's distance, or a manifest's first OOD_TEST entry.
+    :func:`_base_tables` has checked the laws, and every law's rows are drawn
+    before the first fit. The OOD set is the spec's distance, or a manifest's
+    first OOD_TEST entry.
     """
     laws = spec.grid
     if any(isinstance(law, (int, float, str)) for law in laws):
         raise ValidationError("imbalance grid values must be count laws")
-    if spec.is_synthetic:  # c of the fit part's labels, worked out before any draw
-        _check_laws(laws, np.unique(_world_labels(spec.base_world)[2][1]).size)
-    else:  # the axis resamples the fit table: no table is read without one
-        DatasetManifest.read(spec.base_world).single(Role.ID_FIT_DETECTOR)
-    id_fit, id_test, (ood,), accuracy = _base_tables(spec.base_world, None, spec.n_per_side)
-    _check_laws(laws, np.unique(id_fit.labels).size)
+    id_fit, id_test, (ood,), accuracy = _base_tables(spec.base_world, None, spec.n_per_side, laws)
     fit_rows = [
         imbalanced_rows(id_fit, law, int(np.random.SeedSequence(
             spec.seed, spawn_key=(_STREAM_CHILD_SEED, i)).generate_state(1)[0]))

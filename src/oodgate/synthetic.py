@@ -327,6 +327,7 @@ def _world_labels(spec: SyntheticSpec, split: SplitPolicy | None = None) -> tupl
     return sizes, parts, [*noised, labels[parts[2]]]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite rows are rejected
 def generate_world(
     spec: SyntheticSpec,
     ood_distances: tuple[float, ...] | None = None,

@@ -358,6 +358,46 @@ def test_bad_world_input_exits_2_before_any_draw(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--classes", "3", "--dim", "4", "--separation", "1e308"],
+         "non-finite value in features at row 0"),
+        (["synth", "--classes", "3", "--dim", "4", "--sigma", "1e-320"],
+         "non-finite value in logits at row 0"),
+        (["sweep", "--axis", "domain-distance", "--grid", "1e308", "--classes", "3",
+          "--dim", "4"], "non-finite value in features at row 0"),
+        (["sweep", "--axis", "accuracy", "--grid", "0.5", "--classes", "3", "--dim", "4",
+          "--law", "balanced:3", "--detectors", "mah"], "class 2 has no samples in the fit table"),
+    ],
+    ids=["separation-overflows", "sigma-underflows", "distance-overflows", "fit-misses-a-class"],
+)
+def test_failing_world_exits_2_without_a_warning(tmp_path, capsys, argv, message):
+    """Every warning is let through, and would print a ``warning:`` line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_library_warnings_print_one_line_each(tmp_path, capsys):
+    """Under Python's default filter each distinct warning is one line, though
+    the split warns twice per short class (for the law check and the draw);
+    the caller's ``showwarning`` is back afterwards."""
+    shown = warnings.showwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert run("sweep", "--axis", "imbalance", "--grid", "uniform:8", "--classes", "20",
+                   "--dim", "4", "--law", "powerlaw:2:300", "--detectors", "ebm",
+                   "--out", str(tmp_path / "s")) == 0
+    assert warnings.showwarning is shown
+    short = [(k, 2, "ID1/ID3") for k in (8, 9, 10)] + [(k, 1, "ID1") for k in range(11, 20)]
+    assert capsys.readouterr().err == "".join(
+        f"warning: class {k} has only {n} sample(s); assigning to {parts}\n"
+        for k, n, parts in short
+    )
+
+
 @pytest.mark.parametrize("kind", ["table", "scores", "manifest", "config"])
 def test_undecodable_input_exits_2(tmp_path, capsys, kind):
     bad = tmp_path / f"bad.{kind}"

@@ -5,6 +5,9 @@ with mpmath: max softmax of [1,2,3] = 1/(1+e^-1+e^-2), energy of [1,2,3]
 at T=1 = 3+ln(1+e^-1+e^-2).
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -201,6 +204,12 @@ def test_fit_warns_when_n_not_above_d():
     t = table_from(np.eye(4), [0, 0, 1, 1])
     with pytest.warns(UserWarning, match="unstable"):
         fit_mahalanobis(t)
+
+
+def test_fit_checks_class_coverage_before_warning_n_not_above_d():
+    t = FeatureTable(np.eye(3, 4), np.zeros((3, 3)), np.array([0, 1, 1]))
+    with pytest.raises(ValidationError, match="^class 2 has no samples in the fit table$"):
+        fit_mahalanobis(t)  # the suite's filter would raise the warning first
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +421,35 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "f3ccd8fc8c8ee5128c231676639472c3d3657809b715a240ed1af0b37ecaa0ad"
     )
+
+
+#: Prints, per width, one digest of the fitted factor and the mah scores of
+#: every test table of a world.
+_THREAD_PROBE = """
+import hashlib
+from oodgate import (Balanced, DetectorConfig, Method, SyntheticSpec, fit_mahalanobis,
+                     generate_world, score_table)
+for d in (16, 64):
+    world = generate_world(SyntheticSpec(classes=10, dim=d, law=Balanced(600), seed=5))
+    model = fit_mahalanobis(world.id_fit)
+    h = hashlib.sha256(model.precision_factor.tobytes())
+    for table in (world.id_test, *world.ood_tables.values()):
+        h.update(score_table(DetectorConfig(Method.MAH), table, model).scores.tobytes())
+    print(d, h.hexdigest())
+"""
+
+
+def test_mahalanobis_bytes_do_not_depend_on_the_blas_thread_count():
+    """One child process per OpenBLAS thread count, at d = 16 and 64, where
+    the bytes hold; at d = 128 the one-thread Cholesky factor differs."""
+    out = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
+                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0].split()[::2] == ["16", "64"]
+    assert out[0] == out[1]
 
 
 def test_logit_scorers_batch_partition_determinism(rng, tmp_path):

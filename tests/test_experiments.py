@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -464,6 +465,72 @@ def test_domain_manifest_without_fit_table_rejects_mah_before_any_table_is_read(
     # the logit detectors need no fit table
     logit_only = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL[:2], seed=3)
     assert len(run_sweep(logit_only).rows) == 4
+
+
+@pytest.fixture
+def manifest_io(monkeypatch):
+    """Record, in order, the manifests read and the entries loaded."""
+    log = {"read": [], "load": []}
+    read, load = DatasetManifest.read, DatasetManifest.load
+
+    def recording_read(path):
+        log["read"].append(Path(path).name)
+        return read(path)
+
+    def recording_load(self, entry):
+        log["load"].append(entry.path)
+        return load(self, entry)
+
+    monkeypatch.setattr(DatasetManifest, "read", staticmethod(recording_read))
+    monkeypatch.setattr(DatasetManifest, "load", recording_load)
+    return log
+
+
+LAWS_15 = (Balanced(3), UnbalancedUniform(15))
+
+
+@pytest.mark.parametrize("axis, grid, detectors, loaded", [
+    (Axis.DOMAIN_DISTANCE, ("near", "far"), ALL[:2], ["id3.oodf", "near.oodf", "far.oodf"]),
+    (Axis.DOMAIN_DISTANCE, ("near", "far"), ALL, ["id2.oodf", "id3.oodf", "near.oodf", "far.oodf"]),
+    (Axis.IMBALANCE, LAWS_15, ALL[:2], ["id2.oodf", "id3.oodf", "near.oodf"]),
+    (Axis.IMBALANCE, LAWS_15, ALL, ["id2.oodf", "id3.oodf", "near.oodf"]),
+], ids=["domain-logit", "domain-mah", "imbalance-logit", "imbalance-mah"])
+def test_manifest_sweep_reads_its_manifest_once_and_a_used_fit_table_first(
+    tmp_path, manifest_io, axis, grid, detectors, loaded
+):
+    """The fit table is read only where it is resampled or fitted: the msp
+    and ebm domain sweep reads no ID_FIT_DETECTOR entry."""
+    run_sweep(SweepSpec(axis, _manifest_world(tmp_path), grid, detectors, seed=3))
+    assert manifest_io == {"read": ["world.manifest"], "load": loaded}
+
+
+def test_bad_imbalance_grid_fails_after_reading_only_the_fit_table(tmp_path, manifest_io, calls):
+    spec = SweepSpec(Axis.IMBALANCE, _manifest_world(tmp_path),
+                     (Balanced(3), UnbalancedUniform(16)), ALL, seed=3)
+    message = r"^imbalance laws must request equal totals over 5 classes, got \[15, 16\]$"
+    with pytest.raises(ValidationError, match=message):
+        run_sweep(spec)
+    assert manifest_io == {"read": ["world.manifest"], "load": ["id2.oodf"]}
+    assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
+
+
+@pytest.mark.parametrize("axis, grid, detectors", [
+    (Axis.DOMAIN_DISTANCE, ("near", "far"), ALL[:2]),
+    (Axis.DOMAIN_DISTANCE, ("near", "far"), ALL),
+    (Axis.IMBALANCE, LAWS_15, ALL[:2]),
+], ids=["domain-logit", "domain-mah", "imbalance-logit"])
+def test_two_fit_entries_rejected_by_every_manifest_sweep(
+    tmp_path, manifest_io, axis, grid, detectors
+):
+    """Also by a sweep that reads no fit table, and before any table is read."""
+    path = _manifest_world(tmp_path)
+    text = path.read_text()
+    path.write_text(text + next(l for l in text.splitlines(keepends=True)
+                                if l.startswith("ID_FIT_DETECTOR")))
+    with pytest.raises(ValidationError,
+                       match="^manifest needs exactly one ID_FIT_DETECTOR entry, found 2$"):
+        run_sweep(SweepSpec(axis, path, grid, detectors, seed=3))
+    assert manifest_io == {"read": ["world.manifest"], "load": []}
 
 
 @pytest.mark.parametrize("axis, grid, bound", [

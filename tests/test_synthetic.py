@@ -299,6 +299,12 @@ def test_world_drawn_without_train_split_matches_the_pinned_world(name):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     assert lean.classifier_centers.tobytes() == full.classifier_centers.tobytes()
     assert repr(lean.classifier_accuracy) == repr(full.classifier_accuracy)
+    # each center is the float64 mean of its (noisy) label's train rows, or of
+    # the whole split for a label the noise emptied
+    train = full.id_train.features.astype(np.float64)
+    for k, center in enumerate(full.classifier_centers):
+        rows = train[full.id_train.labels == k]
+        assert center.tobytes() == (rows if len(rows) else train).mean(axis=0).tobytes()
 
 
 class _Draws:
@@ -402,13 +408,28 @@ def test_unsplittable_world_fails_before_any_class_draw(monkeypatch, classes, ma
         generate_world(SyntheticSpec(classes=classes, dim=3, law=Balanced(1)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 def test_overflowing_draw_reported_at_its_row_of_all_draws():
     """Row 34 of all ID draws in class order (the 15th of class 1), whichever
     split part it lands in."""
     spec = SyntheticSpec(classes=3, dim=2, within_class_sigma=1.5e38, law=Balanced(20), seed=0)
     with pytest.raises(ValidationError, match="^non-finite value in features at row 34$"):
         generate_world(spec)
+
+
+@pytest.mark.parametrize(
+    "world, distances, message",
+    [
+        (dict(class_separation=1e308), None, "features"),
+        (dict(within_class_sigma=1e-320), None, "logits"),
+        ({}, (1e308,), "features"),
+    ],
+    ids=["separation-overflows", "sigma-underflows", "distance-overflows"],
+)
+def test_overflowing_world_rejected_without_a_warning(world, distances, message):
+    """The suite's warning filter turns any warning into an error."""
+    spec = SyntheticSpec(classes=3, dim=4, **world)
+    with pytest.raises(ValidationError, match=f"^non-finite value in {message} at row 0$"):
+        generate_world(spec, ood_distances=distances)
 
 
 # ---------------------------------------------------------------------------
