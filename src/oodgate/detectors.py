@@ -207,20 +207,16 @@ class GaussianClassModel:
 
     The stored ``covariance`` is the unregularized pooled within-class
     scatter (divisor: total fit sample count). ``precision_factor`` is the
-    lower Cholesky factor of the regularized covariance. Scoring forms its
-    explicit inverse only to pick each row's candidate classes; every
-    returned distance comes from a triangular solve against the factor.
+    lower Cholesky factor of the regularized covariance. Every returned
+    distance comes from a triangular solve against it; the first scoring call
+    builds, and the model keeps, the d x c matrix that picks each row's
+    candidate classes, so neither ``means`` nor the factor may change after.
     """
 
-    __slots__ = ("means", "covariance", "precision_factor", "per_class_counts", "ridge")
+    __slots__ = ("means", "covariance", "precision_factor", "per_class_counts", "ridge", "_terms")
 
-    def __init__(
-        self,
-        means: np.ndarray,
-        covariance: np.ndarray,
-        per_class_counts: np.ndarray,
-        ridge: float = 1e-6,
-    ) -> None:
+    def __init__(self, means: np.ndarray, covariance: np.ndarray,
+                 per_class_counts: np.ndarray, ridge: float = 1e-6) -> None:
         means = np.ascontiguousarray(means, dtype=np.float64)
         covariance = np.ascontiguousarray(covariance, dtype=np.float64)
         counts = np.ascontiguousarray(per_class_counts, dtype=np.int64)
@@ -228,14 +224,11 @@ class GaussianClassModel:
             raise ValidationError(f"means must be c x d with c, d >= 1, got shape {means.shape}")
         c, d = means.shape
         if covariance.shape != (d, d):
-            raise ValidationError(
-                f"covariance shape {covariance.shape} does not match d={d}"
-            )
+            raise ValidationError(f"covariance shape {covariance.shape} does not match d={d}")
         if counts.shape != (c,):
             raise ValidationError("per_class_counts length must equal class count")
         if (counts < 1).any():
-            bad = int(np.argmin(counts))
-            raise ValidationError(f"class {bad} has no fit samples")
+            raise ValidationError(f"class {int(np.argmin(counts))} has no fit samples")
         if not 0 <= ridge < math.inf:
             raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
         if not np.isfinite(means).all():
@@ -249,22 +242,20 @@ class GaussianClassModel:
         self.covariance = covariance
         self.per_class_counts = counts
         self.ridge = float(ridge)
-        scale = self._ridge_scale()
+        self._terms = None  # _candidates' per-model terms, built on the first scoring call
+        trace = float(np.trace(covariance))
+        if trace > 0:
+            scale = self.ridge * trace / d
+        else:
+            scale = ZERO_TRACE_RIDGE_FLOOR if self.ridge > 0 else 0.0
         if not math.isfinite(scale):
             raise NumericalError(f"ridge * trace / d overflows to {scale}; decrease ridge")
         regularized = covariance + scale * np.eye(d)
         try:
             self.precision_factor = np.linalg.cholesky(regularized)
         except np.linalg.LinAlgError:
-            raise NumericalError(
-                "regularized covariance is not positive-definite; increase ridge"
-            ) from None
-
-    def _ridge_scale(self) -> float:
-        trace = float(np.trace(self.covariance))
-        if trace > 0:
-            return self.ridge * trace / self.d
-        return ZERO_TRACE_RIDGE_FLOOR if self.ridge > 0 else 0.0
+            raise NumericalError("regularized covariance is not positive-definite; "
+                                 "increase ridge") from None
 
     @property
     def c(self) -> int:
@@ -296,10 +287,8 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     if (counts == 0).any():
         raise ValidationError(f"class {int(np.argmin(counts))} has no samples in the fit table")
     if n <= d:
-        warnings.warn(
-            f"fitting a {d}-dimensional covariance from only {n} samples; "
-            "estimates may be unstable"
-        )
+        warnings.warn(f"fitting a {d}-dimensional covariance from only {n} samples; "
+                      "estimates may be unstable")
     feats = fit_table.features.astype(np.float64)
     means = np.zeros((c, d))
     np.add.at(means, labels, feats)
@@ -307,80 +296,96 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     for start, block in _row_blocks(feats, "features", d):  # views of the float64 copy
         block -= means[labels[start : start + len(block)]]  # within-class residuals
     covariance = (feats.T @ feats) / n  # numpy's SYRK: exactly symmetric
+    if ridge > 0 and not np.trace(covariance) > 0:
+        warnings.warn(f"no within-class scatter; regularizing with {ZERO_TRACE_RIDGE_FLOOR:g} * I")
     return GaussianClassModel(means, covariance, counts, ridge)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow only widens the set
-def _candidates(block, whiten, white_means2, mean_sq, mean_norm, scale):
+def _candidates(block, model):
     """Row and class indices of each row's candidate nearest classes.
 
-    In whitened coordinates (``z = W x``, ``m_k = W mu_k``, ``W`` the inverse
-    of the factor ``L``) the squared distance to class k is ``|z|^2 + e_k``,
-    ``e_k = |m_k|^2 - 2 z.m_k``. The row constant ``|z|^2`` does not change
-    which class is nearest, so only the estimates ``est_k`` of ``e_k`` are
-    formed, as one block x c array. Each ``est_k`` lies within the rounding
-    slack ``s_k = scale (|z| + |m_k|)^2`` of ``e_k``, and every ``s_k`` is at
-    most the row's bound ``B = scale (|z| + max_j |m_j|)^2``. So the nearest
-    class k* has ``est_k* <= e_k* + B <= e_j + B <= est_j + 2B`` for every j,
-    and a class is kept unless ``est_k > min_j est_j + 2B``. For the same
-    estimates this keeps every class that the per-class test, far when
-    ``est_k - s_k > min_j (est_j + s_j)``, keeps: ``min_j (est_j + s_j) + s_k
-    <= min_j est_j + 2B``. A row whose bound or least estimate is not finite
-    keeps every class, and a NaN estimate is kept.
+    With ``W = L^-1`` (``L`` the factor), ``m_k = W mu_k`` and ``P = W^T W
+    mu^T``, the squared distance from a row ``x`` to class k is ``|W x|^2 +
+    e_k``, ``e_k = |m_k|^2 - 2 x.P_k``; the row constant does not change which
+    class is nearest. Estimates ``est_k`` of ``e_k`` take one GEMM against
+    ``-2 P``, plus ``|m_k|^2`` as ``mu_k.P_k``.
 
-    The per-model constants, ``-2 m_k`` (``white_means2``), ``|m_k|^2``
-    (``mean_sq``), ``max_j |m_j|`` (``mean_norm``) and ``scale = 8 d eps
-    |L|_F |W|_F``, are computed once per call by :func:`score_mahalanobis`.
+    Let ``u = eps / 2``, ``g = d u``, ``t = g |L|_F |W|_F >= g >= u`` and ``X
+    >= |W x|``. To first order, each triangular solve giving ``P`` has a
+    backward error ``|dL| <= g |L|``, so ``|v.(P^_k - P_k)| <= 2 t |W v|
+    |m_k|`` for any ``v``, and ``|P^_k| <= |W|_2 |m_k|``. So ``-2 x.P_k``
+    moves by at most ``4 t X |m_k|`` and ``mu_k.P_k`` by ``2 t |m_k|^2``; the
+    GEMM adds ``2 g |x| |P^_k| <= 2 t X |m_k|`` (as ``|x| <= |L|_2 X``), the
+    dot product ``g |mu_k| |P^_k| <= t |m_k|^2`` and the sum ``u (2 X +
+    |m_k|) |m_k|``: ``est_k`` is within ``4 t (X + |m_k|)^2`` of ``e_k``. The
+    row bound ``B = scale (X + max_j |m_j|)^2``, ``scale = 8 d eps |L|_F w``
+    with ``w`` the Frobenius norm of the computed ``W``, is 4 times that if
+    ``w = |W|_F``: room for the higher-order terms, ``w`` against ``|W|_F``,
+    ``|m_j|`` from the computed ``mu_j.P_j`` and the rounding of ``B`` while
+    ``scale <= 1`` (``t <= 1/16``); a larger one keeps every class. ``X`` is
+    ``w |x|``, or, where that keeps two classes or more, the least of it and
+    the norm of ``x`` solved against ``L`` (within ``1 + t`` of ``|W x|``).
+    So the nearest class k* has ``est_k* <= e_k* + B <= e_j + B <= est_j +
+    2B``, and a class is kept unless ``est_k > min_j est_j + 2B``. A row whose
+    bound or least estimate is not finite keeps every class, and a NaN
+    estimate is kept.
     """
-    z = block @ whiten.T
-    est = z @ white_means2.T
+    from scipy.linalg import cho_solve, solve_triangular
+    factor = model.precision_factor
+    if model._terms is None:  # -2 P, |m|^2, max_j |m_j|, w, scale; scaling by 2 is exact
+        minus_2p = -2.0 * cho_solve((factor, True), model.means.T, check_finite=False)
+        mean_sq = np.einsum("kj,jk->k", model.means, minus_2p) / -2.0
+        inv_norm = np.linalg.norm(solve_triangular(factor, np.eye(model.d), lower=True))
+        scale = 8 * model.d * np.finfo(np.float64).eps * np.linalg.norm(factor) * inv_norm
+        model._terms = (minus_2p, mean_sq, np.sqrt(np.max(mean_sq)), inv_norm,
+                        scale if scale <= 1 else np.inf)
+    minus_2p, mean_sq, mean_norm, inv_norm, scale = model._terms
+    est = block @ minus_2p
     est += mean_sq
-    bound = scale * (np.sqrt(np.einsum("ij,ij->i", z, z)) + mean_norm) ** 2
-    limit = np.min(est, axis=1) + 2.0 * bound
-    limit[~np.isfinite(limit)] = np.inf
-    far = np.greater(est, limit[:, None])
+    least, far = np.min(est, axis=1), np.empty(est.shape, bool)
+
+    def split(norm):  # far: est_k > min_j est_j + 2B, with X = norm
+        limit = least + 2.0 * scale * (norm + mean_norm) ** 2
+        limit[~np.isfinite(limit)] = np.inf
+        return np.greater(est, limit[:, None], out=far)
+
+    norm = inv_norm * np.sqrt(np.einsum("ij,ij->i", block, block))
+    wide = np.flatnonzero(np.count_nonzero(split(norm), axis=1) < est.shape[1] - 1)
+    if wide.size:
+        z = solve_triangular(factor, block[wide].T, lower=True, overwrite_b=True,
+                             check_finite=False)
+        norm[wide] = np.minimum(norm[wide], np.sqrt(np.einsum("ij,ij->j", z, z)))
+        split(norm)
     return np.nonzero(np.logical_not(far, out=far))  # NaN: not far
 
 
 def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreSet:
     """Negative squared Mahalanobis distance to the closest class mean.
 
-    Rows go in blocks of :data:`BLOCK_BYTES` over ``max(c, d)`` values a row
-    (the whitened rows are d wide, the estimates c). One GEMM per block in
-    whitened coordinates picks each row's candidate classes
-    (:func:`_candidates`); each candidate's distance is then the sum of
-    squares of the triangular solve of ``x - mu_k`` against the precision
-    factor, and the row keeps the least of these. The scores are those of one
-    solve per class over all rows, bit for bit.
-
-    Beyond its input, a block holds its float64 widening, the whitened rows
-    and one block x c array of estimates; a refinement chunk holds its
-    gathered rows, their means and the squared solve, all written in place.
-    A difference ``x - mu_k`` that overflows float64 raises NumericalError.
+    Rows go in blocks of :data:`BLOCK_BYTES` over ``max(c, d)`` values a row;
+    one GEMM per block against the model's d x c matrix picks their candidate
+    classes (:func:`_candidates`). A row's score is the least sum of squares
+    of its candidates' triangular solves of ``x - mu_k`` against the factor:
+    that of one solve per class over all rows, bit for bit. Beyond its input,
+    a block holds its float64 widening and one block x c array of estimates;
+    a refinement chunk holds its gathered rows, their means and the squared
+    solve, all written in place. An ``x - mu_k`` that overflows float64
+    raises NumericalError.
     """
     feats = _floats(features)
     if feats.ndim == 1:
         feats = feats[None, :]
     if feats.ndim != 2 or feats.shape[1] != model.d:
-        raise ValidationError(
-            f"features shape {feats.shape} does not match model d={model.d}"
-        )
+        raise ValidationError(f"features shape {feats.shape} does not match model d={model.d}")
     from scipy.linalg import solve_triangular  # scipy loads only for mah scoring
 
     factor, means = model.precision_factor, model.means
-    whiten = solve_triangular(factor, np.eye(model.d), lower=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _candidates
-        white_means2 = means @ whiten.T
-        mean_sq = np.sum(white_means2 * white_means2, axis=1)
-        mean_norm = np.sqrt(np.max(mean_sq))
-        white_means2 *= -2.0  # exact: folds the 2 of -2 z.m_k in once
-        scale = 8 * model.d * np.finfo(np.float64).eps
-        scale *= np.linalg.norm(factor) * np.linalg.norm(whiten)
     best = np.full(feats.shape[0], np.inf)
     width = max(model.c, model.d)
     chunk = _block_rows(width)
     for start, block in _row_blocks(feats, "features", width):
-        rows, classes = _candidates(block, whiten, white_means2, mean_sq, mean_norm, scale)
+        rows, classes = _candidates(block, model)
         # A one-column triangular solve rounds differently from a wider one, so,
         # as when every row is solved at once, a one-row input is refined one
         # column at a time and a wider input never is: each of its blocks has
@@ -405,11 +410,8 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     return ScoreSet(Method.MAH, np.negative(best, out=best))
 
 
-def score_table(
-    config: DetectorConfig,
-    table: FeatureTable,
-    model: GaussianClassModel | None = None,
-) -> ScoreSet:
+def score_table(config: DetectorConfig, table: FeatureTable,
+                model: GaussianClassModel | None = None) -> ScoreSet:
     """Score a table with the configured detector."""
     if config.method is Method.MAH:
         if model is None:
@@ -441,13 +443,11 @@ def _model_layout(c: int, d: int, ridge: float) -> list:
 def load_model(path: str | Path) -> GaussianClassModel:
     path = Path(path)
     with _ingesting(path), np.errstate(invalid="ignore"):  # inf + -inf: NaN, rejected
-        (_, _, ridge), (means, cov, counts) = _read_packed(
-            path, _MODEL_MAGIC, _MODEL_HEADER, _model_layout
-        )
+        (_, _, ridge), (means, cov, counts) = _read_packed(path, _MODEL_MAGIC, _MODEL_HEADER,
+                                                           _model_layout)
         wraps = counts > np.iinfo(np.int64).max  # the int64 cast would wrap it negative
         if wraps.any():
-            bad = int(np.argmax(wraps))
-            raise ValidationError(f"per-class count out of range for class {bad}")
+            raise ValidationError(f"per-class count out of range for class {int(np.argmax(wraps))}")
         cov64 = cov.astype(np.float64)
         cov64 = (cov64 + cov64.T) / 2.0  # for foreign files: binary32 keeps ours symmetric
         return GaussianClassModel(means, cov64, counts, ridge)

@@ -467,6 +467,21 @@ def test_import_cli_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False", out.stderr
 
 
+def test_degenerate_fit_with_ridge_prints_one_warning(tmp_path, capsys):
+    """A fit table with no within-class scatter gets the absolute ridge
+    floor, and ``fit`` says so on one line."""
+    t = FeatureTable(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]), None,
+                     np.array([0, 0, 1, 1]))
+    write_feature_table(t, tmp_path / "flat.oodf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert run("fit", "--input", str(tmp_path / "flat.oodf"),
+                   "--out", str(tmp_path / "m.oodm")) == 0
+    assert capsys.readouterr().err == (
+        "warning: no within-class scatter; regularizing with 1e-06 * I\n"
+    )
+
+
 def test_degenerate_fit_without_ridge_exits_4(tmp_path):
     t = FeatureTable(
         np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]),

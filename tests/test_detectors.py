@@ -40,7 +40,7 @@ from oodgate import (
     score_table,
     write_scores,
 )
-from oodgate.detectors import _block_rows, _row_blocks
+from oodgate.detectors import _block_rows, _candidates, _row_blocks
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -153,7 +153,9 @@ def test_fit_hand_case_divisor_n():
 
 def test_fit_degenerate_scatter_uses_floor():
     t = table_from([[1.0, 2.0], [1.0, 2.0], [5.0, 6.0], [5.0, 6.0]], [0, 0, 1, 1])
-    model = fit_mahalanobis(t, ridge=1e-6)
+    message = r"^no within-class scatter; regularizing with 1e-06 \* I$"
+    with pytest.warns(UserWarning, match=message):
+        model = fit_mahalanobis(t, ridge=1e-6)
     np.testing.assert_allclose(model.covariance, np.zeros((2, 2)))
     np.testing.assert_allclose(model.precision_factor, np.sqrt(1e-6) * np.eye(2))
     s = score_mahalanobis(model, np.array([[2.0, 2.0]]))
@@ -336,6 +338,89 @@ def test_mahalanobis_near_ties_match_per_class_solves(seed, d, c, squashed, ridg
     assert one.tobytes() == per_class_scores(model, mid[None]).tobytes()
     oracle = [direct_mahalanobis_oracle(table, q, ridge) for q in queries]
     np.testing.assert_allclose(fast, oracle, rtol=1e-8, atol=1e-8)
+
+
+def per_class_distances(model, queries):
+    """Squared distances of every row to every class, one triangular solve
+    per class over all rows."""
+    from scipy.linalg import solve_triangular
+
+    out = np.empty((queries.shape[0], model.c))
+    for k, mean in enumerate(model.means):
+        z = solve_triangular(model.precision_factor, (queries - mean).T, lower=True)
+        out[:, k] = np.sum(z * z, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-12, 1e-6])
+@pytest.mark.parametrize("d", [16, 128, 512])
+def test_candidates_keep_the_exact_nearest_class(d, ridge):
+    """Near-tie rows (midpoints of two means, rows a hair off them and off
+    each mean) under a covariance with three columns squashed by 1e-6: each
+    row's candidates hold a class whose per-class solve is the least of all."""
+    rng = np.random.default_rng(d)
+    c = 8
+    n = 4 * d + 3 * c
+    labels = np.concatenate([np.arange(c), rng.integers(0, c, n - c)])
+    feats = rng.normal(size=(n, d)) + 2.0 * rng.normal(size=(c, d))[labels]
+    feats[:, :3] *= 1e-6
+    model = fit_mahalanobis(table_from(feats, labels), ridge)
+    mids = (model.means + np.roll(model.means, 1, axis=0)) / 2.0
+    queries = np.vstack([
+        model.means,
+        mids,
+        mids + 1e-12 * rng.normal(size=mids.shape),
+        model.means + 1e-9 * rng.normal(size=(c, d)),
+        feats[:20],
+        1e6 * rng.normal(size=(2, d)),
+    ])
+    rows, classes = _candidates(queries, model)
+    dist = per_class_distances(model, queries)
+    kept = np.full(dist.shape, np.inf)
+    kept[rows, classes] = dist[rows, classes]
+    assert (kept.min(axis=1) == dist.min(axis=1)).all()
+
+
+def test_candidates_stay_near_one_per_row():
+    """Well-separated classes keep at most 1.05 candidates a row at c = 142:
+    on a synthetic world, and where three squashed columns and a feature
+    offset of 50 make the ``w |x|`` bound keep nearly every class, until the
+    rows it keeps too many for are solved for their whitened norm."""
+    world = generate_world(SyntheticSpec(classes=142, dim=64, class_separation=3.0,
+                                         law=Balanced(30), seed=7), keep_train=False)
+    model = fit_mahalanobis(world.id_fit)
+    for table in (world.id_test, *world.ood_tables.values()):
+        rows, _ = _candidates(table.features.astype(np.float64), model)
+        assert rows.size <= 1.05 * len(table.features)
+    rng = np.random.default_rng(5)
+    c, d = 142, 64
+    centers = 3.0 * rng.normal(size=(c, d))
+    labels = np.arange(3000) % c
+    feats = np.vstack([rng.normal(size=(3000, d)) + centers[labels],
+                       rng.normal(size=(600, d)) + centers[rng.integers(0, c, 600)]])
+    feats[:, :3] *= 1e-6
+    feats += 50.0
+    model = fit_mahalanobis(table_from(feats[:3000], labels))
+    rows, _ = _candidates(feats[3000:], model)
+    assert rows.size <= 1.05 * 600
+
+
+def test_scoring_twice_builds_the_candidate_terms_once(rng, monkeypatch):
+    import scipy.linalg
+
+    calls, cho_solve = [], scipy.linalg.cho_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cho_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counted)
+    model = fit_mahalanobis(table_from(rng.normal(size=(60, 4)), rng.integers(0, 3, 60)))
+    queries = rng.normal(size=(40, 4))
+    first = score_mahalanobis(model, queries).scores
+    terms = model._terms
+    assert score_mahalanobis(model, queries).scores.tobytes() == first.tobytes()
+    assert calls == [1] and model._terms is terms
 
 
 def test_block_rows_from_the_byte_budget():
@@ -561,11 +646,12 @@ def test_results_do_not_depend_on_the_block_size(block_rows):
 def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows):
     """Traced peaks over 3 blocks of float32 rows at a wide c: msp and ebm
     hold the float64 block plus one block x c array (``x - max``, then its
-    exp); mah holds the float64 block, its whitened rows, one block x c
-    array of estimates (and its candidate mask) and the refinement's
-    gathered rows and means, beyond the model's c x d whitened means. Both
-    allow the score vector, its finite mask and 128 KiB of small arrays and
-    ufunc buffers; a second block x c float64 array exceeds that."""
+    exp); mah holds the float64 block, one block x c array of estimates and
+    its candidate mask, and the previous block's last refinement chunk (its
+    gathered rows, solved in place). The model's d x c candidate matrix is
+    built by the first call. All allow the score vector, its finite mask and
+    128 KiB of small arrays and ufunc buffers; a second block x c float64
+    array exceeds that."""
     import tracemalloc
 
     rows, c, d = 256, 512, 32
@@ -580,8 +666,7 @@ def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows):
     calls = {
         "msp": (lambda: score_msp(logits), 2 * block_c),
         "ebm": (lambda: score_energy(logits, 0.75), 2 * block_c),
-        "mah": (lambda: score_mahalanobis(model, feats),
-                block_c + rows * c + 4 * block_d + c * d * 8),
+        "mah": (lambda: score_mahalanobis(model, feats), block_c + rows * c + 2 * block_d),
     }
     for name, (call, held) in calls.items():
         call()  # first-call allocations, scipy's import
@@ -597,12 +682,12 @@ def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows):
 def test_wide_rows_peak_within_a_few_block_bytes():
     """At c = 1024 (d = 1024 for world logits, 512 for mah) a block is 567
     rows, where 4096 rows would be 7 times the byte budget. Beyond what a
-    call returns or needs once per call (the score vector and its finite
-    mask, the float32 logits, mah's d x d whitening, its identity and its
-    c x d whitened means), each traced peak stays within 2.5 block budgets: a
-    block and its working array, or, for mah, the refinement's gathered rows
-    too. The world logits release each block before the next is widened.
-    3000 rows in one block exceed that."""
+    call returns (the score vector and its finite mask, the float32 logits),
+    each traced peak stays within 2.5 block budgets: a block and its working
+    array, or, for mah, a refinement chunk too. mah builds its d x d inverse
+    and d x c candidate matrix in the first call only, and would exceed the
+    budget if it built them again. The world logits release each block
+    before the next is widened. 3000 rows in one block exceed that."""
     import tracemalloc
 
     from oodgate.detectors import BLOCK_BYTES
@@ -619,8 +704,7 @@ def test_wide_rows_peak_within_a_few_block_bytes():
     calls = {
         "msp": (lambda rows: score_msp(logits[rows]), scores),
         "ebm": (lambda rows: score_energy(logits[rows], 0.75), scores),
-        "mah": (lambda rows: score_mahalanobis(model, narrow[rows]),
-                scores + 2 * m * m * 8 + c * m * 8),
+        "mah": (lambda rows: score_mahalanobis(model, narrow[rows]), scores),
         "logits": (lambda rows: _log_density_logits(feats[rows], centers, 1.0), n * c * 4),
     }
     for name, (call, held) in calls.items():
@@ -716,6 +800,22 @@ def test_model_save_load_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(back.per_class_counts, model.per_class_counts)
     s = score_mahalanobis(back, rng.normal(size=(5, 3)))
     assert np.isfinite(s.scores).all()
+
+
+def test_fit_save_and_load_leave_scipy_unloaded(tmp_path):
+    """Only mah scoring imports scipy, so ``oodgate fit`` starts without it."""
+    code = """
+import sys
+import numpy as np
+from oodgate import FeatureTable, fit_mahalanobis, load_model, save_model
+table = FeatureTable(np.random.default_rng(0).normal(size=(40, 3)), None, np.arange(40) % 4)
+save_model(fit_mahalanobis(table), sys.argv[1])
+load_model(sys.argv[1])
+print('scipy' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "m.oodm")],
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 def test_model_bad_file(tmp_path):
