@@ -29,6 +29,7 @@ import numpy as np
 
 from .data import (
     DatasetManifest,
+    FeatureTable,
     ManifestEntry,
     Role,
     TableFormat,
@@ -176,6 +177,11 @@ def cmd_fit(args) -> int:
         table = _read_table(args.input, args.format)
     else:
         raise ValidationError("fit needs --input TABLE or --manifest MANIFEST")
+    # The fit reads no logits, so they are freed before its float64 work. It
+    # takes its class count from the logits, or else from the top label: the
+    # two agree unless the top class has no rows, which the fit must report.
+    if int(table.labels.max()) + 1 == table.c:
+        table = FeatureTable(table.features, None, table.labels)
     model = fit_mahalanobis(table, config.ridge)
     save_model(model, args.out)
     log.info("wrote %s", args.out)
@@ -190,6 +196,8 @@ def cmd_score(args) -> int:
             raise ValidationError("mah scoring needs --model MODEL")
         model = load_model(args.model)
     table = _read_table(args.input, args.format)  # after every flag check
+    if model is not None:  # mah reads no logits: free them before its float64 work
+        table = FeatureTable(table.features, None, table.labels)
     scores = score_table(config, table, model)
     write_scores(scores, args.out)
     log.info("wrote %s", args.out)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -212,29 +213,38 @@ def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
 
 
 def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
-    """The header fields after magic and version, and read-only views of the
-    arrays, of an OODF or OODM file; call it inside :func:`_ingesting`. The
-    file is ``header`` (``magic``, u32 :data:`_VERSION`, then ``fields``) and
-    the ``(dtype, shape)`` arrays of ``layout(*fields)``, back to back."""
-    raw = path.read_bytes()
-    if len(raw) < header.size:
-        raise ValidationError(f"truncated header ({len(raw)} bytes)")
-    found, version, *fields = header.unpack_from(raw)
-    if found != magic:
-        raise ValidationError(f"bad magic {found!r}")
-    if version != _VERSION:
-        raise ValidationError(f"unsupported version {version}")
-    specs = [(np.dtype(dtype), shape, math.prod(shape)) for dtype, shape in layout(*fields)]
-    expected = header.size + sum(dtype.itemsize * count for dtype, _, count in specs)
-    if len(raw) != expected:
-        raise ValidationError(f"payload is {len(raw)} bytes, format implies {expected}")
-    arrays, offset = [], header.size
-    for dtype, shape, count in specs:
-        try:  # an empty array can still have a dimension numpy cannot hold
-            arrays.append(np.frombuffer(raw, dtype, count, offset).reshape(shape))
-        except ValueError as exc:
-            raise ValidationError(f"array shape {shape}: {exc}") from None
-        offset += dtype.itemsize * count
+    """The header fields after magic and version, and the arrays, of an OODF
+    or OODM file; call it inside :func:`_ingesting`. The file is
+    ``header`` (``magic``, u32 :data:`_VERSION`, then ``fields``) and the
+    ``(dtype, shape)`` arrays of ``layout(*fields)``, back to back.
+
+    The file's size is checked against the header before any array is
+    allocated. Each array is then read into a buffer of its own, so a caller
+    that drops one array frees its bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read(header.size)
+        if len(raw) < header.size:
+            raise ValidationError(f"truncated header ({len(raw)} bytes)")
+        found, version, *fields = header.unpack(raw)
+        if found != magic:
+            raise ValidationError(f"bad magic {found!r}")
+        if version != _VERSION:
+            raise ValidationError(f"unsupported version {version}")
+        specs = [(np.dtype(dtype), shape, math.prod(shape)) for dtype, shape in layout(*fields)]
+        expected = header.size + sum(dtype.itemsize * count for dtype, _, count in specs)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValidationError(f"payload is {size} bytes, format implies {expected}")
+        arrays = []
+        for dtype, shape, count in specs:
+            arr = np.fromfile(fh, dtype, count)
+            if arr.size != count:  # the file shrank after the size check
+                raise ValidationError(f"short read: {arr.size} of {count} values")
+            try:  # an empty array can still have a dimension numpy cannot hold
+                arr = arr.reshape(shape)
+            except ValueError as exc:
+                raise ValidationError(f"array shape {shape}: {exc}") from None
+            arrays.append(arr)
     return fields, arrays
 
 

@@ -407,6 +407,7 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
                                  check_finite=False)
             z *= z
             np.minimum.at(best, start + r, np.sum(z, axis=0))
+        del diff, z  # not held while the next block is widened and its candidates picked
     return ScoreSet(Method.MAH, np.negative(best, out=best))
 
 

@@ -35,3 +35,21 @@ def block_rows(monkeypatch):
         monkeypatch.setattr(detectors, "BLOCK_BYTES", rows * 8 * width)
 
     return set_rows
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)`` runs ``call()`` under ``tracemalloc`` and returns
+    its result and the traced peak in bytes: of what the call allocates,
+    not of what was allocated before it."""
+    import tracemalloc
+
+    def run(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

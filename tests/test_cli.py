@@ -493,6 +493,53 @@ def test_degenerate_fit_without_ridge_exits_4(tmp_path):
                "--out", str(tmp_path / "m.oodm")) == 4
 
 
+def test_fit_takes_its_class_count_from_the_logits(tmp_path, capsys):
+    """A fit table whose top logit class has no rows fails, though its labels
+    alone would give a fit of fewer classes: ``fit`` keeps the logit count as
+    the class count."""
+    rng = np.random.default_rng(4)
+    t = FeatureTable(rng.normal(size=(12, 2)), rng.normal(size=(12, 4)), np.arange(12) % 3)
+    write_feature_table(t, tmp_path / "t.oodf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run("fit", "--input", str(tmp_path / "t.oodf"),
+                   "--out", str(tmp_path / "m.oodm")) == 2
+    assert capsys.readouterr().err == "error: class 3 has no samples in the fit table\n"
+
+
+@pytest.mark.parametrize("stage", ["fit", "score-mah"])
+def test_stage_peak_is_the_larger_of_read_and_work(tmp_path, traced_peak, stage):
+    """On a table whose logits are as large as its features, ``fit`` and mah
+    ``score`` free the logits they never read before their float64 work. So
+    a stage's traced peak is the larger of the read's and the work's (the
+    features and labels kept, plus the method's own allocations), within a
+    quarter of the logits' bytes; holding the logits through the work adds
+    all of them."""
+    from oodgate import (DetectorConfig, Method, fit_mahalanobis, load_model,
+                         read_feature_table, score_table, write_scores)
+
+    n, d = 12000, 64
+    rng = np.random.default_rng(9)
+    t = FeatureTable(rng.normal(size=(n, d)), rng.normal(size=(n, d)), np.arange(n) % d)
+    path, model, out = tmp_path / "t.oodf", tmp_path / "m.oodm", tmp_path / "s.csv"
+    write_feature_table(t, path)
+    narrow, logit_bytes = FeatureTable(t.features, None, t.labels), t.logits.nbytes
+    if stage == "fit":
+        argv = ["fit", "--input", path, "--out", model]
+        work = lambda: fit_mahalanobis(narrow)
+    else:
+        assert run("fit", "--input", str(path), "--out", str(model)) == 0
+        argv = ["score", "--input", path, "--method", "mah", "--model", model, "--out", out]
+        config = DetectorConfig(Method.MAH)
+        work = lambda: write_scores(score_table(config, narrow, load_model(model)), out)
+    assert run(*map(str, argv)) == 0  # first-call allocations, scipy's import
+    read = traced_peak(lambda: read_feature_table(path))[1]
+    held = t.features.nbytes + t.labels.nbytes + traced_peak(work)[1]
+    code, peak = traced_peak(lambda: run(*map(str, argv)))
+    assert code == 0
+    assert peak <= max(read, held) + logit_bytes / 4, (peak, read, held)
+
+
 @pytest.mark.parametrize(
     "exc", [np.linalg.LinAlgError("Singular matrix"), MemoryError("Unable to allocate 8.00 TiB")]
 )

@@ -174,6 +174,40 @@ def test_binary_containers_report_faults_alike(tmp_path, rng, kind, fault):
     assert str(exc.value) == f"{path}: {message}"
 
 
+def test_binary_arrays_are_freed_one_by_one(tmp_path, rng, traced_peak):
+    """Each array of an OODF table or OODM model is read into a buffer of its
+    own: dropping a table's logits frees their bytes, and no two arrays of a
+    model are views of one buffer."""
+    import tracemalloc
+
+    from oodgate import fit_mahalanobis, save_model
+    from oodgate.data import _read_packed
+    from oodgate.detectors import _MODEL_HEADER, _MODEL_MAGIC, _model_layout
+
+    t = make_table(rng, n=2000, d=8, c=64)
+    path, logit_bytes = tmp_path / "t.oodf", t.logits.nbytes
+    write_feature_table(t, path)
+
+    def read_and_drop_logits():
+        table = read_feature_table(path)
+        logits, table = table.logits, FeatureTable(table.features, None, table.labels)
+        held = tracemalloc.get_traced_memory()[0]
+        del logits
+        return held - tracemalloc.get_traced_memory()[0]
+
+    freed = traced_peak(read_and_drop_logits)[0]
+    assert freed >= logit_bytes, freed
+
+    save_model(fit_mahalanobis(make_table(rng, n=30, d=3, c=3)), tmp_path / "m.oodm")
+    _, arrays = _read_packed(tmp_path / "m.oodm", _MODEL_MAGIC, _MODEL_HEADER, _model_layout)
+    owners = set()
+    for arr in arrays:  # disjoint views of one buffer do not overlap, so find each owner
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        owners.add(id(arr if arr.base is None else arr.base))
+    assert len(owners) == len(arrays)
+
+
 @pytest.mark.parametrize("d, c", [(2**64 - 1, 0), (3, 2**64 - 1), (2**62, 2**62)])
 def test_binary_empty_table_with_huge_width_rejected(tmp_path, d, c):
     """n = 0 implies a 40-byte file whatever d and c are; a dimension numpy

@@ -571,7 +571,7 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
         assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
 
 
-def test_peak_memory_does_not_grow_with_rows(block_rows):
+def test_peak_memory_does_not_grow_with_rows(block_rows, traced_peak):
     """Traced allocation peaks on float32 input of 3 and of 12 row blocks of
     4096 rows.
 
@@ -581,8 +581,6 @@ def test_peak_memory_does_not_grow_with_rows(block_rows):
     to float64 on its own. Widening or gathering the whole input at once
     adds at least d or c float64 values a row.
     """
-    import tracemalloc
-
     c, d = 16, 8
     rng = np.random.default_rng(7)
     warm = table_from(rng.normal(size=(12, 4)), np.arange(12) % 2)
@@ -602,12 +600,7 @@ def test_peak_memory_does_not_grow_with_rows(block_rows):
         found = {}
         for name, (call, width) in calls.items():
             block_rows(4096, width)
-            tracemalloc.start()
-            try:
-                call()
-                found[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            found[name] = traced_peak(call)[1]
         return found
 
     small, large = peaks(3), peaks(12)
@@ -643,17 +636,15 @@ def test_results_do_not_depend_on_the_block_size(block_rows):
         assert results() == reference, rows
 
 
-def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows):
+def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows, traced_peak):
     """Traced peaks over 3 blocks of float32 rows at a wide c: msp and ebm
     hold the float64 block plus one block x c array (``x - max``, then its
     exp); mah holds the float64 block, one block x c array of estimates and
-    its candidate mask, and the previous block's last refinement chunk (its
-    gathered rows, solved in place). The model's d x c candidate matrix is
-    built by the first call. All allow the score vector, its finite mask and
-    128 KiB of small arrays and ufunc buffers; a second block x c float64
-    array exceeds that."""
-    import tracemalloc
-
+    its candidate mask, and then one refinement chunk (its gathered rows,
+    solved in place), which it frees before the next block is widened. The
+    model's d x c candidate matrix is built by the first call. All allow the
+    score vector, its finite mask and 128 KiB of small arrays and ufunc
+    buffers; a second block x c float64 array exceeds that."""
     rows, c, d = 256, 512, 32
     block_rows(rows, max(c, d))
     n = 3 * rows
@@ -666,30 +657,25 @@ def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows):
     calls = {
         "msp": (lambda: score_msp(logits), 2 * block_c),
         "ebm": (lambda: score_energy(logits, 0.75), 2 * block_c),
-        "mah": (lambda: score_mahalanobis(model, feats), block_c + rows * c + 2 * block_d),
+        "mah": (lambda: score_mahalanobis(model, feats), block_c + rows * c + block_d),
     }
     for name, (call, held) in calls.items():
         call()  # first-call allocations, scipy's import
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(call)[1]
         assert peak <= held + small, (name, peak - held - small)
 
 
-def test_wide_rows_peak_within_a_few_block_bytes():
+def test_wide_rows_peak_within_a_few_block_bytes(traced_peak):
     """At c = 1024 (d = 1024 for world logits, 512 for mah) a block is 567
     rows, where 4096 rows would be 7 times the byte budget. Beyond what a
     call returns (the score vector and its finite mask, the float32 logits),
     each traced peak stays within 2.5 block budgets: a block and its working
-    array, or, for mah, a refinement chunk too. mah builds its d x d inverse
-    and d x c candidate matrix in the first call only, and would exceed the
-    budget if it built them again. The world logits release each block
-    before the next is widened. 3000 rows in one block exceed that."""
-    import tracemalloc
-
+    array. mah stays within 2.0 (it measures 1.64): it frees each block's
+    last refinement chunk before the next block is widened, and builds its
+    d x d inverse and d x c candidate matrix in the first call only. It
+    would exceed its bound if it did either otherwise. The world logits
+    release each block before the next is widened. 3000 rows in one block
+    exceed that."""
     from oodgate.detectors import BLOCK_BYTES
     from oodgate.synthetic import _log_density_logits
 
@@ -702,20 +688,15 @@ def test_wide_rows_peak_within_a_few_block_bytes():
     model = GaussianClassModel(centers[:, :m], np.eye(m), np.full(c, 3))
     scores = n * 9
     calls = {
-        "msp": (lambda rows: score_msp(logits[rows]), scores),
-        "ebm": (lambda rows: score_energy(logits[rows], 0.75), scores),
-        "mah": (lambda rows: score_mahalanobis(model, narrow[rows]), scores),
-        "logits": (lambda rows: _log_density_logits(feats[rows], centers, 1.0), n * c * 4),
+        "msp": (lambda rows: score_msp(logits[rows]), scores, 2.5),
+        "ebm": (lambda rows: score_energy(logits[rows], 0.75), scores, 2.5),
+        "mah": (lambda rows: score_mahalanobis(model, narrow[rows]), scores, 2.0),
+        "logits": (lambda rows: _log_density_logits(feats[rows], centers, 1.0), n * c * 4, 2.5),
     }
-    for name, (call, held) in calls.items():
+    for name, (call, held, budgets) in calls.items():
         call(slice(2))  # first-call allocations, scipy's import
-        tracemalloc.start()
-        try:
-            call(slice(None))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= held + 2.5 * BLOCK_BYTES, (name, (peak - held) / BLOCK_BYTES)
+        peak = traced_peak(lambda: call(slice(None)))[1]
+        assert peak <= held + budgets * BLOCK_BYTES, (name, (peak - held) / BLOCK_BYTES)
 
 
 @pytest.mark.parametrize(

@@ -537,7 +537,7 @@ def test_two_fit_entries_rejected_by_every_manifest_sweep(
     (Axis.ACCURACY, (0.0, 0.2, 0.4), 1.55),
     (Axis.DOMAIN_DISTANCE, (0.5, 1.0, 2.0), 1.15),
 ])
-def test_sweep_peak_memory_near_one_world(axis, grid, bound, block_rows):
+def test_sweep_peak_memory_near_one_world(axis, grid, bound, block_rows, traced_peak):
     """A sweep draws each world without storing its classifier-train split,
     and keeps only the tables it scores, and of those only the last grid
     point's while the next world is drawn: the traced peak of a three-point
@@ -548,8 +548,6 @@ def test_sweep_peak_memory_near_one_world(axis, grid, bound, block_rows):
     that holds its world while the next level is drawn, or draws a world
     with its train split (1.74 and 1.22), goes past it.
     """
-    import tracemalloc
-
     import scipy.linalg  # noqa: F401  (mah imports it on first use)
 
     base = world_spec(classes=8, dim=32, law=Balanced(4000), seed=2)
@@ -560,10 +558,5 @@ def test_sweep_peak_memory_near_one_world(axis, grid, bound, block_rows):
     world_bytes = sum(t.features.nbytes + t.logits.nbytes for t in tables)
     del world, tables
     run_sweep(SweepSpec(axis, world_spec(), grid, detectors))  # first-call allocations
-    tracemalloc.start()
-    try:
-        run_sweep(SweepSpec(axis, base, grid, detectors))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_sweep(SweepSpec(axis, base, grid, detectors)))[1]
     assert peak <= bound * world_bytes, peak / world_bytes

@@ -356,26 +356,19 @@ def test_draw_sums_have_the_bits_of_each_labels_mean():
     assert (sums[4] / rows.size).tobytes() == expected.tobytes()
 
 
-def _peak_and_returned_bytes(block_rows, keep_train):
+def _peak_and_returned_bytes(block_rows, traced_peak, keep_train):
     """The traced peak of one world's generation, with blocks of 4096 rows at
     its d=32, and the float32 bytes of the tables it returns."""
-    import tracemalloc
-
     spec = SyntheticSpec(classes=8, dim=32, law=Balanced(6000), seed=2)
     block_rows(4096, 32)
     generate_world(small_spec())  # first-call allocations are not the world's
-    tracemalloc.start()
-    try:
-        world = generate_world(spec, keep_train=keep_train)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    world, peak = traced_peak(lambda: generate_world(spec, keep_train=keep_train))
     assert (world.id_train is None) is not keep_train
     tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
     return peak, sum(t.features.nbytes + t.logits.nbytes for t in tables if t is not None)
 
 
-def test_generate_world_peak_memory_near_world_bytes(block_rows):
+def test_generate_world_peak_memory_near_world_bytes(block_rows, traced_peak):
     """The traced peak stays within 1.5 times the float32 world it returns.
 
     Each class is drawn straight into its rows of the three split arrays and
@@ -384,16 +377,16 @@ def test_generate_world_peak_memory_near_world_bytes(block_rows):
     pool of all draws that the split then copies, float64 class draws or a
     whole-split float64 copy each add at least half the world's bytes.
     """
-    peak, world_bytes = _peak_and_returned_bytes(block_rows, keep_train=True)
+    peak, world_bytes = _peak_and_returned_bytes(block_rows, traced_peak, keep_train=True)
     assert peak <= 1.5 * world_bytes, (peak, world_bytes)
 
 
-def test_world_without_train_split_peak_memory_near_its_bytes(block_rows):
+def test_world_without_train_split_peak_memory_near_its_bytes(block_rows, traced_peak):
     """Without the train split the peak stays within 1.5 times the float32
     tables returned (it measures 1.48): the split's rows are summed as they
     are drawn and never stored, and each class block and the split's row
     indices are freed before the next allocation needs their room."""
-    peak, world_bytes = _peak_and_returned_bytes(block_rows, keep_train=False)
+    peak, world_bytes = _peak_and_returned_bytes(block_rows, traced_peak, keep_train=False)
     assert peak <= 1.5 * world_bytes, (peak, world_bytes)
 
 
