@@ -414,6 +414,7 @@ class DatasetManifest:
         path = Path(path)
         name = ""
         entries = []
+        ood_lines: dict[str, int] = {}
         with _ingesting(path):
             for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
                 line = line.strip()
@@ -443,6 +444,9 @@ class DatasetManifest:
                     raise ValidationError(f"line {lineno}: unknown manifest role {role_text!r}")
                 if fmt is None:
                     raise ValidationError(f"line {lineno}: unknown format {fmt_text!r}")
+                if role is Role.OOD_TEST and ood_lines.setdefault(ood_name, lineno) < lineno:
+                    raise ValidationError(f"line {lineno}: OOD_TEST name {ood_name!r} "
+                                          f"repeats line {ood_lines[ood_name]}")
                 entries.append(ManifestEntry(entry_path, role, fmt, ood_name))
         return DatasetManifest(tuple(entries), name=name, base_dir=path.parent)
 

@@ -2,8 +2,9 @@
 
 Each sweep produces one row per (grid value x detector) with the measured
 classifier accuracy, AUROC, and FPR95, and is a pure function of its spec:
-rerunning yields byte-identical JSON. Synthetic worlds are regenerated per
-grid point with the world seed held fixed, so only the swept quantity moves.
+rerunning yields byte-identical JSON. A sweep draws its synthetic world once,
+with the world seed held fixed, and the accuracy axis relabels it per
+label-noise level, so only the swept quantity moves.
 
 Sweeps also run against user-supplied dataset manifests where that makes
 sense: the domain-distance axis walks named OOD_TEST entries and the
@@ -14,10 +15,10 @@ One loop, :func:`run_sweep`, serves every axis. Each axis has a small
 provider that yields the (fit, ID test, OOD test) tables of each grid point;
 the loop fits and scores, and a table the provider hands back again (the
 domain axis's ID test set, the imbalance axis's test sets) is scored once.
-Providers take their world's tables from one loader, :func:`_base_tables`,
-which decides whether the fit table is read and checks the whole grid
-(label-noise levels, OOD names, the class sizes and totals of every law)
-before the first fit or score, on a synthetic world before it is drawn.
+Providers check the whole grid before the first fit or score, on a synthetic
+world before it is drawn: the accuracy axis its label-noise levels, the
+others (OOD names, the class sizes and totals of every law) in one loader,
+:func:`_base_tables`, which also decides whether the fit table is read.
 
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample and
 (8, i) OOD subsample at grid point i, (10, i) child seed for imbalance
@@ -40,10 +41,11 @@ from .metrics import auroc, fpr_at_tpr, roc_curve
 from .synthetic import (
     CountLaw,
     SyntheticSpec,
-    _world_labels,
+    _noised,
+    _world_split,
+    _worlds,
     generate_world,
     imbalanced_rows,
-    ood_table_name,
     stream_rng,
 )
 
@@ -179,11 +181,10 @@ def _base_tables(world: SyntheticSpec | str | Path, oods: tuple | None, n_ood: i
     """
     if isinstance(world, SyntheticSpec):
         if laws is not None:
-            _check_laws(laws, np.unique(_world_labels(world)[2][1]).size)
-        distances = (world.ood_distance,) if oods is None else tuple(float(v) for v in oods)
+            _check_laws(laws, np.unique(_noised(world, _world_split(world)[2])[1]).size)
+        distances = None if oods is None else tuple(float(v) for v in oods)
         w = generate_world(world, ood_distances=distances, n_ood=n_ood, keep_train=False)
-        ood = [w.ood_tables[ood_table_name(d)] for d in distances]
-        return w.id_fit, w.id_test, ood, w.classifier_accuracy
+        return w.id_fit, w.id_test, list(w.ood_tables.values()), w.classifier_accuracy
 
     manifest = DatasetManifest.read(world)
     has_fit = any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries)
@@ -225,19 +226,23 @@ def _check_laws(laws: tuple[CountLaw, ...], c: int) -> None:
 
 
 def _accuracy_points(spec: SweepSpec):
-    """Regenerate the world per label-noise level, each level checked before the
-    first world; equal-sized test sets."""
+    """One draw, every label-noise level checked before it, relabeled per level;
+    equal-sized test sets. Points are mapped, so no loop variable keeps a
+    level's whole world while the next level's logits are taken."""
     if not spec.is_synthetic:
         raise ValidationError(
             "the accuracy sweep varies label noise and needs a synthetic world"
         )
     levels = [replace(spec.base_world, label_noise=float(noise)) for noise in spec.grid]
-    for i, (noise, level) in enumerate(zip(spec.grid, levels)):
-        id_fit, id_test, (ood,), accuracy = _base_tables(level, None, None)
-        m = min(id_test.n, ood.n, spec.n_per_side or id_test.n)
-        id_test = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
+
+    def point(i: int, world):
+        (ood,) = world.ood_tables.values()
+        m = min(world.id_test.n, ood.n, spec.n_per_side or world.id_test.n)
+        id_test = _subsample(world.id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
-        yield noise, id_fit, id_test, ood, accuracy
+        return world.spec.label_noise, world.id_fit, id_test, ood, world.classifier_accuracy
+
+    return map(point, range(len(levels)), _worlds(levels, keep_train=False))
 
 
 def _domain_points(spec: SweepSpec):

@@ -22,11 +22,12 @@ its rows of the float32 split arrays. While a class is drawn, its
 classifier-train rows are added, widened to float64 and in row order, to a
 running sum per noisy label, so the centers have the bits of each label's
 ``mean(axis=0)`` without a pass over the stored split; a world drawn with
-``keep_train=False`` (as sweeps draw theirs) never stores that split. Logits
-are computed one float64 row block at a time, a block holding
-:data:`~oodgate.detectors.BLOCK_BYTES` over ``max(c, d)`` values a row.
-Generation peaks at about the float32 bytes of the returned world plus one
-such block.
+``keep_train=False`` (as sweeps draw theirs) never stores that split. Label
+noise moves only labels, so an accuracy sweep's levels share one draw, with
+a running sum per level and label. Logits are computed one float64 row
+block at a time, a block holding :data:`~oodgate.detectors.BLOCK_BYTES`
+over ``max(c, d)`` values a row. Generation peaks at about the float32
+bytes of the returned world plus one such block.
 
 This module also houses the brute-force oracles used to verify the fast
 paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
@@ -50,6 +51,7 @@ _STREAM_NOISE = 3
 _STREAM_OOD = 4
 _STREAM_LAW = 5
 _STREAM_SUBSAMPLE = 6
+_QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite rows raise
 
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
@@ -222,8 +224,8 @@ def _draw_clusters(
     that order. ``summed = (rows, labels)`` appends one more array, of
     float64 sums: row ``l`` sums the draws at the sorted ``rows`` whose row
     of the n x j ``labels`` holds ``l`` (see :func:`_add_rows`), whether or
-    not a part stores them. A value that overflows binary32 is reported at
-    its draw row."""
+    not a part stores them, one label column at a time. A value that
+    overflows binary32 is reported at its draw row."""
     d = centers.shape[1]
     out = [np.empty((rows.size, d), dtype=np.float32) for rows in parts]
     if summed is not None:
@@ -244,7 +246,8 @@ def _draw_clusters(
         if summed is not None:
             rows, labels = summed
             lo, hi = np.searchsorted(rows, (start, start + m))
-            _add_rows(out[-1], labels[lo:hi], block, rows[lo:hi] - start)
+            for column in labels[lo:hi].T:
+                _add_rows(out[-1], column, block, rows[lo:hi] - start)
         start += m
         del block  # so the next class is drawn without it
     return out
@@ -253,8 +256,8 @@ def _draw_clusters(
 def _add_rows(
     sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.ndarray
 ) -> None:
-    """Add ``block[rows[i]]``, widened to float64, to ``sums[l]`` for each
-    label ``l`` in row ``i`` of the n x j ``labels``.
+    """Add ``block[rows[i]]``, widened to float64, to ``sums[labels[i]]``
+    for each i.
 
     Called on each draw block in turn with ``sums`` starting at +0.0, this
     leaves each label's sum with the bits ``mean(axis=0)`` sums its rows to:
@@ -263,19 +266,18 @@ def _add_rows(
     one row in the block adds it). ``np.add.reduceat`` sums a segment in
     another order and moves the last bits.
     """
-    flat = labels.ravel()
-    if not flat.size:
+    if not labels.size:
         return
-    order = np.argsort(flat, kind="stable")  # each label's rows stay in order
-    flat = flat[order]
-    x = np.empty((flat.size + 1, block.shape[1]))
-    x[1:] = block[rows[order // labels.shape[1]]]
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    ends = np.append(starts[1:], flat.size)
+    order = np.argsort(labels, kind="stable")  # each label's rows stay in order
+    ordered = labels[order]
+    x = np.empty((ordered.size + 1, block.shape[1]))
+    x[1:] = block[rows[order]]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    ends = np.append(starts[1:], ordered.size)
     lone = ends - starts == 1
-    sums[flat[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
+    sums[ordered[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
     for lo, hi in zip(starts[~lone].tolist(), ends[~lone].tolist()):
-        k = flat[lo]
+        k = ordered[lo]
         x[lo] = sums[k]  # the row before a label's rows is already summed
         sums[k] = np.add.reduce(x[lo : hi + 1], axis=0)
 
@@ -300,34 +302,105 @@ def _log_density_logits(
     return out
 
 
-def _corrupt_labels(
-    labels: np.ndarray, c: int, noise: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Redraw a ``noise`` fraction of labels uniformly among the other classes."""
-    out = labels.copy()
-    m = int(round(noise * labels.size))
-    if m == 0:
-        return out
-    idx = rng.choice(labels.size, size=m, replace=False)
-    r = rng.integers(0, c - 1, size=m)
-    out[idx] = r + (r >= out[idx])
+def _world_split(spec: SyntheticSpec, split: SplitPolicy | None = None) -> tuple:
+    """The class sizes, the split's three row sets, and the clean labels of
+    the train, fit and test parts of a world, before any draw."""
+    split = split or SplitPolicy(0.7, 0.5, seed=spec.seed)
+    sizes = spec.law.class_sizes(spec.classes, stream_rng(spec.seed, _STREAM_LAW))
+    labels = np.repeat(np.arange(spec.classes, dtype=np.int32), sizes)
+    parts = _split_rows(labels, split)
+    return sizes, parts, [labels[rows] for rows in parts]
+
+
+def _noised(spec: SyntheticSpec, clean: list) -> list[np.ndarray]:
+    """The train and fit labels of :func:`_world_split` at the spec's noise:
+    a ``label_noise`` fraction of each part redrawn uniformly among the
+    other classes, both parts from one stream."""
+    rng = stream_rng(spec.seed, _STREAM_NOISE)
+    out = [labels.copy() for labels in clean[:2]]
+    for labels in out:
+        m = int(round(spec.label_noise * labels.size))
+        if m:
+            idx = rng.choice(labels.size, size=m, replace=False)
+            r = rng.integers(0, spec.classes - 1, size=m)
+            labels[idx] = r + (r >= labels[idx])
     return out
 
 
-def _world_labels(spec: SyntheticSpec, split: SplitPolicy | None = None) -> tuple:
-    """The class sizes, the split's three row sets, and the labels of the
-    train, fit (both noised) and test parts of a world, before any draw."""
-    c = spec.classes
-    split = split or SplitPolicy(0.7, 0.5, seed=spec.seed)
-    sizes = spec.law.class_sizes(c, stream_rng(spec.seed, _STREAM_LAW))
-    labels = np.repeat(np.arange(c, dtype=np.int32), sizes)
-    parts = _split_rows(labels, split)
-    rng_noise = stream_rng(spec.seed, _STREAM_NOISE)
-    noised = [_corrupt_labels(labels[rows], c, spec.label_noise, rng_noise) for rows in parts[:2]]
-    return sizes, parts, [*noised, labels[parts[2]]]
+@_QUIET
+def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=None,
+            keep_train=True):
+    """The :func:`generate_world` of each of ``levels``, specs that differ in
+    label noise only, as one draw of the split and every feature: level j's
+    train labels are summed under ``j*c + label`` (and, if noise empties a
+    class, every train row under ``len(levels)*c``), its logits taken when reached."""
+    spec = levels[0]
+    c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
+    ood_distances = (spec.ood_distance,) if ood_distances is None else ood_distances
+    names = [ood_table_name(dist) for dist in ood_distances]
+    for i, (dist, name) in enumerate(zip(ood_distances, names)):
+        if not 0 <= dist < math.inf:
+            raise ValidationError(f"ood distances must be finite and >= 0, got {dist}")
+        if names.index(name) < i:
+            raise ValidationError(f"ood distances {ood_distances[names.index(name)]!r} and "
+                                  f"{dist!r} share the table name {name!r}")
+    if n_ood is not None and int(n_ood) < 1:
+        raise ValidationError("n_ood must be >= 1")
+    sizes, parts, (*clean, test_labels) = _world_split(spec, split)
+    train_labels, fit_labels = zip(*(_noised(level, clean) for level in levels))
+    counts = [np.bincount(labels, minlength=c) for labels in train_labels]
+    columns = [labels + j * c for j, labels in enumerate(train_labels)]
+    if not all(k.all() for k in counts):
+        columns.append(np.full_like(columns[0], len(levels) * c))
+    sum_labels = np.stack(columns, axis=1)
+    del clean, columns  # only the noisy labels are kept, and the train ones to be stored
+    train_labels = train_labels if keep_train else None
+
+    dirs = stream_rng(spec.seed, _STREAM_MEANS).standard_normal((c, d))
+    true_means = sep * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    *train, fit, test, sums = _draw_clusters(
+        true_means, sigma, sizes, parts if keep_train else parts[1:],
+        stream_rng(spec.seed, _STREAM_SAMPLES), summed=(parts[0], sum_labels),
+    )
+    del parts, sum_labels  # the split's row indices and sum labels, spent once drawn
+
+    centroid = true_means.mean(axis=0)
+    pooled_sigma = float(
+        np.sqrt(sigma**2 + np.mean(np.sum((true_means - centroid) ** 2, axis=1)) / d)
+    )
+    n_ood_eff = test.shape[0] if n_ood is None else int(n_ood)
+    osizes = np.bincount(np.arange(n_ood_eff) % c, minlength=c)  # first clusters +1
+    oods = []
+    for i, dist in enumerate(ood_distances):
+        rng_ood = stream_rng(spec.seed, _STREAM_OOD, i)
+        odirs = rng_ood.standard_normal((c, d))
+        ocenters = centroid + dist * sep * odirs / np.linalg.norm(odirs, axis=1, keepdims=True)
+        oods += _draw_clusters(ocenters, pooled_sigma, osizes, [np.arange(n_ood_eff)], rng_ood)
+    unlabeled = np.full(n_ood_eff, UNLABELED, dtype=np.int32)
+
+    @_QUIET
+    def world(j: int, level: SyntheticSpec) -> SyntheticWorld:
+        # Implicit classifier: per-class means of the level's noisy train
+        # labels; a class the noise emptied gets the split's global mean.
+        centers = sums[j * c : (j + 1) * c] / np.maximum(counts[j], 1)[:, None]
+        if not counts[j].all():
+            centers[counts[j] == 0] = sums[-1] / counts[j].sum()
+
+        def with_logits(features: np.ndarray, labels: np.ndarray) -> FeatureTable:
+            return FeatureTable(features, _log_density_logits(features, centers, sigma), labels)
+
+        id_test = with_logits(test, test_labels)
+        return SyntheticWorld(
+            spec=level, id_fit=with_logits(fit, fit_labels[j]), id_test=id_test,
+            id_train=with_logits(train[0], train_labels[j]) if keep_train else None,
+            ood_tables={name: with_logits(x, unlabeled) for name, x in zip(names, oods)},
+            true_means=true_means, classifier_centers=centers,
+            classifier_accuracy=float(np.mean(np.argmax(id_test.logits, axis=1) == test_labels)),
+        )
+
+    return map(world, range(len(levels)), levels)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite rows are rejected
 def generate_world(
     spec: SyntheticSpec,
     ood_distances: tuple[float, ...] | None = None,
@@ -341,77 +414,15 @@ def generate_world(
     defaults to the test-split size. OOD clouds consist of ``c`` clusters at
     the requested distance (in units of class separation) from the ID
     centroid, with the pooled ID standard deviation, so distance 0
-    reproduces the overall ID spread. A bad distance, ``n_ood`` or count law,
-    and a world the split cannot cover, are rejected before the first sample.
+    reproduces the overall ID spread. A bad distance, two that share a table
+    name, a bad ``n_ood`` or count law, and a world the split cannot cover,
+    are rejected before the first sample.
 
     The classifier centers are summed from the train split while it is
     drawn. ``keep_train=False`` still draws that split, so every other table
     is the same, but stores none of it: ``id_train`` is then ``None``.
     """
-    c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
-    if ood_distances is None:
-        ood_distances = (spec.ood_distance,)
-    for dist in ood_distances:
-        if not 0 <= dist < math.inf:
-            raise ValidationError(f"ood distances must be finite and >= 0, got {dist}")
-    if n_ood is not None and int(n_ood) < 1:
-        raise ValidationError("n_ood must be >= 1")
-    sizes, parts, (id1_labels, id2_labels, id3_labels) = _world_labels(spec, split)
-
-    # Implicit classifier: per-class means of the (noisy) train split, summed
-    # as it is drawn; a class the noise emptied gets the split's global mean,
-    # for which every train row is also summed under an extra label c.
-    counts = np.bincount(id1_labels, minlength=c)
-    sum_labels = id1_labels[:, None] if counts.all() else np.stack(
-        [id1_labels, np.full_like(id1_labels, c)], axis=1
-    )
-    dirs = stream_rng(spec.seed, _STREAM_MEANS).standard_normal((c, d))
-    true_means = sep * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    *train, fit, test, sums = _draw_clusters(
-        true_means, sigma, sizes, parts if keep_train else parts[1:],
-        stream_rng(spec.seed, _STREAM_SAMPLES), summed=(parts[0], sum_labels),
-    )
-    del parts, sum_labels  # the split's row indices, spent once drawn
-    centers = sums[:c] / np.maximum(counts, 1)[:, None]
-    if not counts.all():
-        centers[counts == 0] = sums[c] / id1_labels.size
-
-    def with_logits(features: np.ndarray, labels: np.ndarray) -> FeatureTable:
-        return FeatureTable(features, _log_density_logits(features, centers, sigma), labels)
-
-    id_train = with_logits(train[0], id1_labels) if keep_train else None
-    id_fit = with_logits(fit, id2_labels)
-    id_test = with_logits(test, id3_labels)
-
-    centroid = true_means.mean(axis=0)
-    pooled_sigma = float(
-        np.sqrt(sigma**2 + np.mean(np.sum((true_means - centroid) ** 2, axis=1)) / d)
-    )
-    n_ood_eff = id_test.n if n_ood is None else int(n_ood)
-    osizes = np.bincount(np.arange(n_ood_eff) % c, minlength=c)  # first clusters +1
-    ood_tables: dict[str, FeatureTable] = {}
-    for i, dist in enumerate(ood_distances):
-        rng_ood = stream_rng(spec.seed, _STREAM_OOD, i)
-        odirs = rng_ood.standard_normal((c, d))
-        ocenters = centroid + dist * sep * odirs / np.linalg.norm(odirs, axis=1, keepdims=True)
-        (ofeat,) = _draw_clusters(ocenters, pooled_sigma, osizes, [np.arange(n_ood_eff)], rng_ood)
-        ood_tables[ood_table_name(dist)] = with_logits(
-            ofeat, np.full(ofeat.shape[0], UNLABELED, dtype=np.int32)
-        )
-
-    predicted = np.argmax(id_test.logits, axis=1)
-    accuracy = float(np.mean(predicted == id_test.labels))
-
-    return SyntheticWorld(
-        spec=spec,
-        id_train=id_train,
-        id_fit=id_fit,
-        id_test=id_test,
-        ood_tables=ood_tables,
-        true_means=true_means,
-        classifier_centers=centers,
-        classifier_accuracy=accuracy,
-    )
+    return next(_worlds([spec], ood_distances, n_ood, split, keep_train))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from oodgate import (
     write_feature_table,
 )
 import oodgate.cli
-from oodgate import experiments, synthetic
+from oodgate import synthetic
 from oodgate.cli import build_parser, main
 
 
@@ -340,6 +340,12 @@ def test_sweep_bad_list_item_exits_2(tmp_path, capsys, argv, item):
           "--n-per-side", "0"], "n_per_side must be >= 1, got 0"),
         (["synth", "--classes", "3", "--dim", "4", "--law", "balanced:0"],
          "balanced law needs per_class >= 1"),
+        # both clouds would be named d1: the sweep scored the second one twice,
+        # and synth wrote one of them
+        (["sweep", "--axis", "domain-distance", "--grid", "1,1.0000001,4", "--classes", "5",
+          "--dim", "4"], "ood distances 1.0 and 1.0000001 share the table name 'd1'"),
+        (["synth", "--ood-distance", "1", "--ood-distance", "1.0000001", "--classes", "5",
+          "--dim", "4"], "ood distances 1.0 and 1.0000001 share the table name 'd1'"),
     ],
 )
 def test_bad_world_input_exits_2_before_any_draw(
@@ -378,6 +384,21 @@ def test_failing_world_exits_2_without_a_warning(tmp_path, capsys, argv, message
         warnings.simplefilter("always")
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_accuracy_sweep_warns_once_per_short_class(tmp_path, capsys):
+    """The levels share one split, so each of its warnings prints once per
+    sweep, not once per level, even when every warning is let through."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run("sweep", "--axis", "accuracy", "--grid", "0,0.5", "--classes", "20",
+                   "--dim", "4", "--law", "powerlaw:2:300", "--detectors", "ebm",
+                   "--out", str(tmp_path / "s")) == 0
+    short = [(k, 2, "ID1/ID3") for k in (8, 9, 10)] + [(k, 1, "ID1") for k in range(11, 20)]
+    assert capsys.readouterr().err == "".join(
+        f"warning: class {k} has only {n} sample(s); assigning to {parts}\n"
+        for k, n, parts in short
+    )
 
 
 def test_library_warnings_print_one_line_each(tmp_path, capsys):
@@ -665,9 +686,9 @@ def test_sweep_cli_imbalance_laws(tmp_path):
 )
 def test_sweep_checks_whole_grid_before_any_world(tmp_path, capsys, monkeypatch, argv, message):
     def refuse(*args, **kwargs):
-        raise AssertionError("generated a world before rejecting the grid")
+        raise AssertionError("drew a world before rejecting the grid")
 
-    monkeypatch.setattr(experiments, "generate_world", refuse)
+    monkeypatch.setattr(synthetic, "_draw_clusters", refuse)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("sweep", *argv, "--classes", "142", "--dim", "64",
@@ -703,6 +724,22 @@ def test_domain_manifest_sweep_takes_at_most_one_fit_table(
     assert run("sweep", "--axis", "domain-distance", "--manifest", str(manifest), "--grid", "d2",
                "--detectors", "mah", "--out", str(tmp_path / "s")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("axis, grid", [("domain-distance", "far"), ("imbalance", "balanced:5")])
+def test_sweep_rejects_a_manifest_that_repeats_an_ood_name(world_dir, tmp_path, capsys,
+                                                           axis, grid):
+    """The domain axis would take the last ``far`` entry, the others the first."""
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text(f"ID_FIT_DETECTOR\tBINARY_DUMP\t{world_dir}/id2.oodf\n"
+                        f"ID_TEST\tBINARY_DUMP\t{world_dir}/id3.oodf\n"
+                        f"OOD_TEST(far)\tBINARY_DUMP\t{world_dir}/ood_d2.oodf\n\n"
+                        f"OOD_TEST(far)\tBINARY_DUMP\t{world_dir}/id1.oodf\n")
+    assert run("sweep", "--axis", axis, "--manifest", str(manifest), "--grid", grid,
+               "--detectors", "msp", "--out", str(tmp_path / "s")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: line 5: OOD_TEST name 'far' repeats line 3\n"
+    )
 
 
 def test_sweep_has_no_n_ood_flag(tmp_path, capsys):

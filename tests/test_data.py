@@ -464,6 +464,16 @@ def test_manifest_unknown_role(tmp_path):
         DatasetManifest.read(path)
 
 
+def test_manifest_repeated_ood_name(tmp_path):
+    """One name, one table: a sweep looks OOD tables up by name."""
+    path = tmp_path / "m.manifest"
+    path.write_text("OOD_TEST(far)\tCSV\ta.csv\nOOD_TEST(near)\tCSV\tb.csv\n"
+                    "# far again\nOOD_TEST(far)\tBINARY_DUMP\tc.oodf\n")
+    with pytest.raises(IngestionError) as info:
+        DatasetManifest.read(path)
+    assert str(info.value) == f"{path}: line 4: OOD_TEST name 'far' repeats line 1"
+
+
 # ---------------------------------------------------------------------------
 # splitting
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oodgate import experiments
+from oodgate import experiments, synthetic
 from oodgate import (
     Axis,
     Balanced,
@@ -387,6 +387,21 @@ def test_accuracy_sweep_fits_and_scores_per_world(calls):
     assert calls == {"fit": g, "msp": 2 * g, "ebm": 2 * g, "mah": 2 * g}
 
 
+def test_accuracy_sweep_draws_its_world_once(monkeypatch):
+    """One ID draw sums every level's train labels, then one OOD cloud is
+    drawn; the levels differ in labels, centers and logits only."""
+    drawn, draw = [], synthetic._draw_clusters
+
+    def recording_draw(*args, summed=None):
+        drawn.append(summed is not None)
+        return draw(*args, summed=summed)
+
+    monkeypatch.setattr(synthetic, "_draw_clusters", recording_draw)
+    rows = run_sweep(_digest_spec("accuracy")).rows
+    assert drawn == [True, False]
+    assert len({r.classifier_accuracy for r in rows}) == 3
+
+
 def test_short_class_in_later_law_raises_before_any_fit(calls):
     # the fit split holds 60 rows per class: powerlaw:1.5:100 asks class 0
     # for 57 of them, powerlaw:3:100 for more than 60
@@ -534,19 +549,20 @@ def test_two_fit_entries_rejected_by_every_manifest_sweep(
 
 
 @pytest.mark.parametrize("axis, grid, bound", [
-    (Axis.ACCURACY, (0.0, 0.2, 0.4), 1.55),
+    (Axis.ACCURACY, (0.0, 0.2, 0.4), 1.23),
     (Axis.DOMAIN_DISTANCE, (0.5, 1.0, 2.0), 1.15),
 ])
 def test_sweep_peak_memory_near_one_world(axis, grid, bound, block_rows, traced_peak):
-    """A sweep draws each world without storing its classifier-train split,
-    and keeps only the tables it scores, and of those only the last grid
-    point's while the next world is drawn: the traced peak of a three-point
-    sweep, with blocks of 4096 rows at its d=32, stays near the float32
-    bytes of one whole world (train split included).
+    """A sweep draws its world once without storing its classifier-train
+    split, and keeps only the tables it scores, and of those only the last
+    grid point's while the next level's logits are taken: the traced peak of
+    a three-point sweep, with blocks of 4096 rows at its d=32, stays near
+    the float32 bytes of one whole world (train split included).
 
-    Each bound is the measured ratio (1.45 and 1.03) plus 0.1. A provider
-    that holds its world while the next level is drawn, or draws a world
-    with its train split (1.74 and 1.22), goes past it.
+    The accuracy bound is its measured ratio (1.13) plus 0.1, which the
+    former world per level (1.45) exceeds; the domain bound sits above its
+    1.02. A sweep that draws its world with the train split (1.67 and 1.21)
+    goes past either.
     """
     import scipy.linalg  # noqa: F401  (mah imports it on first use)
 

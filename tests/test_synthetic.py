@@ -96,6 +96,10 @@ def no_draws(monkeypatch):
         ({"ood_distances": (math.nan,)}, "ood distances must be finite"),
         ({"ood_distances": (0.5, -1.0)}, "ood distances must be finite and >= 0"),
         ({"n_ood": 0}, "n_ood must be >= 1"),
+        # clouds are keyed by name, so the later cloud would replace the earlier
+        ({"ood_distances": (1.0, 1.0000001)},
+         "^ood distances 1.0 and 1.0000001 share the table name 'd1'$"),
+        ({"ood_distances": (2, 0.5, 2.0)}, "^ood distances 2 and 2.0 share the table name 'd2'$"),
     ],
 )
 def test_generate_world_rejects_before_drawing(no_draws, kwargs, message):
@@ -305,6 +309,43 @@ def test_world_drawn_without_train_split_matches_the_pinned_world(name):
     for k, center in enumerate(full.classifier_centers):
         rows = train[full.id_train.labels == k]
         assert center.tobytes() == (rows if len(rows) else train).mean(axis=0).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:class")
+@pytest.mark.parametrize("keep_train", [True, False], ids=["with-train", "lean"])
+@pytest.mark.parametrize(
+    "world, noises, emptied",
+    [
+        (dict(classes=30, dim=16, law=UnbalancedPowerlaw(1.0, 60), seed=9),
+         (0.0, 0.3, 0.5, 0.9), [0, 4, 4, 7]),
+        (dict(classes=40, dim=8, law=UnbalancedPowerlaw(0.5, 90), seed=4),
+         (0.0, 0.5, 0.9), [0, 11, 8]),
+    ],
+    ids=["c30", "c40"],
+)
+def test_levels_of_one_draw_match_their_own_worlds(world, noises, emptied, keep_train):
+    """Each label-noise level of one draw has the bytes of every table, the
+    centers and the accuracy of its own world, also where the noise empties
+    train classes at some levels only (``emptied`` counts them per level)."""
+    levels = [SyntheticSpec(**world, label_noise=p) for p in noises]
+    counts = []
+    for level, drawn in zip(levels, synthetic._worlds(levels, keep_train=keep_train)):
+        own = generate_world(level, keep_train=keep_train)
+        assert drawn.spec == level
+        assert list(drawn.ood_tables) == list(own.ood_tables)
+        tables = [drawn.id_train, drawn.id_fit, drawn.id_test, *drawn.ood_tables.values()]
+        for a, b in zip(tables, [own.id_train, own.id_fit, own.id_test,
+                                 *own.ood_tables.values()]):
+            if a is None:
+                assert b is None and not keep_train
+                continue
+            for x, y in ((a.features, b.features), (a.logits, b.logits), (a.labels, b.labels)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert drawn.classifier_centers.tobytes() == own.classifier_centers.tobytes()
+        assert repr(drawn.classifier_accuracy) == repr(own.classifier_accuracy)
+        full = own if keep_train else generate_world(level)
+        counts.append(level.classes - np.unique(full.id_train.labels).size)
+    assert counts == emptied
 
 
 class _Draws:
