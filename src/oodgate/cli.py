@@ -416,20 +416,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
-    """Fill flags from a flat key = value file; flags given in ``argv`` win."""
-    if not args.config:
-        return
-    # A second parse that sets no default leaves only the flags given.
-    parser, commands = build_parser()
-    sub = commands[args.command]
-    for action in sub._actions:
-        action.default = argparse.SUPPRESS
-    sub._defaults.clear()
-    given = set(vars(parser.parse_args(argv)))
+def _apply_config(sub: argparse.ArgumentParser, path: str) -> dict[str, list]:
+    """Set the flat key = value lines of ``path`` as ``sub``'s defaults, which a
+    flag given in ``argv`` beats when it is parsed again. A repeatable flag's
+    lines are returned by dest: argparse would add the flags given to them."""
     actions = {o[2:]: a for a in sub._actions for o in a.option_strings if o.startswith("--")}
-    with _ingesting(args.config):
-        for lineno, line in enumerate(Path(args.config).read_text("utf-8").splitlines(), 1):
+    repeated: dict[str, list] = {}
+    with _ingesting(path):
+        for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -443,8 +437,6 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
             if name not in actions or name in ("config", "help"):
                 raise ValidationError(f"line {lineno}: unknown option {key.strip()!r}")
             action = actions[name]
-            if action.dest in given:
-                continue
             if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
                 on = value.lower() in ("1", "true", "yes", "on")
                 if not on and value.lower() not in ("0", "false", "no", "off"):
@@ -457,9 +449,11 @@ def _apply_config(args: argparse.Namespace, argv: list[str] | None) -> None:
                         raise ValueError(f"invalid choice {value!r}")
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise ValidationError(f"line {lineno}: {exc}") from None
-            if isinstance(action, argparse._AppendAction):  # repeatable: lines add up
-                parsed = (getattr(args, action.dest) or []) + [parsed]
-            setattr(args, action.dest, parsed)
+            if isinstance(action, argparse._AppendAction):
+                repeated.setdefault(action.dest, []).append(parsed)
+            else:  # parsed: argparse runs ``type`` again on a string default
+                sub.set_defaults(**{action.dest: parsed})
+    return repeated
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
@@ -467,16 +461,21 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, _ = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(message)s",
-    )
     with warnings.catch_warnings():  # puts the caller's showwarning back
         warnings.showwarning = _warning_line
         try:
-            _apply_config(args, argv)
+            if args.config:
+                repeated = _apply_config(commands[args.command], args.config)
+                args = parser.parse_args(argv)
+                for dest, values in repeated.items():
+                    if getattr(args, dest) is None:  # not given in argv
+                        setattr(args, dest, values)
+            logging.basicConfig(
+                level=logging.INFO if args.verbose else logging.WARNING,
+                format="%(message)s",
+            )
             return args.func(args)
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)

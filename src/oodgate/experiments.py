@@ -17,8 +17,9 @@ the loop fits and scores, and a table the provider hands back again (the
 domain axis's ID test set, the imbalance axis's test sets) is scored once.
 Providers check the whole grid before the first fit or score, on a synthetic
 world before it is drawn: the accuracy axis its label-noise levels, the
-others (OOD names, the class sizes and totals of every law) in one loader,
-:func:`_base_tables`, which also decides whether the fit table is read.
+others in one loader, :func:`_base_tables` (OOD names, the class sizes and
+totals of every law, then each law's fit rows drawn before any test table
+is read), which also decides whether the fit table is read.
 
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample and
 (8, i) OOD subsample at grid point i, (10, i) child seed for imbalance
@@ -28,6 +29,7 @@ resampling at grid point i.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -168,25 +170,28 @@ def _subsample(table: FeatureTable, m: int, rng: np.random.Generator) -> Feature
     return table.take(np.sort(rng.choice(table.n, size=m, replace=False)))
 
 
-def _base_tables(world: SyntheticSpec | str | Path, oods: tuple | None, n_ood: int | None,
-                 laws: tuple[CountLaw, ...] | None = None, mah: bool = False):
-    """(fit table, ID test table, OOD tables, classifier accuracy) of a base world.
+def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None):
+    """(fit table, ID test table, OOD tables, accuracy, fit rows or None) of a world.
 
     ``oods`` names the OOD tables (distances, or a manifest's OOD_TEST names);
-    ``None`` takes the world's first. Imbalance ``laws`` are checked on the
-    fit labels before anything else is read or drawn. A world is drawn
-    without its classifier-train split and dropped on return; a manifest is
-    read once and checked before any table is read. Its one ID_FIT_DETECTOR
-    table is read first, and only to be resampled (``laws``) or fitted (``mah``).
+    ``None`` takes the world's first. Imbalance ``laws`` are checked, and their
+    rows drawn, on the fit labels before any feature is drawn or test table
+    read. A world is drawn without its classifier-train split and dropped on
+    return; a manifest is read once and checked before any table is read. Its
+    one ID_FIT_DETECTOR table is read first, and only for ``laws`` or a mah detector.
     """
-    if isinstance(world, SyntheticSpec):
+    world, rows = spec.base_world, None
+    if spec.is_synthetic:
         if laws is not None:
-            _check_laws(laws, np.unique(_noised(world, _world_split(world)[2])[1]).size)
+            with warnings.catch_warnings():  # the draw splits again, and warns then
+                warnings.simplefilter("ignore")
+                rows = _law_rows(laws, _noised(world, _world_split(world)[2])[1], spec.seed)
         distances = None if oods is None else tuple(float(v) for v in oods)
-        w = generate_world(world, ood_distances=distances, n_ood=n_ood, keep_train=False)
-        return w.id_fit, w.id_test, list(w.ood_tables.values()), w.classifier_accuracy
+        w = generate_world(world, ood_distances=distances, n_ood=spec.n_per_side, keep_train=False)
+        return w.id_fit, w.id_test, list(w.ood_tables.values()), w.classifier_accuracy, rows
 
     manifest = DatasetManifest.read(world)
+    mah = any(c.method is Method.MAH for c in spec.detectors)
     has_fit = any(e.role is Role.ID_FIT_DETECTOR for e in manifest.entries)
     if laws is not None:  # the imbalance axis resamples the fit table
         manifest.single(Role.ID_FIT_DETECTOR)
@@ -201,16 +206,17 @@ def _base_tables(world: SyntheticSpec | str | Path, oods: tuple | None, n_ood: i
     fit_entry = manifest.single(Role.ID_FIT_DETECTOR) if has_fit else None  # two fail any sweep
     fit = manifest.load(fit_entry) if laws is not None or mah else None
     if laws is not None:
-        _check_laws(laws, np.unique(fit.labels).size)
+        rows = _law_rows(laws, fit.labels, spec.seed)
     id_test = manifest.load(manifest.single(Role.ID_TEST))
     accuracy = None
     if id_test.c >= 2 and id_test.is_labeled:
         accuracy = float(np.mean(np.argmax(id_test.logits, axis=1) == id_test.labels))
-    return fit, id_test, [manifest.load(e) for e in ood_entries], accuracy
+    return fit, id_test, [manifest.load(e) for e in ood_entries], accuracy, rows
 
 
-def _check_laws(laws: tuple[CountLaw, ...], c: int) -> None:
-    """Each law's class sizes over ``c`` classes, and one total for all."""
+def _law_rows(laws: tuple[CountLaw, ...], labels: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Check each law's class sizes and one total over ``labels``, then draw each law's rows."""
+    c = np.unique(labels).size
     for law in laws:
         law.class_sizes(c, np.random.default_rng(0))
     totals = {law.total(c) for law in laws}
@@ -218,6 +224,11 @@ def _check_laws(laws: tuple[CountLaw, ...], c: int) -> None:
         raise ValidationError(
             f"imbalance laws must request equal totals over {c} classes, got {sorted(totals)}"
         )
+    return [
+        imbalanced_rows(labels, law, int(np.random.SeedSequence(
+            seed, spawn_key=(_STREAM_CHILD_SEED, i)).generate_state(1)[0]))
+        for i, law in enumerate(laws)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +259,7 @@ def _accuracy_points(spec: SweepSpec):
 def _domain_points(spec: SweepSpec):
     """One world (or manifest), one OOD set per grid value, sizes matched; the
     full ID test table is dropped once subsampled."""
-    fit_table, id_test, ood_sets, accuracy = _base_tables(
-        spec.base_world, spec.grid, spec.n_per_side,
-        mah=any(c.method is Method.MAH for c in spec.detectors),
-    )
+    fit_table, id_test, ood_sets, accuracy, _ = _base_tables(spec, spec.grid)
     m = min([id_test.n, *(t.n for t in ood_sets), spec.n_per_side or id_test.n])
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
     del id_test  # only the subsample is scored
@@ -263,19 +271,14 @@ def _domain_points(spec: SweepSpec):
 def _imbalance_points(spec: SweepSpec):
     """Resample the detector-fit table per imbalance law; the test sets are fixed.
 
-    :func:`_base_tables` has checked the laws, and every law's rows are drawn
-    before the first fit. The OOD set is the spec's distance, or a manifest's
-    first OOD_TEST entry.
+    :func:`_base_tables` has checked the laws and drawn every law's rows
+    before the world is drawn or a test table read. The OOD set is the
+    spec's distance, or a manifest's first OOD_TEST entry.
     """
     laws = spec.grid
     if any(isinstance(law, (int, float, str)) for law in laws):
         raise ValidationError("imbalance grid values must be count laws")
-    id_fit, id_test, (ood,), accuracy = _base_tables(spec.base_world, None, spec.n_per_side, laws)
-    fit_rows = [
-        imbalanced_rows(id_fit, law, int(np.random.SeedSequence(
-            spec.seed, spawn_key=(_STREAM_CHILD_SEED, i)).generate_state(1)[0]))
-        for i, law in enumerate(laws)
-    ]
+    id_fit, id_test, (ood,), accuracy, fit_rows = _base_tables(spec, None, laws)
     for law, rows in zip(laws, fit_rows):
         yield law, id_fit.take(rows), id_test, ood, accuracy
 
@@ -312,7 +315,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     rows: list[SweepRow] = []
     points = _PROVIDERS[spec.axis](spec)
-    for i, (value, fit_table, id_table, ood_table, accuracy) in enumerate(points):
+    for i in range(len(spec.grid)):  # no enumerate: its tuple would keep a point's tables
+        value, fit_table, id_table, ood_table, accuracy = next(points)
         for config in spec.detectors:
             model = None
             if config.method is Method.MAH:  # every provider yields a fit table for it
@@ -327,4 +331,5 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 fpr95=fpr_at_tpr(curve, 0.95), n_id=id_table.n, n_ood=ood_table.n,
             ))
         kept[:] = [e for e in kept if e[0] == i]
+        del fit_table, id_table, ood_table  # so the next point is built without them
     return SweepResult(tuple(rows), _provenance(spec))

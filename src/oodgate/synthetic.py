@@ -429,15 +429,15 @@ def generate_world(
 # imbalanced subsampling
 
 
-def imbalanced_rows(table: FeatureTable, law: CountLaw, seed: int) -> np.ndarray:
-    """Sorted row indices of a labeled table subsampled to the counts of ``law``.
+def imbalanced_rows(labels: np.ndarray, law: CountLaw, seed: int) -> np.ndarray:
+    """Sorted indices of the rows of a labeled table's ``labels`` kept at ``law``'s counts.
 
     A class that cannot supply its requested count raises naming the class.
     Laws rank classes by ascending label value.
     """
-    if not table.is_labeled:
+    if not (labels != UNLABELED).all():
         raise ValidationError("imbalanced sampling requires a labeled table")
-    classes = _class_rows(table.labels)
+    classes = _class_rows(labels)
     sizes = law.class_sizes(len(classes), stream_rng(seed, _STREAM_LAW))
     rng = stream_rng(seed, _STREAM_SUBSAMPLE)
     keep = []
@@ -452,7 +452,7 @@ def imbalanced_rows(table: FeatureTable, law: CountLaw, seed: int) -> np.ndarray
 
 def sample_imbalanced(table: FeatureTable, law: CountLaw, seed: int) -> FeatureTable:
     """The rows of :func:`imbalanced_rows`, kept verbatim in their original order."""
-    return table.take(imbalanced_rows(table, law, seed))
+    return table.take(imbalanced_rows(table.labels, law, seed))
 
 
 # ---------------------------------------------------------------------------

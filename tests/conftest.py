@@ -26,6 +26,17 @@ def rng():
 
 
 @pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if a world draws a single cluster."""
+    from oodgate import synthetic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew clusters before rejecting the input")
+
+    monkeypatch.setattr(synthetic, "_draw_clusters", refuse)
+
+
+@pytest.fixture
 def block_rows(monkeypatch):
     """``block_rows(rows, width)`` sets the row-block budget to ``rows`` rows
     of ``width`` float64 values, for the rest of the test."""

@@ -17,7 +17,6 @@ from oodgate import (
     write_feature_table,
 )
 import oodgate.cli
-from oodgate import synthetic
 from oodgate.cli import build_parser, main
 
 
@@ -349,12 +348,11 @@ def test_sweep_bad_list_item_exits_2(tmp_path, capsys, argv, item):
     ],
 )
 def test_bad_world_input_exits_2_before_any_draw(
-    world_dir, tmp_path, capsys, monkeypatch, argv, message
+    world_dir, tmp_path, capsys, monkeypatch, no_draws, argv, message
 ):
     def refuse(*args):
-        raise AssertionError("drew a world or read a manifest before rejecting the input")
+        raise AssertionError("read a manifest before rejecting the input")
 
-    monkeypatch.setattr(synthetic, "_draw_clusters", refuse)
     monkeypatch.setattr(DatasetManifest, "read", refuse)
     argv = [str(world_dir / "world.manifest") if a == "MANIFEST" else a for a in argv]
     with warnings.catch_warnings(record=True) as caught:
@@ -388,23 +386,24 @@ def test_failing_world_exits_2_without_a_warning(tmp_path, capsys, argv, message
 
 def test_accuracy_sweep_warns_once_per_short_class(tmp_path, capsys):
     """The levels share one split, so each of its warnings prints once per
-    sweep, not once per level, even when every warning is let through."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        assert run("sweep", "--axis", "accuracy", "--grid", "0,0.5", "--classes", "20",
-                   "--dim", "4", "--law", "powerlaw:2:300", "--detectors", "ebm",
-                   "--out", str(tmp_path / "s")) == 0
+    sweep, not once per level, even when every warning is let through; the
+    imbalance axis's pass over the split's labels before the draw prints none."""
     short = [(k, 2, "ID1/ID3") for k in (8, 9, 10)] + [(k, 1, "ID1") for k in range(11, 20)]
-    assert capsys.readouterr().err == "".join(
-        f"warning: class {k} has only {n} sample(s); assigning to {parts}\n"
-        for k, n, parts in short
-    )
+    for axis, grid in (("accuracy", "0,0.5"), ("imbalance", "uniform:8")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert run("sweep", "--axis", axis, "--grid", grid, "--classes", "20",
+                       "--dim", "4", "--law", "powerlaw:2:300", "--detectors", "ebm",
+                       "--out", str(tmp_path / axis)) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: class {k} has only {n} sample(s); assigning to {parts}\n"
+            for k, n, parts in short
+        ), axis
 
 
 def test_library_warnings_print_one_line_each(tmp_path, capsys):
-    """Under Python's default filter each distinct warning is one line, though
-    the split warns twice per short class (for the law check and the draw);
-    the caller's ``showwarning`` is back afterwards."""
+    """Under Python's default filter each distinct warning is one line; the
+    caller's ``showwarning`` is back afterwards."""
     shown = warnings.showwarning
     with warnings.catch_warnings():
         warnings.simplefilter("default")
@@ -681,14 +680,17 @@ def test_sweep_cli_imbalance_laws(tmp_path):
          "numeric grid values must be strictly increasing"),
         (["--axis", "imbalance", "--grid", "balanced:10,powerlaw:-500:1420"],
          "count law powerlaw:-500:1420 has non-finite weights over 142 classes"),
+        # the first law fails both its class sizes and the equal-totals check
+        (["--axis", "imbalance", "--grid", "balanced:0,balanced:5"],
+         "balanced law needs per_class >= 1"),
+        # the fit split holds 30 rows per class; both laws ask for 4402 in all
+        (["--axis", "imbalance", "--grid", "balanced:31,uniform:4402"],
+         "class 0 has 30 samples, law requests 31"),
     ],
-    ids=["accuracy-last-level", "nan-in-grid", "imbalance-law"],
+    ids=["accuracy-last-level", "nan-in-grid", "imbalance-law", "imbalance-law-and-totals",
+         "imbalance-short-class"],
 )
-def test_sweep_checks_whole_grid_before_any_world(tmp_path, capsys, monkeypatch, argv, message):
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew a world before rejecting the grid")
-
-    monkeypatch.setattr(synthetic, "_draw_clusters", refuse)
+def test_sweep_checks_whole_grid_before_any_world(tmp_path, capsys, no_draws, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("sweep", *argv, "--classes", "142", "--dim", "64",
@@ -826,6 +828,19 @@ def test_config_bad_value_exits_2(tmp_path, capsys):
     assert run("eval", "--config", str(cfg), "--id-scores", "i.csv",
                "--ood-scores", "o.csv") == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_config_verbose_logs_written_files(tmp_path):
+    """Logging is set up after the config is applied. Run in a child process:
+    here pytest's log capture would make ``logging.basicConfig`` do nothing."""
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("classes = 3\ndim = 4\nlaw = balanced:40\nverbose = true\n")
+    out = tmp_path / "w"
+    done = subprocess.run([sys.executable, "-m", "oodgate.cli", "synth", "--config", str(cfg),
+                           "--out", str(out)], capture_output=True, text=True)
+    assert done.returncode == 0
+    names = ["id1.oodf", "id2.oodf", "id3.oodf", "ood_d2.oodf", "world.manifest", "world.json"]
+    assert done.stderr == "".join(f"wrote {out / name}\n" for name in names)
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

@@ -79,16 +79,6 @@ def test_law_and_seed_errors(call, message):
     assert (type(info.value), str(info.value)) == (ValidationError, message)
 
 
-@pytest.fixture
-def no_draws(monkeypatch):
-    """Fail the test if generate_world draws a single cluster."""
-
-    def refuse(*args):
-        raise AssertionError("drew clusters before rejecting the input")
-
-    monkeypatch.setattr(synthetic, "_draw_clusters", refuse)
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -433,11 +423,7 @@ def test_world_without_train_split_peak_memory_near_its_bytes(block_rows, traced
 
 @pytest.mark.filterwarnings("ignore:class")
 @pytest.mark.parametrize("classes, match", [(2, "n=2 < 3"), (3, "received no samples")])
-def test_unsplittable_world_fails_before_any_class_draw(monkeypatch, classes, match):
-    def unreached(*args):
-        raise AssertionError("a class sample was drawn")
-
-    monkeypatch.setattr(synthetic, "_draw_clusters", unreached)
+def test_unsplittable_world_fails_before_any_class_draw(no_draws, classes, match):
     with pytest.raises(ValidationError, match=match):
         generate_world(SyntheticSpec(classes=classes, dim=3, law=Balanced(1)))
 
