@@ -8,7 +8,8 @@ included). Stderr holds a failure's one error line, and one ``warning:
 MESSAGE`` line per library warning that the warning filters let through.
 
 The default seed is 42, overridable by the ``OODGATE_SEED`` environment
-variable; an explicit ``--seed`` flag wins over both. Any flag can also be
+variable; an explicit ``--seed`` flag wins over both. An ``OODGATE_SEED`` that
+is not an integer fails every command with exit 2. Any flag can also be
 supplied through ``--config FILE`` holding flat ``key = value`` lines
 (long option names without the leading dashes); explicit flags win over
 config values.
@@ -77,7 +78,11 @@ def _size(text: str) -> int:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("OODGATE_SEED", "42"))
+    text = os.environ.get("OODGATE_SEED", "42")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"OODGATE_SEED must be an integer, got {text!r}") from None
 
 
 def _read_table(path: str, explicit_format: str | None):
@@ -204,20 +209,18 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _criterion(args) -> Criterion:
-    """The ``--criterion``; its ``--target``, if it reads one, is checked here,
-    before any score file is read."""
-    if args.criterion == "youden":
-        return Criterion.YOUDEN
-    _check_target(args.target)
-    return Criterion.FPR_AT_TPR
+def _score_pair(args) -> tuple[Criterion, np.ndarray, np.ndarray]:
+    """The ``--criterion`` and the ID and OOD scores; a ``--target`` that the
+    criterion reads is checked before any score file is read."""
+    method = Method(args.method) if args.method else None
+    criterion = Criterion.YOUDEN if args.criterion == "youden" else Criterion.FPR_AT_TPR
+    if criterion is Criterion.FPR_AT_TPR:
+        _check_target(args.target)
+    return criterion, read_scores(args.id_scores, method), read_scores(args.ood_scores, method)
 
 
 def cmd_calibrate(args) -> int:
-    method = Method(args.method) if args.method else None
-    criterion = _criterion(args)
-    id_scores = read_scores(args.id_scores, method)
-    ood_scores = read_scores(args.ood_scores, method)
+    criterion, id_scores, ood_scores = _score_pair(args)
     threshold, tpr, fpr = calibrate_threshold(id_scores, ood_scores, criterion, args.target)
     obj = {
         "criterion": args.criterion,
@@ -231,10 +234,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    method = Method(args.method) if args.method else None
-    criterion = _criterion(args)
-    id_scores = read_scores(args.id_scores, method)
-    ood_scores = read_scores(args.ood_scores, method)
+    criterion, id_scores, ood_scores = _score_pair(args)
     report = evaluate(id_scores, ood_scores, criterion, args.target)
     _write_text(args.out, report.to_json())
     if args.svg:
@@ -461,11 +461,11 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
     with warnings.catch_warnings():  # puts the caller's showwarning back
         warnings.showwarning = _warning_line
         try:
+            parser, commands = build_parser()  # reads OODGATE_SEED
+            args = parser.parse_args(argv)
             if args.config:
                 repeated = _apply_config(commands[args.command], args.config)
                 args = parser.parse_args(argv)

@@ -108,6 +108,8 @@ class SweepSpec:
             raise ValidationError("sweep needs at least one detector")
         if self.n_per_side is not None and self.n_per_side < 1:
             raise ValidationError(f"n_per_side must be >= 1, got {self.n_per_side}")
+        if self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
 
     @property
     def is_synthetic(self) -> bool:
@@ -217,9 +219,7 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
 def _law_rows(laws: tuple[CountLaw, ...], labels: np.ndarray, seed: int) -> list[np.ndarray]:
     """Check each law's class sizes and one total over ``labels``, then draw each law's rows."""
     c = np.unique(labels).size
-    for law in laws:
-        law.class_sizes(c, np.random.default_rng(0))
-    totals = {law.total(c) for law in laws}
+    totals = {sum(law.class_sizes(c, np.random.default_rng(0)).tolist()) for law in laws}
     if len(totals) != 1:
         raise ValidationError(
             f"imbalance laws must request equal totals over {c} classes, got {sorted(totals)}"

@@ -74,9 +74,6 @@ class Balanced:
             raise ValidationError("balanced law needs per_class >= 1")
         return np.full(c, self.per_class, dtype=np.int64)
 
-    def total(self, c: int) -> int:
-        return self.per_class * c
-
     def text(self) -> str:
         return f"balanced:{self.per_class}"
 
@@ -97,9 +94,6 @@ class UnbalancedPowerlaw:
                 )
         return _apportion(weights, self.total_count)
 
-    def total(self, c: int) -> int:
-        return self.total_count
-
     def text(self) -> str:
         return f"powerlaw:{self.alpha:g}:{self.total_count}"
 
@@ -112,9 +106,6 @@ class UnbalancedUniform:
 
     def class_sizes(self, c: int, rng: np.random.Generator) -> np.ndarray:
         return _apportion(rng.random(c), self.total_count)
-
-    def total(self, c: int) -> int:
-        return self.total_count
 
     def text(self) -> str:
         return f"uniform:{self.total_count}"
@@ -132,11 +123,14 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
     target = weights / weights.sum() * total
     sizes = np.floor(target).astype(np.int64)
     frac_order = np.argsort(-(target - sizes), kind="stable")
-    sizes[frac_order[: total - int(sizes.sum())]] += 1
-    for i in np.flatnonzero(sizes == 0):
+    # float64 targets drift from ``total`` by more than c once it nears 2**62
+    whole, rest = divmod(total - sum(sizes.tolist()), c)
+    sizes += whole
+    sizes[frac_order[:rest]] += 1
+    for i in np.flatnonzero(sizes < 1):
         j = int(np.argmax(sizes))
-        sizes[j] -= 1
-        sizes[i] += 1
+        sizes[j] -= 1 - sizes[i]
+        sizes[i] = 1
     return sizes
 
 

@@ -686,9 +686,11 @@ def test_sweep_cli_imbalance_laws(tmp_path):
         # the fit split holds 30 rows per class; both laws ask for 4402 in all
         (["--axis", "imbalance", "--grid", "balanced:31,uniform:4402"],
          "class 0 has 30 samples, law requests 31"),
+        (["--axis", "accuracy", "--grid", "0.0", "--seed", "-1"],
+         "seed must be a nonnegative integer"),
     ],
     ids=["accuracy-last-level", "nan-in-grid", "imbalance-law", "imbalance-law-and-totals",
-         "imbalance-short-class"],
+         "imbalance-short-class", "negative-seed"],
 )
 def test_sweep_checks_whole_grid_before_any_world(tmp_path, capsys, no_draws, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -872,6 +874,27 @@ def test_env_seed_overrides_default(tmp_path, monkeypatch):
     assert run("synth", "--classes", "3", "--dim", "4", "--law", "balanced:40",
                "--out", str(out)) == 0
     assert json.loads((out / "world.json").read_text())["seed"] == 77
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        ("abc", ["synth", "--classes", "3", "--dim", "4", "--out", "w"],
+         "OODGATE_SEED must be an integer, got 'abc'"),
+        ("abc", ["eval", "--id-scores", "id.csv", "--ood-scores", "ood.csv"],
+         "OODGATE_SEED must be an integer, got 'abc'"),
+        ("-3", ["sweep", "--axis", "accuracy", "--grid", "0.0", "--classes", "3", "--dim", "4",
+                "--out", "s"], "seed must be a nonnegative integer"),
+    ],
+    ids=["synth", "eval", "negative-sweep"],
+)
+def test_bad_env_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, no_draws,
+                                              env, argv, message):
+    monkeypatch.setenv("OODGATE_SEED", env)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_help_surfaces_dataset_size_presets(capsys):

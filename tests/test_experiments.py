@@ -55,6 +55,8 @@ def test_sweep_spec_validation():
         SweepSpec(Axis.ACCURACY, world_spec(), (0.3, 0.1), ALL)
     with pytest.raises(ValidationError, match="detector"):
         SweepSpec(Axis.ACCURACY, world_spec(), (0.1,), ())
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        SweepSpec(Axis.ACCURACY, world_spec(), (0.1,), ALL, seed=-1)
 
 
 @pytest.mark.parametrize("n", [0, -5])

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oodgate import (
     UNLABELED,
@@ -468,7 +470,28 @@ def test_parse_law_round_trip():
 
 
 def test_balanced_paper_scale_constant():
-    assert Balanced(411).total(142) == 58362
+    assert sum(Balanced(411).class_sizes(142, None).tolist()) == 58362
+
+
+@st.composite
+def classes_and_law(draw):
+    c = draw(st.integers(1, 300))
+    total = st.integers(c, 2**62)
+    law = draw(st.one_of(
+        st.builds(Balanced, st.integers(1, 10**4)),
+        st.builds(UnbalancedPowerlaw, st.floats(-3.0, 3.0), total),
+        st.builds(UnbalancedUniform, total),
+    ))
+    return c, law
+
+
+@given(case=classes_and_law(), seed=st.integers(0, 2**32 - 1))
+def test_class_sizes_cover_every_class_and_sum_to_the_law_total(case, seed):
+    c, law = case
+    sizes = law.class_sizes(c, np.random.default_rng(seed))
+    assert sizes.shape == (c,) and (sizes >= 1).all()
+    total = law.per_class * c if isinstance(law, Balanced) else law.total_count
+    assert sum(sizes.tolist()) == total
 
 
 def test_powerlaw_sizes_deterministic_and_min_one(rng):
