@@ -12,7 +12,9 @@ variable; an explicit ``--seed`` flag wins over both. An ``OODGATE_SEED`` that
 is not an integer fails every command with exit 2. Any flag can also be
 supplied through ``--config FILE`` holding flat ``key = value`` lines
 (long option names without the leading dashes); explicit flags win over
-config values.
+config values. Config values become parser defaults after ``OODGATE_SEED``
+is read, so a config ``seed`` wins over the environment: the seed is, weakest
+first, 42, ``OODGATE_SEED``, the config file, then ``--seed``.
 """
 
 from __future__ import annotations

@@ -18,10 +18,13 @@ row block of about :data:`BLOCK_BYTES` at a time.
 from __future__ import annotations
 
 import enum
+import functools
+import importlib.util
 import math
 import struct
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +304,59 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     return GaussianClassModel(means, covariance, counts, ridge)
 
 
+def _flapack_file() -> Path:
+    """The file of scipy's compiled LAPACK wrappers, found without running
+    any of scipy's package code."""
+    linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+    return next(p for s in EXTENSION_SUFFIXES if (p := linalg / f"_flapack{s}").is_file())
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers ``dtrtrs`` and ``dpotrs``, loaded once.
+
+    Their module, ``scipy.linalg._flapack``, is loaded straight from its file
+    in a few milliseconds; ``import scipy.linalg`` reaches the same wrappers
+    only after far longer, most of it spent cloning numpy's namespace.
+    Under scipy's own module name, a later ``import scipy.linalg`` reuses it.
+    The file is private to scipy, so any failure to load it or to find a
+    wrapper in it falls back to the public ``scipy.linalg.lapack``.
+    """
+    try:
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", _flapack_file())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.dtrtrs, module.dpotrs
+    except Exception:
+        from scipy.linalg import lapack
+        return lapack.dtrtrs, lapack.dpotrs
+
+
+def _solve_lower(factor, b, overwrite_b=False):
+    """``factor^-1 b`` for a C-ordered lower triangular ``factor``: the
+    ``dtrtrs`` call ``scipy.linalg.solve_triangular`` makes, on the
+    transposed (Fortran-ordered, upper) factor. A Fortran-ordered float64
+    ``b`` is solved in place when ``overwrite_b``. No input is checked finite.
+    As there, a zero on the diagonal raises LinAlgError."""
+    dtrtrs, _ = _lapack()
+    x, info = dtrtrs(factor.T, b, lower=0, trans=1, overwrite_b=overwrite_b)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def _cho_solve(factor, b):
+    """``(factor factor^T)^-1 b`` for the lower Cholesky ``factor``: the
+    ``dpotrs`` call ``scipy.linalg.cho_solve`` makes. ``b`` is not written."""
+    _, dpotrs = _lapack()
+    x, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow only widens the set
 def _candidates(block, model):
     """Row and class indices of each row's candidate nearest classes.
@@ -331,12 +387,11 @@ def _candidates(block, model):
     bound or least estimate is not finite keeps every class, and a NaN
     estimate is kept.
     """
-    from scipy.linalg import cho_solve, solve_triangular
     factor = model.precision_factor
     if model._terms is None:  # -2 P, |m|^2, max_j |m_j|, w, scale; scaling by 2 is exact
-        minus_2p = -2.0 * cho_solve((factor, True), model.means.T, check_finite=False)
+        minus_2p = -2.0 * _cho_solve(factor, model.means.T)
         mean_sq = np.einsum("kj,jk->k", model.means, minus_2p) / -2.0
-        inv_norm = np.linalg.norm(solve_triangular(factor, np.eye(model.d), lower=True))
+        inv_norm = np.linalg.norm(_solve_lower(factor, np.eye(model.d)))
         scale = 8 * model.d * np.finfo(np.float64).eps * np.linalg.norm(factor) * inv_norm
         model._terms = (minus_2p, mean_sq, np.sqrt(np.max(mean_sq)), inv_norm,
                         scale if scale <= 1 else np.inf)
@@ -353,8 +408,7 @@ def _candidates(block, model):
     norm = inv_norm * np.sqrt(np.einsum("ij,ij->i", block, block))
     wide = np.flatnonzero(np.count_nonzero(split(norm), axis=1) < est.shape[1] - 1)
     if wide.size:
-        z = solve_triangular(factor, block[wide].T, lower=True, overwrite_b=True,
-                             check_finite=False)
+        z = _solve_lower(factor, block[wide].T, overwrite_b=True)
         norm[wide] = np.minimum(norm[wide], np.sqrt(np.einsum("ij,ij->j", z, z)))
         split(norm)
     return np.nonzero(np.logical_not(far, out=far))  # NaN: not far
@@ -378,7 +432,6 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
         feats = feats[None, :]
     if feats.ndim != 2 or feats.shape[1] != model.d:
         raise ValidationError(f"features shape {feats.shape} does not match model d={model.d}")
-    from scipy.linalg import solve_triangular  # scipy loads only for mah scoring
 
     factor, means = model.precision_factor, model.means
     best = np.full(feats.shape[0], np.inf)
@@ -403,8 +456,7 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
             if not np.isfinite(diff).all():
                 raise NumericalError("a feature row minus a class mean overflows float64")
             # diff.T is Fortran-ordered, so the solve writes over it
-            z = solve_triangular(factor, diff.T, lower=True, overwrite_b=True,
-                                 check_finite=False)
+            z = _solve_lower(factor, diff.T, overwrite_b=True)
             z *= z
             np.minimum.at(best, start + r, np.sum(z, axis=0))
         del diff, z  # not held while the next block is widened and its candidates picked

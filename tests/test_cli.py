@@ -552,7 +552,7 @@ def test_stage_peak_is_the_larger_of_read_and_work(tmp_path, traced_peak, stage)
         argv = ["score", "--input", path, "--method", "mah", "--model", model, "--out", out]
         config = DetectorConfig(Method.MAH)
         work = lambda: write_scores(score_table(config, narrow, load_model(model)), out)
-    assert run(*map(str, argv)) == 0  # first-call allocations, scipy's import
+    assert run(*map(str, argv)) == 0  # first-call allocations, LAPACK's load
     read = traced_peak(lambda: read_feature_table(path))[1]
     held = t.features.nbytes + t.labels.nbytes + traced_peak(work)[1]
     code, peak = traced_peak(lambda: run(*map(str, argv)))
@@ -874,6 +874,18 @@ def test_env_seed_overrides_default(tmp_path, monkeypatch):
     assert run("synth", "--classes", "3", "--dim", "4", "--law", "balanced:40",
                "--out", str(out)) == 0
     assert json.loads((out / "world.json").read_text())["seed"] == 77
+
+
+def test_config_seed_wins_over_env_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("OODGATE_SEED", "77")
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("classes = 3\ndim = 4\nlaw = balanced:40\nseed = 5\n")
+    seeds = []
+    for flags in ([], ["--seed", "6"]):
+        out = tmp_path / f"w{len(seeds)}"
+        assert run("synth", "--config", str(cfg), *flags, "--out", str(out)) == 0
+        seeds.append(json.loads((out / "world.json").read_text())["seed"])
+    assert seeds == [5, 6]
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,8 @@ from oodgate import (
     score_table,
     write_scores,
 )
-from oodgate.detectors import _block_rows, _candidates, _row_blocks
+from oodgate import detectors
+from oodgate.detectors import _block_rows, _candidates, _row_blocks, _solve_lower
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -406,15 +407,13 @@ def test_candidates_stay_near_one_per_row():
 
 
 def test_scoring_twice_builds_the_candidate_terms_once(rng, monkeypatch):
-    import scipy.linalg
-
-    calls, cho_solve = [], scipy.linalg.cho_solve
+    calls, cho_solve = [], detectors._cho_solve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return cho_solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", counted)
+    monkeypatch.setattr(detectors, "_cho_solve", counted)
     model = fit_mahalanobis(table_from(rng.normal(size=(60, 4)), rng.integers(0, 3, 60)))
     queries = rng.normal(size=(40, 4))
     first = score_mahalanobis(model, queries).scores
@@ -584,7 +583,7 @@ def test_peak_memory_does_not_grow_with_rows(block_rows, traced_peak):
     c, d = 16, 8
     rng = np.random.default_rng(7)
     warm = table_from(rng.normal(size=(12, 4)), np.arange(12) % 2)
-    score_mahalanobis(fit_mahalanobis(warm), np.zeros((2, 4)))  # imports scipy
+    score_mahalanobis(fit_mahalanobis(warm), np.zeros((2, 4)))  # loads LAPACK
 
     def peaks(blocks):
         n = blocks * 4096
@@ -660,7 +659,7 @@ def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows, tra
         "mah": (lambda: score_mahalanobis(model, feats), block_c + rows * c + block_d),
     }
     for name, (call, held) in calls.items():
-        call()  # first-call allocations, scipy's import
+        call()  # first-call allocations, LAPACK's load
         peak = traced_peak(call)[1]
         assert peak <= held + small, (name, peak - held - small)
 
@@ -694,7 +693,7 @@ def test_wide_rows_peak_within_a_few_block_bytes(traced_peak):
         "logits": (lambda rows: _log_density_logits(feats[rows], centers, 1.0), n * c * 4, 2.5),
     }
     for name, (call, held, budgets) in calls.items():
-        call(slice(2))  # first-call allocations, scipy's import
+        call(slice(2))  # first-call allocations, LAPACK's load
         peak = traced_peak(lambda: call(slice(None)))[1]
         assert peak <= held + budgets * BLOCK_BYTES, (name, (peak - held) / BLOCK_BYTES)
 
@@ -784,7 +783,8 @@ def test_model_save_load_round_trip(tmp_path, rng):
 
 
 def test_fit_save_and_load_leave_scipy_unloaded(tmp_path):
-    """Only mah scoring imports scipy, so ``oodgate fit`` starts without it."""
+    """Fitting, saving and loading a model touch no scipy module, so ``oodgate
+    fit`` starts without any."""
     code = """
 import sys
 import numpy as np
@@ -797,6 +797,76 @@ print('scipy' in sys.modules)
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "m.oodm")],
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_mah_scoring_leaves_scipy_linalg_unloaded(tmp_path):
+    """``score_mahalanobis`` and ``oodgate score --method mah`` load scipy's
+    LAPACK wrappers from their file, running none of scipy's package code."""
+    code = """
+import sys
+import numpy as np
+from oodgate import (FeatureTable, fit_mahalanobis, save_model, score_mahalanobis,
+                     write_feature_table)
+from oodgate.cli import main
+table = FeatureTable(np.random.default_rng(0).normal(size=(40, 3)), None, np.arange(40) % 4)
+model = fit_mahalanobis(table)
+score_mahalanobis(model, table.features)
+write_feature_table(table, sys.argv[1] + "/t.oodf")
+save_model(model, sys.argv[1] + "/m.oodm")
+rc = main(["score", "--input", sys.argv[1] + "/t.oodf", "--method", "mah",
+           "--model", sys.argv[1] + "/m.oodm", "--out", sys.argv[1] + "/s.csv"])
+print(rc, [name for name in ("scipy", "scipy.linalg") if name in sys.modules])
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "0 []", out.stderr
+    assert len(read_scores(tmp_path / "s.csv")) == 40
+
+
+@pytest.mark.parametrize("d", [16, 128, 512])
+def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch):
+    """When scipy's LAPACK file cannot be loaded, ``scipy.linalg.lapack``
+    serves the wrappers, with the same score bytes: for a one-row input (one
+    solve per candidate) and for 40 rows in 8-row blocks, each refined in two
+    chunks or more (near-tie rows keep two candidates)."""
+    rng = np.random.default_rng(d)
+    c = 6
+    a = rng.normal(size=(d, d))
+    means, cov = rng.normal(size=(c, d)), a @ a.T / d + np.eye(d)
+    mids = (means + np.roll(means, 1, axis=0)) / 2.0
+    feats = np.vstack([mids, mids + 1e-12 * rng.normal(size=mids.shape),
+                       means[rng.integers(0, c, 28)] + rng.normal(size=(28, d))])
+    block_rows(8, d)
+
+    def scores():  # a new model builds its candidate terms with the current wrappers
+        model = GaussianClassModel(means, cov, np.full(c, 3))
+        assert _candidates(feats[:8], model)[0].size > 8  # a block's refinement: 2+ chunks
+        return [score_mahalanobis(model, x).scores.tobytes() for x in (feats[:1], feats)]
+
+    looked = []
+
+    def missing():
+        looked.append(1)
+        raise FileNotFoundError("no LAPACK file")
+
+    detectors._lapack.cache_clear()
+    try:
+        direct = scores()
+        monkeypatch.setattr(detectors, "_flapack_file", missing)
+        detectors._lapack.cache_clear()
+        assert scores() == direct
+    finally:
+        detectors._lapack.cache_clear()
+    assert looked == [1]
+
+
+def test_triangular_solve_on_a_zero_diagonal_raises_linalg_error():
+    """As with ``scipy.linalg.solve_triangular``, so the CLI exits 4."""
+    factor = np.tril(np.ones((3, 3)))
+    factor[1, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^singular matrix: resolution failed at diagonal 1$"):
+        _solve_lower(factor, np.ones((3, 2)))
 
 
 def test_model_bad_file(tmp_path):

@@ -578,14 +578,12 @@ def test_sweep_peak_memory_near_one_world(axis, grid, detectors, bound, block_ro
     below the 0.782 of a loop that keeps a level's fit table, which no kept
     call holds, while the next level is built.
     """
-    import scipy.linalg  # noqa: F401  (mah imports it on first use)
-
     base = world_spec(classes=8, dim=32, law=Balanced(4000), seed=2)
     block_rows(4096, 32)
     world = generate_world(base, ood_distances=grid if axis == Axis.DOMAIN_DISTANCE else None)
     tables = [world.id_train, world.id_fit, world.id_test, *world.ood_tables.values()]
     world_bytes = sum(t.features.nbytes + t.logits.nbytes for t in tables)
     del world, tables
-    run_sweep(SweepSpec(axis, world_spec(), grid, detectors))  # first-call allocations
+    run_sweep(SweepSpec(axis, world_spec(), grid, detectors))  # first-call allocations, LAPACK
     peak = traced_peak(lambda: run_sweep(SweepSpec(axis, base, grid, detectors)))[1]
     assert peak <= bound * world_bytes, peak / world_bytes
