@@ -12,9 +12,10 @@ imbalance axis resamples the ID_FIT_DETECTOR table, while the accuracy axis
 needs a synthetic world (there is no knob to turn on a fixed dump).
 
 One loop, :func:`run_sweep`, serves every axis. Each axis has a small
-provider that yields the (fit, ID test, OOD test) tables of each grid point;
-the loop fits and scores, and a table the provider hands back again (the
-domain axis's ID test set, the imbalance axis's test sets) is scored once.
+provider that yields the (fit, ID test, OOD test) tables of each grid point,
+and declares in :data:`_PROVIDERS` which of them it hands over unchanged at
+every point (the domain axis's fit and ID test tables, the imbalance axis's
+test tables); the loop fits and scores those once per detector.
 Providers check the whole grid before the first fit or score, on a synthetic
 world before it is drawn: the accuracy axis its label-noise levels, the
 others in one loader, :func:`_base_tables` (OOD names, the class sizes and
@@ -29,7 +30,6 @@ resampling at grid point i.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -46,7 +46,6 @@ from .synthetic import (
     _noised,
     _world_split,
     _worlds,
-    generate_world,
     imbalanced_rows,
     stream_rng,
 )
@@ -178,18 +177,18 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
     ``oods`` names the OOD tables (distances, or a manifest's OOD_TEST names);
     ``None`` takes the world's first. Imbalance ``laws`` are checked, and their
     rows drawn, on the fit labels before any feature is drawn or test table
-    read. A world is drawn without its classifier-train split and dropped on
-    return; a manifest is read once and checked before any table is read. Its
+    read. A world's split is worked out once, for those labels and the draw;
+    the world is drawn without its classifier-train split and dropped on
+    return. A manifest is read once and checked before any table is read. Its
     one ID_FIT_DETECTOR table is read first, and only for ``laws`` or a mah detector.
     """
     world, rows = spec.base_world, None
     if spec.is_synthetic:
+        split = _world_split(world)
         if laws is not None:
-            with warnings.catch_warnings():  # the draw splits again, and warns then
-                warnings.simplefilter("ignore")
-                rows = _law_rows(laws, _noised(world, _world_split(world)[2])[1], spec.seed)
+            rows = _law_rows(laws, _noised(world, split[2])[1], spec.seed)
         distances = None if oods is None else tuple(float(v) for v in oods)
-        w = generate_world(world, ood_distances=distances, n_ood=spec.n_per_side, keep_train=False)
+        (w,) = _worlds([world], distances, spec.n_per_side, split, keep_train=False)
         return w.id_fit, w.id_test, list(w.ood_tables.values()), w.classifier_accuracy, rows
 
     manifest = DatasetManifest.read(world)
@@ -283,10 +282,12 @@ def _imbalance_points(spec: SweepSpec):
         yield law, id_fit.take(rows), id_test, ood, accuracy
 
 
+#: Each axis's provider, and the positions in (fit, ID test, OOD test) of
+#: the tables it hands over unchanged, the very same objects, at every point.
 _PROVIDERS = {
-    Axis.ACCURACY: _accuracy_points,
-    Axis.DOMAIN_DISTANCE: _domain_points,
-    Axis.IMBALANCE: _imbalance_points,
+    Axis.ACCURACY: (_accuracy_points, ()),
+    Axis.DOMAIN_DISTANCE: (_domain_points, (0, 1)),
+    Axis.IMBALANCE: (_imbalance_points, (1, 2)),
 }
 
 
@@ -294,42 +295,34 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run one sweep: one row per (grid value, detector), in that order.
 
     The axis's provider hands over each grid point's tables; this loop fits
-    and scores them. Score-once rule: a fit or a scoring whose inputs are the
-    very same objects (``is``) as in a call of the current or previous grid
-    point reuses that result, so a fixed test set is scored once per detector.
-    Only the last grid point's calls are kept when the next is drawn, so
-    memory does not grow with the grid, and a kept call holds its inputs, so
-    none is freed meanwhile.
+    and scores them. A fit, or a scoring whose inputs (a mah scoring's fit
+    table among them) are all shared tables of the axis, is made once per
+    detector and kept for the whole sweep: the domain axis scores its ID test
+    set once. Everything else is made at its grid point and dropped before
+    the next point is built, so memory does not grow with the grid.
     """
-    kept: list[tuple] = []  # (grid point, (fn, *args), result)
-
-    def call(i: int, fn, *args):
-        key = (fn, *args)
-        for _, k, result in kept:
-            if len(k) == len(key) and all(a is b for a, b in zip(k, key)):
-                break
-        else:
-            result = fn(*args)
-        kept.append((i, key, result))
-        return result
-
+    provider, shared = _PROVIDERS[spec.axis]
+    kept: dict[tuple[int, int], object] = {}  # (detector index, position): made once
     rows: list[SweepRow] = []
-    points = _PROVIDERS[spec.axis](spec)
-    for i in range(len(spec.grid)):  # no enumerate: its tuple would keep a point's tables
-        value, fit_table, id_table, ood_table, accuracy = next(points)
-        for config in spec.detectors:
-            model = None
-            if config.method is Method.MAH:  # every provider yields a fit table for it
-                model = call(i, fit_mahalanobis, fit_table, config.ridge)
-            id_scores, ood_scores = (
-                call(i, score_table, config, t, model) for t in (id_table, ood_table)
-            )
-            curve = roc_curve(id_scores, ood_scores)
+    for value, *tables, accuracy in provider(spec):
+        for j, config in enumerate(spec.detectors):
+            # mah scores with a fit of position 0, which every provider yields for it
+            fit = (0,) if config.method is Method.MAH else ()
+            made = {}  # position: the fit, or the scores of that position's table
+            for pos in (*fit, 1, 2):
+                if (j, pos) in kept:
+                    made[pos] = kept[j, pos]
+                elif pos == 0:
+                    made[0] = fit_mahalanobis(tables[0], config.ridge)
+                else:
+                    made[pos] = score_table(config, tables[pos], made.get(0))
+                if {*fit, pos}.issubset(shared):
+                    kept[j, pos] = made[pos]
+            curve = roc_curve(made[1], made[2])
             rows.append(SweepRow(
                 axis=spec.axis, axis_value=_grid_text(value), method=config.method.value,
                 classifier_accuracy=accuracy, auroc=auroc(curve),
-                fpr95=fpr_at_tpr(curve, 0.95), n_id=id_table.n, n_ood=ood_table.n,
+                fpr95=fpr_at_tpr(curve, 0.95), n_id=tables[1].n, n_ood=tables[2].n,
             ))
-        kept[:] = [e for e in kept if e[0] == i]
-        del fit_table, id_table, ood_table  # so the next point is built without them
+        del tables, made, curve  # so the next point is built without them
     return SweepResult(tuple(rows), _provenance(spec))

@@ -327,7 +327,9 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
     """The :func:`generate_world` of each of ``levels``, specs that differ in
     label noise only, as one draw of the split and every feature: level j's
     train labels are summed under ``j*c + label`` (and, if noise empties a
-    class, every train row under ``len(levels)*c``), its logits taken when reached."""
+    class, every train row under ``len(levels)*c``), its logits taken when reached.
+    ``split`` is a :func:`_world_split` of the levels' world, by default the
+    first level's."""
     spec = levels[0]
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     ood_distances = (spec.ood_distance,) if ood_distances is None else ood_distances
@@ -340,7 +342,7 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
                                   f"{dist!r} share the table name {name!r}")
     if n_ood is not None and int(n_ood) < 1:
         raise ValidationError("n_ood must be >= 1")
-    sizes, parts, (*clean, test_labels) = _world_split(spec, split)
+    sizes, parts, (*clean, test_labels) = split or _world_split(spec)
     train_labels, fit_labels = zip(*(_noised(level, clean) for level in levels))
     counts = [np.bincount(labels, minlength=c) for labels in train_labels]
     columns = [labels + j * c for j, labels in enumerate(train_labels)]
@@ -416,7 +418,7 @@ def generate_world(
     drawn. ``keep_train=False`` still draws that split, so every other table
     is the same, but stores none of it: ``id_train`` is then ``None``.
     """
-    return next(_worlds([spec], ood_distances, n_ood, split, keep_train))
+    return next(_worlds([spec], ood_distances, n_ood, _world_split(spec, split), keep_train))
 
 
 # ---------------------------------------------------------------------------
