@@ -174,7 +174,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = DetectorConfig(Method(args.method), ridge=args.ridge)  # before any read
+    config = DetectorConfig(args.method, ridge=args.ridge)  # before any read
     if config.method is not Method.MAH:
         raise ValidationError(f"{config.method.value} has no fitting step; only mah is fitted")
     if args.manifest:
@@ -196,7 +196,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = DetectorConfig(Method(args.method), temperature=args.temperature)
+    config = DetectorConfig(args.method, temperature=args.temperature)
     model = None
     if config.method is Method.MAH:
         if not args.model:
@@ -214,11 +214,10 @@ def cmd_score(args) -> int:
 def _score_pair(args) -> tuple[Criterion, np.ndarray, np.ndarray]:
     """The ``--criterion`` and the ID and OOD scores; a ``--target`` that the
     criterion reads is checked before any score file is read."""
-    method = Method(args.method) if args.method else None
     criterion = Criterion.YOUDEN if args.criterion == "youden" else Criterion.FPR_AT_TPR
     if criterion is Criterion.FPR_AT_TPR:
         _check_target(args.target)
-    return criterion, read_scores(args.id_scores, method), read_scores(args.ood_scores, method)
+    return criterion, *(read_scores(path, args.method) for path in (args.id_scores, args.ood_scores))
 
 
 def cmd_calibrate(args) -> int:
@@ -285,7 +284,7 @@ def cmd_sweep(args) -> int:
     _write_text(str(out / "rows.jsonl"), result.to_jsonl())
     _write_text(str(out / "summary.json"), result.to_summary_json(_timestamp(args)))
     if args.svg:
-        labels = [str(v) for v in dict.fromkeys(r.axis_value for r in result.rows)]
+        labels = [str(r.axis_value) for r in result.rows[:: len(detectors)]]  # one per point
         series: dict[str, list[float]] = {}
         for row in result.rows:
             series.setdefault(row.method, []).append(row.auroc)

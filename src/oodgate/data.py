@@ -59,6 +59,7 @@ def _first_bad_row(arr: np.ndarray) -> int:
     return int(np.argwhere(~np.isfinite(arr))[0][0])
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FeatureTable:
     """Immutable per-sample features, optional logits, and labels.
 
@@ -67,14 +68,12 @@ class FeatureTable:
     so a value that overflows binary32 is rejected rather than silently kept.
     """
 
-    __slots__ = ("features", "logits", "labels")
+    features: np.ndarray
+    logits: np.ndarray | None
+    labels: np.ndarray
 
-    def __init__(
-        self,
-        features: np.ndarray,
-        logits: np.ndarray | None,
-        labels: np.ndarray,
-    ) -> None:
+    def __post_init__(self) -> None:
+        features, logits, labels = self.features, self.logits, self.labels
         with np.errstate(over="ignore"):  # overflow is caught by the finite check
             features = np.ascontiguousarray(features, dtype=np.float32)
         if features.ndim != 2:
@@ -120,9 +119,6 @@ class FeatureTable:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FeatureTable is immutable")
 
     @property
     def n(self) -> int:

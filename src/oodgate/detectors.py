@@ -57,27 +57,37 @@ class Method(str, enum.Enum):
     MAH = "mah"
 
 
+def _method(value) -> Method:
+    try:
+        return Method(value)
+    except ValueError:
+        raise ValidationError(f"unknown detector method {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
-    method: Method
+    method: Method  # or its value, stored as the Method
     temperature: float = 1.0  # ebm only
     ridge: float = 1e-6  # mah covariance regularizer, relative to trace/d
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "method", _method(self.method))
         if not 0 < self.temperature < math.inf:
             raise ValidationError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0 <= self.ridge < math.inf:
             raise ValidationError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Per-sample detector scores, higher = more in-distribution."""
 
-    method: Method | None
+    method: Method | None  # or its value, stored as the Method
     scores: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.method is not None:
+            object.__setattr__(self, "method", _method(self.method))
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size == 0:
             raise ValidationError(f"scores must be a nonempty vector, got {scores.shape}")
@@ -157,6 +167,8 @@ def _logit_rows(logits) -> np.ndarray:
     arr = _floats(logits)
     if arr.ndim != 2:
         raise ValidationError(f"logits must be 2-D (rows of logits), got {arr.shape}")
+    if arr.shape[1] < 1:
+        raise ValidationError(f"logits need at least 1 column, got shape {arr.shape}")
     return arr
 
 

@@ -22,9 +22,10 @@ others in one loader, :func:`_base_tables` (OOD names, the class sizes and
 totals of every law, then each law's fit rows drawn before any test table
 is read), which also decides whether the fit table is read.
 
-RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample and
-(8, i) OOD subsample at grid point i, (10, i) child seed for imbalance
-resampling at grid point i.
+RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample at
+grid point i (the domain axis draws its one subsample from (7, 0)), (8, i)
+OOD subsample at grid point i, (10, i) child seed for imbalance resampling
+at grid point i.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ class SweepSpec:
             raise ValidationError("numeric grid values must be strictly increasing")
         if not self.detectors:
             raise ValidationError("sweep needs at least one detector")
+        for i, config in enumerate(self.detectors):
+            if config in self.detectors[:i]:  # its rows would repeat byte for byte
+                raise ValidationError(f"sweep repeats the detector {config.method.value}")
         if self.n_per_side is not None and self.n_per_side < 1:
             raise ValidationError(f"n_per_side must be >= 1, got {self.n_per_side}")
         if self.seed < 0:

@@ -23,7 +23,7 @@ class Criterion(str, enum.Enum):
     FPR_AT_TPR = "fpr_at_tpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
     """Operating points at descending thresholds, endpoints (0,0) and (1,1).
 

@@ -185,7 +185,7 @@ class SyntheticSpec:
             raise ValidationError("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticWorld:
     """One generated world; ``id_train`` is ``None`` when it was drawn with
     ``keep_train=False``."""

@@ -1,10 +1,18 @@
-"""The public surface: ``oodgate.__all__``, and every name the benchmark imports."""
+"""The public surface: ``oodgate.__all__``, every name the benchmark imports,
+and the value-record contract."""
 
 import ast
+import copy
+import dataclasses
 import importlib
+import pickle
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import oodgate
+from oodgate import Balanced, FeatureTable, Method, ScoreSet, SyntheticSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -95,3 +103,51 @@ def test_every_name_the_benchmark_imports_still_imports():
     for module, name in sorted(found, key=str):
         imported = importlib.import_module(module)
         assert name is None or hasattr(imported, name), (module, name)
+
+
+# ---------------------------------------------------------------------------
+# value records
+
+#: One way to build each record that holds arrays; two calls build two equal records.
+RECORDS = {
+    "FeatureTable": lambda: FeatureTable(np.eye(2), np.ones((2, 3)), [0, 2]),
+    "ScoreSet": lambda: ScoreSet(Method.EBM, [0.5, -1.0]),
+    "RocCurve": lambda: oodgate.roc_curve(ScoreSet(None, [2.0, 1.0]), ScoreSet(None, [1.5])),
+    "SyntheticWorld": lambda: oodgate.generate_world(
+        SyntheticSpec(classes=2, dim=2, law=Balanced(10), seed=1)),
+}
+
+
+def _same(a, b) -> bool:
+    """Field by field, arrays by dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_copy_compare_hash_and_stay_frozen(name):
+    """Every record copies and pickles; ``==`` and ``hash`` never raise over
+    array fields: a FeatureTable compares by bytes and is unhashable, the
+    others compare and hash by identity. No field can be set or deleted."""
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name and _same(record, twin)
+    for other in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert _same(record, other)
+    assert record == record and (record == twin) is (name == "FeatureTable")
+    if name == "FeatureTable":
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(record) == hash(record) and hash(record) != hash(twin)
+    for field in dataclasses.fields(record):
+        with pytest.raises(AttributeError):
+            setattr(record, field.name, getattr(twin, field.name))
+        with pytest.raises(AttributeError):
+            delattr(record, field.name)
+    assert _same(record, twin)

@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import re
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodgate import (
+    DATASET_SIZE_PRESETS,
     UNLABELED,
     DatasetManifest,
     FeatureTable,
@@ -672,6 +678,29 @@ def test_sweep_cli_imbalance_laws(tmp_path):
     assert [r["axis_value"] for r in rows] == ["balanced:5", "uniform:20"]
 
 
+def test_sweep_svg_draws_one_label_and_one_point_per_grid_point(tmp_path):
+    out = tmp_path / "sweep"
+    assert run(
+        "sweep", "--axis", "imbalance", "--grid", "balanced:5,balanced:5",
+        "--classes", "4", "--dim", "4", "--law", "balanced:200",
+        "--detectors", "msp,mah", "--out", str(out), "--svg",
+    ) == 0
+    svg = (out / "sweep.svg").read_text()
+    labels = re.findall(r'<text x="([^"]+)"[^>]*font-size="11">balanced:5</text>', svg)
+    points = re.findall(r'<circle cx="([^"]+)"', svg)
+    assert len(labels) == 2 and labels[0] != labels[1]
+    assert points == labels * 2  # msp's two points, then mah's
+
+
+def test_sweep_rejects_a_repeated_detector(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run("sweep", "--axis", "domain-distance", "--grid", "1,2", "--classes", "3",
+               "--dim", "4", "--detectors", "msp,msp", "--out", str(out), "--svg") == 2
+    err = capsys.readouterr().err
+    assert err == "error: sweep repeats the detector msp\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -886,6 +915,86 @@ def test_config_seed_wins_over_env_seed(tmp_path, monkeypatch):
         assert run("synth", "--config", str(cfg), *flags, "--out", str(out)) == 0
         seeds.append(json.loads((out / "world.json").read_text())["seed"])
     assert seeds == [5, 6]
+
+
+#: Typed optional flags whose value the precedence property draws, with the
+#: text each source may give. ``--n-ood`` and ``--n-per-side`` take presets.
+_SIZES = st.one_of(st.integers(1, 10**9).map(str), st.sampled_from(sorted(DATASET_SIZE_PRESETS)))
+_DRAWN_FLAGS = {
+    "seed": st.integers(0, 2**40).map(str),
+    "separation": st.floats(0, 1e6).map(repr),
+    "n-ood": _SIZES,
+    "ridge": st.floats(0, 1e6).map(repr),
+    "temperature": st.floats(1e-6, 1e6).map(repr),
+    "n-per-side": _SIZES,
+    "target": st.floats(0, 1).map(repr),
+    "criterion": st.sampled_from(["youden", "fpr-at-tpr"]),
+}
+#: The required flags of each command; the recorded commands read no file.
+_REQUIRED = {
+    "synth": ["--out", "w"],
+    "fit": ["--out", "m"],
+    "score": ["--input", "t", "--method", "msp", "--out", "s"],
+    "calibrate": ["--id-scores", "i", "--ood-scores", "o"],
+    "eval": ["--id-scores", "i", "--ood-scores", "o"],
+    "sweep": ["--axis", "accuracy", "--grid", "0", "--out", "s"],
+}
+
+
+@st.composite
+def _flag_sources(draw):
+    """A command, and for each drawn flag it takes the value of each source
+    that gives one: argv, a ``--config`` line, and, for ``--seed``, the
+    environment."""
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    options = {o for a in build_parser()[1][command]._actions for o in a.option_strings}
+    sources = {}
+    for flag, values in _DRAWN_FLAGS.items():
+        if f"--{flag}" not in options:
+            continue
+        names = ["argv", "config"] + (["env"] if flag == "seed" else [])
+        given_by = draw(st.lists(st.sampled_from(names), unique=True))
+        texts = draw(st.lists(values, min_size=len(given_by), max_size=len(given_by),
+                              unique=True))
+        sources[flag] = dict(zip(given_by, texts))
+    return command, sources, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=_flag_sources())
+def test_flag_value_comes_from_argv_then_config_then_env_then_default(drawn):
+    """The value a command sees is argv's, else the config file's, else
+    ``OODGATE_SEED``'s (``--seed`` only), else the parser default."""
+    command, sources, config_first = drawn
+    recorded = []
+
+    def record(args):
+        recorded.append(args)
+        return 0
+
+    flags = [f"--{f}={v['argv']}" for f, v in sources.items() if "argv" in v]
+    lines = "".join(f"{f} = {v['config']}\n" for f, v in sources.items() if "config" in v)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name in _REQUIRED:
+            mp.setattr(oodgate.cli, f"cmd_{name}", record)
+        mp.delenv("OODGATE_SEED", raising=False)
+        defaults = build_parser()[1][command]
+        if "env" in sources.get("seed", {}):
+            mp.setenv("OODGATE_SEED", sources["seed"]["env"])
+        config = Path(tmp, "flags.cfg")
+        config.write_text(lines, encoding="utf-8")
+        given_flags = ["--config", str(config), *flags] if config_first else \
+            [*flags, "--config", str(config)]
+        assert main([command, *_REQUIRED[command], *given_flags]) == 0
+    (args,) = recorded
+    for flag, by_source in sources.items():
+        action = next(a for a in defaults._actions if f"--{flag}" in a.option_strings)
+        text = next((by_source[s] for s in ("argv", "config", "env") if s in by_source), None)
+        if text is None:
+            want = defaults.get_default(action.dest)
+        else:
+            want = text if action.type is None else action.type(text)
+        assert getattr(args, action.dest) == want, (flag, by_source)
 
 
 @pytest.mark.parametrize(

@@ -981,3 +981,32 @@ def test_score_table_dispatch(rng):
         score_table(DetectorConfig(Method.MSP), bare)
     with pytest.raises(ValidationError, match="model"):
         score_table(DetectorConfig(Method.MAH), t)
+
+
+def test_method_value_configures_the_same_detector(rng):
+    """A config or score set built from a method's value holds the Method
+    itself, so ``score_table``'s ``is`` dispatch picks the named detector."""
+    t = FeatureTable(
+        rng.normal(size=(10, 3)), rng.normal(size=(10, 4)), rng.integers(0, 4, 10)
+    )
+    model = fit_mahalanobis(t)
+    for method in Method:
+        by_value = DetectorConfig(method.value, temperature=2.0)
+        assert by_value.method is method and by_value == DetectorConfig(method, 2.0)
+        got = score_table(by_value, t, model)
+        want = score_table(DetectorConfig(method, 2.0), t, model)
+        assert got.method is method and got.scores.tobytes() == want.scores.tobytes()
+        assert ScoreSet(method.value, [1.0]).method is method
+    assert ScoreSet(None, [1.0]).method is None
+    for bad in ("bogus", "MSP", 3):
+        with pytest.raises(ValidationError, match="unknown detector method"):
+            DetectorConfig(bad)
+        with pytest.raises(ValidationError, match="unknown detector method"):
+            ScoreSet(bad, [1.0])
+
+
+@pytest.mark.parametrize("score", [score_msp, score_energy], ids=["msp", "ebm"])
+def test_logits_without_columns_are_rejected(score):
+    with pytest.raises(ValidationError) as info:
+        score(np.zeros((3, 0)))
+    assert str(info.value) == "logits need at least 1 column, got shape (3, 0)"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,23 @@ def _digest_spec(name, tmp_path=None):
 def test_rows_match_recorded_digests(name, tmp_path):
     text = run_sweep(_digest_spec(name, tmp_path)).to_jsonl()
     assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["accuracy", "domain"])
+def test_method_values_sweep_the_same_rows(name):
+    spec = _digest_spec(name)
+    by_value = replace(spec, detectors=tuple(DetectorConfig(c.method.value) for c in ALL))
+    text = run_sweep(by_value).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256[name]
+
+
+def test_sweep_spec_rejects_a_repeated_detector():
+    ebm = DetectorConfig(Method.EBM, temperature=2.0)
+    for detectors in ((ebm, ebm), (*ALL, DetectorConfig("msp")), (ebm, DetectorConfig("ebm", 2))):
+        with pytest.raises(ValidationError, match="sweep repeats the detector"):
+            SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1.0,), detectors)
+    # the same method with another temperature is another detector
+    SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1.0,), (ebm, DetectorConfig(Method.EBM)))
 
 
 #: sha256 of the stamped summary.json of the synthetic digest sweeps, recorded
