@@ -329,7 +329,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         epilog=_EPILOG,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     p = subs.add_parser("synth", help="generate a synthetic world", epilog=_EPILOG)
     _add_world_flags(p)
@@ -343,7 +342,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                    help="omit the timestamp (default)")
     p.set_defaults(func=cmd_synth, timestamp=False)
-    commands["synth"] = p
 
     p = subs.add_parser("fit", help="fit the mahalanobis detector")
     p.add_argument("--input", default=None, help="detector-fit table")
@@ -355,7 +353,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="covariance ridge, relative to trace/d")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_fit)
-    commands["fit"] = p
 
     p = subs.add_parser("score", help="score a table with one detector")
     p.add_argument("--input", required=True, help="table to score")
@@ -365,7 +362,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--temperature", type=float, default=1.0, help="ebm temperature")
     p.add_argument("--out", required=True, help="score CSV to write")
     p.set_defaults(func=cmd_score)
-    commands["score"] = p
 
     for name, func, help_text in (
         ("calibrate", cmd_calibrate, "pick an operating threshold"),
@@ -383,7 +379,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         if name == "eval":
             p.add_argument("--svg", default=None, help="also render the ROC curve")
         p.set_defaults(func=func)
-        commands[name] = p
 
     p = subs.add_parser("sweep", help="run one evaluation-axis sweep",
                         epilog=_EPILOG)
@@ -410,11 +405,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--timestamp", dest="timestamp", action="store_true")
     p.add_argument("--no-timestamp", dest="timestamp", action="store_false")
     p.set_defaults(func=cmd_sweep, timestamp=False)
-    commands["sweep"] = p
 
-    for p in commands.values():
+    for p in subs.choices.values():
         _add_common(p)
-    return parser, commands
+    return parser, subs.choices
 
 
 def _apply_config(sub: argparse.ArgumentParser, path: str) -> dict[str, list]:

@@ -31,7 +31,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,25 @@ def _first_bad_row(arr: np.ndarray) -> int:
     return int(np.argwhere(~np.isfinite(arr))[0][0])
 
 
+class _Record:
+    """Base of the frozen records with array fields. ``_set`` stores fields,
+    each array made read-only; a copy or an unpickled record is rebuilt by the
+    constructor, which checks it again and carries no cached value over."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
-class FeatureTable:
+class FeatureTable(_Record):
     """Immutable per-sample features, optional logits, and labels.
 
     Arrays are stored as 32-bit floats (the on-disk precision) and 32-bit
@@ -113,12 +130,7 @@ class FeatureTable:
             raise ValidationError(f"label out of range at row {bad}: {labels[bad]} >= {limit}")
         labels = np.ascontiguousarray(labels, dtype=np.int32)
 
-        for arr in (features, logits, labels):
-            if arr is not None:
-                arr.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
+        self._set(features=features, logits=logits, labels=labels)
 
     @property
     def n(self) -> int:

@@ -23,13 +23,13 @@ import importlib.util
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
 
-from .data import (FeatureTable, _VERSION, _ingesting, _read_csv, _read_packed,
+from .data import (FeatureTable, _Record, _VERSION, _ingesting, _read_csv, _read_packed,
                    _write_csv, _write_packed)
 from .errors import NumericalError, ValidationError
 
@@ -79,22 +79,20 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreSet:
+class ScoreSet(_Record):
     """Per-sample detector scores, higher = more in-distribution."""
 
     method: Method | None  # or its value, stored as the Method
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.method is not None:
-            object.__setattr__(self, "method", _method(self.method))
+        method = None if self.method is None else _method(self.method)
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size == 0:
             raise ValidationError(f"scores must be a nonempty vector, got {scores.shape}")
         if not np.isfinite(scores).all():
             raise ValidationError("scores contain non-finite values")
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
+        self._set(method=method, scores=scores)
 
     def __len__(self) -> int:
         return self.scores.size
@@ -217,7 +215,8 @@ def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
 # Mahalanobis detector
 
 
-class GaussianClassModel:
+@dataclass(frozen=True, eq=False, repr=False)
+class GaussianClassModel(_Record):
     """Per-class means with one shared, ridge-regularized covariance.
 
     The stored ``covariance`` is the unregularized pooled within-class
@@ -225,16 +224,19 @@ class GaussianClassModel:
     lower Cholesky factor of the regularized covariance. Every returned
     distance comes from a triangular solve against it; the first scoring call
     builds, and the model keeps, the d x c matrix that picks each row's
-    candidate classes, so neither ``means`` nor the factor may change after.
+    candidate classes (:attr:`_terms`).
     """
 
-    __slots__ = ("means", "covariance", "precision_factor", "per_class_counts", "ridge", "_terms")
+    means: np.ndarray
+    covariance: np.ndarray
+    per_class_counts: np.ndarray
+    ridge: float = 1e-6
+    precision_factor: np.ndarray = field(init=False)
 
-    def __init__(self, means: np.ndarray, covariance: np.ndarray,
-                 per_class_counts: np.ndarray, ridge: float = 1e-6) -> None:
-        means = np.ascontiguousarray(means, dtype=np.float64)
-        covariance = np.ascontiguousarray(covariance, dtype=np.float64)
-        counts = np.ascontiguousarray(per_class_counts, dtype=np.int64)
+    def __post_init__(self) -> None:
+        means = np.ascontiguousarray(self.means, dtype=np.float64)
+        covariance = np.ascontiguousarray(self.covariance, dtype=np.float64)
+        counts = np.ascontiguousarray(self.per_class_counts, dtype=np.int64)
         if means.ndim != 2 or means.size == 0:
             raise ValidationError(f"means must be c x d with c, d >= 1, got shape {means.shape}")
         c, d = means.shape
@@ -244,8 +246,8 @@ class GaussianClassModel:
             raise ValidationError("per_class_counts length must equal class count")
         if (counts < 1).any():
             raise ValidationError(f"class {int(np.argmin(counts))} has no fit samples")
-        if not 0 <= ridge < math.inf:
-            raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
+        if not 0 <= self.ridge < math.inf:
+            raise ValidationError(f"ridge must be finite and >= 0, got {self.ridge}")
         if not np.isfinite(means).all():
             raise ValidationError("means contain non-finite values")
         if not np.isfinite(covariance).all():
@@ -253,24 +255,22 @@ class GaussianClassModel:
         if np.abs(covariance - covariance.T).max() > 1e-9:
             raise ValidationError("covariance is not symmetric within 1e-9")
 
-        self.means = means
-        self.covariance = covariance
-        self.per_class_counts = counts
-        self.ridge = float(ridge)
-        self._terms = None  # _candidates' per-model terms, built on the first scoring call
+        ridge = float(self.ridge)
         trace = float(np.trace(covariance))
         if trace > 0:
-            scale = self.ridge * trace / d
+            scale = ridge * trace / d
         else:
-            scale = ZERO_TRACE_RIDGE_FLOOR if self.ridge > 0 else 0.0
+            scale = ZERO_TRACE_RIDGE_FLOOR if ridge > 0 else 0.0
         if not math.isfinite(scale):
             raise NumericalError(f"ridge * trace / d overflows to {scale}; decrease ridge")
         regularized = covariance + scale * np.eye(d)
         try:
-            self.precision_factor = np.linalg.cholesky(regularized)
+            factor = np.linalg.cholesky(regularized)
         except np.linalg.LinAlgError:
             raise NumericalError("regularized covariance is not positive-definite; "
                                  "increase ridge") from None
+        self._set(means=means, covariance=covariance, per_class_counts=counts, ridge=ridge,
+                  precision_factor=factor)
 
     @property
     def c(self) -> int:
@@ -279,6 +279,18 @@ class GaussianClassModel:
     @property
     def d(self) -> int:
         return self.means.shape[1]
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _terms(self) -> tuple:
+        """:func:`_candidates`' -2 P, |m|^2, max_j |m_j|, w and scale; scaling by 2 is exact."""
+        factor = self.precision_factor
+        minus_2p = -2.0 * _cho_solve(factor, self.means.T)
+        mean_sq = np.einsum("kj,jk->k", self.means, minus_2p) / -2.0
+        inv_norm = np.linalg.norm(_solve_lower(factor, np.eye(self.d)))
+        scale = 8 * self.d * np.finfo(np.float64).eps * np.linalg.norm(factor) * inv_norm
+        return (minus_2p, mean_sq, np.sqrt(np.max(mean_sq)), inv_norm,
+                scale if scale <= 1 else np.inf)
 
     def __repr__(self) -> str:
         return f"GaussianClassModel(c={self.c}, d={self.d}, ridge={self.ridge})"
@@ -400,13 +412,6 @@ def _candidates(block, model):
     estimate is kept.
     """
     factor = model.precision_factor
-    if model._terms is None:  # -2 P, |m|^2, max_j |m_j|, w, scale; scaling by 2 is exact
-        minus_2p = -2.0 * _cho_solve(factor, model.means.T)
-        mean_sq = np.einsum("kj,jk->k", model.means, minus_2p) / -2.0
-        inv_norm = np.linalg.norm(_solve_lower(factor, np.eye(model.d)))
-        scale = 8 * model.d * np.finfo(np.float64).eps * np.linalg.norm(factor) * inv_norm
-        model._terms = (minus_2p, mean_sq, np.sqrt(np.max(mean_sq)), inv_norm,
-                        scale if scale <= 1 else np.inf)
     minus_2p, mean_sq, mean_norm, inv_norm, scale = model._terms
     est = block @ minus_2p
     est += mean_sq

@@ -106,9 +106,12 @@ class SweepSpec:
             raise ValidationError("numeric grid values must be strictly increasing")
         if not self.detectors:
             raise ValidationError("sweep needs at least one detector")
-        for i, config in enumerate(self.detectors):
-            if config in self.detectors[:i]:  # its rows would repeat byte for byte
-                raise ValidationError(f"sweep repeats the detector {config.method.value}")
+        # a detector is its method and the one field that method reads, if any
+        keys = [(c.method, c.temperature if c.method is Method.EBM else None,
+                 c.ridge if c.method is Method.MAH else None) for c in self.detectors]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:  # its rows would repeat byte for byte
+                raise ValidationError(f"sweep repeats the detector {key[0].value}")
         if self.n_per_side is not None and self.n_per_side < 1:
             raise ValidationError(f"n_per_side must be >= 1, got {self.n_per_side}")
         if self.seed < 0:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import _Record
 from .detectors import ScoreSet
 from .errors import ValidationError
 
@@ -24,7 +25,7 @@ class Criterion(str, enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class RocCurve:
+class RocCurve(_Record):
     """Operating points at descending thresholds, endpoints (0,0) and (1,1).
 
     ``thresholds`` holds the unique observed scores bracketed by +/-inf
@@ -44,11 +45,7 @@ class RocCurve:
         for name, r in (("tpr", tp), ("fpr", fp)):
             if (np.diff(r) < 0).any() or r[0] != 0.0 or r[-1] != 1.0 or (r < 0).any() or (r > 1).any():
                 raise ValidationError(f"{name} must rise from 0 to 1 as thresholds descend")
-        for arr in (t, tp, fp):
-            arr.setflags(write=False)
-        object.__setattr__(self, "thresholds", t)
-        object.__setattr__(self, "tpr", tp)
-        object.__setattr__(self, "fpr", fp)
+        self._set(thresholds=t, tpr=tp, fpr=fp)
 
 
 def _cuts(id_scores: ScoreSet, ood_scores: ScoreSet):

@@ -111,6 +111,7 @@ def test_every_name_the_benchmark_imports_still_imports():
 #: One way to build each record that holds arrays; two calls build two equal records.
 RECORDS = {
     "FeatureTable": lambda: FeatureTable(np.eye(2), np.ones((2, 3)), [0, 2]),
+    "GaussianClassModel": lambda: oodgate.GaussianClassModel(np.eye(2), np.eye(2), [3, 4]),
     "ScoreSet": lambda: ScoreSet(Method.EBM, [0.5, -1.0]),
     "RocCurve": lambda: oodgate.roc_curve(ScoreSet(None, [2.0, 1.0]), ScoreSet(None, [1.5])),
     "SyntheticWorld": lambda: oodgate.generate_world(
@@ -151,3 +152,14 @@ def test_records_copy_compare_hash_and_stay_frozen(name):
         with pytest.raises(AttributeError):
             delattr(record, field.name)
     assert _same(record, twin)
+
+
+@pytest.mark.parametrize("name", ["FeatureTable", "GaussianClassModel", "RocCurve", "ScoreSet"])
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda r: pickle.loads(pickle.dumps(r))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_record_copies_keep_arrays_read_only(name, clone):
+    record = clone(RECORDS[name]())
+    arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)

@@ -5,7 +5,9 @@ with mpmath: max softmax of [1,2,3] = 1/(1+e^-1+e^-2), energy of [1,2,3]
 at T=1 = 3+ln(1+e^-1+e^-2).
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -420,6 +422,38 @@ def test_scoring_twice_builds_the_candidate_terms_once(rng, monkeypatch):
     terms = model._terms
     assert score_mahalanobis(model, queries).scores.tobytes() == first.tobytes()
     assert calls == [1] and model._terms is terms
+
+
+def test_model_arrays_stay_read_only_after_scoring(rng):
+    """Editing a fitted model's means in place fails instead of leaving its
+    cached candidate terms out of step with them."""
+    model = fit_mahalanobis(table_from(rng.normal(size=(60, 4)), rng.integers(0, 3, 60)))
+    queries = rng.normal(size=(40, 4))
+    first = score_mahalanobis(model, queries).scores
+    with pytest.raises(ValueError, match="read-only"):
+        model.means[0] += 1
+    assert score_mahalanobis(model, queries).scores.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ridge", "precision_factor"])
+def test_model_fields_cannot_be_set_or_deleted(name):
+    model = identity_model([[1.0, -2.0], [3.0, 4.0]])
+    with pytest.raises(AttributeError):
+        setattr(model, name, getattr(model, name))
+    with pytest.raises(AttributeError):
+        delattr(model, name)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_model_copies_score_the_same_and_build_their_own_terms(rng, clone):
+    model = fit_mahalanobis(table_from(rng.normal(size=(400, 128)), np.arange(400) % 5))
+    queries = rng.normal(size=(300, 128))
+    first = score_mahalanobis(model, queries).scores
+    other = clone(model)
+    assert "_terms" not in vars(other)  # rebuilt by the constructor: no cache carried over
+    assert score_mahalanobis(other, queries).scores.tobytes() == first.tobytes()
+    assert other._terms is not model._terms
 
 
 def test_block_rows_from_the_byte_budget():

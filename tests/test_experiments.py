@@ -350,6 +350,16 @@ def test_sweep_spec_rejects_a_repeated_detector():
     SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1.0,), (ebm, DetectorConfig(Method.EBM)))
 
 
+@pytest.mark.parametrize("method, field", [("msp", "temperature"), ("ebm", "ridge"),
+                                           ("mah", "temperature")])
+def test_sweep_spec_rejects_detectors_apart_only_in_an_unread_field(method, field):
+    """Configs that differ only in a field their method ignores sweep
+    byte-identical rows, so they are one detector."""
+    twins = (DetectorConfig(method), DetectorConfig(method, **{field: 2.0}))
+    with pytest.raises(ValidationError, match=f"sweep repeats the detector {method}"):
+        SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1.0,), twins)
+
+
 #: sha256 of the stamped summary.json of the synthetic digest sweeps, recorded
 #: with the hand-written provenance and row key lists that the dataclass
 #: fields replaced. (A manifest sweep's provenance holds its path.)
