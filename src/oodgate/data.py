@@ -521,6 +521,11 @@ def split_id_data(
     return tuple(table.take(rows) for rows in _split_rows(table.labels, policy))
 
 
+def stream_rng(seed: int, *key: int) -> np.random.Generator:
+    """PCG64 generator for one documented stream of a seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+
+
 def _split_rows(labels: np.ndarray, policy: SplitPolicy) -> list[np.ndarray]:
     """The sorted row indices of :func:`split_id_data`'s three parts: the
     split reads only the labels."""
@@ -529,9 +534,7 @@ def _split_rows(labels: np.ndarray, policy: SplitPolicy) -> list[np.ndarray]:
     if (labels == UNLABELED).any():
         raise ValidationError("split requires a fully labeled table")
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence(policy.seed, spawn_key=(_SPLIT_STREAM,))
-    )
+    rng = stream_rng(policy.seed, _SPLIT_STREAM)
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls, rows in _class_rows(labels):
         idx = rng.permutation(rows)

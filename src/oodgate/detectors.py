@@ -36,15 +36,17 @@ from .errors import NumericalError, ValidationError
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
 
-#: Bytes of one float64 row block in all three scorers, the fit's residual
-#: pass and the synthetic worlds' logits: a block has ``max(2, BLOCK_BYTES //
+#: Bytes of one float64 row block in all three scorers, the fit's two passes
+#: and the synthetic worlds' logits: a block has ``max(2, BLOCK_BYTES //
 #: (8 * width))`` rows, ``width`` being the widest float64 row its caller builds
-#: (c for msp and ebm, d for the fit, ``max(c, d)`` for mah scoring and world
+#: (c for msp and ebm, 2d + 2 for the fit's class sums (a gather, its copy and
+#: two indices), d for its residuals, ``max(c, d)`` for mah scoring and world
 #: logits). Only one block at a time is widened to float64, so each holds its
 #: input plus that block and one or two float64 working arrays of about this
-#: size, at any width. Every row's reductions run over that row alone, so no
-#: score, fitted value or logit depends on the block size. The paper's
-#: (c, d) = (142, 128) gets 4096-row blocks, d = 512 gets 1136.
+#: size, at any width. Every row's reductions run over that row alone, and
+#: class sums carry from block to block in row order, so no score, fitted
+#: value or logit depends on the block size. The paper's (c, d) = (142, 128)
+#: gets 4096-row blocks, d = 512 gets 1136.
 BLOCK_BYTES = 4096 * 142 * 8
 
 _MODEL_MAGIC = b"OODM"
@@ -155,6 +157,35 @@ def _row_blocks(arr: np.ndarray, what: str, width: int):
             raise ValidationError(f"{what} contain non-finite values")
         yield start, rows.astype(np.float64, copy=False)
         start = stop
+
+
+def _add_rows(
+    sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.ndarray
+) -> None:
+    """Add ``block[rows[i]]``, widened to float64, to ``sums[labels[i]]``
+    for each i.
+
+    Called on each row block in turn with ``sums`` starting at +0.0, this
+    leaves each label's sum with the bits ``mean(axis=0)`` sums its rows to:
+    one ``np.add.reduce`` over the label's carried sum and its rows in row
+    order, which like ``mean`` starts from the identity +0.0 (a label with
+    one row in the block adds it). ``np.add.reduceat`` sums a segment in
+    another order and moves the last bits.
+    """
+    if not labels.size:
+        return
+    order = np.argsort(labels, kind="stable")  # each label's rows stay in order
+    ordered = labels[order]
+    x = np.empty((ordered.size + 1, block.shape[1]))
+    x[1:] = block[rows[order]]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    ends = np.append(starts[1:], ordered.size)
+    lone = ends - starts == 1
+    sums[ordered[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
+    for lo, hi in zip(starts[~lone].tolist(), ends[~lone].tolist()):
+        k = ordered[lo]
+        x[lo] = sums[k]  # the row before a label's rows is already summed
+        sums[k] = np.add.reduce(x[lo : hi + 1], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +349,9 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
                       "estimates may be unstable")
     feats = fit_table.features.astype(np.float64)
     means = np.zeros((c, d))
-    np.add.at(means, labels, feats)
+    # _add_rows builds two d-wide float64 rows and two intp indices per row
+    for start, block in _row_blocks(feats, "features", 2 * d + 2):
+        _add_rows(means, labels[start : start + len(block)], block, np.arange(len(block)))
     means /= counts[:, None]
     for start, block in _row_blocks(feats, "features", d):  # views of the float64 copy
         block -= means[labels[start : start + len(block)]]  # within-class residuals

@@ -37,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureTable, Role
+from .data import DatasetManifest, FeatureTable, Role, stream_rng
 from .detectors import DetectorConfig, Method, fit_mahalanobis, score_table
 from .errors import ValidationError
 from .metrics import auroc, fpr_at_tpr, roc_curve
@@ -48,7 +48,6 @@ from .synthetic import (
     _world_split,
     _worlds,
     imbalanced_rows,
-    stream_rng,
 )
 
 #: Default per-side test size for generated worlds.

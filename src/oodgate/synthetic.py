@@ -12,9 +12,10 @@ detector-fit labels together, which gives a controllable accuracy knob
 without training anything.
 
 Randomness is drawn from named PCG64 streams spawned off the world seed
-(spawn keys: 1 class-mean directions, 2 ID samples, 3 label noise, 4+i
-the i-th OOD cloud, 5 count-law draws, 6 subsampling), so every table is a
-pure function of the spec.
+(spawn keys: 1 class-mean directions, 2 ID samples, 3 label noise, (4, i)
+the i-th OOD cloud, 5 count-law draws), so every table is a pure function of
+the spec. :func:`imbalanced_rows` spawns 5 (count-law draws) and 6
+(subsampling) off the seed it is given; in a sweep that is a child seed.
 
 No whole table is ever held in float64. The split rows are worked out from
 the labels before any sample exists, and each class is drawn straight into
@@ -41,8 +42,9 @@ from typing import Union
 
 import numpy as np
 
-from .data import UNLABELED, FeatureTable, SplitPolicy, _class_rows, _first_bad_row, _split_rows
-from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet, _row_blocks
+from .data import (UNLABELED, FeatureTable, SplitPolicy, _class_rows, _first_bad_row, _split_rows,
+                   stream_rng)
+from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet, _add_rows, _row_blocks
 from .errors import NumericalError, ValidationError
 
 _STREAM_MEANS = 1
@@ -52,11 +54,6 @@ _STREAM_OOD = 4
 _STREAM_LAW = 5
 _STREAM_SUBSAMPLE = 6
 _QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite rows raise
-
-
-def stream_rng(seed: int, *key: int) -> np.random.Generator:
-    """PCG64 generator for one documented stream of a seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +242,6 @@ def _draw_clusters(
         start += m
         del block  # so the next class is drawn without it
     return out
-
-
-def _add_rows(
-    sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.ndarray
-) -> None:
-    """Add ``block[rows[i]]``, widened to float64, to ``sums[labels[i]]``
-    for each i.
-
-    Called on each draw block in turn with ``sums`` starting at +0.0, this
-    leaves each label's sum with the bits ``mean(axis=0)`` sums its rows to:
-    one ``np.add.reduce`` over the label's carried sum and its rows in row
-    order, which like ``mean`` starts from the identity +0.0 (a label with
-    one row in the block adds it). ``np.add.reduceat`` sums a segment in
-    another order and moves the last bits.
-    """
-    if not labels.size:
-        return
-    order = np.argsort(labels, kind="stable")  # each label's rows stay in order
-    ordered = labels[order]
-    x = np.empty((ordered.size + 1, block.shape[1]))
-    x[1:] = block[rows[order]]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    ends = np.append(starts[1:], ordered.size)
-    lone = ends - starts == 1
-    sums[ordered[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
-    for lo, hi in zip(starts[~lone].tolist(), ends[~lone].tolist()):
-        k = ordered[lo]
-        x[lo] = sums[k]  # the row before a label's rows is already summed
-        sums[k] = np.add.reduce(x[lo : hi + 1], axis=0)
 
 
 def _log_density_logits(

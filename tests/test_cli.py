@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +691,19 @@ def test_sweep_svg_draws_one_label_and_one_point_per_grid_point(tmp_path):
     points = re.findall(r'<circle cx="([^"]+)"', svg)
     assert len(labels) == 2 and labels[0] != labels[1]
     assert points == labels * 2  # msp's two points, then mah's
+
+
+def test_sweep_svg_escapes_a_manifest_ood_name(tmp_path):
+    world = tmp_path / "w"
+    assert run("synth", "--classes", "3", "--dim", "4", "--law", "balanced:20",
+               "--ood-distance", "1", "--ood-distance", "2", "--out", str(world)) == 0
+    manifest = world / "world.manifest"
+    manifest.write_text(manifest.read_text().replace("OOD_TEST(d1)", "OOD_TEST(a<b&c)"))
+    out = tmp_path / "sweep"
+    assert run("sweep", "--axis", "domain-distance", "--manifest", str(manifest),
+               "--grid", "a<b&c,d2", "--out", str(out), "--svg") == 0
+    root = ET.parse(out / "sweep.svg").getroot()
+    assert "a<b&c" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 def test_sweep_rejects_a_repeated_detector(tmp_path, capsys):

@@ -182,6 +182,26 @@ def test_fit_matches_direct_summation(rng):
     np.testing.assert_allclose(model.covariance, cov, rtol=1e-10, atol=1e-14)
 
 
+def test_fit_means_have_the_bits_of_each_class_mean(block_rows):
+    """Float32 values near 2**23 and near 2**-30 round differently in float64
+    when summed in another order, and column 0 is all -0.0, whose mean is
+    +0.0; with 4 rows a block every class spans at least 3 blocks, holding
+    one row in some and several in others."""
+    rng = np.random.default_rng(5)
+    n, d, c = 60, 4, 3
+    big = 2.0**23 + rng.integers(0, 64, (n, d))
+    small = (1.0 + rng.random((n, d))) * 2.0**-30
+    features = np.where(rng.random((n, d)) < 0.4, big, small).astype(np.float32)
+    features[:, 0] = -0.0
+    labels = rng.integers(0, c, n)
+    block_rows(4, 2 * d)
+    assert all(np.unique(np.flatnonzero(labels == k) // 4).size >= 3 for k in range(c))
+    model = fit_mahalanobis(FeatureTable(features, None, labels))
+    for k in range(c):
+        expected = features[labels == k].astype(np.float64).mean(axis=0)
+        assert model.means[k].tobytes() == expected.tobytes(), k
+
+
 def test_fit_missing_class_named():
     t = FeatureTable(
         np.zeros((4, 2)), np.zeros((4, 3)), np.array([0, 0, 2, 2])

@@ -1,5 +1,6 @@
 """ROC construction, AUROC vs the pairwise oracle, calibration, quartiles."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -22,7 +23,7 @@ from oodgate import (
     pairwise_auroc_oracle,
     roc_curve,
 )
-from oodgate.svg import roc_svg
+from oodgate.svg import roc_svg, series_svg
 
 
 def ss(values, method=Method.EBM):
@@ -323,3 +324,42 @@ def test_roc_svg_well_formed_and_deterministic(rng):
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     assert "polyline" in svg and "stroke-dasharray" in svg
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_roc_svg_pinned_bytes():
+    # digests recorded with the renderer that formatted one point at a time
+    tied = roc_curve(ss([3.0, 2.0, 2.0, 1.0, 0.5]), ss([2.0, 1.0, 1.0, 0.0]))
+    rng = np.random.default_rng(5000)
+    big = roc_curve(ss(rng.normal(size=2500) + 0.7), ss(rng.normal(size=2500)))
+    assert (tied.fpr.size, big.fpr.size) == (7, 5002)
+    assert _sha256(roc_svg(tied)) == (
+        "34fa18ba03dfb4e15664b439977d8d0e468954ccb99e0f79510b4e9af2f02455"
+    )
+    assert _sha256(roc_svg(big)) == (
+        "09c0c67ec41f5f9a1c9bcd512ee925892040496be546c4a7391ee4f2833ffc48"
+    )
+
+
+@pytest.mark.parametrize(
+    "x_labels, series, title, digest",
+    [
+        # one grid label (k = 1), seven series (the palette wraps)
+        (["only"], {f"m{i}": [v] for i, v in enumerate([1.2, -0.1, 0.5, 0.25, 1.0, 0.0, 0.875])},
+         "AUROC vs one", "33d1d019a6074b07d44f1096c5986e8c593c1c1c176c7fa052411554e7bfa3c7"),
+        (["d1", "d2", "d3"], {"msp": [0.5, 1.2, 0.75], "mah": [-0.1, 0.3333, 1.0]},
+         "AUROC vs domain-distance",
+         "cfa00fbee099b2077d76bdd4ddb0246143a3115b56ae2816587d77fabf97c9a9"),
+    ],
+    ids=["one-label-seven-series", "three-labels-clamped"],
+)
+def test_series_svg_pinned_bytes_and_well_formed(x_labels, series, title, digest):
+    svg = series_svg(x_labels, series, title)
+    assert _sha256(svg) == digest
+    root = ET.fromstring(svg)
+    circles = root.findall("{http://www.w3.org/2000/svg}circle")
+    assert len(circles) == sum(map(len, series.values()))
+    assert all(56.0 <= float(c.get("cy")) <= 424.0 for c in circles)  # clamped to [0, 1]
