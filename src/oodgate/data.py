@@ -5,6 +5,8 @@ vectors (penultimate-layer activations), optional logits, and class labels.
 Tables travel between tools either as a compact binary dump (``OODF``) or as
 CSV, and evaluation runs are described by line-oriented manifests that tag
 each table with its role (classifier-train / detector-fit / test / OOD test).
+Every input array is checked finite here, and the scorers, the fit and the
+synthetic worlds walk their rows here, in float64 blocks of :data:`BLOCK_BYTES`.
 
 OODF layout (all little-endian):
 
@@ -55,8 +57,80 @@ class TableFormat(str, enum.Enum):
     CSV = "CSV"
 
 
-def _first_bad_row(arr: np.ndarray) -> int:
-    return int(np.argwhere(~np.isfinite(arr))[0][0])
+#: Bytes of one float64 row block in all three scorers, the fit's two passes
+#: and the synthetic worlds' logits: a block has ``max(2, BLOCK_BYTES //
+#: (8 * width))`` rows, ``width`` being the widest float64 row its caller builds
+#: (c for msp and ebm, 2d + 2 for the fit's class sums (a gather, its copy and
+#: two indices), d for its residuals, ``max(c, d)`` for mah scoring and world
+#: logits). Only one block at a time is widened to float64, so each holds its
+#: input plus that block and one or two float64 working arrays of about this
+#: size, at any width. Every row's reductions run over that row alone, and
+#: class sums carry from block to block in row order, so no score, fitted
+#: value or logit depends on the block size. The paper's (c, d) = (142, 128)
+#: gets 4096-row blocks, d = 512 gets 1136.
+BLOCK_BYTES = 4096 * 142 * 8
+
+
+def _check_finite(arr: np.ndarray, what: str, start: int = 0) -> None:
+    """Reject a NaN or infinity in ``arr``, the rows of ``what`` from ``start`` on."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = start + int(np.argwhere(~finite)[0][0])
+        raise ValidationError(f"non-finite value in {what} at row {bad}")
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block when the widest float64 row a block builds has
+    ``width`` values (taken as at least 1): as many as fit in
+    :data:`BLOCK_BYTES`, and at least 2."""
+    return max(2, BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def _row_blocks(arr: np.ndarray, what: str, width: int):
+    """Yield ``(start, block)``: the rows of the 2-D array ``arr`` from
+    ``start`` in blocks of ``_block_rows(width)`` rows, as float64, where
+    ``width`` is the widest float64 row the caller builds per block row. A
+    lone last row joins the block before it: a one-row matrix product is a
+    GEMV, which rounds differently from the GEMM of its neighbours.
+
+    Each block is checked finite in its own dtype before it is widened, which
+    is exact for the dtypes :func:`oodgate.detectors._floats` keeps. A block
+    of a float64 array is a view of it.
+    """
+    n, start, size = arr.shape[0], 0, _block_rows(width)
+    while start < n:
+        stop = n if n - start <= size + 1 else start + size
+        rows = arr[start:stop]
+        _check_finite(rows, what, start)
+        yield start, rows.astype(np.float64, copy=False)
+        start = stop
+
+
+def _add_rows(sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``block[rows[i]]``, widened to float64, to ``sums[labels[i]]``
+    for each i.
+
+    Called on each row block in turn with ``sums`` starting at +0.0, this
+    leaves each label's sum with the bits ``mean(axis=0)`` sums its rows to:
+    one ``np.add.reduce`` over the label's carried sum and its rows in row
+    order, which like ``mean`` starts from the identity +0.0 (a label with
+    one row in the block adds it). ``np.add.reduceat`` sums a segment in
+    another order and moves the last bits.
+    """
+    if not labels.size:
+        return
+    order = np.argsort(labels, kind="stable")  # each label's rows stay in order
+    ordered = labels[order]
+    x = np.empty((ordered.size + 1, block.shape[1]))
+    x[1:] = block[rows[order]]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    ends = np.append(starts[1:], ordered.size)
+    lone = ends - starts == 1
+    sums[ordered[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
+    for lo, hi in zip(starts[~lone].tolist(), ends[~lone].tolist()):
+        k = ordered[lo]
+        x[lo] = sums[k]  # the row before a label's rows is already summed
+        sums[k] = np.add.reduce(x[lo : hi + 1], axis=0)
 
 
 class _Record:
@@ -89,33 +163,26 @@ class FeatureTable(_Record):
     logits: np.ndarray | None
     labels: np.ndarray
 
+    @np.errstate(over="ignore")  # a binary32 overflow fails the finite check
     def __post_init__(self) -> None:
         features, logits, labels = self.features, self.logits, self.labels
-        with np.errstate(over="ignore"):  # overflow is caught by the finite check
-            features = np.ascontiguousarray(features, dtype=np.float32)
+        features = np.ascontiguousarray(features, dtype=np.float32)
         if features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {features.shape}")
         n, d = features.shape
         if n < 1 or d < 1:
             raise ValidationError(f"need n >= 1 and d >= 1, got {n}x{d}")
-        if not np.isfinite(features).all():
-            raise ValidationError(
-                f"non-finite value in features at row {_first_bad_row(features)}"
-            )
+        _check_finite(features, "features")
 
         if logits is not None:
-            with np.errstate(over="ignore"):
-                logits = np.ascontiguousarray(logits, dtype=np.float32)
+            logits = np.ascontiguousarray(logits, dtype=np.float32)
             if logits.ndim != 2 or logits.shape[0] != n:
                 raise ValidationError(
                     f"logits shape {logits.shape} does not match n={n}"
                 )
             if logits.shape[1] < 2:
                 raise ValidationError("logits need at least 2 classes")
-            if not np.isfinite(logits).all():
-                raise ValidationError(
-                    f"non-finite value in logits at row {_first_bad_row(logits)}"
-                )
+            _check_finite(logits, "logits")
 
         labels = np.asarray(labels)
         if labels.shape != (n,):
@@ -161,19 +228,10 @@ class FeatureTable(_Record):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureTable):
             return NotImplemented
-        if (self.logits is None) != (other.logits is None):
-            return False
-        same = (
-            self.features.shape == other.features.shape
-            and self.features.tobytes() == other.features.tobytes()
-            and self.labels.tobytes() == other.labels.tobytes()
-        )
-        if same and self.logits is not None:
-            same = (
-                self.logits.shape == other.logits.shape
-                and self.logits.tobytes() == other.logits.tobytes()
-            )
-        return same
+        pairs = zip((self.features, self.logits, self.labels),
+                    (other.features, other.logits, other.labels))
+        return all(a is b or a is not None and b is not None and a.shape == b.shape
+                   and a.tobytes() == b.tobytes() for a, b in pairs)
 
     def __repr__(self) -> str:
         return f"FeatureTable(n={self.n}, d={self.d}, c={self.c})"
@@ -409,6 +467,19 @@ class DatasetManifest:
                     )
 
     def write(self, path: str | Path) -> None:
+        """Write the manifest; a field :meth:`read` would not give back raises
+        ValidationError first: a tab or line break, whitespace at an end of the name or
+        a path, an empty or NUL path, an OOD name repeated or on another role's entry."""
+        oods = [e.ood_name for e in self.ood_entries()]
+        fields = [("manifest name", self.name, self.name.strip(), False)]
+        for e in self.entries:  # only an OOD_TEST line carries its OOD name
+            ood = e.role is Role.OOD_TEST
+            fields += [("path", e.path, e.path.strip(), not e.path or "\0" in e.path),
+                       ("OOD name", e.ood_name, e.ood_name if ood else "",
+                        ood and oods.count(e.ood_name) > 1)]
+        for what, text, read_back, bad in fields:
+            if bad or text != read_back or "\t" in text or "".join(text.splitlines()) != text:
+                raise ValidationError(f"{what} {text!r} would not read back from a manifest")
         path = Path(path)
         lines = []
         if self.name:

@@ -12,7 +12,7 @@ in-distribution, so a single thresholding convention serves every method:
 ``msp`` and ``ebm`` read logits straight off a table; ``mah`` needs a
 :class:`GaussianClassModel` fitted on a labeled detector-fit table first.
 All arithmetic runs in float64 regardless of table storage precision, one
-row block of about :data:`BLOCK_BYTES` at a time.
+row block of about :data:`oodgate.data.BLOCK_BYTES` at a time.
 """
 
 from __future__ import annotations
@@ -29,25 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (FeatureTable, _Record, _VERSION, _ingesting, _read_csv, _read_packed,
-                   _write_csv, _write_packed)
+from .data import (FeatureTable, _Record, _VERSION, _add_rows, _block_rows, _check_finite,
+                   _ingesting, _read_csv, _read_packed, _row_blocks, _write_csv, _write_packed)
 from .errors import NumericalError, ValidationError
 
 #: Absolute diagonal loading used when the scatter has zero trace.
 ZERO_TRACE_RIDGE_FLOOR = 1e-6
-
-#: Bytes of one float64 row block in all three scorers, the fit's two passes
-#: and the synthetic worlds' logits: a block has ``max(2, BLOCK_BYTES //
-#: (8 * width))`` rows, ``width`` being the widest float64 row its caller builds
-#: (c for msp and ebm, 2d + 2 for the fit's class sums (a gather, its copy and
-#: two indices), d for its residuals, ``max(c, d)`` for mah scoring and world
-#: logits). Only one block at a time is widened to float64, so each holds its
-#: input plus that block and one or two float64 working arrays of about this
-#: size, at any width. Every row's reductions run over that row alone, and
-#: class sums carry from block to block in row order, so no score, fitted
-#: value or logit depends on the block size. The paper's (c, d) = (142, 128)
-#: gets 4096-row blocks, d = 512 gets 1136.
-BLOCK_BYTES = 4096 * 142 * 8
 
 _MODEL_MAGIC = b"OODM"
 _MODEL_HEADER = struct.Struct("<4sIQQd")  # magic, version, c, d, ridge
@@ -92,8 +79,7 @@ class ScoreSet(_Record):
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size == 0:
             raise ValidationError(f"scores must be a nonempty vector, got {scores.shape}")
-        if not np.isfinite(scores).all():
-            raise ValidationError("scores contain non-finite values")
+        _check_finite(scores, "scores")
         self._set(method=method, scores=scores)
 
     def __len__(self) -> int:
@@ -118,10 +104,6 @@ def read_scores(path: str | Path, method: Method | None = None) -> ScoreSet:
         return ScoreSet(method, scores[:, 0])
 
 
-# ---------------------------------------------------------------------------
-# row blocks
-
-
 def _floats(values) -> np.ndarray:
     """``values`` as is when its dtype widens to float64 exactly (float16, 32
     or 64); anything else is converted to float64 once."""
@@ -129,63 +111,6 @@ def _floats(values) -> np.ndarray:
     if arr.dtype.kind == "f" and arr.dtype.itemsize <= 8:
         return arr
     return arr.astype(np.float64)
-
-
-def _block_rows(width: int) -> int:
-    """Rows per block when the widest float64 row a block builds has
-    ``width`` values (taken as at least 1): as many as fit in
-    :data:`BLOCK_BYTES`, and at least 2."""
-    return max(2, BLOCK_BYTES // (8 * max(width, 1)))
-
-
-def _row_blocks(arr: np.ndarray, what: str, width: int):
-    """Yield ``(start, block)``: the rows of the 2-D array ``arr`` from
-    ``start`` in blocks of ``_block_rows(width)`` rows, as float64, where
-    ``width`` is the widest float64 row the caller builds per block row. A
-    lone last row joins the block before it: a one-row matrix product is a
-    GEMV, which rounds differently from the GEMM of its neighbours.
-
-    Each block is checked finite in its own dtype before it is widened, which
-    is exact for the dtypes :func:`_floats` keeps. A block of a float64 array
-    is a view of it.
-    """
-    n, start, size = arr.shape[0], 0, _block_rows(width)
-    while start < n:
-        stop = n if n - start <= size + 1 else start + size
-        rows = arr[start:stop]
-        if not np.isfinite(rows).all():
-            raise ValidationError(f"{what} contain non-finite values")
-        yield start, rows.astype(np.float64, copy=False)
-        start = stop
-
-
-def _add_rows(
-    sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.ndarray
-) -> None:
-    """Add ``block[rows[i]]``, widened to float64, to ``sums[labels[i]]``
-    for each i.
-
-    Called on each row block in turn with ``sums`` starting at +0.0, this
-    leaves each label's sum with the bits ``mean(axis=0)`` sums its rows to:
-    one ``np.add.reduce`` over the label's carried sum and its rows in row
-    order, which like ``mean`` starts from the identity +0.0 (a label with
-    one row in the block adds it). ``np.add.reduceat`` sums a segment in
-    another order and moves the last bits.
-    """
-    if not labels.size:
-        return
-    order = np.argsort(labels, kind="stable")  # each label's rows stay in order
-    ordered = labels[order]
-    x = np.empty((ordered.size + 1, block.shape[1]))
-    x[1:] = block[rows[order]]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    ends = np.append(starts[1:], ordered.size)
-    lone = ends - starts == 1
-    sums[ordered[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
-    for lo, hi in zip(starts[~lone].tolist(), ends[~lone].tolist()):
-        k = ordered[lo]
-        x[lo] = sums[k]  # the row before a label's rows is already summed
-        sums[k] = np.add.reduce(x[lo : hi + 1], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +204,8 @@ class GaussianClassModel(_Record):
             raise ValidationError(f"class {int(np.argmin(counts))} has no fit samples")
         if not 0 <= self.ridge < math.inf:
             raise ValidationError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if not np.isfinite(means).all():
-            raise ValidationError("means contain non-finite values")
-        if not np.isfinite(covariance).all():
-            raise ValidationError("covariance contains non-finite values")
+        _check_finite(means, "means")
+        _check_finite(covariance, "covariance")
         if np.abs(covariance - covariance.T).max() > 1e-9:
             raise ValidationError("covariance is not symmetric within 1e-9")
 
@@ -467,7 +390,7 @@ def _candidates(block, model):
 def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreSet:
     """Negative squared Mahalanobis distance to the closest class mean.
 
-    Rows go in blocks of :data:`BLOCK_BYTES` over ``max(c, d)`` values a row;
+    Rows go in blocks of :data:`~oodgate.data.BLOCK_BYTES` over ``max(c, d)`` values a row;
     one GEMM per block against the model's d x c matrix picks their candidate
     classes (:func:`_candidates`). A row's score is the least sum of squares
     of its candidates' triangular solves of ``x - mu_k`` against the factor:

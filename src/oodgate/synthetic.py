@@ -11,6 +11,13 @@ corrupted label is redrawn uniformly among the *other* classes, so noise
 detector-fit labels together, which gives a controllable accuracy knob
 without training anything.
 
+With one sigma the logits' pairwise differences are affine in x, so softmax
+confidence grows along rays away from the centers: an OOD cloud off the ID
+centroid can look more confident than ID rows between neighbouring classes,
+and msp AUROC can fall below chance. Demo 03's accuracy world (c = 50, d = 16,
+world seed 11) takes msp from 0.461 to 0.340 over label noise 0 to 0.6, ebm
+from 0.987 to 0.982 and mah from 0.985 to 0.981.
+
 Randomness is drawn from named PCG64 streams spawned off the world seed
 (spawn keys: 1 class-mean directions, 2 ID samples, 3 label noise, (4, i)
 the i-th OOD cloud, 5 count-law draws), so every table is a pure function of
@@ -26,7 +33,7 @@ running sum per noisy label, so the centers have the bits of each label's
 ``keep_train=False`` (as sweeps draw theirs) never stores that split. Label
 noise moves only labels, so an accuracy sweep's levels share one draw, with
 a running sum per level and label. Logits are computed one float64 row
-block at a time, a block holding :data:`~oodgate.detectors.BLOCK_BYTES`
+block at a time, a block holding :data:`~oodgate.data.BLOCK_BYTES`
 over ``max(c, d)`` values a row. Generation peaks at about the float32
 bytes of the returned world plus one such block.
 
@@ -42,9 +49,9 @@ from typing import Union
 
 import numpy as np
 
-from .data import (UNLABELED, FeatureTable, SplitPolicy, _class_rows, _first_bad_row, _split_rows,
-                   stream_rng)
-from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet, _add_rows, _row_blocks
+from .data import (UNLABELED, FeatureTable, SplitPolicy, _add_rows, _check_finite, _class_rows,
+                   _row_blocks, _split_rows, stream_rng)
+from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet
 from .errors import NumericalError, ValidationError
 
 _STREAM_MEANS = 1
@@ -228,9 +235,7 @@ def _draw_clusters(
         z += center
         block = z.astype(np.float32)
         del z  # only the float32 block is kept
-        if not np.isfinite(block).all():
-            bad = start + _first_bad_row(block)
-            raise ValidationError(f"non-finite value in features at row {bad}")
+        _check_finite(block, "features", start)
         for rows, arr in zip(parts, out):
             lo, hi = np.searchsorted(rows, (start, start + m))
             arr[lo:hi] = block[rows[lo:hi] - start]

@@ -39,11 +39,13 @@ def no_draws(monkeypatch):
 @pytest.fixture
 def block_rows(monkeypatch):
     """``block_rows(rows, width)`` sets the row-block budget to ``rows`` rows
-    of ``width`` float64 values, for the rest of the test."""
-    from oodgate import detectors
+    of ``width`` float64 values, for the rest of the test, and checks that
+    blocks of ``width`` now get ``max(2, rows)`` rows."""
+    from oodgate import data
 
     def set_rows(rows, width):
-        monkeypatch.setattr(detectors, "BLOCK_BYTES", rows * 8 * width)
+        monkeypatch.setattr(data, "BLOCK_BYTES", rows * 8 * width)
+        assert data._block_rows(width) == max(2, rows)
 
     return set_rows
 

@@ -601,9 +601,9 @@ def test_non_finite_ridge_or_model_exits_2(tmp_path, capsys, case):
         # header <4sIQQd, then c x d means, d x d cov (f4), then c counts (u8)
         raw = bytearray(model.read_bytes())
         fmt, offset, value, message = {
-            "model-nan-mean": ("<f", 32, np.nan, "means contain non-finite values"),
+            "model-nan-mean": ("<f", 32, np.nan, "non-finite value in means at row 0"),
             "model-nan-covariance": ("<f", 32 + 4 * 2 * 2, np.nan,
-                                     "covariance contains non-finite values"),
+                                     "non-finite value in covariance at row 0"),
             "model-inf-ridge": ("<d", 24, np.inf, "ridge must be finite and >= 0"),
             # an int64 cast would wrap it negative: "class 0 has no fit samples"
             "model-count-2**63": ("<Q", 32 + 4 * (2 * 2 + 2 * 2), 2**63,
@@ -629,7 +629,7 @@ def test_subnormal_temperature_prints_one_error_line(tmp_path):
     out = subprocess.run([sys.executable, "-m", "oodgate.cli", *argv],
                          capture_output=True, text=True)
     assert out.returncode == 2
-    assert out.stderr == "error: scores contain non-finite values\n"
+    assert out.stderr == "error: non-finite value in scores at row 0\n"
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661"])

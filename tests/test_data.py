@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodgate import (
@@ -472,6 +472,53 @@ def test_manifest_repeated_ood_name(tmp_path):
     with pytest.raises(IngestionError) as info:
         DatasetManifest.read(path)
     assert str(info.value) == f"{path}: line 4: OOD_TEST name 'far' repeats line 1"
+
+
+@pytest.mark.parametrize("entry, name", [
+    (ManifestEntry("a\tb.oodf", Role.ID_TEST, TableFormat.BINARY_DUMP), ""),
+    (ManifestEntry("x.oodf", Role.OOD_TEST, TableFormat.BINARY_DUMP, "n\nm"), ""),
+    # read back, this name would add an ID_TEST entry
+    (ManifestEntry("x.oodf", Role.ID_TEST, TableFormat.BINARY_DUMP), "a\nID_TEST\tCSV\ty.csv"),
+    # only an OOD_TEST line carries its name
+    (ManifestEntry("x.oodf", Role.ID_TEST, TableFormat.BINARY_DUMP, "stray"), ""),
+])
+def test_manifest_write_refuses_what_read_would_change(tmp_path, entry, name):
+    path = tmp_path / "m.manifest"
+    with pytest.raises(ValidationError, match="would not read back from a manifest$"):
+        DatasetManifest((entry,), name=name).write(path)
+    assert not path.exists()
+
+
+def _manifest_text(min_size=0):
+    """UTF-8 text: three times in four at least ``min_size`` characters with no
+    whitespace or control character, else any, often those the format reads."""
+    clean = st.text(st.characters(codec="utf-8", exclude_categories=("Z", "C")),
+                    min_size=min_size, max_size=8)
+    return clean | clean | clean | st.text(
+        st.sampled_from("\t\n\r\x0b\x85\u2028\0 #:()") | st.characters(codec="utf-8"),
+        max_size=8)
+
+
+@given(
+    name=_manifest_text(),
+    entries=st.lists(st.tuples(_manifest_text(1), st.sampled_from(Role),
+                               st.sampled_from(TableFormat), _manifest_text(), st.booleans()),
+                     max_size=4),
+)
+@settings(max_examples=200)
+def test_manifest_write_reads_back_whatever_it_accepts(tmp_path_factory, name, entries):
+    """Every field is written as is or refused: a manifest ``write`` accepts
+    reads back with the same entries and name."""
+    entries = tuple(ManifestEntry(path, role, fmt, ood if role is Role.OOD_TEST or stray else "")
+                    for path, role, fmt, ood, stray in entries)
+    path = tmp_path_factory.mktemp("manifest") / "m.manifest"
+    try:
+        DatasetManifest(entries, name=name).write(path)
+    except ValidationError:
+        assert not path.exists()
+        return
+    back = DatasetManifest.read(path)
+    assert (back.entries, back.name) == (entries, name)
 
 
 # ---------------------------------------------------------------------------

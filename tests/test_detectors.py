@@ -43,7 +43,8 @@ from oodgate import (
     write_scores,
 )
 from oodgate import detectors
-from oodgate.detectors import _block_rows, _candidates, _row_blocks, _solve_lower
+from oodgate.data import _block_rows, _row_blocks
+from oodgate.detectors import _candidates, _solve_lower
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -136,6 +137,18 @@ def test_logit_scorers_reject_non_finite():
         score_msp(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValidationError):
         score_energy(np.array([[np.inf, 0.0]]))
+
+
+def test_block_checks_cite_the_row_in_the_whole_input(block_rows):
+    block_rows(2, 2)
+    rows = np.zeros((7, 2), np.float32)
+    rows[5, 1] = np.inf
+    for score in (score_msp, score_energy):
+        with pytest.raises(ValidationError, match="^non-finite value in logits at row 5$"):
+            score(rows)
+    model = GaussianClassModel(np.eye(2), np.eye(2), np.ones(2))
+    with pytest.raises(ValidationError, match="^non-finite value in features at row 5$"):
+        score_mahalanobis(model, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +742,7 @@ def test_wide_rows_peak_within_a_few_block_bytes(traced_peak):
     would exceed its bound if it did either otherwise. The world logits
     release each block before the next is widened. 3000 rows in one block
     exceed that."""
-    from oodgate.detectors import BLOCK_BYTES
+    from oodgate.data import BLOCK_BYTES
     from oodgate.synthetic import _log_density_logits
 
     n, c, d = 3000, 1024, 1024
@@ -808,11 +821,11 @@ def test_model_validation():
         GaussianClassModel(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(ValidationError, match="c, d >= 1"):
         GaussianClassModel(np.zeros((0, 2)), np.eye(2), np.ones(0))
-    with pytest.raises(ValidationError, match="means contain non-finite"):
+    with pytest.raises(ValidationError, match="^non-finite value in means at row 0$"):
         GaussianClassModel(np.array([[0.0, np.nan], [1.0, 1.0]]), np.eye(2), np.ones(2))
     cov = np.eye(2)
     cov[0, 1] = cov[1, 0] = np.inf
-    with pytest.raises(ValidationError, match="covariance contains non-finite"):
+    with pytest.raises(ValidationError, match="^non-finite value in covariance at row 0$"):
         GaussianClassModel(np.zeros((2, 2)), cov, np.ones(2))
     for ridge in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="ridge must be finite"):
