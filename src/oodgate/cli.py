@@ -5,7 +5,8 @@ reports), so pipelines are reproducible and each stage can be inspected or
 replaced. Exit codes are a stable contract: 0 success, 2 usage/validation,
 3 I/O, 4 numerical failure (a numpy ``LinAlgError`` or running out of memory
 included). Stderr holds a failure's one error line, and one ``warning:
-MESSAGE`` line per library warning that the warning filters let through.
+MESSAGE`` line per library warning that the warning filters let through;
+with ``-v``, each call also prints one ``wrote PATH`` line per file it writes.
 
 The default seed is 42, overridable by the ``OODGATE_SEED`` environment
 variable; an explicit ``--seed`` flag wins over both. An ``OODGATE_SEED`` that
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import logging
 import os
 import sys
 import warnings
@@ -62,8 +62,6 @@ from .metrics import Criterion, _check_target, calibrate_threshold, evaluate, ro
 from .svg import roc_svg, series_svg
 from .synthetic import SyntheticSpec, generate_world, parse_law
 
-log = logging.getLogger("oodgate")
-
 _PRESET_TEXT = ", ".join(f"{k}={v}" for k, v in DATASET_SIZE_PRESETS.items())
 
 _EPILOG = (
@@ -92,12 +90,17 @@ def _read_table(path: str, explicit_format: str | None):
     return read_feature_table(path, TableFormat.CSV if is_csv else TableFormat.BINARY_DUMP)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _wrote(args, path) -> None:
+    if args.verbose:
+        print(f"wrote {path}", file=sys.stderr)
+
+
+def _write_text(args, path: str | Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-        log.info("wrote %s", path)
+        _wrote(args, path)
 
 
 def _timestamp(args) -> str | None:
@@ -143,11 +146,11 @@ def cmd_synth(args) -> int:
     entries = []
     for fname, (table, role, ood_name) in tables.items():
         write_feature_table(table, out / fname)
-        log.info("wrote %s", out / fname)
+        _wrote(args, out / fname)
         entries.append(ManifestEntry(fname, role, TableFormat.BINARY_DUMP, ood_name))
     manifest = DatasetManifest(tuple(entries), name="synthetic-world", base_dir=out)
     manifest.write(out / "world.manifest")
-    log.info("wrote %s", out / "world.manifest")
+    _wrote(args, out / "world.manifest")
 
     summary = {
         "classes": spec.classes,
@@ -169,7 +172,7 @@ def cmd_synth(args) -> int:
     ts = _timestamp(args)
     if ts is not None:
         summary["timestamp"] = ts
-    _write_text(str(out / "world.json"), json.dumps(summary, indent=2) + "\n")
+    _write_text(args, out / "world.json", json.dumps(summary, indent=2) + "\n")
     return 0
 
 
@@ -191,7 +194,7 @@ def cmd_fit(args) -> int:
         table = FeatureTable(table.features, None, table.labels)
     model = fit_mahalanobis(table, config.ridge)
     save_model(model, args.out)
-    log.info("wrote %s", args.out)
+    _wrote(args, args.out)
     return 0
 
 
@@ -207,7 +210,7 @@ def cmd_score(args) -> int:
         table = FeatureTable(table.features, None, table.labels)
     scores = score_table(config, table, model)
     write_scores(scores, args.out)
-    log.info("wrote %s", args.out)
+    _wrote(args, args.out)
     return 0
 
 
@@ -230,16 +233,16 @@ def cmd_calibrate(args) -> int:
         "tpr": tpr,
         "fpr": fpr,
     }
-    _write_text(args.out, json.dumps(obj, indent=2) + "\n")
+    _write_text(args, args.out, json.dumps(obj, indent=2) + "\n")
     return 0
 
 
 def cmd_eval(args) -> int:
     criterion, id_scores, ood_scores = _score_pair(args)
     report = evaluate(id_scores, ood_scores, criterion, args.target)
-    _write_text(args.out, report.to_json())
+    _write_text(args, args.out, report.to_json())
     if args.svg:
-        _write_text(args.svg, roc_svg(roc_curve(id_scores, ood_scores)))
+        _write_text(args, args.svg, roc_svg(roc_curve(id_scores, ood_scores)))
     return 0
 
 
@@ -281,14 +284,14 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(str(out / "rows.jsonl"), result.to_jsonl())
-    _write_text(str(out / "summary.json"), result.to_summary_json(_timestamp(args)))
+    _write_text(args, out / "rows.jsonl", result.to_jsonl())
+    _write_text(args, out / "summary.json", result.to_summary_json(_timestamp(args)))
     if args.svg:
         labels = [str(r.axis_value) for r in result.rows[:: len(detectors)]]  # one per point
         series: dict[str, list[float]] = {}
         for row in result.rows:
             series.setdefault(row.method, []).append(row.auroc)
-        _write_text(str(out / "sweep.svg"), series_svg(labels, series, f"{args.axis} sweep"))
+        _write_text(args, out / "sweep.svg", series_svg(labels, series, f"{args.axis} sweep"))
     return 0
 
 
@@ -319,7 +322,7 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="flat 'key = value' file supplying flag defaults")
-    p.add_argument("-v", "--verbose", action="store_true", help="log written files")
+    p.add_argument("-v", "--verbose", action="store_true", help="print written files")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -467,10 +470,6 @@ def main(argv: list[str] | None = None) -> int:
                 for dest, values in repeated.items():
                     if getattr(args, dest) is None:  # not given in argv
                         setattr(args, dest, values)
-            logging.basicConfig(
-                level=logging.INFO if args.verbose else logging.WARNING,
-                format="%(message)s",
-            )
             return args.func(args)
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -187,6 +187,12 @@ class FeatureTable(_Record):
         labels = np.asarray(labels)
         if labels.shape != (n,):
             raise ValidationError(f"labels shape {labels.shape} does not match n={n}")
+        if labels.dtype.kind not in "biuf":
+            raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+        _check_finite(labels, "labels")
+        bad = np.flatnonzero(labels % 1)  # rows the int32 cast below would truncate
+        if bad.size:
+            raise ValidationError(f"non-integer label at row {bad[0]}: {labels[bad[0]]}")
         negative = (labels < 0) & (labels != UNLABELED)
         if negative.any():
             raise ValidationError(f"negative label at row {int(np.argmax(negative))}")

@@ -239,7 +239,7 @@ class GaussianClassModel(_Record):
     def _terms(self) -> tuple:
         """:func:`_candidates`' -2 P, |m|^2, max_j |m_j|, w and scale; scaling by 2 is exact."""
         factor = self.precision_factor
-        minus_2p = -2.0 * _cho_solve(factor, self.means.T)
+        minus_2p = -2.0 * _solve_lower(factor, _solve_lower(factor, self.means.T), transposed=True)
         mean_sq = np.einsum("kj,jk->k", self.means, minus_2p) / -2.0
         inv_norm = np.linalg.norm(_solve_lower(factor, np.eye(self.d)))
         scale = 8 * self.d * np.finfo(np.float64).eps * np.linalg.norm(factor) * inv_norm
@@ -293,47 +293,36 @@ def _flapack_file() -> Path:
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK wrappers ``dtrtrs`` and ``dpotrs``, loaded once.
+    """scipy's LAPACK wrapper ``dtrtrs``, loaded once.
 
-    Their module, ``scipy.linalg._flapack``, is loaded straight from its file
-    in a few milliseconds; ``import scipy.linalg`` reaches the same wrappers
+    Its module, ``scipy.linalg._flapack``, is loaded straight from its file
+    in a few milliseconds; ``import scipy.linalg`` reaches the same wrapper
     only after far longer, most of it spent cloning numpy's namespace.
     Under scipy's own module name, a later ``import scipy.linalg`` reuses it.
-    The file is private to scipy, so any failure to load it or to find a
+    The file is private to scipy, so any failure to load it or to find the
     wrapper in it falls back to the public ``scipy.linalg.lapack``.
     """
     try:
         spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", _flapack_file())
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.dtrtrs, module.dpotrs
+        return module.dtrtrs
     except Exception:
         from scipy.linalg import lapack
-        return lapack.dtrtrs, lapack.dpotrs
+        return lapack.dtrtrs
 
 
-def _solve_lower(factor, b, overwrite_b=False):
-    """``factor^-1 b`` for a C-ordered lower triangular ``factor``: the
-    ``dtrtrs`` call ``scipy.linalg.solve_triangular`` makes, on the
-    transposed (Fortran-ordered, upper) factor. A Fortran-ordered float64
-    ``b`` is solved in place when ``overwrite_b``. No input is checked finite.
-    As there, a zero on the diagonal raises LinAlgError."""
-    dtrtrs, _ = _lapack()
-    x, info = dtrtrs(factor.T, b, lower=0, trans=1, overwrite_b=overwrite_b)
+def _solve_lower(factor, b, transposed=False, overwrite_b=False):
+    """``factor^-1 b``, or ``factor^-T b`` if ``transposed``, for a C-ordered lower
+    triangular ``factor``: the ``dtrtrs`` call ``scipy.linalg.solve_triangular`` makes,
+    on the transposed (Fortran-ordered, upper) factor. A Fortran-ordered float64 ``b``
+    is solved in place when ``overwrite_b``. No input is checked finite. As there, a
+    zero on the diagonal raises LinAlgError."""
+    x, info = _lapack()(factor.T, b, lower=0, trans=int(not transposed), overwrite_b=overwrite_b)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return x
-
-
-def _cho_solve(factor, b):
-    """``(factor factor^T)^-1 b`` for the lower Cholesky ``factor``: the
-    ``dpotrs`` call ``scipy.linalg.cho_solve`` makes. ``b`` is not written."""
-    _, dpotrs = _lapack()
-    x, info = dpotrs(factor, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
 
 

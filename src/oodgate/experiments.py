@@ -15,7 +15,9 @@ One loop, :func:`run_sweep`, serves every axis. Each axis has a small
 provider that yields the (fit, ID test, OOD test) tables of each grid point,
 and declares in :data:`_PROVIDERS` which of them it hands over unchanged at
 every point (the domain axis's fit and ID test tables, the imbalance axis's
-test tables); the loop fits and scores those once per detector.
+test tables); the loop fits and scores those once per detector. The loop
+first checks the grid's kind: count laws for imbalance, OOD names for a
+manifest's domain axis, real numbers otherwise.
 Providers check the whole grid before the first fit or score, on a synthetic
 world before it is drawn: the accuracy axis its label-noise levels, the
 others in one loader, :func:`_base_tables` (OOD names, the class sizes and
@@ -31,6 +33,7 @@ at grid point i.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -100,7 +103,7 @@ class SweepSpec:
             raise ValidationError(f"unknown sweep axis {self.axis!r}")
         if not self.grid:
             raise ValidationError("sweep grid must be nonempty")
-        numeric = [v for v in self.grid if isinstance(v, (int, float))]
+        numeric = [v for v in self.grid if isinstance(v, numbers.Real)]
         if len(numeric) == len(self.grid) and not (np.diff(numeric) > 0).all():  # NaN fails
             raise ValidationError("numeric grid values must be strictly increasing")
         if not self.detectors:
@@ -149,7 +152,7 @@ class SweepResult:
 
 
 def _grid_text(value: GridValue) -> float | str:
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         return float(value)
     if isinstance(value, str):
         return value
@@ -280,11 +283,8 @@ def _imbalance_points(spec: SweepSpec):
     before the world is drawn or a test table read. The OOD set is the
     spec's distance, or a manifest's first OOD_TEST entry.
     """
-    laws = spec.grid
-    if any(isinstance(law, (int, float, str)) for law in laws):
-        raise ValidationError("imbalance grid values must be count laws")
-    id_fit, id_test, (ood,), accuracy, fit_rows = _base_tables(spec, None, laws)
-    for law, rows in zip(laws, fit_rows):
+    id_fit, id_test, (ood,), accuracy, fit_rows = _base_tables(spec, None, spec.grid)
+    for law, rows in zip(spec.grid, fit_rows):
         yield law, id_fit.take(rows), id_test, ood, accuracy
 
 
@@ -295,6 +295,7 @@ _PROVIDERS = {
     Axis.DOMAIN_DISTANCE: (_domain_points, (0, 1)),
     Axis.IMBALANCE: (_imbalance_points, (1, 2)),
 }
+_KINDS = {"real numbers": numbers.Real, "OOD names": str, "count laws": CountLaw}
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -308,6 +309,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the next point is built, so memory does not grow with the grid.
     """
     provider, shared = _PROVIDERS[spec.axis]
+    kind = "count laws" if spec.axis == Axis.IMBALANCE else "real numbers"
+    kind = "OOD names" if spec.axis == Axis.DOMAIN_DISTANCE and not spec.is_synthetic else kind
+    if not all(isinstance(v, _KINDS[kind]) and not isinstance(v, bool) for v in spec.grid):
+        raise ValidationError(f"{spec.axis} grid values must be {kind}")
     kept: dict[tuple[int, int], object] = {}  # (detector index, position): made once
     rows: list[SweepRow] = []
     for value, *tables, accuracy in provider(spec):

@@ -876,8 +876,8 @@ def test_config_bad_value_exits_2(tmp_path, capsys):
 
 
 def test_config_verbose_logs_written_files(tmp_path):
-    """Logging is set up after the config is applied. Run in a child process:
-    here pytest's log capture would make ``logging.basicConfig`` do nothing."""
+    """A config's ``verbose`` takes effect, and the ``wrote`` lines are the
+    whole stderr of a child process running the installed entry module."""
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("classes = 3\ndim = 4\nlaw = balanced:40\nverbose = true\n")
     out = tmp_path / "w"
@@ -886,6 +886,22 @@ def test_config_verbose_logs_written_files(tmp_path):
     assert done.returncode == 0
     names = ["id1.oodf", "id2.oodf", "id3.oodf", "ood_d2.oodf", "world.manifest", "world.json"]
     assert done.stderr == "".join(f"wrote {out / name}\n" for name in names)
+
+
+def test_verbose_is_per_call_and_leaves_logging_alone(tmp_path, capsys):
+    """Quiet, ``-v`` and quiet calls in one process print 0, 6 and 0 ``wrote``
+    lines, and the root logger keeps the handlers and level it had."""
+    import logging
+
+    root = logging.getLogger()
+    before = (list(root.handlers), root.level)
+    names = ["id1.oodf", "id2.oodf", "id3.oodf", "ood_d2.oodf", "world.manifest", "world.json"]
+    for out, flags in ((tmp_path / "a", ()), (tmp_path / "b", ("-v",)), (tmp_path / "c", ())):
+        assert run("synth", "--classes", "3", "--dim", "4", "--law", "balanced:40",
+                   "--out", str(out), *flags) == 0
+        wrote = "".join(f"wrote {out / name}\n" for name in names)
+        assert capsys.readouterr().err == (wrote if flags else "")
+    assert (list(root.handlers), root.level) == before
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

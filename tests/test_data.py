@@ -59,6 +59,27 @@ def test_rejects_label_out_of_range():
         FeatureTable(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0, 1, 2]))
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0.7, 1.2, 0.0], "^non-integer label at row 0: 0.7$"),  # was truncated to [0, 1, 0]
+    ([0.0, 1.0, 2.5], "^non-integer label at row 2: 2.5$"),
+    ([np.nan, 0, 1], "^non-finite value in labels at row 0$"),  # was cast to -2**31
+    ([0, np.inf, 1], "^non-finite value in labels at row 1$"),
+    ([-1.5, 0, 1], "^non-integer label at row 0: -1.5$"),
+    (["1", "0", "1"], "^labels must be integers, got dtype <U1$"),  # was a UFuncTypeError
+])
+def test_rejects_labels_that_are_not_whole_numbers(labels, message):
+    with pytest.raises(ValidationError, match=message):
+        FeatureTable(np.zeros((3, 2)), None, np.array(labels))
+
+
+@pytest.mark.parametrize("labels", [[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0], [2, 0, 1],
+                                    np.array([2, 0, 1], np.uint8), [True, False, True]])
+def test_whole_float_integer_and_bool_labels_are_kept(labels):
+    table = FeatureTable(np.zeros((3, 2)), None, np.array(labels))
+    assert table.labels.dtype == np.int32
+    assert table.labels.tolist() == np.array(labels).astype(int).tolist()
+
+
 def test_rejects_single_logit_column():
     with pytest.raises(ValidationError):
         FeatureTable(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3))

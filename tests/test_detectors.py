@@ -442,13 +442,14 @@ def test_candidates_stay_near_one_per_row():
 
 
 def test_scoring_twice_builds_the_candidate_terms_once(rng, monkeypatch):
-    calls, cho_solve = [], detectors._cho_solve
+    calls, solve = [], detectors._solve_lower
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cho_solve(*args, **kwargs)
+    def counted(*args, transposed=False, **kwargs):
+        if transposed:  # only the candidate terms solve against factor^T
+            calls.append(1)
+        return solve(*args, transposed=transposed, **kwargs)
 
-    monkeypatch.setattr(detectors, "_cho_solve", counted)
+    monkeypatch.setattr(detectors, "_solve_lower", counted)
     model = fit_mahalanobis(table_from(rng.normal(size=(60, 4)), rng.integers(0, 3, 60)))
     queries = rng.normal(size=(40, 4))
     first = score_mahalanobis(model, queries).scores
@@ -572,6 +573,24 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "f3ccd8fc8c8ee5128c231676639472c3d3657809b715a240ed1af0b37ecaa0ad"
     )
+
+
+@pytest.mark.parametrize("d, digest", [
+    (16, "deb320f275fb2e234d39cc194937ee41edbfaf97d83e4d79daa489cd2955ef99"),
+    (64, "bea24d4b0762fe5ce581c701cede1e6ad3ed9f069cb7132694b03a0331e2b844"),
+])
+def test_candidate_terms_pinned_bytes(d, digest):
+    """The candidate terms (-2 P, |m|^2, max_j |m_j|, w, scale) of a seeded
+    fit; digests recorded with the terms that one ``dpotrs`` solve built.
+    Only d <= 64 is pinned: above it the Cholesky factor's bits depend on
+    the BLAS thread count (ROADMAP item 2)."""
+    import hashlib
+
+    world = generate_world(SyntheticSpec(classes=10, dim=d, law=Balanced(600), seed=5))
+    h = hashlib.sha256()
+    for term in fit_mahalanobis(world.id_fit)._terms:
+        h.update(np.asarray(term, dtype=np.float64).tobytes())
+    assert h.hexdigest() == digest
 
 
 #: Prints, per width, one digest of the fitted factor and the mah scores of
@@ -893,7 +912,7 @@ print(rc, [name for name in ("scipy", "scipy.linalg") if name in sys.modules])
 @pytest.mark.parametrize("d", [16, 128, 512])
 def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch):
     """When scipy's LAPACK file cannot be loaded, ``scipy.linalg.lapack``
-    serves the wrappers, with the same score bytes: for a one-row input (one
+    serves the wrapper, with the same score bytes: for a one-row input (one
     solve per candidate) and for 40 rows in 8-row blocks, each refined in two
     chunks or more (near-tie rows keep two candidates)."""
     rng = np.random.default_rng(d)
@@ -905,7 +924,7 @@ def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch):
                        means[rng.integers(0, c, 28)] + rng.normal(size=(28, d))])
     block_rows(8, d)
 
-    def scores():  # a new model builds its candidate terms with the current wrappers
+    def scores():  # a new model builds its candidate terms with the current wrapper
         model = GaussianClassModel(means, cov, np.full(c, 3))
         assert _candidates(feats[:8], model)[0].size > 8  # a block's refinement: 2+ chunks
         return [score_mahalanobis(model, x).scores.tobytes() for x in (feats[:1], feats)]

@@ -241,6 +241,23 @@ def test_imbalance_grid_type_checked():
         run_sweep(spec)
 
 
+@pytest.mark.parametrize("axis", [Axis.ACCURACY, Axis.DOMAIN_DISTANCE])
+@pytest.mark.parametrize("grid", [("a",), (Balanced(3),), ("0.2", "0.1"), (True,)],
+                         ids=["word", "law", "falling-strings", "bool"])
+def test_numeric_axes_take_real_numbers(no_draws, axis, grid):
+    """A word or a law once raised a raw ValueError or TypeError; the falling
+    strings ran, and so did ``True`` on the domain axis, read as 1.0."""
+    spec = SweepSpec(axis, SyntheticSpec(3, 4, law=Balanced(20)), grid, ALL)
+    with pytest.raises(ValidationError, match=f"^{axis} grid values must be real numbers$"):
+        run_sweep(spec)
+
+
+def test_manifest_domain_axis_takes_ood_names(tmp_path):
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, _manifest_world(tmp_path), (0.5, 3.0), ALL)
+    with pytest.raises(ValidationError, match="^domain_distance grid values must be OOD names$"):
+        run_sweep(spec)
+
+
 def test_imbalance_sweep_from_manifest(tmp_path):
     path = _manifest_world(tmp_path)
     spec = SweepSpec(
