@@ -54,8 +54,9 @@ from .errors import NumericalError, ValidationError
 from .experiments import (
     DATASET_SIZE_PRESETS,
     DESK_SCALE_PER_SIDE,
-    Axis,
     SweepSpec,
+    _GRIDS,
+    _grid_kind,
     run_sweep,
 )
 from .metrics import Criterion, _check_target, calibrate_threshold, evaluate, roc_curve
@@ -180,6 +181,9 @@ def cmd_fit(args) -> int:
     config = DetectorConfig(args.method, ridge=args.ridge)  # before any read
     if config.method is not Method.MAH:
         raise ValidationError(f"{config.method.value} has no fitting step; only mah is fitted")
+    if args.manifest and (args.input or args.format):  # the manifest names both
+        raise ValidationError(f"{'--input' if args.input else '--format'} and --manifest "
+                              "exclude each other")
     if args.manifest:
         manifest = DatasetManifest.read(args.manifest)
         table = manifest.load(manifest.single(Role.ID_FIT_DETECTOR))
@@ -265,8 +269,7 @@ def cmd_sweep(args) -> int:
             raise ValidationError("sweep needs --manifest or --classes/--dim world flags")
         base_world = _world_spec(args, args.world_seed)
 
-    parse = parse_law if axis == Axis.IMBALANCE else str.strip if args.manifest else float
-    grid = _items("--grid", args.grid, parse)
+    grid = _items("--grid", args.grid, _grid_kind(axis, not args.manifest)[2])
 
     detectors = tuple(
         DetectorConfig(method, temperature=args.temperature, ridge=args.ridge)
@@ -385,11 +388,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("sweep", help="run one evaluation-axis sweep",
                         epilog=_EPILOG)
-    p.add_argument("--axis", required=True,
-                   choices=["accuracy", "domain-distance", "imbalance"])
+    p.add_argument("--axis", required=True, choices=[a.replace("_", "-") for a in _GRIDS])
     p.add_argument("--grid", required=True,
-                   help="comma list: noise levels, distances, OOD names, or "
-                        "count laws depending on the axis")
+                   help="comma list of the axis's grid kind (oodgate.experiments._GRIDS): "
+                        "noise levels, distances, OOD names or count laws")
     p.add_argument("--detectors", default="msp,ebm,mah")
     p.add_argument("--manifest", default=None,
                    help="evaluate a dataset manifest instead of a synthetic world")

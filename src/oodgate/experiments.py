@@ -16,8 +16,9 @@ provider that yields the (fit, ID test, OOD test) tables of each grid point,
 and declares in :data:`_PROVIDERS` which of them it hands over unchanged at
 every point (the domain axis's fit and ID test tables, the imbalance axis's
 test tables); the loop fits and scores those once per detector. The loop
-first checks the grid's kind: count laws for imbalance, OOD names for a
-manifest's domain axis, real numbers otherwise.
+first checks the grid against :data:`_GRIDS`, the one table of what each
+axis's grid holds on a synthetic world and on a manifest, which also says how
+the CLI reads a ``--grid`` item and how a row writes a grid value.
 Providers check the whole grid before the first fit or score, on a synthetic
 world before it is drawn: the accuracy axis its label-noise levels, the
 others in one loader, :func:`_base_tables` (OOD names, the class sizes and
@@ -36,7 +37,6 @@ import json
 import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .synthetic import (
     _world_split,
     _worlds,
     imbalanced_rows,
+    parse_law,
 )
 
 #: Default per-side test size for generated worlds.
@@ -74,10 +75,23 @@ class Axis:
     DOMAIN_DISTANCE = "domain_distance"
     IMBALANCE = "imbalance"
 
-    ALL = (ACCURACY, DOMAIN_DISTANCE, IMBALANCE)
+
+_REALS = ("real numbers", numbers.Real, float, float)
+_LAWS = ("count laws", CountLaw, parse_law, lambda law: law.text())
+#: Each axis's grid kind on a synthetic world, then on a manifest (None: refused):
+#: its name, its type, how a ``--grid`` item is read, and how a row writes a value.
+_GRIDS = {
+    Axis.ACCURACY: (_REALS, None),
+    Axis.DOMAIN_DISTANCE: (_REALS, ("OOD names", str, str.strip, str)),
+    Axis.IMBALANCE: (_LAWS, _LAWS),
+}
 
 
-GridValue = Union[float, str, CountLaw]
+def _grid_kind(axis: str, synthetic: bool) -> tuple:
+    kind = _GRIDS[axis][not synthetic]
+    if kind is None:  # a fixed dump has no knob to turn
+        raise ValidationError("the accuracy sweep varies label noise and needs a synthetic world")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -93,19 +107,23 @@ class SweepSpec:
 
     axis: str
     base_world: SyntheticSpec | str | Path
-    grid: tuple[GridValue, ...]
+    grid: tuple[float | str | CountLaw, ...]
     detectors: tuple[DetectorConfig, ...]
     seed: int = 42
     n_per_side: int | None = None
 
     def __post_init__(self) -> None:
-        if self.axis not in Axis.ALL:
+        if self.axis not in _GRIDS:
             raise ValidationError(f"unknown sweep axis {self.axis!r}")
         if not self.grid:
             raise ValidationError("sweep grid must be nonempty")
         numeric = [v for v in self.grid if isinstance(v, numbers.Real)]
         if len(numeric) == len(self.grid) and not (np.diff(numeric) > 0).all():  # NaN fails
             raise ValidationError("numeric grid values must be strictly increasing")
+        names = [v for v in self.grid if isinstance(v, str)]
+        for i, name in enumerate(names):
+            if name in names[:i]:  # the name's rows would repeat byte for byte
+                raise ValidationError(f"sweep repeats the OOD name {name!r}")
         if not self.detectors:
             raise ValidationError("sweep needs at least one detector")
         # a detector is its method and the one field that method reads, if any
@@ -151,15 +169,7 @@ class SweepResult:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _grid_text(value: GridValue) -> float | str:
-    if isinstance(value, numbers.Real):
-        return float(value)
-    if isinstance(value, str):
-        return value
-    return value.text()
-
-
-def _provenance(spec: SweepSpec) -> dict:
+def _provenance(spec: SweepSpec, write) -> dict:
     if spec.is_synthetic:
         world = {**asdict(spec.base_world), "law": spec.base_world.law.text()}
     else:
@@ -167,7 +177,7 @@ def _provenance(spec: SweepSpec) -> dict:
     return {
         "axis": spec.axis,
         "base_world": world,
-        "grid": [_grid_text(v) for v in spec.grid],
+        "grid": [write(v) for v in spec.grid],
         "detectors": [{**asdict(c), "method": c.method.value} for c in spec.detectors],
         "seed": spec.seed,
         "n_per_side": spec.n_per_side,
@@ -248,10 +258,6 @@ def _accuracy_points(spec: SweepSpec):
     """One draw, every label-noise level checked before it, relabeled per level;
     equal-sized test sets. Points are mapped, so no loop variable keeps a
     level's whole world while the next level's logits are taken."""
-    if not spec.is_synthetic:
-        raise ValidationError(
-            "the accuracy sweep varies label noise and needs a synthetic world"
-        )
     levels = [replace(spec.base_world, label_noise=float(noise)) for noise in spec.grid]
 
     def point(i: int, world):
@@ -295,7 +301,6 @@ _PROVIDERS = {
     Axis.DOMAIN_DISTANCE: (_domain_points, (0, 1)),
     Axis.IMBALANCE: (_imbalance_points, (1, 2)),
 }
-_KINDS = {"real numbers": numbers.Real, "OOD names": str, "count laws": CountLaw}
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -309,9 +314,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the next point is built, so memory does not grow with the grid.
     """
     provider, shared = _PROVIDERS[spec.axis]
-    kind = "count laws" if spec.axis == Axis.IMBALANCE else "real numbers"
-    kind = "OOD names" if spec.axis == Axis.DOMAIN_DISTANCE and not spec.is_synthetic else kind
-    if not all(isinstance(v, _KINDS[kind]) and not isinstance(v, bool) for v in spec.grid):
+    kind, cls, _, write = _grid_kind(spec.axis, spec.is_synthetic)
+    if not all(isinstance(v, cls) and not isinstance(v, bool) for v in spec.grid):
         raise ValidationError(f"{spec.axis} grid values must be {kind}")
     kept: dict[tuple[int, int], object] = {}  # (detector index, position): made once
     rows: list[SweepRow] = []
@@ -331,9 +335,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     kept[j, pos] = made[pos]
             curve = roc_curve(made[1], made[2])
             rows.append(SweepRow(
-                axis=spec.axis, axis_value=_grid_text(value), method=config.method.value,
+                axis=spec.axis, axis_value=write(value), method=config.method.value,
                 classifier_accuracy=accuracy, auroc=auroc(curve),
                 fpr95=fpr_at_tpr(curve, 0.95), n_id=tables[1].n, n_ood=tables[2].n,
             ))
         del tables, made, curve  # so the next point is built without them
-    return SweepResult(tuple(rows), _provenance(spec))
+    return SweepResult(tuple(rows), _provenance(spec, write))

@@ -1,0 +1,33 @@
+"""The benchmark's sweep workload, run once at tiny scale with the test suite.
+
+The run works on a temporary copy of ``bench/`` beside a link to ``src/``, so
+its records land in that copy and nothing is written under the checkout.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_sweep_workload_is_correct_at_seed_42(tmp_path):
+    """At seed 42 the run checks the rows digest and the recorded scorer sets."""
+    shutil.copytree(ROOT / "bench", tmp_path / "bench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    # A process exec'd straight from this one starts with this one's peak RSS,
+    # which the runner checks against its own limit; the shell forks it fresh.
+    done = subprocess.run(
+        ["/bin/sh", "-c", '"$@"; exit $?', "sh", sys.executable, str(tmp_path / "bench" / "run.py"),
+         "--workload", "sweep-domain-d512", "--scale", "tiny", "--seed", "42", "--seconds", "1",
+         "--trace", "0"],
+        cwd=tmp_path, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, done.stdout

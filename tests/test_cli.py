@@ -18,9 +18,17 @@ from hypothesis import strategies as st
 
 from oodgate import (
     DATASET_SIZE_PRESETS,
+    DESK_SCALE_PER_SIDE,
     UNLABELED,
+    Balanced,
     DatasetManifest,
+    DetectorConfig,
     FeatureTable,
+    SweepSpec,
+    SyntheticSpec,
+    UnbalancedUniform,
+    ValidationError,
+    run_sweep,
     write_feature_table,
 )
 import oodgate.cli
@@ -276,6 +284,27 @@ def test_bad_flag_exits_2_before_any_read(tmp_path, capsys, monkeypatch, argv, m
     argv = [missing if a == "MISSING" else a for a in argv]
     assert run(*argv, "--input", missing, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+@pytest.mark.parametrize("flag, value", [("input", "MISSING"), ("format", "csv")])
+def test_fit_refuses_a_flag_the_manifest_overrides(tmp_path, capsys, monkeypatch, flag, value,
+                                                   via):
+    """``fit --manifest`` once exited 0 and ignored ``--input`` and ``--format``:
+    the manifest names its fit table and that table's format."""
+    def refuse(*args):
+        raise AssertionError("read an input before checking the flags")
+
+    monkeypatch.setattr(oodgate.cli, "read_feature_table", refuse)
+    monkeypatch.setattr(DatasetManifest, "read", refuse)
+    value = str(tmp_path / "missing.oodf") if value == "MISSING" else value
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"{flag} = {value}\n" if via == "config" else "")
+    flags = [f"--{flag}", value] if via == "argv" else []
+    assert run("fit", "--manifest", str(tmp_path / "w.manifest"), *flags, "--config", str(cfg),
+               "--out", str(tmp_path / "m.oodm")) == 2
+    assert capsys.readouterr().err == f"error: --{flag} and --manifest exclude each other\n"
+    assert not (tmp_path / "m.oodm").exists()
 
 
 def test_calibrate_tpr_target_out_of_range_exits_2(tmp_path, capsys):
@@ -713,6 +742,98 @@ def test_sweep_rejects_a_repeated_detector(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: sweep repeats the detector msp\n"
     assert not out.exists()
+
+
+def test_sweep_rejects_a_repeated_ood_name_before_reading_the_manifest(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("read the manifest")
+
+    monkeypatch.setattr(DatasetManifest, "read", refuse)
+    out = tmp_path / "sweep"
+    assert run("sweep", "--axis", "domain-distance", "--manifest", str(tmp_path / "w.manifest"),
+               "--grid", "d2, d2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: sweep repeats the OOD name 'd2'\n"
+    assert not out.exists()
+
+
+def _manifest_without_a_draw(tmp_path):
+    """A 3-class, 4-dim manifest with one OOD set, d2, made without a world draw."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3, dtype=np.int32), 10)
+    centers = 2.0 * np.eye(3, 4)[labels]
+    lines = []
+    for name, role in (("fit", "ID_FIT_DETECTOR"), ("id", "ID_TEST"), ("d2", "OOD_TEST(d2)")):
+        ood = name == "d2"
+        features = rng.normal(size=(30, 4)) + (3.0 if ood else centers)
+        table = FeatureTable(features, rng.normal(size=(30, 3)),
+                             np.full(30, UNLABELED) if ood else labels)
+        write_feature_table(table, tmp_path / f"{name}.oodf")
+        lines.append(f"{role}\tBINARY_DUMP\t{tmp_path / name}.oodf\n")
+    (tmp_path / "w.manifest").write_text("".join(lines))
+    return tmp_path / "w.manifest"
+
+
+#: (axis, synthetic world?, --grid text, run_sweep grid, exit code, error line,
+#: the CLI's line where it differs). Both surfaces take the grid's kind from
+#: experiments._GRIDS. The CLI's line differs only where its --grid reader
+#: refuses an item, which the line names, or reads any item as an OOD name (a
+#: manifest's domain axis); run_sweep, given a value of a wrong type, names the
+#: kind. A synthetic world fails before it is drawn; a right-kind manifest runs.
+AXIS_WORLD_CASES = [
+    # a grid of the right kind
+    ("accuracy", True, "0.5,1", (0.5, 1.0), 2, "label_noise must be in [0,1), got 1.0", None),
+    ("domain_distance", True, "1,inf", (1.0, float("inf")), 2,
+     "ood distances must be finite and >= 0, got inf", None),
+    ("imbalance", True, "uniform:2", (UnbalancedUniform(2),), 2,
+     "total 2 cannot cover 3 classes at >= 1 each", None),
+    ("accuracy", False, "0.1,0.2", (0.1, 0.2), 2,
+     "the accuracy sweep varies label noise and needs a synthetic world", None),
+    ("domain_distance", False, "d2", ("d2",), 0, None, None),
+    ("imbalance", False, "balanced:5,balanced:5", (Balanced(5), Balanced(5)), 0, None, None),
+    # a grid of a wrong kind
+    ("accuracy", True, "balanced:5", (Balanced(5),), 2, "accuracy grid values must be real numbers",
+     "--grid: could not convert string to float: 'balanced:5'"),
+    ("domain_distance", True, "d2", ("d2",), 2, "domain_distance grid values must be real numbers",
+     "--grid: could not convert string to float: 'd2'"),
+    ("imbalance", True, "0.5", (0.5,), 2, "imbalance grid values must be count laws",
+     "--grid: bad count law '0.5'; expected balanced:N, powerlaw:ALPHA:TOTAL, or uniform:TOTAL"),
+    ("accuracy", False, "d2", ("d2",), 2,
+     "the accuracy sweep varies label noise and needs a synthetic world", None),
+    # every --grid item on a manifest's domain axis reads as a name
+    ("domain_distance", False, "0.5", (0.5,), 2, "domain_distance grid values must be OOD names",
+     "manifest has no OOD_TEST named '0.5'"),
+    ("imbalance", False, "0.5", (0.5,), 2, "imbalance grid values must be count laws",
+     "--grid: bad count law '0.5'; expected balanced:N, powerlaw:ALPHA:TOTAL, or uniform:TOTAL"),
+]
+
+
+@pytest.mark.parametrize("axis, synthetic, text, grid, code, line, cli_line", AXIS_WORLD_CASES,
+                         ids=[f"{c[0]}-{'synthetic' if c[1] else 'manifest'}-{kind}"
+                              for kind, c in zip(("right",) * 6 + ("wrong",) * 6,
+                                                 AXIS_WORLD_CASES)])
+def test_sweep_cli_and_run_sweep_agree_on_every_axis_and_world(
+    tmp_path, capsys, monkeypatch, no_draws, axis, synthetic, text, grid, code, line, cli_line
+):
+    monkeypatch.delenv("OODGATE_SEED", raising=False)
+    if synthetic:
+        world, flags = SyntheticSpec(3, 4, law=Balanced(20)), ["--classes", "3", "--dim", "4",
+                                                                "--law", "balanced:20"]
+    else:
+        world = _manifest_without_a_draw(tmp_path)
+        flags = ["--manifest", str(world)]
+    out = tmp_path / "sweep"
+    assert run("sweep", "--axis", axis.replace("_", "-"), "--grid", text, *flags,
+               "--out", str(out)) == code
+    assert capsys.readouterr().err == ("" if line is None else f"error: {cli_line or line}\n")
+    detectors = tuple(DetectorConfig(m) for m in ("msp", "ebm", "mah"))  # the CLI's default
+    try:
+        result = run_sweep(SweepSpec(axis, world, grid, detectors, n_per_side=DESK_SCALE_PER_SIDE))
+    except ValidationError as exc:
+        assert (code, str(exc)) == (2, line)
+    else:
+        assert code == 0 and (out / "rows.jsonl").read_text() == result.to_jsonl()
 
 
 @pytest.mark.parametrize(

@@ -367,6 +367,14 @@ def test_sweep_spec_rejects_a_repeated_detector():
     SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1.0,), (ebm, DetectorConfig(Method.EBM)))
 
 
+def test_sweep_spec_rejects_a_repeated_ood_name():
+    """A repeated OOD name once ran and wrote its rows twice, byte for byte.
+    A law may repeat: each law draws its rows from its own stream."""
+    with pytest.raises(ValidationError, match="^sweep repeats the OOD name 'd2'$"):
+        SweepSpec(Axis.DOMAIN_DISTANCE, "world.manifest", ("d2", "d1", "d2"), ALL)
+    SweepSpec(Axis.IMBALANCE, "world.manifest", (Balanced(5), Balanced(5)), ALL)
+
+
 @pytest.mark.parametrize("method, field", [("msp", "temperature"), ("ebm", "ridge"),
                                            ("mah", "temperature")])
 def test_sweep_spec_rejects_detectors_apart_only_in_an_unread_field(method, field):
