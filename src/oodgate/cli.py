@@ -37,13 +37,14 @@ from .data import (
     Role,
     TableFormat,
     _ingesting,
+    _read_without_logits,
     read_feature_table,
     write_feature_table,
 )
 from .detectors import (
     DetectorConfig,
     Method,
-    fit_mahalanobis,
+    _fit,
     load_model,
     read_scores,
     save_model,
@@ -86,9 +87,9 @@ def _default_seed() -> int:
         raise ValidationError(f"OODGATE_SEED must be an integer, got {text!r}") from None
 
 
-def _read_table(path: str, explicit_format: str | None):
+def _table_format(path: str, explicit_format: str | None) -> TableFormat:
     is_csv = explicit_format == "csv" if explicit_format else path.endswith(".csv")
-    return read_feature_table(path, TableFormat.CSV if is_csv else TableFormat.BINARY_DUMP)
+    return TableFormat.CSV if is_csv else TableFormat.BINARY_DUMP
 
 
 def _wrote(args, path) -> None:
@@ -186,17 +187,15 @@ def cmd_fit(args) -> int:
                               "exclude each other")
     if args.manifest:
         manifest = DatasetManifest.read(args.manifest)
-        table = manifest.load(manifest.single(Role.ID_FIT_DETECTOR))
+        entry = manifest.single(Role.ID_FIT_DETECTOR)
+        path, fmt = manifest.resolve(entry), entry.fmt
     elif args.input:
-        table = _read_table(args.input, args.format)
+        path, fmt = args.input, _table_format(args.input, args.format)
     else:
         raise ValidationError("fit needs --input TABLE or --manifest MANIFEST")
-    # The fit reads no logits, so they are freed before its float64 work. It
-    # takes its class count from the logits, or else from the top label: the
-    # two agree unless the top class has no rows, which the fit must report.
-    if int(table.labels.max()) + 1 == table.c:
-        table = FeatureTable(table.features, None, table.labels)
-    model = fit_mahalanobis(table, config.ridge)
+    # An OODF table's features are widened into the fit's float64 copy as
+    # they are read; its class count is the header's logit count.
+    model = _fit(*_read_without_logits(path, fmt, widen=True), config.ridge)
     save_model(model, args.out)
     _wrote(args, args.out)
     return 0
@@ -209,9 +208,12 @@ def cmd_score(args) -> int:
         if not args.model:
             raise ValidationError("mah scoring needs --model MODEL")
         model = load_model(args.model)
-    table = _read_table(args.input, args.format)  # after every flag check
-    if model is not None:  # mah reads no logits: free them before its float64 work
-        table = FeatureTable(table.features, None, table.labels)
+    fmt = _table_format(args.input, args.format)  # read after every flag check
+    if model is None:
+        table = read_feature_table(args.input, fmt)
+    else:  # mah uses no logits: they are only checked, a block at a time
+        features, labels, _ = _read_without_logits(args.input, fmt)
+        table = FeatureTable._of(features=features, logits=None, labels=labels)
     scores = score_table(config, table, model)
     write_scores(scores, args.out)
     _wrote(args, args.out)

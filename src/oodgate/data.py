@@ -7,6 +7,8 @@ CSV, and evaluation runs are described by line-oriented manifests that tag
 each table with its role (classifier-train / detector-fit / test / OOD test).
 Every input array is checked finite here, and the scorers, the fit and the
 synthetic worlds walk their rows here, in float64 blocks of :data:`BLOCK_BYTES`.
+The stages that use no logits read tables through :func:`_read_without_logits`,
+which checks an OODF table's logits a block at a time and never holds them.
 
 OODF layout (all little-endian):
 
@@ -149,6 +151,14 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
+    @classmethod
+    def _of(cls, **values):
+        """A record of ``values`` that its caller has already checked as the
+        constructor would, built without running the checks again."""
+        record = object.__new__(cls)
+        record._set(**values)
+        return record
+
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FeatureTable(_Record):
@@ -184,25 +194,7 @@ class FeatureTable(_Record):
                 raise ValidationError("logits need at least 2 classes")
             _check_finite(logits, "logits")
 
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ValidationError(f"labels shape {labels.shape} does not match n={n}")
-        if labels.dtype.kind not in "biuf":
-            raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
-        _check_finite(labels, "labels")
-        bad = np.flatnonzero(labels % 1)  # rows the int32 cast below would truncate
-        if bad.size:
-            raise ValidationError(f"non-integer label at row {bad[0]}: {labels[bad[0]]}")
-        negative = (labels < 0) & (labels != UNLABELED)
-        if negative.any():
-            raise ValidationError(f"negative label at row {int(np.argmax(negative))}")
-        limit = 2**31 if logits is None else logits.shape[1]
-        over = labels >= limit
-        if over.any():  # checked before the int32 cast, which would wrap
-            bad = int(np.argmax(over))
-            raise ValidationError(f"label out of range at row {bad}: {labels[bad]} >= {limit}")
-        labels = np.ascontiguousarray(labels, dtype=np.int32)
-
+        labels = _labels(labels, n, 2**31 if logits is None else logits.shape[1])
         self._set(features=features, logits=logits, labels=labels)
 
     @property
@@ -241,6 +233,28 @@ class FeatureTable(_Record):
 
     def __repr__(self) -> str:
         return f"FeatureTable(n={self.n}, d={self.d}, c={self.c})"
+
+
+def _labels(labels, n: int, limit: int) -> np.ndarray:
+    """``labels`` as contiguous int32, checked to be n integers, each a class
+    below ``limit`` or :data:`UNLABELED`."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValidationError(f"labels shape {labels.shape} does not match n={n}")
+    if labels.dtype.kind not in "biuf":
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+    _check_finite(labels, "labels")
+    bad = np.flatnonzero(labels % 1)  # rows the int32 cast below would truncate
+    if bad.size:
+        raise ValidationError(f"non-integer label at row {bad[0]}: {labels[bad[0]]}")
+    negative = (labels < 0) & (labels != UNLABELED)
+    if negative.any():
+        raise ValidationError(f"negative label at row {int(np.argmax(negative))}")
+    over = labels >= limit
+    if over.any():  # checked before the int32 cast, which would wrap
+        bad = int(np.argmax(over))
+        raise ValidationError(f"label out of range at row {bad}: {labels[bad]} >= {limit}")
+    return np.ascontiguousarray(labels, dtype=np.int32)
 
 
 def write_feature_table(
@@ -284,15 +298,43 @@ def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
     return [("<f4", (n, d)), ("<f4", (n, c)), ("<i4", (n,))]
 
 
-def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
-    """The header fields after magic and version, and the arrays, of an OODF
-    or OODM file; call it inside :func:`_ingesting`. The file is
-    ``header`` (``magic``, u32 :data:`_VERSION`, then ``fields``) and the
-    ``(dtype, shape)`` arrays of ``layout(*fields)``, back to back.
+def _read_without_logits(path: str | Path, fmt: TableFormat, widen: bool = False):
+    """The features, labels and logit count c of the table at ``path``,
+    checked as :func:`read_feature_table` checks it (the same lines, in the
+    same order) but never holding its logits. An OODF table's features are
+    read a block at a time into one float32 array, or float64 if ``widen``,
+    and its logits a block at a time, only to be checked. A CSV is parsed
+    whole, as float32, and its logits are dropped with the table."""
+    path = Path(path)
+    if fmt is not TableFormat.BINARY_DUMP:
+        table = read_feature_table(path, fmt)
+        return table.features, table.labels, table.c
+    with _ingesting(path), _packed(path, _MAGIC, _HEADER, _oodf_layout) as (fh, fields, specs):
+        (n, d, c, _), (features_spec, logits_spec, labels_spec) = fields, specs
+        if n < 1 or d < 1:
+            raise ValidationError(f"need n >= 1 and d >= 1, got {n}x{d}")
+        features = np.empty((n, d), np.float64 if widen else np.float32)
+        for start, block in _read_blocks(fh, *features_spec, d):
+            _check_finite(block, "features", start)
+            features[start : start + len(block)] = block
+        if c:
+            if c < 2:
+                raise ValidationError("logits need at least 2 classes")
+            for start, block in _read_blocks(fh, *logits_spec, c):
+                _check_finite(block, "logits", start)
+        return features, _labels(_read_array(fh, *labels_spec), n, c or 2**31), c
 
-    The file's size is checked against the header before any array is
-    allocated. Each array is then read into a buffer of its own, so a caller
-    that drops one array frees its bytes."""
+
+@contextlib.contextmanager
+def _packed(path: Path, magic: bytes, header: struct.Struct, layout):
+    """Open an OODF or OODM file and yield it at its first array, with the
+    header fields after magic and version and the ``(dtype, shape)`` of each
+    array; call it inside :func:`_ingesting`. The file is ``header``
+    (``magic``, u32 :data:`_VERSION`, then the fields) and the arrays of
+    ``layout(*fields)``, back to back.
+
+    The file's size is checked against the header, in Python integers, before
+    any array is allocated, so every array's rows are bounded by the file."""
     with open(path, "rb") as fh:
         raw = fh.read(header.size)
         if len(raw) < header.size:
@@ -302,22 +344,45 @@ def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
             raise ValidationError(f"bad magic {found!r}")
         if version != _VERSION:
             raise ValidationError(f"unsupported version {version}")
-        specs = [(np.dtype(dtype), shape, math.prod(shape)) for dtype, shape in layout(*fields)]
-        expected = header.size + sum(dtype.itemsize * count for dtype, _, count in specs)
+        specs = [(np.dtype(dtype), shape) for dtype, shape in layout(*fields)]
+        expected = header.size + sum(dtype.itemsize * math.prod(shape) for dtype, shape in specs)
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ValidationError(f"payload is {size} bytes, format implies {expected}")
-        arrays = []
-        for dtype, shape, count in specs:
-            arr = np.fromfile(fh, dtype, count)
-            if arr.size != count:  # the file shrank after the size check
-                raise ValidationError(f"short read: {arr.size} of {count} values")
+        for dtype, shape in specs:
             try:  # an empty array can still have a dimension numpy cannot hold
-                arr = arr.reshape(shape)
+                if 0 in shape:
+                    np.empty(0, dtype).reshape(shape)
             except ValueError as exc:
                 raise ValidationError(f"array shape {shape}: {exc}") from None
-            arrays.append(arr)
-    return fields, arrays
+        yield fh, fields, specs
+
+
+def _read_array(fh, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """The array of ``shape`` at ``fh``'s position, in a buffer of its own."""
+    count = math.prod(shape)
+    arr = np.fromfile(fh, dtype, count)
+    if arr.size != count:  # the file shrank after the size check
+        raise ValidationError(f"short read: {arr.size} of {count} values")
+    return arr.reshape(shape)
+
+
+def _read_blocks(fh, dtype: np.dtype, shape: tuple, width: int):
+    """Yield ``(start, block)``: the rows of the array of ``shape`` at
+    ``fh``'s position from ``start``, in blocks of ``_block_rows(width)``
+    rows, each read into a buffer of its own."""
+    n, size = shape[0], _block_rows(width)
+    for start in range(0, n, size):
+        yield start, _read_array(fh, dtype, (min(size, n - start), *shape[1:]))
+
+
+def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
+    """The header fields after magic and version, and the arrays, of an OODF
+    or OODM file (see :func:`_packed`); call it inside :func:`_ingesting`.
+    Each array is read whole into a buffer of its own, so a caller that
+    drops one array frees its bytes."""
+    with _packed(path, magic, header, layout) as (fh, fields, specs):
+        return fields, [_read_array(fh, *spec) for spec in specs]
 
 
 def _write_packed(path, header: bytes, arrays) -> None:

@@ -29,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (FeatureTable, _Record, _VERSION, _add_rows, _block_rows, _check_finite,
-                   _ingesting, _read_csv, _read_packed, _row_blocks, _write_csv, _write_packed)
+from .data import (UNLABELED, FeatureTable, _Record, _VERSION, _add_rows, _block_rows,
+                   _check_finite, _ingesting, _read_csv, _read_packed, _row_blocks, _write_csv,
+                   _write_packed)
 from .errors import NumericalError, ValidationError
 
 #: Absolute diagonal loading used when the scatter has zero trace.
@@ -257,27 +258,38 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     table's logit count when present, otherwise from the largest label). The
     covariance divisor is the total sample count N.
     """
-    if not fit_table.is_labeled:
+    return _fit(fit_table.features, fit_table.labels, fit_table.c, ridge)
+
+
+def _fit(features: np.ndarray, labels: np.ndarray, c: int, ridge: float) -> GaussianClassModel:
+    """:func:`fit_mahalanobis` over checked ``features``, ``labels`` and logit
+    count ``c`` (0: none), as a :class:`FeatureTable` holds them. Float32
+    features are widened into one float64 copy; float64 ones are that copy,
+    and the fit writes its residuals over them. Every value is known finite,
+    so the blocks are plain row slices."""
+    if (labels == UNLABELED).any():
         raise ValidationError("mahalanobis fit requires a fully labeled table")
     if not 0 <= ridge < math.inf:
         raise ValidationError(f"ridge must be finite and >= 0, got {ridge}")
-    labels = fit_table.labels
-    n, d = fit_table.features.shape
-    c = fit_table.c if fit_table.c else int(labels.max()) + 1
+    n, d = features.shape
+    c = c or int(labels.max()) + 1
     counts = np.bincount(labels, minlength=c)
     if (counts == 0).any():
         raise ValidationError(f"class {int(np.argmin(counts))} has no samples in the fit table")
     if n <= d:
         warnings.warn(f"fitting a {d}-dimensional covariance from only {n} samples; "
                       "estimates may be unstable")
-    feats = fit_table.features.astype(np.float64)
+    feats = features.astype(np.float64, copy=False)
     means = np.zeros((c, d))
     # _add_rows builds two d-wide float64 rows and two intp indices per row
-    for start, block in _row_blocks(feats, "features", 2 * d + 2):
-        _add_rows(means, labels[start : start + len(block)], block, np.arange(len(block)))
+    rows = _block_rows(2 * d + 2)
+    for start in range(0, n, rows):
+        block = feats[start : start + rows]
+        _add_rows(means, labels[start : start + rows], block, np.arange(len(block)))
     means /= counts[:, None]
-    for start, block in _row_blocks(feats, "features", d):  # views of the float64 copy
-        block -= means[labels[start : start + len(block)]]  # within-class residuals
+    rows = _block_rows(d)
+    for start in range(0, n, rows):  # within-class residuals, a block at a time
+        feats[start : start + rows] -= means[labels[start : start + rows]]
     covariance = (feats.T @ feats) / n  # numpy's SYRK: exactly symmetric
     if ridge > 0 and not np.trace(covariance) > 0:
         warnings.warn(f"no within-class scatter; regularizing with {ZERO_TRACE_RIDGE_FLOOR:g} * I")

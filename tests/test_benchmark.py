@@ -1,4 +1,7 @@
-"""The benchmark's sweep workload, run once at tiny scale with the test suite.
+"""The benchmark's CLI chain and sweep workloads, each run once at tiny scale
+with the test suite, so the run's own output checks (fit means, Mahalanobis
+against a dense solve, closed forms, AUROC by rank sum, the sweep's rows
+digest) gate every test run.
 
 The run works on a temporary copy of ``bench/`` beside a link to ``src/``, so
 its records land in that copy and nothing is written under the checkout.
@@ -11,11 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_sweep_workload_is_correct_at_seed_42(tmp_path):
-    """At seed 42 the run checks the rows digest and the recorded scorer sets."""
+@pytest.mark.parametrize("workload", ["cli-chain-d128", "sweep-domain-d512"])
+def test_workload_is_correct_at_seed_42(tmp_path, workload):
+    """Every output check passes; at seed 42 the sweep's include its rows digest."""
     shutil.copytree(ROOT / "bench", tmp_path / "bench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
@@ -23,7 +29,7 @@ def test_sweep_workload_is_correct_at_seed_42(tmp_path):
     # which the runner checks against its own limit; the shell forks it fresh.
     done = subprocess.run(
         ["/bin/sh", "-c", '"$@"; exit $?', "sh", sys.executable, str(tmp_path / "bench" / "run.py"),
-         "--workload", "sweep-domain-d512", "--scale", "tiny", "--seed", "42", "--seconds", "1",
+         "--workload", workload, "--scale", "tiny", "--seed", "42", "--seconds", "1",
          "--trace", "0"],
         cwd=tmp_path, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, timeout=300,

@@ -566,11 +566,11 @@ def test_fit_takes_its_class_count_from_the_logits(tmp_path, capsys):
 @pytest.mark.parametrize("stage", ["fit", "score-mah"])
 def test_stage_peak_is_the_larger_of_read_and_work(tmp_path, traced_peak, stage):
     """On a table whose logits are as large as its features, ``fit`` and mah
-    ``score`` free the logits they never read before their float64 work. So
-    a stage's traced peak is the larger of the read's and the work's (the
-    features and labels kept, plus the method's own allocations), within a
-    quarter of the logits' bytes; holding the logits through the work adds
-    all of them."""
+    ``score`` never hold the logits, which they only check a block at a time.
+    So a stage's traced peak is at most the larger of a whole-table read's and
+    the work's (the features and labels kept, plus the method's own
+    allocations), within a quarter of the logits' bytes; holding the logits
+    through the work adds all of them."""
     from oodgate import (DetectorConfig, Method, fit_mahalanobis, load_model,
                          read_feature_table, score_table, write_scores)
 
@@ -594,6 +594,73 @@ def test_stage_peak_is_the_larger_of_read_and_work(tmp_path, traced_peak, stage)
     code, peak = traced_peak(lambda: run(*map(str, argv)))
     assert code == 0
     assert peak <= max(read, held) + logit_bytes / 4, (peak, read, held)
+
+
+@pytest.mark.parametrize("stage", ["fit", "score-mah"])
+def test_stage_holds_no_whole_array_it_only_reads_a_block_of(tmp_path, traced_peak, block_rows,
+                                                             stage):
+    """With 512-row blocks, ``fit``'s traced peak is at most its float64 copy
+    of the features plus labels, class counts and 3 blocks: it widens the
+    features into that copy a block at a time and checks the logits a block at
+    a time, so holding either float32 array whole (3 MB each) fails. mah
+    ``score`` on the table peaks at most 2 blocks above its peak on the same
+    table written without logits."""
+    from oodgate import data
+
+    n, d = 12000, 64
+    block_rows(512, d)
+    rng = np.random.default_rng(9)
+    t = FeatureTable(rng.normal(size=(n, d)), rng.normal(size=(n, d)), np.arange(n) % d)
+    path, bare, model = tmp_path / "t.oodf", tmp_path / "bare.oodf", tmp_path / "m.oodm"
+    write_feature_table(t, path)
+    write_feature_table(FeatureTable(t.features, None, t.labels), bare)
+
+    def peak(table):
+        if stage == "fit":
+            argv = ["fit", "--input", table, "--out", model]
+        else:
+            argv = ["score", "--input", table, "--method", "mah", "--model", model,
+                    "--out", tmp_path / "s.csv"]
+        assert run(*map(str, argv)) == 0  # first-call allocations, LAPACK's load
+        code, found = traced_peak(lambda: run(*map(str, argv)))
+        assert code == 0
+        return found
+
+    assert run("fit", "--input", str(path), "--out", str(model)) == 0
+    if stage == "fit":
+        found, bound = peak(path), n * d * 8 + t.labels.nbytes + d * 8 + 3 * data.BLOCK_BYTES
+        assert found <= bound, (found, bound)
+    else:
+        assert peak(path) <= peak(bare) + 2 * data.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("route", ["input", "manifest"])
+@pytest.mark.parametrize("logits", [True, False], ids=["logits", "no-logits"])
+@pytest.mark.parametrize("d", [16, 128])
+def test_fit_writes_the_library_fit_bytes(tmp_path, d, logits, route):
+    """``fit`` writes the bytes of ``save_model(fit_mahalanobis(read_feature_table(p)))``,
+    though it widens the features from the file and never holds the logits:
+    through ``--input`` and a manifest's ``ID_FIT_DETECTOR`` entry, with and
+    without logits. At d=128, 4545 rows are read as blocks of 4544 and 1 rows."""
+    from oodgate import (ManifestEntry, Role, TableFormat, fit_mahalanobis, read_feature_table,
+                         save_model)
+
+    n, c = 4545, 7
+    rng = np.random.default_rng(d)
+    labels = rng.permutation(np.arange(n) % c)
+    features = rng.normal(size=(n, d)) + 3.0 * labels[:, None]
+    t = FeatureTable(features, rng.normal(size=(n, c)) if logits else None, labels)
+    path = tmp_path / "fit.oodf"
+    write_feature_table(t, path)
+    save_model(fit_mahalanobis(read_feature_table(path)), tmp_path / "lib.oodm")
+    if route == "input":
+        argv = ["--input", str(path)]
+    else:
+        entry = ManifestEntry("fit.oodf", Role.ID_FIT_DETECTOR, TableFormat.BINARY_DUMP)
+        DatasetManifest((entry,)).write(tmp_path / "w.manifest")
+        argv = ["--manifest", str(tmp_path / "w.manifest")]
+    assert run("fit", *argv, "--out", str(tmp_path / "cli.oodm")) == 0
+    assert (tmp_path / "cli.oodm").read_bytes() == (tmp_path / "lib.oodm").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,8 +30,9 @@ N, D, C = 4, 2, 3
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
-def run_cli(*argv) -> None:
-    """Run ``oodgate *argv`` and check the error contract."""
+def run_cli(*argv) -> tuple[int, str]:
+    """Run ``oodgate *argv``, check the error contract, and return the exit
+    code and the error line."""
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -41,6 +43,7 @@ def run_cli(*argv) -> None:
     assert err.endswith("\n") and err.count("\n") == 1 and "error: " in err, err
     assert "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
+    return code, err
 
 
 def prepared(tmp: Path) -> tuple[str, str]:
@@ -87,6 +90,23 @@ oodf_breaks = st.one_of(
 )
 
 
+def every_stage_fails_alike(tmp: Path, raw: bytes) -> str:
+    """Write the OODF bytes ``raw`` and read them with ``fit``, mah ``score``
+    (with the prepared model) and ebm ``score``, which each read the file
+    their own way; all three must give the same exit code and error line,
+    which is returned."""
+    bad = tmp / "bad.oodf"
+    bad.write_bytes(raw)
+    outcomes = {
+        run_cli("fit", "--input", bad, "--out", tmp / "out.oodm"),
+        run_cli("score", "--input", bad, "--method", "mah", "--model", tmp / "m.oodm",
+                "--out", tmp / "s.csv"),
+        run_cli("score", "--input", bad, "--method", "ebm", "--out", tmp / "s.csv"),
+    }
+    assert len(outcomes) == 1, outcomes
+    return outcomes.pop()[1]
+
+
 @given(brk=oodf_breaks | RESIZE)
 def test_fuzz_oodf_table(brk):
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,8 +114,53 @@ def test_fuzz_oodf_table(brk):
         table, _ = prepared(tmp)
         raw = Path(table).read_bytes()
         raw = resized(raw, *brk) if len(brk) == 2 else patched(raw, *brk)
-        (tmp / "bad.oodf").write_bytes(raw)
-        run_cli("score", "--input", tmp / "bad.oodf", "--method", "ebm", "--out", tmp / "s.csv")
+        every_stage_fails_alike(tmp, raw)
+
+
+def oodf(features, logits, labels) -> bytes:
+    """The OODF bytes of the arrays as given, none of them checked."""
+    (n, d), c = features.shape, logits.shape[1]
+    return b"".join([struct.pack("<4sIQQQB7x", b"OODF", 1, n, d, c, 0),
+                     features.astype("<f4").tobytes(), logits.astype("<f4").tobytes(),
+                     labels.astype("<i4").tobytes()])
+
+
+def with_value(arr, row, col, value):
+    out = arr.copy()
+    out[row, col] = value
+    return out
+
+
+# name: the arrays of an OODF file, bytes cut from its end, and the error
+SHORT = 40 + 4 * N * (D + C + 1) - 1
+BROKEN_TABLES = {
+    "non-finite-features-and-logits": (
+        (with_value(TABLE.features, 2, 1, np.nan), with_value(TABLE.logits, 0, 0, np.inf),
+         TABLE.labels), 0, "non-finite value in features at row 2"),
+    "non-finite-logits": ((TABLE.features, with_value(TABLE.logits, 3, 2, -np.inf), TABLE.labels),
+                          0, "non-finite value in logits at row 3"),
+    "label-at-c": ((TABLE.features, TABLE.logits, np.array([0, 1, 3, 0])), 0,
+                   "label out of range at row 2: 3 >= 3"),
+    "one-logit": ((TABLE.features, TABLE.logits[:, :1], TABLE.labels), 0,
+                  "logits need at least 2 classes"),
+    "one-byte-short": ((TABLE.features, TABLE.logits, TABLE.labels), 1,
+                       f"payload is {SHORT} bytes, format implies {SHORT + 1}"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_TABLES)
+def test_oodf_breaks_give_each_stage_one_line(case, block_rows):
+    """Each stage gives today's error line, reading 2-row blocks, so a bad
+    value's row is counted across blocks: the features' line before the
+    logits', a label out of range of c, c = 1, a file one byte short."""
+    block_rows(2, D)  # logits, c = 3 wide, get 2-row blocks too
+    arrays, cut, message = BROKEN_TABLES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        prepared(tmp)
+        raw = oodf(*arrays)
+        line = every_stage_fails_alike(tmp, raw[: len(raw) - cut])
+        assert line == f"error: {tmp / 'bad.oodf'}: {message}\n"
 
 
 # ---------------------------------------------------------------------------
