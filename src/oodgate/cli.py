@@ -37,8 +37,7 @@ from .data import (
     Role,
     TableFormat,
     _ingesting,
-    _read_without_logits,
-    read_feature_table,
+    _read_kept,
     write_feature_table,
 )
 from .detectors import (
@@ -193,9 +192,9 @@ def cmd_fit(args) -> int:
         path, fmt = args.input, _table_format(args.input, args.format)
     else:
         raise ValidationError("fit needs --input TABLE or --manifest MANIFEST")
-    # An OODF table's features are widened into the fit's float64 copy as
-    # they are read; its class count is the header's logit count.
-    model = _fit(*_read_without_logits(path, fmt, widen=True), config.ridge)
+    # The features are widened into the fit's float64 copy as they are read;
+    # the class count is the table's logit count.
+    model = _fit(*_read_kept(path, fmt, widen=True), config.ridge)
     save_model(model, args.out)
     _wrote(args, args.out)
     return 0
@@ -209,11 +208,16 @@ def cmd_score(args) -> int:
             raise ValidationError("mah scoring needs --model MODEL")
         model = load_model(args.model)
     fmt = _table_format(args.input, args.format)  # read after every flag check
+    # Each method reads one array, the logits or the features; the other is
+    # only checked, a block at a time, and never held. score_table takes a
+    # table, whose n is its features' row count, so the table of msp and ebm,
+    # which read no features, has n zero-width feature rows.
+    kept, labels, _ = _read_kept(args.input, fmt, logits=model is None)
     if model is None:
-        table = read_feature_table(args.input, fmt)
-    else:  # mah uses no logits: they are only checked, a block at a time
-        features, labels, _ = _read_without_logits(args.input, fmt)
-        table = FeatureTable._of(features=features, logits=None, labels=labels)
+        table = FeatureTable._of(features=np.empty((labels.size, 0), np.float32),
+                                 logits=kept, labels=labels)
+    else:
+        table = FeatureTable._of(features=kept, logits=None, labels=labels)
     scores = score_table(config, table, model)
     write_scores(scores, args.out)
     _wrote(args, args.out)

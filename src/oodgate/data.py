@@ -7,8 +7,8 @@ CSV, and evaluation runs are described by line-oriented manifests that tag
 each table with its role (classifier-train / detector-fit / test / OOD test).
 Every input array is checked finite here, and the scorers, the fit and the
 synthetic worlds walk their rows here, in float64 blocks of :data:`BLOCK_BYTES`.
-The stages that use no logits read tables through :func:`_read_without_logits`,
-which checks an OODF table's logits a block at a time and never holds them.
+The CLI's ``fit`` and ``score`` read tables through :func:`_read_kept`, which
+checks a whole table but holds only the array the stage reads.
 
 OODF layout (all little-endian):
 
@@ -272,7 +272,8 @@ def write_feature_table(
         rows = map(np.ndarray.tolist, table.features)
         if table.logits is not None:  # each row's logits follow its features
             rows = map(list.__add__, rows, map(np.ndarray.tolist, table.logits))
-        _write_csv(path, header, table.labels.tolist(), rows, repr)
+        _write_csv(path, header, (f"{label},{','.join(map(repr, values))}\r\n"
+                                  for label, values in zip(table.labels.tolist(), rows)))
     else:  # pragma: no cover - enum is closed
         raise ValidationError(f"unknown table format {fmt!r}")
 
@@ -298,31 +299,61 @@ def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
     return [("<f4", (n, d)), ("<f4", (n, c)), ("<i4", (n,))]
 
 
-def _read_without_logits(path: str | Path, fmt: TableFormat, widen: bool = False):
-    """The features, labels and logit count c of the table at ``path``,
-    checked as :func:`read_feature_table` checks it (the same lines, in the
-    same order) but never holding its logits. An OODF table's features are
-    read a block at a time into one float32 array, or float64 if ``widen``,
-    and its logits a block at a time, only to be checked. A CSV is parsed
-    whole, as float32, and its logits are dropped with the table."""
+def _read_kept(path: str | Path, fmt: TableFormat, logits: bool = False,
+               widen: bool = False):
+    """The features of the table at ``path`` (float64 if ``widen``, else
+    float32), or its float32 logits if ``logits`` (None when it has none),
+    with its labels and logit count c: the one array a CLI stage reads.
+
+    The table is checked as :func:`read_feature_table` checks it, with the
+    same lines in the same order, but the array not kept is only checked, a
+    block at a time, and never held. An OODF table is read a block at a time,
+    each block checked finite and, if kept, copied into the one array
+    returned. A CSV is parsed once; its features and logits are checked in
+    place in the parse, and only the kept columns are copied out of it."""
     path = Path(path)
-    if fmt is not TableFormat.BINARY_DUMP:
-        table = read_feature_table(path, fmt)
-        return table.features, table.labels, table.c
-    with _ingesting(path), _packed(path, _MAGIC, _HEADER, _oodf_layout) as (fh, fields, specs):
-        (n, d, c, _), (features_spec, logits_spec, labels_spec) = fields, specs
+    with _ingesting(path), contextlib.ExitStack() as stack:
+        if fmt is TableFormat.BINARY_DUMP:
+            fh, (n, d, c, _), specs = stack.enter_context(
+                _packed(path, _MAGIC, _HEADER, _oodf_layout))
+            blocks = [_read_blocks(fh, *spec) for spec in specs[:2]]  # read as they are walked
+            read_labels = lambda: _read_array(fh, *specs[2])
+        elif fmt is TableFormat.CSV:
+            labels, *views = _read_csv(path, _parse_csv_header, np.float32)
+            (n, d), c = views[0].shape, views[1].shape[1]
+            blocks = [_slices(view) for view in views]
+            read_labels = lambda: labels
+        else:  # pragma: no cover - enum is closed
+            raise ValidationError(f"unknown table format {fmt!r}")
         if n < 1 or d < 1:
             raise ValidationError(f"need n >= 1 and d >= 1, got {n}x{d}")
-        features = np.empty((n, d), np.float64 if widen else np.float32)
-        for start, block in _read_blocks(fh, *features_spec, d):
-            _check_finite(block, "features", start)
-            features[start : start + len(block)] = block
-        if c:
-            if c < 2:
-                raise ValidationError("logits need at least 2 classes")
-            for start, block in _read_blocks(fh, *logits_spec, c):
-                _check_finite(block, "logits", start)
-        return features, _labels(_read_array(fh, *labels_spec), n, c or 2**31), c
+        features = _checked(blocks[0], (n, d), "features",
+                            None if logits else np.float64 if widen else np.float32)
+        if c == 1:
+            raise ValidationError("logits need at least 2 classes")
+        logit_rows = (_checked(blocks[1], (n, c), "logits", np.float32 if logits else None)
+                      if c else None)
+        return logit_rows if logits else features, _labels(read_labels(), n, c or 2**31), c
+
+
+def _checked(blocks, shape: tuple, what: str, dtype=None):
+    """Check each ``(start, block)`` of ``blocks``, the rows of ``what`` from
+    ``start``, finite; with a ``dtype``, copy them into one new array of
+    ``shape`` and ``dtype``, which is returned."""
+    out = None if dtype is None else np.empty(shape, dtype)
+    for start, block in blocks:
+        _check_finite(block, what, start)
+        if out is not None:
+            out[start : start + len(block)] = block
+    return out
+
+
+def _slices(arr: np.ndarray):
+    """Yield ``(start, block)``: the rows of the 2-D ``arr`` from ``start``, in
+    views of ``_block_rows(width)`` rows, ``width`` being ``arr``'s."""
+    size = _block_rows(arr.shape[1])
+    for start in range(0, arr.shape[0], size):
+        yield start, arr[start : start + size]
 
 
 @contextlib.contextmanager
@@ -367,11 +398,12 @@ def _read_array(fh, dtype: np.dtype, shape: tuple) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _read_blocks(fh, dtype: np.dtype, shape: tuple, width: int):
-    """Yield ``(start, block)``: the rows of the array of ``shape`` at
+def _read_blocks(fh, dtype: np.dtype, shape: tuple):
+    """Yield ``(start, block)``: the rows of the 2-D array of ``shape`` at
     ``fh``'s position from ``start``, in blocks of ``_block_rows(width)``
-    rows, each read into a buffer of its own."""
-    n, size = shape[0], _block_rows(width)
+    rows, ``width`` being its second dimension, each read into a buffer of
+    its own."""
+    n, size = shape[0], _block_rows(shape[1])
     for start in range(0, n, size):
         yield start, _read_array(fh, dtype, (min(size, n - start), *shape[1:]))
 
@@ -414,14 +446,13 @@ def _ingesting(path):
         raise IngestionError(f"{path}: {exc}") from exc
 
 
-def _write_csv(path, header: list[str], first, rows, fmt) -> None:
+def _write_csv(path, header: list[str], lines) -> None:
     """Write the UTF-8, CRLF CSV of tables and score files: ``header``, then
-    per row the row's integer from ``first`` and ``fmt`` of each Python number
-    of its list from ``rows``, both iterables taken one row at a time."""
+    each finished, CRLF-ended line of the iterable ``lines``, taken one at a
+    time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for head, values in zip(first, rows):
-            fh.write(f"{head},{','.join(map(fmt, values))}\r\n")
+        fh.writelines(lines)
 
 
 def _read_csv(path, parse_header, dtype=np.float64) -> list[np.ndarray]:

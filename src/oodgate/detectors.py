@@ -89,8 +89,8 @@ class ScoreSet(_Record):
 
 def write_scores(scores: ScoreSet, path: str | Path) -> None:
     """Export as ``index,score`` CSV with 17 significant digits."""
-    rows = map(np.ndarray.tolist, scores.scores[:, None])
-    _write_csv(path, ["index", "score"], range(len(scores)), rows, "{:.17g}".format)
+    _write_csv(path, ["index", "score"],
+               map("{},{:.17g}\r\n".format, range(len(scores)), scores.scores.tolist()))
 
 
 def _score_columns(header: list[str]) -> tuple[int]:

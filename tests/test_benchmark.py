@@ -1,7 +1,7 @@
-"""The benchmark's CLI chain and sweep workloads, each run once at tiny scale
-with the test suite, so the run's own output checks (fit means, Mahalanobis
-against a dense solve, closed forms, AUROC by rank sum, the sweep's rows
-digest) gate every test run.
+"""The benchmark's three workloads, each run once at tiny scale with the test
+suite, so the run's own output checks (fit means, Mahalanobis against a dense
+solve, closed forms, AUROC by rank sum, the CSV export's round trip, the
+calibrations and SVGs, the sweep's rows digest) gate every test run.
 
 The run works on a temporary copy of ``bench/`` beside a link to ``src/``, so
 its records land in that copy and nothing is written under the checkout.
@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["cli-chain-d128", "sweep-domain-d512"])
+@pytest.mark.parametrize("workload", ["cli-chain-d128", "sweep-domain-d512", "csv-logits-d128"])
 def test_workload_is_correct_at_seed_42(tmp_path, workload):
     """Every output check passes; at seed 42 the sweep's include its rows digest."""
     shutil.copytree(ROOT / "bench", tmp_path / "bench",

@@ -278,7 +278,7 @@ def test_bad_flag_exits_2_before_any_read(tmp_path, capsys, monkeypatch, argv, m
     def refuse(*args):
         raise AssertionError("read an input before checking the flags")
 
-    monkeypatch.setattr(oodgate.cli, "read_feature_table", refuse)
+    monkeypatch.setattr(oodgate.cli, "_read_kept", refuse)
     monkeypatch.setattr(DatasetManifest, "read", refuse)
     missing = str(tmp_path / "missing.oodf")
     argv = [missing if a == "MISSING" else a for a in argv]
@@ -295,7 +295,7 @@ def test_fit_refuses_a_flag_the_manifest_overrides(tmp_path, capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("read an input before checking the flags")
 
-    monkeypatch.setattr(oodgate.cli, "read_feature_table", refuse)
+    monkeypatch.setattr(oodgate.cli, "_read_kept", refuse)
     monkeypatch.setattr(DatasetManifest, "read", refuse)
     value = str(tmp_path / "missing.oodf") if value == "MISSING" else value
     cfg = tmp_path / "fit.cfg"
@@ -563,14 +563,30 @@ def test_fit_takes_its_class_count_from_the_logits(tmp_path, capsys):
     assert capsys.readouterr().err == "error: class 3 has no samples in the fit table\n"
 
 
-@pytest.mark.parametrize("stage", ["fit", "score-mah"])
+@pytest.mark.parametrize("fmt", ["oodf", "csv"])
+@pytest.mark.parametrize("method", ["msp", "ebm"])
+def test_logit_scoring_of_a_table_without_logits_exits_2(tmp_path, capsys, method, fmt):
+    """msp and ebm ``score`` keep only the logits: a table without any is
+    read and checked, then refused with ``score_table``'s line."""
+    from oodgate import TableFormat
+
+    path = tmp_path / f"t.{fmt}"
+    t = FeatureTable(np.array([[0.0, 1.0], [2.0, 0.5]]), None, np.array([0, 1]))
+    write_feature_table(t, path, TableFormat.CSV if fmt == "csv" else TableFormat.BINARY_DUMP)
+    assert run("score", "--input", str(path), "--method", method,
+               "--out", str(tmp_path / "s.csv")) == 2
+    assert capsys.readouterr().err == f"error: {method} scoring needs logits (c >= 2)\n"
+
+
+@pytest.mark.parametrize("stage", ["fit", "score-mah", "score-msp", "score-ebm"])
 def test_stage_peak_is_the_larger_of_read_and_work(tmp_path, traced_peak, stage):
     """On a table whose logits are as large as its features, ``fit`` and mah
-    ``score`` never hold the logits, which they only check a block at a time.
-    So a stage's traced peak is at most the larger of a whole-table read's and
-    the work's (the features and labels kept, plus the method's own
-    allocations), within a quarter of the logits' bytes; holding the logits
-    through the work adds all of them."""
+    ``score`` never hold the logits, and msp and ebm ``score`` never hold the
+    features: each checks the array it does not read a block at a time. So a
+    stage's traced peak is at most the larger of a whole-table read's and the
+    work's (the array and labels kept, plus the method's own allocations),
+    within a quarter of the unread array's bytes; holding that array through
+    the work adds all of it."""
     from oodgate import (DetectorConfig, Method, fit_mahalanobis, load_model,
                          read_feature_table, score_table, write_scores)
 
@@ -579,24 +595,28 @@ def test_stage_peak_is_the_larger_of_read_and_work(tmp_path, traced_peak, stage)
     t = FeatureTable(rng.normal(size=(n, d)), rng.normal(size=(n, d)), np.arange(n) % d)
     path, model, out = tmp_path / "t.oodf", tmp_path / "m.oodm", tmp_path / "s.csv"
     write_feature_table(t, path)
-    narrow, logit_bytes = FeatureTable(t.features, None, t.labels), t.logits.nbytes
+    narrow, kept, unread = FeatureTable(t.features, None, t.labels), t.features, t.logits
     if stage == "fit":
         argv = ["fit", "--input", path, "--out", model]
         work = lambda: fit_mahalanobis(narrow)
-    else:
+    elif stage == "score-mah":
         assert run("fit", "--input", str(path), "--out", str(model)) == 0
         argv = ["score", "--input", path, "--method", "mah", "--model", model, "--out", out]
         config = DetectorConfig(Method.MAH)
         work = lambda: write_scores(score_table(config, narrow, load_model(model)), out)
+    else:
+        argv = ["score", "--input", path, "--method", stage[len("score-"):], "--out", out]
+        config, kept, unread = DetectorConfig(stage[len("score-"):]), t.logits, t.features
+        work = lambda: write_scores(score_table(config, t), out)
     assert run(*map(str, argv)) == 0  # first-call allocations, LAPACK's load
     read = traced_peak(lambda: read_feature_table(path))[1]
-    held = t.features.nbytes + t.labels.nbytes + traced_peak(work)[1]
+    held = kept.nbytes + t.labels.nbytes + traced_peak(work)[1]
     code, peak = traced_peak(lambda: run(*map(str, argv)))
     assert code == 0
-    assert peak <= max(read, held) + logit_bytes / 4, (peak, read, held)
+    assert peak <= max(read, held) + unread.nbytes / 4, (peak, read, held)
 
 
-@pytest.mark.parametrize("stage", ["fit", "score-mah"])
+@pytest.mark.parametrize("stage", ["fit", "score-mah", "score-msp", "score-ebm", "score-msp-csv"])
 def test_stage_holds_no_whole_array_it_only_reads_a_block_of(tmp_path, traced_peak, block_rows,
                                                              stage):
     """With 512-row blocks, ``fit``'s traced peak is at most its float64 copy
@@ -604,23 +624,32 @@ def test_stage_holds_no_whole_array_it_only_reads_a_block_of(tmp_path, traced_pe
     features into that copy a block at a time and checks the logits a block at
     a time, so holding either float32 array whole (3 MB each) fails. mah
     ``score`` on the table peaks at most 2 blocks above its peak on the same
-    table written without logits."""
-    from oodgate import data
+    table written without logits, and msp and ebm ``score`` at most 2 blocks
+    above theirs on it written with one feature column. On a CSV, msp
+    ``score`` parses the table once and copies only the logits out of the
+    parse: it peaks at most 2 blocks above a whole-table read less the float32
+    features that read copies out, so holding both copies beside the parse
+    fails."""
+    from oodgate import TableFormat, data, read_feature_table
 
     n, d = 12000, 64
     block_rows(512, d)
     rng = np.random.default_rng(9)
     t = FeatureTable(rng.normal(size=(n, d)), rng.normal(size=(n, d)), np.arange(n) % d)
     path, bare, model = tmp_path / "t.oodf", tmp_path / "bare.oodf", tmp_path / "m.oodm"
+    narrow, csv = tmp_path / "narrow.oodf", tmp_path / "t.csv"
     write_feature_table(t, path)
     write_feature_table(FeatureTable(t.features, None, t.labels), bare)
+    write_feature_table(FeatureTable(t.features[:, :1], t.logits, t.labels), narrow)
+    write_feature_table(t, csv, TableFormat.CSV)
 
     def peak(table):
         if stage == "fit":
             argv = ["fit", "--input", table, "--out", model]
         else:
-            argv = ["score", "--input", table, "--method", "mah", "--model", model,
-                    "--out", tmp_path / "s.csv"]
+            method = stage.split("-")[1]
+            argv = ["score", "--input", table, "--method", method,
+                    *(["--model", model] if method == "mah" else []), "--out", tmp_path / "s.csv"]
         assert run(*map(str, argv)) == 0  # first-call allocations, LAPACK's load
         code, found = traced_peak(lambda: run(*map(str, argv)))
         assert code == 0
@@ -630,8 +659,14 @@ def test_stage_holds_no_whole_array_it_only_reads_a_block_of(tmp_path, traced_pe
     if stage == "fit":
         found, bound = peak(path), n * d * 8 + t.labels.nbytes + d * 8 + 3 * data.BLOCK_BYTES
         assert found <= bound, (found, bound)
-    else:
+    elif stage == "score-mah":
         assert peak(path) <= peak(bare) + 2 * data.BLOCK_BYTES
+    elif stage == "score-msp-csv":
+        read = traced_peak(lambda: read_feature_table(csv, TableFormat.CSV))[1]
+        found, bound = peak(csv), read - t.features.nbytes + 2 * data.BLOCK_BYTES
+        assert found <= bound, (found, bound)
+    else:
+        assert peak(path) <= peak(narrow) + 2 * data.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("route", ["input", "manifest"])

@@ -90,18 +90,20 @@ oodf_breaks = st.one_of(
 )
 
 
-def every_stage_fails_alike(tmp: Path, raw: bytes) -> str:
-    """Write the OODF bytes ``raw`` and read them with ``fit``, mah ``score``
-    (with the prepared model) and ebm ``score``, which each read the file
-    their own way; all three must give the same exit code and error line,
-    which is returned."""
-    bad = tmp / "bad.oodf"
+def every_stage_fails_alike(tmp: Path, raw: bytes, fmt: str = "oodf") -> str:
+    """Write the table bytes ``raw`` in ``fmt`` and read them with ``fit``, mah
+    ``score`` (with the prepared model), msp ``score`` and ebm ``score``, each
+    keeping only the array it reads; all four must give the same exit code
+    and error line, which is returned."""
+    bad = tmp / f"bad.{fmt}"
     bad.write_bytes(raw)
+    table = ("--input", bad, "--format", fmt)
     outcomes = {
-        run_cli("fit", "--input", bad, "--out", tmp / "out.oodm"),
-        run_cli("score", "--input", bad, "--method", "mah", "--model", tmp / "m.oodm",
+        run_cli("fit", *table, "--out", tmp / "out.oodm"),
+        run_cli("score", *table, "--method", "mah", "--model", tmp / "m.oodm",
                 "--out", tmp / "s.csv"),
-        run_cli("score", "--input", bad, "--method", "ebm", "--out", tmp / "s.csv"),
+        run_cli("score", *table, "--method", "msp", "--out", tmp / "s.csv"),
+        run_cli("score", *table, "--method", "ebm", "--out", tmp / "s.csv"),
     }
     assert len(outcomes) == 1, outcomes
     return outcomes.pop()[1]
@@ -161,6 +163,63 @@ def test_oodf_breaks_give_each_stage_one_line(case, block_rows):
         raw = oodf(*arrays)
         line = every_stage_fails_alike(tmp, raw[: len(raw) - cut])
         assert line == f"error: {tmp / 'bad.oodf'}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: a label,f0..,l0.. header, then one label, D features and C logits
+# a row; each break below makes the table invalid on its own
+
+
+csv_breaks = st.one_of(
+    # a feature or logit that is not finite in binary32 or does not parse
+    st.tuples(st.just("value"), st.integers(0, N - 1), st.integers(1, D + C),
+              st.sampled_from(["nan", "1e40", "1_0", "0x10", "\u0661"])),
+    st.tuples(st.just("short"), st.integers(0, N - 1), st.integers(1, D + C)),
+    # a label that is not an integer, is c or is negative
+    st.tuples(st.just("value"), st.integers(0, N - 1), st.just(0),
+              st.sampled_from(["1.5", str(C), "-2"])),
+    st.just(("one-logit",)),
+    st.tuples(st.just("header"), st.sampled_from([
+        "label,f0,f1,l0,l2", "label,f0,x1,l0,l1,l2", "f0,f1,l0,l1,l2,label",
+        "label,l0,l1,l2,f0,f1", "label,f0,f1,l0,l1,l2,l3"])),
+)
+
+
+def broken_csv(rows: list[list[str]], breaks) -> bytes:
+    """The CSV of the header and data ``rows`` (lists of fields) after every
+    break: fields replaced, then rows cut to their first fields, then every
+    logit column after the first dropped, then the header replaced."""
+    rows = [row[:] for row in rows]
+    order = ["value", "short", "one-logit", "header"]
+    for kind, *args in sorted(breaks, key=lambda brk: order.index(brk[0])):
+        if kind == "value":
+            row, col, value = args
+            rows[1 + row][col] = value
+        elif kind == "short":
+            rows[1 + args[0]] = rows[1 + args[0]][: args[1]]
+        elif kind == "one-logit":
+            rows = [row[: 1 + D + 1] for row in rows]
+        else:
+            rows[0] = args[0].split(",")
+    return "".join(",".join(row) + "\r\n" for row in rows).encode()
+
+
+@given(breaks=st.lists(csv_breaks, min_size=1, max_size=3))
+def test_fuzz_csv_table(breaks):
+    """Every stage gives the line :func:`read_feature_table` raises, one or
+    more breaks at a time, so the checks run in its order."""
+    from oodgate import TableFormat, read_feature_table
+    from oodgate.errors import IngestionError
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        prepared(tmp)
+        write_feature_table(TABLE, tmp / "t.csv", TableFormat.CSV)
+        rows = [line.split(",") for line in (tmp / "t.csv").read_text().splitlines()]
+        line = every_stage_fails_alike(tmp, broken_csv(rows, breaks), "csv")
+        with pytest.raises(IngestionError) as exc:
+            read_feature_table(tmp / "bad.csv", TableFormat.CSV)
+        assert line == f"error: {exc.value}\n"
 
 
 # ---------------------------------------------------------------------------
