@@ -21,9 +21,14 @@ axis's grid holds on a synthetic world and on a manifest, which also says how
 the CLI reads a ``--grid`` item and how a row writes a grid value.
 Providers check the whole grid before the first fit or score, on a synthetic
 world before it is drawn: the accuracy axis its label-noise levels, the
-others in one loader, :func:`_base_tables` (OOD names, the class sizes and
-totals of every law, then each law's fit rows drawn before any test table
-is read), which also decides whether the fit table is read.
+others in one loader, :func:`_base_tables` (OOD names or distances and the
+OOD cloud size, the class sizes and totals of every law, then each law's fit
+rows drawn before any test table is read), which also decides whether the
+fit table is read. On a synthetic world the domain and imbalance axes draw
+each OOD cloud, with its logits, only at its own grid point, and drop it
+once that point is scored, so a domain sweep holds one cloud, not the
+grid's; a cloud whose values overflow fails at its point, after the earlier
+points are scored. A manifest's OOD tables are all read up front.
 
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample at
 grid point i (the domain axis draws its one subsample from (7, 0)), (8, i)
@@ -47,7 +52,9 @@ from .metrics import auroc, fpr_at_tpr, roc_curve
 from .synthetic import (
     CountLaw,
     SyntheticSpec,
+    _cloud_names,
     _noised,
+    _ood_table,
     _world_split,
     _worlds,
     imbalanced_rows,
@@ -197,18 +204,26 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
     ``None`` takes the world's first. Imbalance ``laws`` are checked, and their
     rows drawn, on the fit labels before any feature is drawn or test table
     read. A world's split is worked out once, for those labels and the draw;
-    the world is drawn without its classifier-train split and dropped on
-    return. A manifest is read once and checked before any table is read. Its
-    one ID_FIT_DETECTOR table is read first, and only for ``laws`` or a mah detector.
+    the distances and cloud size are checked next, and the world is drawn
+    without its classifier-train split or any OOD cloud and dropped on return.
+    Its OOD tables are an iterator that draws each cloud, with its logits,
+    only when it is reached, each of ``n_per_side`` rows (the test-split size
+    if None); a cloud that fails fails there. A manifest is read once and
+    checked before any table is read; its OOD tables are a list, all read
+    before return. Its one ID_FIT_DETECTOR table is read first, and only for
+    ``laws`` or a mah detector.
     """
     world, rows = spec.base_world, None
     if spec.is_synthetic:
         split = _world_split(world)
         if laws is not None:
             rows = _law_rows(laws, _noised(world, split[2])[1], spec.seed)
-        distances = None if oods is None else tuple(float(v) for v in oods)
-        (w,) = _worlds([world], distances, spec.n_per_side, split, keep_train=False)
-        return w.id_fit, w.id_test, list(w.ood_tables.values()), w.classifier_accuracy, rows
+        distances = (world.ood_distance,) if oods is None else tuple(float(v) for v in oods)
+        _cloud_names(world, distances, spec.n_per_side)
+        (w,) = _worlds([world], (), split=split, keep_train=False)
+        n, means, centers = spec.n_per_side or w.id_test.n, w.true_means, w.classifier_centers
+        clouds = (_ood_table(world, means, centers, i, dist, n) for i, dist in enumerate(distances))
+        return w.id_fit, w.id_test, clouds, w.classifier_accuracy, rows
 
     manifest = DatasetManifest.read(world)
     mah = any(c.method is Method.MAH for c in spec.detectors)
@@ -272,14 +287,20 @@ def _accuracy_points(spec: SweepSpec):
 
 def _domain_points(spec: SweepSpec):
     """One world (or manifest), one OOD set per grid value, sizes matched; the
-    full ID test table is dropped once subsampled."""
+    full ID test table is dropped once subsampled. A synthetic world's cloud
+    is drawn at its own point and dropped once subsampled; every cloud has
+    ``n_per_side`` rows (the test-split size if None), so the matched size
+    is known before any is drawn. A manifest's OOD tables are all read first."""
     fit_table, id_test, ood_sets, accuracy, _ = _base_tables(spec, spec.grid)
-    m = min([id_test.n, *(t.n for t in ood_sets), spec.n_per_side or id_test.n])
+    sizes = () if spec.is_synthetic else [t.n for t in ood_sets]
+    m = min([id_test.n, *sizes, spec.n_per_side or id_test.n])
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
     del id_test  # only the subsample is scored
-    for i, (value, ood) in enumerate(zip(spec.grid, ood_sets)):
-        ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
+    ood_sets = iter(ood_sets)
+    for i, value in enumerate(spec.grid):
+        ood = _subsample(next(ood_sets), m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
         yield value, fit_table, id_matched, ood, accuracy
+        del ood  # so the next cloud is drawn without this one
 
 
 def _imbalance_points(spec: SweepSpec):

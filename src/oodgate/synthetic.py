@@ -294,6 +294,57 @@ def _noised(spec: SyntheticSpec, clean: list) -> list[np.ndarray]:
     return out
 
 
+def _cloud_names(spec: SyntheticSpec, distances, n) -> list[str]:
+    """The table names of OOD clouds at ``distances``, of ``n`` rows each (None:
+    the test-split size), once the distances and ``n`` are checked, before any draw."""
+    names = [ood_table_name(dist) for dist in distances]
+    for i, (dist, name) in enumerate(zip(distances, names)):
+        if not 0 <= dist < math.inf:
+            raise ValidationError(f"ood distances must be finite and >= 0, got {dist}")
+        if names.index(name) < i:
+            raise ValidationError(f"ood distances {distances[names.index(name)]!r} and "
+                                  f"{dist!r} share the table name {name!r}")
+    if n is not None:
+        if int(n) < 1:
+            raise ValidationError("n_ood must be >= 1")
+        # a cloud's row indices take 8 bytes a row, its features 4 a value
+        if int(n) * max(8, 4 * spec.dim) > np.iinfo(np.intp).max:
+            raise ValidationError(f"an OOD cloud of {int(n)} rows of {spec.dim} float32 "
+                                  f"values exceeds {np.iinfo(np.intp).max} bytes")
+    return names
+
+
+def _ood_features(spec: SyntheticSpec, true_means: np.ndarray, i: int, distance: float,
+                  n: int) -> np.ndarray:
+    """The float32 features of a world's OOD cloud ``i``, drawn from stream
+    (4, i): ``n`` rows in ``c`` clusters (the first ``n % c`` one row larger)
+    around centers at ``distance`` class separations from the ID centroid,
+    with the pooled ID standard deviation."""
+    c, d = true_means.shape
+    centroid = true_means.mean(axis=0)
+    spread = np.mean(np.sum((true_means - centroid) ** 2, axis=1)) / d
+    pooled_sigma = float(np.sqrt(spec.within_class_sigma**2 + spread))
+    rng = stream_rng(spec.seed, _STREAM_OOD, i)
+    dirs = rng.standard_normal((c, d))
+    centers = centroid + distance * spec.class_separation * dirs / np.linalg.norm(
+        dirs, axis=1, keepdims=True)
+    sizes = np.array([n // c + (k < n % c) for k in range(c)], dtype=np.int64)
+    (features,) = _draw_clusters(centers, pooled_sigma, sizes, [np.arange(n)], rng)
+    return features
+
+
+@_QUIET
+def _ood_table(spec: SyntheticSpec, true_means: np.ndarray, centers: np.ndarray, i: int,
+               distance: float, n: int) -> FeatureTable:
+    """OOD cloud ``i`` of the world of ``spec``, as :func:`generate_world`
+    gives it at ``distance`` with ``n`` rows, its logits taken against the
+    classifier ``centers``. A sweep draws each cloud this way at its own
+    grid point, so a failing cloud fails there."""
+    features = _ood_features(spec, true_means, i, distance, n)
+    return FeatureTable(features, _log_density_logits(features, centers, spec.within_class_sigma),
+                        np.full(n, UNLABELED, dtype=np.int32))
+
+
 @_QUIET
 def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=None,
             keep_train=True):
@@ -302,19 +353,11 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
     train labels are summed under ``j*c + label`` (and, if noise empties a
     class, every train row under ``len(levels)*c``), its logits taken when reached.
     ``split`` is a :func:`_world_split` of the levels' world, by default the
-    first level's."""
+    first level's; ``ood_distances=()`` draws no OOD cloud."""
     spec = levels[0]
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     ood_distances = (spec.ood_distance,) if ood_distances is None else ood_distances
-    names = [ood_table_name(dist) for dist in ood_distances]
-    for i, (dist, name) in enumerate(zip(ood_distances, names)):
-        if not 0 <= dist < math.inf:
-            raise ValidationError(f"ood distances must be finite and >= 0, got {dist}")
-        if names.index(name) < i:
-            raise ValidationError(f"ood distances {ood_distances[names.index(name)]!r} and "
-                                  f"{dist!r} share the table name {name!r}")
-    if n_ood is not None and int(n_ood) < 1:
-        raise ValidationError("n_ood must be >= 1")
+    names = _cloud_names(spec, ood_distances, n_ood)
     sizes, parts, (*clean, test_labels) = split or _world_split(spec)
     train_labels, fit_labels = zip(*(_noised(level, clean) for level in levels))
     counts = [np.bincount(labels, minlength=c) for labels in train_labels]
@@ -333,18 +376,9 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
     )
     del parts, sum_labels  # the split's row indices and sum labels, spent once drawn
 
-    centroid = true_means.mean(axis=0)
-    pooled_sigma = float(
-        np.sqrt(sigma**2 + np.mean(np.sum((true_means - centroid) ** 2, axis=1)) / d)
-    )
     n_ood_eff = test.shape[0] if n_ood is None else int(n_ood)
-    osizes = np.bincount(np.arange(n_ood_eff) % c, minlength=c)  # first clusters +1
-    oods = []
-    for i, dist in enumerate(ood_distances):
-        rng_ood = stream_rng(spec.seed, _STREAM_OOD, i)
-        odirs = rng_ood.standard_normal((c, d))
-        ocenters = centroid + dist * sep * odirs / np.linalg.norm(odirs, axis=1, keepdims=True)
-        oods += _draw_clusters(ocenters, pooled_sigma, osizes, [np.arange(n_ood_eff)], rng_ood)
+    oods = [_ood_features(spec, true_means, i, dist, n_ood_eff)
+            for i, dist in enumerate(ood_distances)]
     unlabeled = np.full(n_ood_eff, UNLABELED, dtype=np.int32)
 
     @_QUIET
@@ -384,8 +418,9 @@ def generate_world(
     the requested distance (in units of class separation) from the ID
     centroid, with the pooled ID standard deviation, so distance 0
     reproduces the overall ID spread. A bad distance, two that share a table
-    name, a bad ``n_ood`` or count law, and a world the split cannot cover,
-    are rejected before the first sample.
+    name, a bad ``n_ood`` (below 1, or a cloud past the address space) or
+    count law, and a world the split cannot cover, are rejected before the
+    first sample.
 
     The classifier centers are summed from the train split while it is
     drawn. ``keep_train=False`` still draws that split, so every other table

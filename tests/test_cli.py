@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -409,15 +411,56 @@ def test_bad_world_input_exits_2_before_any_draw(
           "--dim", "4"], "non-finite value in features at row 0"),
         (["sweep", "--axis", "accuracy", "--grid", "0.5", "--classes", "3", "--dim", "4",
           "--law", "balanced:3", "--detectors", "mah"], "class 2 has no samples in the fit table"),
+        # this cloud is drawn at its own grid point, after point 0 is scored
+        (["sweep", "--axis", "domain-distance", "--grid", "0,1e308", "--classes", "3",
+          "--dim", "4"], "non-finite value in features at row 0"),
     ],
-    ids=["separation-overflows", "sigma-underflows", "distance-overflows", "fit-misses-a-class"],
+    ids=["separation-overflows", "sigma-underflows", "distance-overflows", "fit-misses-a-class",
+         "late-distance-overflows"],
 )
 def test_failing_world_exits_2_without_a_warning(tmp_path, capsys, argv, message):
-    """Every warning is let through, and would print a ``warning:`` line."""
+    """Every warning is let through, and would print a ``warning:`` line;
+    nothing is written."""
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n-ood", "4611686018427387904"],
+    ["sweep", "--axis", "domain-distance", "--grid", "0,1", "--n-per-side",
+     "99999999999999999999"],
+    ["sweep", "--axis", "imbalance", "--grid", "balanced:3", "--n-per-side",
+     "99999999999999999999"],
+], ids=["synth", "domain-distance", "imbalance"])
+def test_ood_cloud_past_the_address_space_exits_2_before_any_draw(tmp_path, capsys, no_draws,
+                                                                   argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv, "--classes", "3", "--dim", "4", "--out", str(tmp_path / "out")) == 2
+    assert not caught
+    n = argv[-1] if argv[0] == "sweep" else argv[2]
+    assert capsys.readouterr().err == (f"error: an OOD cloud of {n} rows of 4 float32 values "
+                                       f"exceeds {np.iinfo(np.intp).max} bytes\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_ood_cloud_past_memory_exits_4(tmp_path):
+    """A cloud within the address space but past memory (16 TB here, under a
+    3 GB address-space limit, so nothing is touched) keeps its MemoryError.
+    One BLAS thread keeps the child's own buffers far inside the limit."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "oodgate.cli", "synth", "--classes", "3",
+                           "--dim", "4", "--n-ood", str(10**12), "--out", str(tmp_path / "w")],
+                          capture_output=True, text=True, preexec_fn=limit, timeout=120,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("error: MemoryError: Unable to allocate ")
+    assert done.stderr.count("\n") == 1 and not (tmp_path / "w").exists()
 
 
 def test_accuracy_sweep_warns_once_per_short_class(tmp_path, capsys):

@@ -470,6 +470,51 @@ def test_accuracy_sweep_draws_its_world_once(monkeypatch):
     assert len({r.classifier_accuracy for r in rows}) == 3
 
 
+@pytest.mark.parametrize("n_per_side", [40, 150])
+def test_domain_clouds_drawn_per_point_equal_the_eager_world_clouds(n_per_side):
+    """Each cloud the domain axis draws at its own point is, byte for byte,
+    the eager world's cloud after the same (8, i) subsample: with
+    ``n_per_side`` below the test-split size (90 rows) and above it."""
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (0.5, 1.0, 3.0), ALL, seed=3,
+                     n_per_side=n_per_side)
+    world = generate_world(spec.base_world, ood_distances=spec.grid, n_ood=n_per_side)
+    m = min(world.id_test.n, n_per_side)
+    points = list(experiments._domain_points(spec))
+    assert [value for value, *_ in points] == list(spec.grid)
+    for i, (_, _, id_test, ood, _) in enumerate(points):
+        eager = world.ood_tables[synthetic.ood_table_name(spec.grid[i])]
+        rng = experiments.stream_rng(spec.seed, experiments._STREAM_OOD_SUB, i)
+        assert ood == experiments._subsample(eager, m, rng)
+        assert ood.n == id_test.n == m
+
+
+def test_domain_sweep_memory_does_not_grow_with_the_grid(traced_peak):
+    """Each cloud is drawn at its own point and dropped once it is scored, so
+    a 5-distance sweep's traced peak passes a 1-distance sweep's by less than
+    one cloud's float32 features and logits (4.3 MB here)."""
+    base = world_spec(classes=10, dim=256, law=Balanced(2700), seed=4)
+    n = 4000
+    cloud = n * (base.dim + base.classes) * 4
+
+    def peak(grid):
+        spec = SweepSpec(Axis.DOMAIN_DISTANCE, base, grid, ALL, n_per_side=n)
+        return traced_peak(lambda: run_sweep(spec))[1]
+
+    run_sweep(SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1.0,), ALL))  # first-call allocations
+    one, five = peak((1.0,)), peak((0.5, 1.0, 2.0, 3.0, 4.0))
+    assert five - one < cloud, (one, five, cloud)
+
+
+def test_domain_cloud_that_overflows_fails_at_its_own_point(calls):
+    """The second cloud is drawn only once the first point is scored, under
+    the world's error state: the suite's warning filter would fail an
+    overflow warning."""
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (0.5, 1e308), ALL, seed=3)
+    with pytest.raises(ValidationError, match="^non-finite value in features at row 0$"):
+        run_sweep(spec)
+    assert calls == {"fit": 1, "msp": 2, "ebm": 2, "mah": 2}
+
+
 def test_short_class_in_later_law_raises_before_any_fit(calls):
     # the fit split holds 60 rows per class: powerlaw:1.5:100 asks class 0
     # for 57 of them, powerlaw:3:100 for more than 60

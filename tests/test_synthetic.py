@@ -99,6 +99,21 @@ def test_generate_world_rejects_before_drawing(no_draws, kwargs, message):
         generate_world(small_spec(), **kwargs)
 
 
+@pytest.mark.parametrize("dim, n", [(4, np.iinfo(np.intp).max // 16 + 1),
+                                    (2, np.iinfo(np.intp).max // 8 + 1), (3, 10**20)])
+def test_cloud_past_the_address_space_rejected_before_drawing(no_draws, dim, n):
+    """A cloud whose n x d float32 values, or 8-byte row indices, pass
+    ``intp``'s largest value is refused in Python ints before the ID world
+    is drawn; one row fewer (at d = 4, or at d = 2, where the indices set
+    the bound) passes the check."""
+    limit = np.iinfo(np.intp).max
+    with pytest.raises(ValidationError, match=(
+            f"^an OOD cloud of {n} rows of {dim} float32 values exceeds {limit} bytes$")):
+        generate_world(small_spec(dim=dim), n_ood=n)
+    if n < 10**20:
+        assert synthetic._cloud_names(small_spec(dim=dim), (2.0,), n - 1) == ["d2"]
+
+
 @pytest.mark.parametrize("alpha", [-500.0, math.nan])
 def test_powerlaw_non_finite_weights_rejected_before_drawing(no_draws, alpha):
     law = UnbalancedPowerlaw(alpha, 1000)
