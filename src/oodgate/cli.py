@@ -194,7 +194,8 @@ def cmd_fit(args) -> int:
         raise ValidationError("fit needs --input TABLE or --manifest MANIFEST")
     # The features are widened into the fit's float64 copy as they are read;
     # the class count is the table's logit count.
-    model = _fit(*_read_kept(path, fmt, widen=True), config.ridge)
+    features, _, labels, c = _read_kept(path, fmt, np.float64, None)
+    model = _fit(features, labels, c, config.ridge)
     save_model(model, args.out)
     _wrote(args, args.out)
     return 0
@@ -212,12 +213,11 @@ def cmd_score(args) -> int:
     # only checked, a block at a time, and never held. score_table takes a
     # table, whose n is its features' row count, so the table of msp and ebm,
     # which read no features, has n zero-width feature rows.
-    kept, labels, _ = _read_kept(args.input, fmt, logits=model is None)
-    if model is None:
-        table = FeatureTable._of(features=np.empty((labels.size, 0), np.float32),
-                                 logits=kept, labels=labels)
-    else:
-        table = FeatureTable._of(features=kept, logits=None, labels=labels)
+    features, logits, labels, _ = _read_kept(
+        args.input, fmt, *((None, np.float32) if model is None else (np.float32, None)))
+    if features is None:
+        features = np.empty((labels.size, 0), np.float32)
+    table = FeatureTable._of(features=features, logits=logits, labels=labels)
     scores = score_table(config, table, model)
     write_scores(scores, args.out)
     _wrote(args, args.out)

@@ -7,8 +7,8 @@ CSV, and evaluation runs are described by line-oriented manifests that tag
 each table with its role (classifier-train / detector-fit / test / OOD test).
 Every input array is checked finite here, and the scorers, the fit and the
 synthetic worlds walk their rows here, in float64 blocks of :data:`BLOCK_BYTES`.
-The CLI's ``fit`` and ``score`` read tables through :func:`_read_kept`, which
-checks a whole table but holds only the array the stage reads.
+Both table formats are read by one row-block walk that keeps only the arrays
+asked for (:func:`_read_kept`); a table read or built passes :func:`_checked_labels`.
 
 OODF layout (all little-endian):
 
@@ -175,26 +175,12 @@ class FeatureTable(_Record):
 
     @np.errstate(over="ignore")  # a binary32 overflow fails the finite check
     def __post_init__(self) -> None:
-        features, logits, labels = self.features, self.logits, self.labels
-        features = np.ascontiguousarray(features, dtype=np.float32)
+        features = np.ascontiguousarray(self.features, dtype=np.float32)
         if features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {features.shape}")
-        n, d = features.shape
-        if n < 1 or d < 1:
-            raise ValidationError(f"need n >= 1 and d >= 1, got {n}x{d}")
-        _check_finite(features, "features")
-
-        if logits is not None:
-            logits = np.ascontiguousarray(logits, dtype=np.float32)
-            if logits.ndim != 2 or logits.shape[0] != n:
-                raise ValidationError(
-                    f"logits shape {logits.shape} does not match n={n}"
-                )
-            if logits.shape[1] < 2:
-                raise ValidationError("logits need at least 2 classes")
-            _check_finite(logits, "logits")
-
-        labels = _labels(labels, n, 2**31 if logits is None else logits.shape[1])
+        logits = None if self.logits is None else np.ascontiguousarray(self.logits, np.float32)
+        labels = _checked_labels(features.shape, getattr(logits, "shape", None),
+                                 [(features, 0), (logits, 0)], self.labels)
         self._set(features=features, logits=logits, labels=labels)
 
     @property
@@ -235,9 +221,23 @@ class FeatureTable(_Record):
         return f"FeatureTable(n={self.n}, d={self.d}, c={self.c})"
 
 
-def _labels(labels, n: int, limit: int) -> np.ndarray:
-    """``labels`` as contiguous int32, checked to be n integers, each a class
-    below ``limit`` or :data:`UNLABELED`."""
+def _checked_labels(shape: tuple, logit_shape: tuple | None, rows: list, labels) -> np.ndarray:
+    """Check a table, in this order, and return its labels as int32: the n x d
+    features ``shape`` has n, d >= 1; ``rows[0]`` (an ``(array, start)`` of the
+    features) is finite; logits of ``logit_shape`` (None: none) have n rows, c >= 2
+    columns and a finite ``rows[1]``; each of the n ``labels`` is below c or UNLABELED."""
+    n, d = shape
+    if n < 1 or d < 1:
+        raise ValidationError(f"need n >= 1 and d >= 1, got {n}x{d}")
+    _check_finite(rows[0][0], "features", rows[0][1])
+    limit = 2**31
+    if logit_shape is not None:
+        if len(logit_shape) != 2 or logit_shape[0] != n:
+            raise ValidationError(f"logits shape {logit_shape} does not match n={n}")
+        if logit_shape[1] < 2:
+            raise ValidationError("logits need at least 2 classes")
+        _check_finite(rows[1][0], "logits", rows[1][1])
+        limit = logit_shape[1]
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValidationError(f"labels shape {labels.shape} does not match n={n}")
@@ -282,15 +282,8 @@ def read_feature_table(
     path: str | Path, fmt: TableFormat = TableFormat.BINARY_DUMP
 ) -> FeatureTable:
     """Read and validate a table; malformed contents raise IngestionError."""
-    path = Path(path)
-    with _ingesting(path):
-        if fmt is TableFormat.BINARY_DUMP:
-            _, (features, logits, labels) = _read_packed(path, _MAGIC, _HEADER, _oodf_layout)
-        elif fmt is TableFormat.CSV:
-            labels, features, logits = _read_csv(path, _parse_csv_header, np.float32)
-        else:  # pragma: no cover - enum is closed
-            raise ValidationError(f"unknown table format {fmt!r}")
-        return FeatureTable(features, logits if logits.shape[1] else None, labels)
+    features, logits, labels, c = _read_kept(path, fmt)
+    return FeatureTable._of(features=features, logits=logits if c else None, labels=labels)
 
 
 def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
@@ -299,61 +292,41 @@ def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
     return [("<f4", (n, d)), ("<f4", (n, c)), ("<i4", (n,))]
 
 
-def _read_kept(path: str | Path, fmt: TableFormat, logits: bool = False,
-               widen: bool = False):
-    """The features of the table at ``path`` (float64 if ``widen``, else
-    float32), or its float32 logits if ``logits`` (None when it has none),
-    with its labels and logit count c: the one array a CLI stage reads.
-
-    The table is checked as :func:`read_feature_table` checks it, with the
-    same lines in the same order, but the array not kept is only checked, a
-    block at a time, and never held. An OODF table is read a block at a time,
-    each block checked finite and, if kept, copied into the one array
-    returned. A CSV is parsed once; its features and logits are checked in
-    place in the parse, and only the kept columns are copied out of it."""
-    path = Path(path)
+def _read_kept(path: str | Path, fmt: TableFormat, features=np.float32, logits=np.float32):
+    """The features and logits of the table at ``path``, each in the dtype its
+    argument names (None: not kept), its labels and logit count c. Its row
+    blocks are walked (:func:`_walk`), so an array not kept is never held whole,
+    then :func:`_checked_labels` checks it as it checks a :class:`FeatureTable`."""
+    path, oodf = Path(path), fmt is TableFormat.BINARY_DUMP
     with _ingesting(path), contextlib.ExitStack() as stack:
-        if fmt is TableFormat.BINARY_DUMP:
+        if oodf:
             fh, (n, d, c, _), specs = stack.enter_context(
                 _packed(path, _MAGIC, _HEADER, _oodf_layout))
-            blocks = [_read_blocks(fh, *spec) for spec in specs[:2]]  # read as they are walked
-            read_labels = lambda: _read_array(fh, *specs[2])
         elif fmt is TableFormat.CSV:
-            labels, *views = _read_csv(path, _parse_csv_header, np.float32)
-            (n, d), c = views[0].shape, views[1].shape[1]
-            blocks = [_slices(view) for view in views]
-            read_labels = lambda: labels
+            blocks = _read_csv(path, _parse_csv_header, np.float32)
+            n, (d, c) = next(blocks)
         else:  # pragma: no cover - enum is closed
             raise ValidationError(f"unknown table format {fmt!r}")
-        if n < 1 or d < 1:
-            raise ValidationError(f"need n >= 1 and d >= 1, got {n}x{d}")
-        features = _checked(blocks[0], (n, d), "features",
-                            None if logits else np.float64 if widen else np.float32)
-        if c == 1:
-            raise ValidationError("logits need at least 2 classes")
-        logit_rows = (_checked(blocks[1], (n, c), "logits", np.float32 if logits else None)
-                      if c else None)
-        return logit_rows if logits else features, _labels(read_labels(), n, c or 2**31), c
+        kept = [None if dtype is None else np.empty((n, width), dtype) for dtype, width in
+                ((features, d), (logits, c))] + [np.empty(n, "<i4" if oodf else np.int64)]
+        if oodf:  # read in place where kept in the file's dtype
+            blocks = _packed_blocks(fh, specs, kept)
+        labels = _checked_labels((n, d), (n, c) if c else None, _walk(blocks, kept), kept[2])
+        return kept[0], kept[1], labels, c
 
 
-def _checked(blocks, shape: tuple, what: str, dtype=None):
-    """Check each ``(start, block)`` of ``blocks``, the rows of ``what`` from
-    ``start``, finite; with a ``dtype``, copy them into one new array of
-    ``shape`` and ``dtype``, which is returned."""
-    out = None if dtype is None else np.empty(shape, dtype)
-    for start, block in blocks:
-        _check_finite(block, what, start)
-        if out is not None:
-            out[start : start + len(block)] = block
-    return out
-
-
-def _slices(arr: np.ndarray):
-    """Yield ``(start, block)``: the rows of the 2-D ``arr`` from ``start``, in
-    views of ``_block_rows(width)`` rows, ``width`` being ``arr``'s."""
-    size = _block_rows(arr.shape[1])
-    for start in range(0, arr.shape[0], size):
-        yield start, arr[start : start + size]
+def _walk(blocks, outs: list) -> list:
+    """Copy each ``(start, *arrays)`` block of ``blocks`` into the matching
+    arrays of ``outs`` that are not None (numpy skips a block read in place);
+    return each array's first non-finite ``(block, start)``, or one of no rows."""
+    bad = [(np.empty(0), 0)] * len(outs)
+    for start, *arrays in blocks:
+        for i, (block, out) in enumerate(zip(arrays, outs)):
+            if out is not None:
+                out[start : start + len(block)] = block
+            if not (bad[i][0].size or np.isfinite(block).all()):
+                bad[i] = block, start
+    return bad
 
 
 @contextlib.contextmanager
@@ -389,32 +362,37 @@ def _packed(path: Path, magic: bytes, header: struct.Struct, layout):
         yield fh, fields, specs
 
 
-def _read_array(fh, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """The array of ``shape`` at ``fh``'s position, in a buffer of its own."""
-    count = math.prod(shape)
-    arr = np.fromfile(fh, dtype, count)
-    if arr.size != count:  # the file shrank after the size check
-        raise ValidationError(f"short read: {arr.size} of {count} values")
-    return arr.reshape(shape)
+def _read_into(fh, arr: np.ndarray) -> np.ndarray:
+    """``arr``, a C-contiguous array, filled with the bytes at ``fh``'s position."""
+    got = fh.readinto(arr)
+    if got != arr.nbytes:  # the file shrank after the size check
+        raise ValidationError(f"short read: {got // arr.itemsize} of {arr.size} values")
+    return arr
 
 
-def _read_blocks(fh, dtype: np.dtype, shape: tuple):
-    """Yield ``(start, block)``: the rows of the 2-D array of ``shape`` at
-    ``fh``'s position from ``start``, in blocks of ``_block_rows(width)``
-    rows, ``width`` being its second dimension, each read into a buffer of
-    its own."""
-    n, size = shape[0], _block_rows(shape[1])
+def _packed_blocks(fh, specs: list, outs: list):
+    """Yield ``(start, *blocks)``: rows from ``start`` of each n-row array of
+    ``specs`` (see :func:`_packed`), ``_block_rows`` of their summed widths at a
+    time, each read into the matching array of ``outs`` if it has that dtype."""
+    base, n = fh.tell(), specs[0][1][0]
+    size = _block_rows(sum(math.prod(shape[1:]) for _, shape in specs))
     for start in range(0, n, size):
-        yield start, _read_array(fh, dtype, (min(size, n - start), *shape[1:]))
+        blocks, offset = [], base
+        for (dtype, shape), out in zip(specs, outs):
+            rows, row_bytes = min(size, n - start), dtype.itemsize * math.prod(shape[1:])
+            fh.seek(offset + start * row_bytes)
+            offset += n * row_bytes
+            block = (out[start : start + rows] if out is not None and out.dtype == dtype
+                     else np.empty((rows, *shape[1:]), dtype))
+            blocks.append(_read_into(fh, block))
+        yield start, *blocks
 
 
 def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
-    """The header fields after magic and version, and the arrays, of an OODF
-    or OODM file (see :func:`_packed`); call it inside :func:`_ingesting`.
-    Each array is read whole into a buffer of its own, so a caller that
-    drops one array frees its bytes."""
+    """The header fields after magic and version, and the arrays, each whole,
+    of an OODM file (see :func:`_packed`); call it inside :func:`_ingesting`."""
     with _packed(path, magic, header, layout) as (fh, fields, specs):
-        return fields, [_read_array(fh, *spec) for spec in specs]
+        return fields, [_read_into(fh, np.empty(shape, dtype)) for dtype, shape in specs]
 
 
 def _write_packed(path, header: bytes, arrays) -> None:
@@ -455,29 +433,37 @@ def _write_csv(path, header: list[str], lines) -> None:
         fh.writelines(lines)
 
 
-def _read_csv(path, parse_header, dtype=np.float64) -> list[np.ndarray]:
-    """The int64 first column and one ``dtype`` array per column group of a
-    :func:`_write_csv` file, to be read inside :func:`_ingesting`.
-    ``parse_header`` checks the header fields and returns the group widths.
-    Blank lines are skipped.
+def _read_csv(path, parse_header, dtype=np.float64):
+    """Walk a :func:`_write_csv` file inside :func:`_ingesting`: yield the count
+    n of data lines (blank ones are skipped) and the group widths that
+    ``parse_header`` returns from the header, then ``(start, *groups, first)``
+    row blocks, parsed ``_block_rows(4 * width)`` rows at a time from the file's
+    lines; a line that does not parse fails the walk, cited by its line in the file.
 
     Values are parsed straight into ``dtype``, so binary32 columns are never
     held as float64 too. numpy's binary32 converter parses to float64 and
     rounds that, so the bits are those of a float64 parse cast to binary32;
     a value that overflows becomes inf, for the caller's finite check."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        widths = parse_header([name.strip('"') for name in header])
+        widths = parse_header([name.strip('"') for name in fh.readline().rstrip("\n").split(",")])
         columns = [("first", np.int64), ("rest", dtype, (sum(widths),))]
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # header-only input
-                rows = np.loadtxt(fh, columns, comments=None, delimiter=",", quotechar='"', ndmin=1)
+            yield (n := sum(line != "\n" for line in fh)), widths
+            fh.seek(0)
+            fh.readline()
+            size = _block_rows(4 * sum(widths))  # a quarter of a float64 block's rows
+            for start in range(0, n, size):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no line left to parse
+                    rows = np.loadtxt(fh, columns, max_rows=min(size, n - start), comments=None,
+                                      delimiter=",", quotechar='"', ndmin=1)
+                if rows.size < min(size, n - start):  # a quoted field took in a line break
+                    raise ValueError(f"{start + rows.size} rows parsed from {n} data lines")
+                yield start, *np.split(rows["rest"], np.cumsum(widths)[:-1], axis=1), rows["first"]
         except ValueError as exc:  # a decoding error too: the re-scan meets it again
             raise ValidationError(_bad_line(path, 1 + sum(widths)) or str(exc)) from None
-    if rows.size == 0:
+    if n == 0:
         raise ValidationError("no data rows")
-    return [rows["first"], *np.split(rows["rest"], np.cumsum(widths)[:-1], axis=1)]
 
 
 def _bad_line(path, width: int) -> str:

@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (UNLABELED, FeatureTable, _Record, _VERSION, _add_rows, _block_rows,
-                   _check_finite, _ingesting, _read_csv, _read_packed, _row_blocks, _write_csv,
-                   _write_packed)
+                   _check_finite, _ingesting, _read_csv, _read_packed, _row_blocks, _walk,
+                   _write_csv, _write_packed)
 from .errors import NumericalError, ValidationError
 
 #: Absolute diagonal loading used when the scatter has zero trace.
@@ -101,7 +101,9 @@ def _score_columns(header: list[str]) -> tuple[int]:
 
 def read_scores(path: str | Path, method: Method | None = None) -> ScoreSet:
     with _ingesting(path):
-        _, scores = _read_csv(path, _score_columns)
+        blocks = _read_csv(path, _score_columns)
+        scores = np.empty((next(blocks)[0], 1))
+        _walk(blocks, [scores, None])
         return ScoreSet(method, scores[:, 0])
 
 
@@ -139,7 +141,7 @@ def _max_and_expsum(x: np.ndarray, overwrite: bool = False):
 
 # Logit scorers run quietly: a score that overflows or turns NaN (say, under a
 # subnormal temperature) fails ScoreSet's finite check with one error instead.
-# Neither writes into a row block: a block of a float64 input is the caller's.
+# Only msp writes into a row block, and only one widened from narrower logits.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -150,7 +152,9 @@ def score_msp(logits: np.ndarray) -> ScoreSet:
         raise ValidationError(f"msp needs c >= 2 logit columns, got {arr.shape[1]}")
     scores = np.empty(arr.shape[0])
     for start, block in _row_blocks(arr, "logits", arr.shape[1]):
-        scores[start : start + len(block)] = 1.0 / _max_and_expsum(block)[1]
+        scores[start : start + len(block)] = 1.0 / _max_and_expsum(
+            block, overwrite=arr.dtype != np.float64)[1]
+        del block  # not held while the next block is widened
     return ScoreSet(Method.MSP, scores)
 
 

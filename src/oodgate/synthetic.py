@@ -187,6 +187,16 @@ class SyntheticSpec:
             raise ValidationError(f"ood_distance must be finite and >= 0, got {self.ood_distance}")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
+        law, c = self.law, int(self.classes)  # every class has a row, so a world has c or more
+        total = int(law.per_class) * c if isinstance(law, Balanced) else int(law.total_count)
+        _check_rows("a world", max(c, total), self.dim)
+
+
+def _check_rows(what: str, rows: int, dim: int) -> None:
+    """Refuse, before any draw, float32 rows and 8-byte row indices past the address space."""
+    if rows * max(8, 4 * int(dim)) > np.iinfo(np.intp).max:
+        raise ValidationError(f"{what} of {rows} rows of {dim} float32 values exceeds "
+                              f"{np.iinfo(np.intp).max} bytes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,10 +317,7 @@ def _cloud_names(spec: SyntheticSpec, distances, n) -> list[str]:
     if n is not None:
         if int(n) < 1:
             raise ValidationError("n_ood must be >= 1")
-        # a cloud's row indices take 8 bytes a row, its features 4 a value
-        if int(n) * max(8, 4 * spec.dim) > np.iinfo(np.intp).max:
-            raise ValidationError(f"an OOD cloud of {int(n)} rows of {spec.dim} float32 "
-                                  f"values exceeds {np.iinfo(np.intp).max} bytes")
+        _check_rows("an OOD cloud", int(n), spec.dim)
     return names
 
 

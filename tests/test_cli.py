@@ -447,6 +447,31 @@ def test_ood_cloud_past_the_address_space_exits_2_before_any_draw(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+HUGE = 99999999999999999999
+
+
+@pytest.mark.parametrize("argv, rows, dim", [
+    (["--classes", "3", "--dim", "4", "--law", f"balanced:{HUGE}"], 3 * HUGE, 4),
+    (["--classes", "3", "--dim", "4", "--law", "balanced:4611686018427387904"], 3 * 2**62, 4),
+    (["--classes", "3", "--dim", "4", "--law", f"uniform:{HUGE}"], HUGE, 4),
+    (["--classes", "3", "--dim", "4", "--law", f"powerlaw:1:{HUGE}"], HUGE, 4),
+    (["--dim", "4", "--classes", str(HUGE)], 200 * HUGE, 4),  # the default law, balanced:200
+    (["--classes", "3", "--dim", str(HUGE)], 600, HUGE),
+], ids=["balanced", "balanced-2**62", "uniform", "powerlaw", "classes", "dim"])
+def test_world_past_the_address_space_exits_2_before_any_draw(tmp_path, capsys, no_draws, argv,
+                                                               rows, dim):
+    """A world whose rows (at least one a class) cannot be addressed is
+    refused in Python ints before its class sizes are worked out; each of
+    these once exited 1 with an OverflowError or ValueError traceback."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("synth", *argv, "--out", str(tmp_path / "out")) == 2
+    assert not caught
+    assert capsys.readouterr().err == (f"error: a world of {rows} rows of {dim} float32 values "
+                                       f"exceeds {np.iinfo(np.intp).max} bytes\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ood_cloud_past_memory_exits_4(tmp_path):
     """A cloud within the address space but past memory (16 TB here, under a
     3 GB address-space limit, so nothing is touched) keeps its MemoryError.

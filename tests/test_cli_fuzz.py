@@ -204,14 +204,19 @@ def broken_csv(rows: list[list[str]], breaks) -> bytes:
     return "".join(",".join(row) + "\r\n" for row in rows).encode()
 
 
-@given(breaks=st.lists(csv_breaks, min_size=1, max_size=3))
-def test_fuzz_csv_table(breaks):
+@given(breaks=st.lists(csv_breaks, min_size=1, max_size=3), two_row_chunks=st.booleans())
+def test_fuzz_csv_table(breaks, two_row_chunks):
     """Every stage gives the line :func:`read_feature_table` raises, one or
-    more breaks at a time, so the checks run in its order."""
-    from oodgate import TableFormat, read_feature_table
+    more breaks at a time, so the checks run in its order; with the CSV
+    parsed 2 rows at a time too, so a break past the first chunk is met only
+    after earlier chunks were walked, and the line is the one a read in one
+    chunk gives."""
+    from oodgate import TableFormat, data, read_feature_table
     from oodgate.errors import IngestionError
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if two_row_chunks:  # hypothesis refuses function-scoped fixtures such as block_rows
+            mp.setattr(data, "BLOCK_BYTES", 2 * 8 * 4 * (D + C))  # _block_rows(4 * (D + C)) == 2
         tmp = Path(tmp)
         prepared(tmp)
         write_feature_table(TABLE, tmp / "t.csv", TableFormat.CSV)
@@ -220,6 +225,56 @@ def test_fuzz_csv_table(breaks):
         with pytest.raises(IngestionError) as exc:
             read_feature_table(tmp / "bad.csv", TableFormat.CSV)
         assert line == f"error: {exc.value}\n"
+        mp.undo()
+        with pytest.raises(IngestionError) as whole:
+            read_feature_table(tmp / "bad.csv", TableFormat.CSV)
+        assert str(whole.value) == str(exc.value)
+
+
+# name: the (row, column, value) fields set in a 12-row CSV table, whether
+# its last line loses two fields after a blank line, and the error
+TALL = 12
+BROKEN_CSVS = {
+    "inf-feature-then-short-last-line": ([(0, 1, "inf")], True,
+                                         f"line {TALL + 2} has {1 + D + C - 2} fields, "
+                                         f"expected {1 + D + C}"),
+    "inf-logit-then-late-inf-feature": ([(0, 1 + D, "inf"), (TALL - 1, 2, "inf")], False,
+                                        f"non-finite value in features at row {TALL - 1}"),
+    "label-at-c-then-later-inf-feature": ([(0, 0, str(C)), (7, 1, "-inf")], False,
+                                          "non-finite value in features at row 7"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_CSVS)
+def test_csv_breaks_across_chunks_give_each_stage_one_line(case, block_rows, monkeypatch):
+    """A CSV table parsed in 3 or more chunks fails as when it was parsed
+    whole: a line that does not parse, cited by its line in the file (blank
+    lines counted), wins over a non-finite value before it; non-finite
+    features win over non-finite logits or a label out of range met first."""
+    from oodgate import TableFormat, read_feature_table
+    from oodgate.errors import IngestionError
+
+    block_rows(3, 4 * (D + C))  # the CSV is parsed 3 rows at a time
+    fields, short_last, message = BROKEN_CSVS[case]
+    tall = FeatureTable(*(np.concatenate([a] * (TALL // N)) for a in
+                          (TABLE.features, TABLE.logits, TABLE.labels)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        prepared(tmp)
+        write_feature_table(tall, tmp / "t.csv", TableFormat.CSV)
+        rows = [line.split(",") for line in (tmp / "t.csv").read_text().splitlines()]
+        for row, col, value in fields:
+            rows[1 + row][col] = value
+        if short_last:
+            rows[-1:] = [[""], rows[-1][:-2]]
+        raw = "".join(",".join(row) + "\r\n" for row in rows).encode()
+        line = every_stage_fails_alike(tmp, raw, "csv")
+        assert line == f"error: {tmp / 'bad.csv'}: {message}\n"
+        chunks, loadtxt = [], np.loadtxt  # count the reader's parse calls
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: chunks.append(1) or loadtxt(*a, **kw))
+        with pytest.raises(IngestionError):
+            read_feature_table(tmp / "bad.csv", TableFormat.CSV)
+        assert len(chunks) >= 3
 
 
 # ---------------------------------------------------------------------------
