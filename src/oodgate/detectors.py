@@ -12,16 +12,20 @@ in-distribution, so a single thresholding convention serves every method:
 ``msp`` and ``ebm`` read logits straight off a table; ``mah`` needs a
 :class:`GaussianClassModel` fitted on a labeled detector-fit table first.
 All arithmetic runs in float64 regardless of table storage precision, one
-row block of about :data:`oodgate.data.BLOCK_BYTES` at a time.
+row block of about :data:`oodgate.data.BLOCK_BYTES` at a time, and every
+BLAS or LAPACK call on one OpenBLAS thread, so the bits do not depend on
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import importlib.util
 import math
 import struct
+import threading
 import warnings
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -141,7 +145,7 @@ def _max_and_expsum(x: np.ndarray, overwrite: bool = False):
 
 # Logit scorers run quietly: a score that overflows or turns NaN (say, under a
 # subnormal temperature) fails ScoreSet's finite check with one error instead.
-# Only msp writes into a row block, and only one widened from narrower logits.
+# They write into a row block only where it was widened from narrower logits.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -167,13 +171,84 @@ def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
     arr = _logit_rows(logits)
     scores = np.empty(arr.shape[0])
     for start, block in _row_blocks(arr, "logits", arr.shape[1]):
-        m, total = _max_and_expsum(block / temperature, overwrite=True)
+        scaled = np.divide(block, temperature, out=None if arr.dtype == np.float64 else block)
+        m, total = _max_and_expsum(scaled, overwrite=True)
         scores[start : start + len(block)] = temperature * (m + np.log(total))
+        del block, scaled  # not held while the next block is widened
     return ScoreSet(Method.EBM, scores)
 
 
 # ---------------------------------------------------------------------------
 # Mahalanobis detector
+
+
+@functools.cache
+def _openblas(path: str):
+    """The thread-count getter and setter of the OpenBLAS library at ``path``
+    (numpy's and scipy's builds prefix them ``scipy_``, 64-bit-index builds
+    suffix them ``64_``), or None if it has neither."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _mapped_openblas() -> dict:
+    """The path and :func:`_openblas` of each OpenBLAS library mapped into
+    this process; none where ``/proc`` is missing or the BLAS is another one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return {}
+    return {path: pool for path in paths if (pool := _openblas(path)) is not None}
+
+
+class _OneBlasThread:
+    """While any caller is inside, every OpenBLAS mapped at an entry runs one
+    thread; when the last one leaves, each gets back the count it had.
+
+    The thread count is a process-wide setting of each library, so the entries
+    of all threads are counted under one lock. On the 2-core host measured,
+    the second BLAS thread of a Mahalanobis fit or score mostly spins, and the
+    Cholesky factor's bits at d >= 128 depend on the count; on one thread
+    they do not.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = {}  # path -> (setter, the count its library had)
+
+    def __enter__(self) -> None:
+        with self._lock:
+            for path, (get, put) in _mapped_openblas().items():
+                if path not in self._saved:  # also a library loaded by a nested entry
+                    self._saved[path] = put, get()
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth:
+                for put, threads in self._saved.values():
+                    put(threads)
+                self._saved.clear()
+
+
+#: Wraps each of oodgate's own BLAS and LAPACK calls.
+_one_blas_thread = _OneBlasThread()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -224,7 +299,8 @@ class GaussianClassModel(_Record):
             raise NumericalError(f"ridge * trace / d overflows to {scale}; decrease ridge")
         regularized = covariance + scale * np.eye(d)
         try:
-            factor = np.linalg.cholesky(regularized)
+            with _one_blas_thread:
+                factor = np.linalg.cholesky(regularized)
         except np.linalg.LinAlgError:
             raise NumericalError("regularized covariance is not positive-definite; "
                                  "increase ridge") from None
@@ -294,7 +370,8 @@ def _fit(features: np.ndarray, labels: np.ndarray, c: int, ridge: float) -> Gaus
     rows = _block_rows(d)
     for start in range(0, n, rows):  # within-class residuals, a block at a time
         feats[start : start + rows] -= means[labels[start : start + rows]]
-    covariance = (feats.T @ feats) / n  # numpy's SYRK: exactly symmetric
+    with _one_blas_thread:
+        covariance = (feats.T @ feats) / n  # numpy's SYRK: exactly symmetric
     if ridge > 0 and not np.trace(covariance) > 0:
         warnings.warn(f"no within-class scatter; regularizing with {ZERO_TRACE_RIDGE_FLOOR:g} * I")
     return GaussianClassModel(means, covariance, counts, ridge)
@@ -415,29 +492,31 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     best = np.full(feats.shape[0], np.inf)
     width = max(model.c, model.d)
     chunk = _block_rows(width)
-    for start, block in _row_blocks(feats, "features", width):
-        rows, classes = _candidates(block, model)
-        # A one-column triangular solve rounds differently from a wider one, so,
-        # as when every row is solved at once, a one-row input is refined one
-        # column at a time and a wider input never is: each of its blocks has
-        # two or more rows, so k >= 2 candidates, split evenly into chunks of at
-        # most a block's rows (so a chunk's gathered rows fit in BLOCK_BYTES)
-        # and at least 2: only 2-row blocks get 3-row chunks that way.
-        if feats.shape[0] == 1:
-            chunks = rows.size
-        else:
-            chunks = min(-(-rows.size // chunk), rows.size // 2)
-        for r, k in zip(np.array_split(rows, chunks), np.array_split(classes, chunks)):
-            diff = block[r]
-            with np.errstate(over="ignore"):
-                diff -= means[k]
-            if not np.isfinite(diff).all():
-                raise NumericalError("a feature row minus a class mean overflows float64")
-            # diff.T is Fortran-ordered, so the solve writes over it
-            z = _solve_lower(factor, diff.T, overwrite_b=True)
-            z *= z
-            np.minimum.at(best, start + r, np.sum(z, axis=0))
-        del diff, z  # not held while the next block is widened and its candidates picked
+    _lapack()  # loaded first, so its OpenBLAS is held at one thread too
+    with _one_blas_thread:
+        for start, block in _row_blocks(feats, "features", width):
+            rows, classes = _candidates(block, model)
+            # A one-column triangular solve rounds differently from a wider one, so,
+            # as when every row is solved at once, a one-row input is refined one
+            # column at a time and a wider input never is: each of its blocks has
+            # two or more rows, so k >= 2 candidates, split evenly into chunks of at
+            # most a block's rows (so a chunk's gathered rows fit in BLOCK_BYTES)
+            # and at least 2: only 2-row blocks get 3-row chunks that way.
+            if feats.shape[0] == 1:
+                chunks = rows.size
+            else:
+                chunks = min(-(-rows.size // chunk), rows.size // 2)
+            for r, k in zip(np.array_split(rows, chunks), np.array_split(classes, chunks)):
+                diff = block[r]
+                with np.errstate(over="ignore"):
+                    diff -= means[k]
+                if not np.isfinite(diff).all():
+                    raise NumericalError("a feature row minus a class mean overflows float64")
+                # diff.T is Fortran-ordered, so the solve writes over it
+                z = _solve_lower(factor, diff.T, overwrite_b=True)
+                z *= z
+                np.minimum.at(best, start + r, np.sum(z, axis=0))
+            del diff, z  # not held while the next block is widened and its candidates picked
     return ScoreSet(Method.MAH, np.negative(best, out=best))
 
 

@@ -52,7 +52,9 @@ from .metrics import auroc, fpr_at_tpr, roc_curve
 from .synthetic import (
     CountLaw,
     SyntheticSpec,
+    _check_rows,
     _cloud_names,
+    _law_total,
     _noised,
     _ood_table,
     _world_split,
@@ -217,7 +219,7 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
     if spec.is_synthetic:
         split = _world_split(world)
         if laws is not None:
-            rows = _law_rows(laws, _noised(world, split[2])[1], spec.seed)
+            rows = _law_rows(laws, _noised(world, split[2])[1], world.dim, spec.seed)
         distances = (world.ood_distance,) if oods is None else tuple(float(v) for v in oods)
         _cloud_names(world, distances, spec.n_per_side)
         (w,) = _worlds([world], (), split=split, keep_train=False)
@@ -241,7 +243,7 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
     fit_entry = manifest.single(Role.ID_FIT_DETECTOR) if has_fit else None  # two fail any sweep
     fit = manifest.load(fit_entry) if laws is not None or mah else None
     if laws is not None:
-        rows = _law_rows(laws, fit.labels, spec.seed)
+        rows = _law_rows(laws, fit.labels, fit.d, spec.seed)
     id_test = manifest.load(manifest.single(Role.ID_TEST))
     accuracy = None
     if id_test.c >= 2 and id_test.is_labeled:
@@ -249,9 +251,15 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
     return fit, id_test, [manifest.load(e) for e in ood_entries], accuracy, rows
 
 
-def _law_rows(laws: tuple[CountLaw, ...], labels: np.ndarray, seed: int) -> list[np.ndarray]:
-    """Check each law's class sizes and one total over ``labels``, then draw each law's rows."""
+def _law_rows(laws: tuple[CountLaw, ...], labels: np.ndarray, dim: int,
+              seed: int) -> list[np.ndarray]:
+    """Check each law's class sizes and one total over ``labels``, then draw
+    each law's rows. A law whose fit table of ``dim``-wide rows could not be
+    addressed is refused in Python ints first: it could never be drawn, and
+    its class sizes could overflow int64."""
     c = np.unique(labels).size
+    for law in laws:
+        _check_rows(f"count law {law.text()}'s fit table", _law_total(law, c), dim)
     totals = {sum(law.class_sizes(c, np.random.default_rng(0)).tolist()) for law in laws}
     if len(totals) != 1:
         raise ValidationError(

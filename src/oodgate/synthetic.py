@@ -51,7 +51,7 @@ import numpy as np
 
 from .data import (UNLABELED, FeatureTable, SplitPolicy, _add_rows, _check_finite, _class_rows,
                    _row_blocks, _split_rows, stream_rng)
-from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet
+from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet, _one_blas_thread
 from .errors import NumericalError, ValidationError
 
 _STREAM_MEANS = 1
@@ -187,9 +187,13 @@ class SyntheticSpec:
             raise ValidationError(f"ood_distance must be finite and >= 0, got {self.ood_distance}")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        law, c = self.law, int(self.classes)  # every class has a row, so a world has c or more
-        total = int(law.per_class) * c if isinstance(law, Balanced) else int(law.total_count)
-        _check_rows("a world", max(c, total), self.dim)
+        c = int(self.classes)  # every class has a row, so a world has c or more
+        _check_rows("a world", max(c, _law_total(self.law, c)), self.dim)
+
+
+def _law_total(law: CountLaw, c: int) -> int:
+    """The rows ``law`` asks for over ``c`` classes, in Python ints."""
+    return int(law.per_class) * c if isinstance(law, Balanced) else int(law.total_count)
 
 
 def _check_rows(what: str, rows: int, dim: int) -> None:
@@ -267,15 +271,16 @@ def _log_density_logits(
     holds d-wide rows and their c-wide products."""
     out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
     center_sq = np.sum(centers * centers, axis=1)
-    for start, x in _row_blocks(features, "features", max(centers.shape)):  # a float64 copy
-        g = x @ centers.T
-        g *= 2.0  # exact: the bits of (2.0 * x) @ centers.T
-        x *= x
-        np.subtract(x.sum(axis=1)[:, None], g, out=g)
-        g += center_sq
-        g /= -2.0 * sigma * sigma
-        out[start : start + len(x)] = g
-        del x, g  # so the next block is widened with neither alive
+    with _one_blas_thread:
+        for start, x in _row_blocks(features, "features", max(centers.shape)):  # a float64 copy
+            g = x @ centers.T
+            g *= 2.0  # exact: the bits of (2.0 * x) @ centers.T
+            x *= x
+            np.subtract(x.sum(axis=1)[:, None], g, out=g)
+            g += center_sq
+            g /= -2.0 * sigma * sigma
+            out[start : start + len(x)] = g
+            del x, g  # so the next block is widened with neither alive
     return out
 
 

@@ -472,6 +472,27 @@ def test_world_past_the_address_space_exits_2_before_any_draw(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("law, rows", [
+    (f"balanced:{HUGE}", 3 * HUGE),
+    ("balanced:4611686018427387904", 3 * 2**62),
+    (f"uniform:{HUGE}", HUGE),
+    (f"powerlaw:1:{HUGE}", HUGE),
+], ids=["balanced", "balanced-2**62", "uniform", "powerlaw"])
+def test_imbalance_law_past_the_address_space_exits_2_before_any_draw(tmp_path, capsys, no_draws,
+                                                                      law, rows):
+    """A grid law is sized over the fit labels, not the world, so its total
+    is checked on its own before its class sizes are worked out; the
+    balanced and uniform cases once exited 1 with an OverflowError."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("sweep", "--axis", "imbalance", "--grid", law, "--classes", "3", "--dim", "4",
+                   "--out", str(tmp_path / "out")) == 2
+    assert not caught
+    assert capsys.readouterr().err == (f"error: count law {law}'s fit table of {rows} rows of 4 "
+                                       f"float32 values exceeds {np.iinfo(np.intp).max} bytes\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ood_cloud_past_memory_exits_4(tmp_path):
     """A cloud within the address space but past memory (16 TB here, under a
     3 GB address-space limit, so nothing is touched) keeps its MemoryError.

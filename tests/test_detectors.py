@@ -541,8 +541,8 @@ def test_mahalanobis_overflowing_estimate_keeps_every_class():
 
 
 def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
-    """c=142, d=128 over two whole row blocks plus 3 rows; the score CSV digest
-    was recorded with the one-solve-per-class scorer."""
+    """c=142, d=128 over two whole row blocks plus 3 rows; the score CSV digests
+    were recorded with the one-solve-per-class scorer, at one BLAS thread."""
     import hashlib
 
     c, d, n = 142, 128, 8195
@@ -561,7 +561,7 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     path = tmp_path / "s.csv"
     write_scores(full, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "acda38640147f83641accfe68770f098e845e759bc914c69f2b1603a24d8acbc"
+        "f0ab40818d9a8cb77b034aed899fffc158faf5248604a9fff71ae962ee13c5da"
     )
     # float32 queries, widened one block at a time; digest recorded with the
     # scorer that widened the whole input at once
@@ -571,7 +571,7 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     assert full.scores.tobytes() == np.concatenate(parts).tobytes()
     write_scores(full, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f3ccd8fc8c8ee5128c231676639472c3d3657809b715a240ed1af0b37ecaa0ad"
+        "b7920ace8d7bc5fcb2c9a0efd9e2349e1f746a8a434bcef6e928cb17f98bc0d8"
     )
 
 
@@ -581,9 +581,7 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
 ])
 def test_candidate_terms_pinned_bytes(d, digest):
     """The candidate terms (-2 P, |m|^2, max_j |m_j|, w, scale) of a seeded
-    fit; digests recorded with the terms that one ``dpotrs`` solve built.
-    Only d <= 64 is pinned: above it the Cholesky factor's bits depend on
-    the BLAS thread count (ROADMAP item 2)."""
+    fit; digests recorded with the terms that one ``dpotrs`` solve built."""
     import hashlib
 
     world = generate_world(SyntheticSpec(classes=10, dim=d, law=Balanced(600), seed=5))
@@ -599,7 +597,7 @@ _THREAD_PROBE = """
 import hashlib
 from oodgate import (Balanced, DetectorConfig, Method, SyntheticSpec, fit_mahalanobis,
                      generate_world, score_table)
-for d in (16, 64):
+for d in (128, 512):
     world = generate_world(SyntheticSpec(classes=10, dim=d, law=Balanced(600), seed=5))
     model = fit_mahalanobis(world.id_fit)
     h = hashlib.sha256(model.precision_factor.tobytes())
@@ -609,17 +607,126 @@ for d in (16, 64):
 """
 
 
+def _at_threads(threads: str, *argv: str) -> str:
+    """The stdout of a child interpreter run at ``OPENBLAS_NUM_THREADS=threads``."""
+    proc = subprocess.run([sys.executable, "-c", *argv], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_mahalanobis_bytes_do_not_depend_on_the_blas_thread_count():
-    """One child process per OpenBLAS thread count, at d = 16 and 64, where
-    the bytes hold; at d = 128 the one-thread Cholesky factor differs."""
-    out = []
-    for threads in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True,
-                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
-        assert proc.returncode == 0, proc.stderr
-        out.append(proc.stdout)
-    assert out[0].split()[::2] == ["16", "64"]
-    assert out[0] == out[1]
+    """One child process per OpenBLAS thread count, at d = 128 and 512, where
+    a threaded Cholesky factor would differ from the one-thread one."""
+    out = {_at_threads(threads, _THREAD_PROBE) for threads in "124"}
+    assert len(out) == 1
+    assert out.pop().split()[::2] == ["128", "512"]
+
+
+#: Runs mah fit, score and eval on a world's tables into ``sys.argv[2]``.
+_CLI_CHAIN = """
+import sys
+from oodgate.cli import main
+world, out = sys.argv[1:]
+for argv in (
+    ["fit", "--manifest", f"{world}/world.manifest", "--out", f"{out}/m.oodm"],
+    ["score", "--input", f"{world}/id3.oodf", "--method", "mah", "--model", f"{out}/m.oodm",
+     "--out", f"{out}/id.csv"],
+    ["score", "--input", f"{world}/ood_d2.oodf", "--method", "mah", "--model", f"{out}/m.oodm",
+     "--out", f"{out}/ood.csv"],
+    ["eval", "--id-scores", f"{out}/id.csv", "--ood-scores", f"{out}/ood.csv", "--method", "mah",
+     "--out", f"{out}/report.json"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_mah_cli_chain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A d=128 fit, score and eval chain writes the same bytes at 1 and 2
+    BLAS threads: the model, both score CSVs and the report."""
+    from oodgate.cli import main
+
+    world = tmp_path / "world"
+    assert main(["synth", "--classes", "10", "--dim", "128", "--law", "balanced:300",
+                 "--out", str(world)]) == 0
+    files = []
+    for threads in "12":
+        (out := tmp_path / threads).mkdir()
+        _at_threads(threads, _CLI_CHAIN, str(world), str(out))
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(files[0]) == ["id.csv", "m.oodm", "ood.csv", "report.json"]
+    assert files[0] == files[1]
+
+
+def _blas_threads() -> dict:
+    return {path: get() for path, (get, _) in detectors._mapped_openblas().items()}
+
+
+def test_blas_calls_give_back_each_librarys_thread_count(tmp_path):
+    """Each oodgate call that holds OpenBLAS at one thread, and one nested
+    inside another, leaves every loaded library at the count it had; inside,
+    every one runs one thread. scipy's library is loaded by the first score."""
+    table = generate_world(SyntheticSpec(classes=10, dim=128, law=Balanced(200), seed=5)).id_fit
+    model = fit_mahalanobis(table)
+    score_mahalanobis(model, table.features)
+    save_model(model, tmp_path / "m.oodm")
+    pools = detectors._mapped_openblas()
+    assert pools, "no OpenBLAS found: numpy's is mapped on every supported build"
+    before = _blas_threads()
+    try:
+        for _, put in pools.values():
+            put(2)
+        calls = [
+            lambda: fit_mahalanobis(table),
+            lambda: load_model(tmp_path / "m.oodm"),
+            lambda: score_mahalanobis(model, table.features),
+            lambda: generate_world(SyntheticSpec(classes=3, dim=4, law=Balanced(20), seed=1)),
+        ]
+        for call in calls:
+            call()
+            assert set(_blas_threads().values()) == {2}
+        with detectors._one_blas_thread:
+            assert set(_blas_threads().values()) == {1}
+            score_mahalanobis(model, table.features)
+            assert set(_blas_threads().values()) == {1}
+        assert set(_blas_threads().values()) == {2}
+    finally:
+        for path, (_, put) in pools.items():
+            put(before[path])
+
+
+def test_one_blas_thread_holds_across_python_threads():
+    """Python threads entering and leaving, some nested, with a short switch
+    interval: every library runs one thread inside each entry, and all get
+    back their counts once the last one leaves."""
+    import threading
+    import time
+
+    before = _blas_threads()
+    seen, interval, start = set(), sys.getswitchinterval(), threading.Barrier(8)
+
+    def enter(times):
+        start.wait(timeout=60)
+        for i in range(times):
+            with detectors._one_blas_thread:
+                time.sleep(0)  # lets another thread enter or leave
+                seen.update(_blas_threads().values())
+                if i % 3 == 0:
+                    with detectors._one_blas_thread:
+                        seen.update(_blas_threads().values())
+
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter, args=(50,)) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == {1}
+    assert _blas_threads() == before
 
 
 def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
@@ -654,6 +761,20 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
         assert full.scores.tobytes() == np.concatenate(parts).tobytes()
         write_scores(full, tmp_path / "s.csv")
         assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_logit_scorers_leave_their_input_unwritten(dtype, block_rows):
+    """msp and ebm work in place only in a row block they widened: read-only
+    logits of each float width score over several blocks and keep their bytes."""
+    block_rows(4, 5)
+    logits = (np.random.default_rng(3).normal(size=(13, 5)) * 10).astype(dtype)
+    before = logits.tobytes()
+    logits.setflags(write=False)
+    for scorer in (score_msp, lambda x: score_energy(x, 0.75)):
+        scores = scorer(logits).scores
+        assert scores.tobytes() == scorer(logits.astype(np.float64)).scores.tobytes()
+    assert logits.tobytes() == before
 
 
 def test_peak_memory_does_not_grow_with_rows(block_rows, traced_peak):
@@ -870,14 +991,16 @@ def test_model_save_load_round_trip(tmp_path, rng):
 
 def test_fit_save_and_load_leave_scipy_unloaded(tmp_path):
     """Fitting, saving and loading a model touch no scipy module, so ``oodgate
-    fit`` starts without any."""
+    fit`` starts without any; at d = 128 the factor is built at one BLAS
+    thread, still without scipy."""
     code = """
 import sys
 import numpy as np
 from oodgate import FeatureTable, fit_mahalanobis, load_model, save_model
-table = FeatureTable(np.random.default_rng(0).normal(size=(40, 3)), None, np.arange(40) % 4)
-save_model(fit_mahalanobis(table), sys.argv[1])
-load_model(sys.argv[1])
+for d, n in ((3, 40), (128, 512)):
+    table = FeatureTable(np.random.default_rng(0).normal(size=(n, d)), None, np.arange(n) % 4)
+    save_model(fit_mahalanobis(table), sys.argv[1])
+    load_model(sys.argv[1])
 print('scipy' in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "m.oodm")],
