@@ -61,7 +61,7 @@ from .experiments import (
 )
 from .metrics import Criterion, _check_target, calibrate_threshold, evaluate, roc_curve
 from .svg import roc_svg, series_svg
-from .synthetic import SyntheticSpec, generate_world, parse_law
+from .synthetic import SyntheticSpec, _world_sizes, generate_world, parse_law
 
 _PRESET_TEXT = ", ".join(f"{k}={v}" for k, v in DATASET_SIZE_PRESETS.items())
 
@@ -133,6 +133,9 @@ def cmd_synth(args) -> int:
         raise ValidationError("synth requires --classes and --dim")
     distances = tuple(args.ood_distance) if args.ood_distance else (2.0,)
     spec = _world_spec(args, args.seed)
+    if (few := np.flatnonzero(_world_sizes(spec) < 3)).size:  # no detector-fit row: fit refuses
+        raise ValidationError(f"count law {spec.law.text()} gives class {few[0]} fewer than 3 "
+                              "rows, too few to reach the detector-fit table")
     world = generate_world(spec, ood_distances=distances, n_ood=args.n_ood)
 
     out = Path(args.out)
@@ -396,8 +399,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                         epilog=_EPILOG)
     p.add_argument("--axis", required=True, choices=[a.replace("_", "-") for a in _GRIDS])
     p.add_argument("--grid", required=True,
-                   help="comma list of the axis's grid kind (oodgate.experiments._GRIDS): "
-                        "noise levels, distances, OOD names or count laws")
+                   help="comma list: label-noise levels (accuracy), OOD distances or, with "
+                        "--manifest, OOD table names (domain-distance), or count laws (imbalance)")
     p.add_argument("--detectors", default="msp,ebm,mah")
     p.add_argument("--manifest", default=None,
                    help="evaluate a dataset manifest instead of a synthetic world")

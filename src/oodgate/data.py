@@ -96,15 +96,16 @@ def _row_blocks(arr: np.ndarray, what: str, width: int):
     GEMV, which rounds differently from the GEMM of its neighbours.
 
     Each block is checked finite in its own dtype before it is widened, which
-    is exact for the dtypes :func:`oodgate.detectors._floats` keeps. A block
-    of a float64 array is a view of it.
+    is exact for the dtypes :func:`oodgate.detectors._floats` keeps. Each block
+    is a new float64 copy that the caller may write over, whatever the input
+    dtype; on float64 input that costs mah, which writes over none, one block.
     """
     n, start, size = arr.shape[0], 0, _block_rows(width)
     while start < n:
         stop = n if n - start <= size + 1 else start + size
         rows = arr[start:stop]
         _check_finite(rows, what, start)
-        yield start, rows.astype(np.float64, copy=False)
+        yield start, rows.astype(np.float64)
         start = stop
 
 
@@ -542,17 +543,13 @@ class DatasetManifest:
 
     def validate_for_eval(self) -> None:
         """One ID_TEST, at least one OOD_TEST, fit/test disjoint by path."""
-        self.single(Role.ID_TEST)
+        test = self.single(Role.ID_TEST)
         if not self.ood_entries():
             raise ValidationError("manifest has no OOD_TEST entry")
-        fit = [e for e in self.entries if e.role is Role.ID_FIT_DETECTOR]
-        test = [e for e in self.entries if e.role is Role.ID_TEST]
-        for ef in fit:
-            for et in test:
-                if self.resolve(ef).resolve() == self.resolve(et).resolve():
-                    raise ValidationError(
-                        f"detector-fit and test entries share the path {ef.path!r}"
-                    )
+        for e in self.entries:
+            if (e.role is Role.ID_FIT_DETECTOR
+                    and self.resolve(e).resolve() == self.resolve(test).resolve()):
+                raise ValidationError(f"detector-fit and test entries share the path {e.path!r}")
 
     def write(self, path: str | Path) -> None:
         """Write the manifest; a field :meth:`read` would not give back raises
@@ -568,13 +565,9 @@ class DatasetManifest:
         for what, text, read_back, bad in fields:
             if bad or text != read_back or "\t" in text or "".join(text.splitlines()) != text:
                 raise ValidationError(f"{what} {text!r} would not read back from a manifest")
-        path = Path(path)
-        lines = []
-        if self.name:
-            lines.append(f"# name: {self.name}")
-        for e in self.entries:
-            lines.append(f"{e.role_text()}\t{e.fmt.value}\t{e.path}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = [f"# name: {self.name}"] if self.name else []
+        lines += [f"{e.role_text()}\t{e.fmt.value}\t{e.path}" for e in self.entries]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @staticmethod
     def read(path: str | Path) -> "DatasetManifest":

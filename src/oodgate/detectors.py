@@ -133,19 +133,17 @@ def _logit_rows(logits) -> np.ndarray:
     return arr
 
 
-def _max_and_expsum(x: np.ndarray, overwrite: bool = False):
+def _max_and_expsum(x: np.ndarray):
     """The row max of the 2-D ``x`` and the row sum of ``exp(x - max)`` (at
-    least 1). ``x - max``, then its ``exp``, is written over ``x`` if
-    ``overwrite``, else into the one new array of ``x``'s size."""
+    least 1); ``x - max``, then its ``exp``, is written over ``x``."""
     m = np.max(x, axis=1, keepdims=True)
-    out = np.subtract(x, m, out=x if overwrite else None)
-    np.exp(out, out=out)
-    return m[:, 0], np.sum(out, axis=1)
+    np.subtract(x, m, out=x)
+    np.exp(x, out=x)
+    return m[:, 0], np.sum(x, axis=1)
 
 
 # Logit scorers run quietly: a score that overflows or turns NaN (say, under a
 # subnormal temperature) fails ScoreSet's finite check with one error instead.
-# They write into a row block only where it was widened from narrower logits.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -156,8 +154,7 @@ def score_msp(logits: np.ndarray) -> ScoreSet:
         raise ValidationError(f"msp needs c >= 2 logit columns, got {arr.shape[1]}")
     scores = np.empty(arr.shape[0])
     for start, block in _row_blocks(arr, "logits", arr.shape[1]):
-        scores[start : start + len(block)] = 1.0 / _max_and_expsum(
-            block, overwrite=arr.dtype != np.float64)[1]
+        scores[start : start + len(block)] = 1.0 / _max_and_expsum(block)[1]
         del block  # not held while the next block is widened
     return ScoreSet(Method.MSP, scores)
 
@@ -171,10 +168,10 @@ def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
     arr = _logit_rows(logits)
     scores = np.empty(arr.shape[0])
     for start, block in _row_blocks(arr, "logits", arr.shape[1]):
-        scaled = np.divide(block, temperature, out=None if arr.dtype == np.float64 else block)
-        m, total = _max_and_expsum(scaled, overwrite=True)
+        block /= temperature
+        m, total = _max_and_expsum(block)
         scores[start : start + len(block)] = temperature * (m + np.log(total))
-        del block, scaled  # not held while the next block is widened
+        del block  # not held while the next block is widened
     return ScoreSet(Method.EBM, scores)
 
 

@@ -272,7 +272,7 @@ def _log_density_logits(
     out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
     center_sq = np.sum(centers * centers, axis=1)
     with _one_blas_thread:
-        for start, x in _row_blocks(features, "features", max(centers.shape)):  # a float64 copy
+        for start, x in _row_blocks(features, "features", max(centers.shape)):
             g = x @ centers.T
             g *= 2.0  # exact: the bits of (2.0 * x) @ centers.T
             x *= x
@@ -284,11 +284,16 @@ def _log_density_logits(
     return out
 
 
+def _world_sizes(spec: SyntheticSpec) -> np.ndarray:
+    """The rows of each class of ``spec``'s world, from its law's stream."""
+    return spec.law.class_sizes(spec.classes, stream_rng(spec.seed, _STREAM_LAW))
+
+
 def _world_split(spec: SyntheticSpec, split: SplitPolicy | None = None) -> tuple:
     """The class sizes, the split's three row sets, and the clean labels of
     the train, fit and test parts of a world, before any draw."""
     split = split or SplitPolicy(0.7, 0.5, seed=spec.seed)
-    sizes = spec.law.class_sizes(spec.classes, stream_rng(spec.seed, _STREAM_LAW))
+    sizes = _world_sizes(spec)
     labels = np.repeat(np.arange(spec.classes, dtype=np.int32), sizes)
     parts = _split_rows(labels, split)
     return sizes, parts, [labels[rows] for rows in parts]

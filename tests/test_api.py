@@ -6,6 +6,8 @@ import copy
 import dataclasses
 import importlib
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,3 +165,15 @@ def test_record_copies_keep_arrays_read_only(name, clone):
     arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def test_bare_import_loads_no_cli_svg_or_scipy():
+    """``import oodgate`` is the library's whole start-up cost (the sweep
+    benchmark's setup time is exactly this import): it loads neither the
+    CLI, its argparse and SVG writer, nor any scipy module, which only mah
+    scoring loads."""
+    code = ("import sys, oodgate; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m in ('argparse', 'oodgate.cli', 'oodgate.svg')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

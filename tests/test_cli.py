@@ -108,6 +108,33 @@ def test_synth_rejects_single_class(tmp_path, capsys):
     assert "c >= 2" in capsys.readouterr().err
 
 
+def test_synth_refuses_a_world_fit_cannot_use(tmp_path, capsys, monkeypatch):
+    """A class of fewer than 3 rows gets no detector-fit row, so fit would
+    exit 2 on the world: synth exits 2 first, on one line, before the split
+    is worked out and with no file written. Once this exited 0 after 126
+    warning lines."""
+    from oodgate import synthetic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked out the split before refusing the law")
+
+    out = tmp_path / "w"
+    with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        patch.setattr(synthetic, "_world_split", refuse)
+        assert run("synth", "--classes", "142", "--dim", "16", "--law", "powerlaw:1.5:400",
+                   "--out", str(out)) == 2
+    assert not caught and not out.exists()
+    assert capsys.readouterr().err == ("error: count law powerlaw:1.5:400 gives class 16 fewer "
+                                       "than 3 rows, too few to reach the detector-fit table\n")
+    # 3 rows in a class are enough: here 27 and 3
+    assert run("synth", "--classes", "2", "--dim", "2", "--law", "powerlaw:3:30",
+               "--out", str(out)) == 0
+    assert json.loads((out / "world.json").read_text())["sizes"]["id_fit"] == 5
+    assert run("fit", "--manifest", str(out / "world.manifest"),
+               "--out", str(tmp_path / "m.oodm")) == 0
+
+
 def test_synth_multiple_ood_distances(tmp_path):
     out = tmp_path / "multi"
     assert run(

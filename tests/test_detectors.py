@@ -765,16 +765,44 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
 
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 def test_logit_scorers_leave_their_input_unwritten(dtype, block_rows):
-    """msp and ebm work in place only in a row block they widened: read-only
-    logits of each float width score over several blocks and keep their bytes."""
+    """Every row-block kernel (msp, ebm, mah and the world logits) works in
+    place only in the float64 copy of a block: input of each float width, made
+    read-only only after a writable run, is scored over several blocks, keeps
+    its bytes and gives the results of its float64 widening."""
+    from oodgate.synthetic import _log_density_logits
+
     block_rows(4, 5)
-    logits = (np.random.default_rng(3).normal(size=(13, 5)) * 10).astype(dtype)
+    rng = np.random.default_rng(3)
+    logits = (rng.normal(size=(13, 5)) * 10).astype(dtype)
+    centers = rng.normal(size=(5, 5))
+    model = GaussianClassModel(centers, np.eye(5) + 0.1, np.full(5, 3))
+    kernels = (lambda x: score_msp(x).scores, lambda x: score_energy(x, 0.75).scores,
+               lambda x: score_mahalanobis(model, x).scores,
+               lambda x: _log_density_logits(x, centers, 0.5))
     before = logits.tobytes()
-    logits.setflags(write=False)
-    for scorer in (score_msp, lambda x: score_energy(x, 0.75)):
-        scores = scorer(logits).scores
-        assert scores.tobytes() == scorer(logits.astype(np.float64)).scores.tobytes()
-    assert logits.tobytes() == before
+    for kernel in kernels:
+        for read_only in (False, True):
+            logits.setflags(write=not read_only)
+            out = kernel(logits)
+            assert logits.tobytes() == before
+            assert out.tobytes() == kernel(logits.astype(np.float64)).tobytes()
+
+
+def test_mah_float64_input_peaks_as_float32_input(block_rows, traced_peak):
+    """Every row block is a new float64 copy, so mah holds the same blocks on
+    float64 features as on float32 ones, which it widens a block at a time:
+    one block more than a view of float64 input would hold, and no more."""
+    rows, c, d = 256, 64, 32
+    block_rows(rows, max(c, d))
+    rng = np.random.default_rng(4)
+    means = rng.normal(size=(c, d))
+    model = GaussianClassModel(means, np.eye(d), np.full(c, 3))
+    feats = means[rng.integers(0, c, 3 * rows)] + 0.3 * rng.normal(size=(3 * rows, d))
+    narrow = feats.astype(np.float32)
+    score_mahalanobis(model, narrow)  # first-call allocations, LAPACK's load
+    peak32 = traced_peak(lambda: score_mahalanobis(model, narrow))[1]
+    peak64 = traced_peak(lambda: score_mahalanobis(model, feats))[1]
+    assert peak64 <= peak32 + 16 * 1024, (peak32, peak64)
 
 
 def test_peak_memory_does_not_grow_with_rows(block_rows, traced_peak):
