@@ -219,7 +219,8 @@ class _OneBlasThread:
     of all threads are counted under one lock. On the 2-core host measured,
     the second BLAS thread of a Mahalanobis fit or score mostly spins, and the
     Cholesky factor's bits at d >= 128 depend on the count; on one thread
-    they do not.
+    they do not. In a CLI process, whose OpenBLAS starts at one thread (see
+    :mod:`oodgate.cli`), each entry finds one thread already.
     """
 
     def __init__(self) -> None:

@@ -171,9 +171,37 @@ def test_bare_import_loads_no_cli_svg_or_scipy():
     """``import oodgate`` is the library's whole start-up cost (the sweep
     benchmark's setup time is exactly this import): it loads neither the
     CLI, its argparse and SVG writer, nor any scipy module, which only mah
-    scoring loads."""
-    code = ("import sys, oodgate; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-            " or m in ('argparse', 'oodgate.cli', 'oodgate.svg')))")
+    scoring loads, nor numpy or any other submodule, which load on first use."""
+    code = ("import sys, oodgate; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'numpy') or m.startswith('oodgate.')"
+            " or m == 'argparse'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+#: In a fresh ``import oodgate``: ``dir`` lists every public name, oracle and
+#: submodule before any loads, each then resolves, and an unknown name does not.
+_LAZY = """
+import sys, oodgate
+modules = ["data", "detectors", "errors", "experiments", "metrics", "synthetic"]
+names = [*oodgate.__all__, "direct_mahalanobis_oracle", "direct_pooled_covariance",
+         "pairwise_auroc_oracle"]
+assert set(dir(oodgate)) >= {*names, *modules}, {*names, *modules} - set(dir(oodgate))
+for module in modules:
+    assert getattr(oodgate, module) is sys.modules[f"oodgate.{module}"], module
+for name in names:
+    value = getattr(oodgate, name)
+    assert any(getattr(oodgate, m).__dict__.get(name) is value for m in modules), name
+    assert getattr(oodgate, name) is value, name
+try:
+    oodgate.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_lazy_package_resolves_and_lists_every_name():
+    out = subprocess.run([sys.executable, "-c", _LAZY], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "module 'oodgate' has no attribute 'no_such_name'\n"

@@ -623,9 +623,11 @@ def test_mahalanobis_bytes_do_not_depend_on_the_blas_thread_count():
     assert out.pop().split()[::2] == ["128", "512"]
 
 
-#: Runs mah fit, score and eval on a world's tables into ``sys.argv[2]``.
+#: Runs mah fit, score and eval on a world's tables into ``sys.argv[2]``. numpy
+#: comes first, so the CLI keeps the pool of ``OPENBLAS_NUM_THREADS`` threads.
 _CLI_CHAIN = """
 import sys
+import numpy
 from oodgate.cli import main
 world, out = sys.argv[1:]
 for argv in (
@@ -656,6 +658,38 @@ def test_mah_cli_chain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sorted(files[0]) == ["id.csv", "m.oodm", "ood.csv", "report.json"]
     assert files[0] == files[1]
+
+
+#: Scores ``sys.argv[1]`` with the mah model ``sys.argv[2]`` through the CLI,
+#: then prints each OpenBLAS's thread count and ``OPENBLAS_NUM_THREADS``.
+_CLI_POOLS = """
+import os, sys
+{first}
+from oodgate.cli import main
+from oodgate import detectors
+table, model, out = sys.argv[1:]
+assert main(["score", "--input", table, "--method", "mah", "--model", model, "--out", out]) == 0
+print(sorted(get() for get, _ in detectors._mapped_openblas().values()),
+      os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+def test_cli_starts_openblas_at_one_thread_unless_numpy_came_first(tmp_path):
+    """A process whose first numpy import is the CLI's starts numpy's and
+    scipy's OpenBLAS at one thread, whatever ``OPENBLAS_NUM_THREADS`` says;
+    one that imported numpy first keeps its pools and its environment."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS starts one thread at any setting")
+    from oodgate.cli import main
+
+    world = tmp_path / "world"
+    assert main(["synth", "--classes", "3", "--dim", "8", "--law", "balanced:60",
+                 "--out", str(world)]) == 0
+    model = tmp_path / "m.oodm"
+    assert main(["fit", "--manifest", str(world / "world.manifest"), "--out", str(model)]) == 0
+    argv = [str(world / "id3.oodf"), str(model), str(tmp_path / "s.csv")]
+    assert _at_threads("2", _CLI_POOLS.format(first=""), *argv) == "[1, 1] 1\n"
+    assert _at_threads("2", _CLI_POOLS.format(first="import numpy"), *argv) == "[2, 2] 2\n"
 
 
 def _blas_threads() -> dict:
