@@ -17,11 +17,11 @@ config values. Config values become parser defaults after ``OODGATE_SEED``
 is read, so a config ``seed`` wins over the environment: the seed is, weakest
 first, 42, ``OODGATE_SEED``, the config file, then ``--seed``.
 
-oodgate runs each of its BLAS and LAPACK calls on one OpenBLAS thread, so
-this module sets ``OPENBLAS_NUM_THREADS`` to 1 when it is the first to import
-numpy, as under ``python -m oodgate.cli`` or the ``oodgate`` script: each
-OpenBLAS then starts with the one thread those calls use, and no idle pool.
-A process that imported numpy first keeps its pools and its environment.
+oodgate runs each of its BLAS and LAPACK calls on numpy's OpenBLAS at one
+thread, so this module sets ``OPENBLAS_NUM_THREADS`` to 1 when it is the first
+to import numpy, as under ``python -m oodgate.cli`` or the ``oodgate`` script:
+that library then starts with the one thread those calls use, and no idle
+pool. A process that imported numpy first keeps its pool and its environment.
 """
 
 from __future__ import annotations

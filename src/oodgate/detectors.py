@@ -14,7 +14,8 @@ in-distribution, so a single thresholding convention serves every method:
 All arithmetic runs in float64 regardless of table storage precision, one
 row block of about :data:`oodgate.data.BLOCK_BYTES` at a time, and every
 BLAS or LAPACK call on one OpenBLAS thread, so the bits do not depend on
-``OPENBLAS_NUM_THREADS``.
+``OPENBLAS_NUM_THREADS``. ``mah``'s triangular solve, LAPACK's ``dtrtrs``, is
+called through ctypes from numpy's own OpenBLAS (from scipy where it has none).
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from __future__ import annotations
 import ctypes
 import enum
 import functools
-import importlib.util
 import math
 import struct
 import threading
 import warnings
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -180,42 +179,33 @@ def score_energy(logits: np.ndarray, temperature: float = 1.0) -> ScoreSet:
 
 
 @functools.cache
-def _openblas(path: str):
-    """The thread-count getter and setter of the OpenBLAS library at ``path``
-    (numpy's and scipy's builds prefix them ``scipy_``, 64-bit-index builds
-    suffix them ``64_``), or None if it has neither."""
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
-        return None
-    for prefix in ("scipy_openblas_", "openblas_"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+def _numpy_blas() -> ctypes.CDLL:
+    """numpy's linalg extension, opened once. Its symbol lookup also searches
+    the BLAS and LAPACK library it links: in numpy's wheels an OpenBLAS with
+    64-bit integers, whose names carry a ``scipy_`` prefix and a ``64_`` suffix."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's OpenBLAS, or None where
+    numpy links another BLAS."""
+    lib = _numpy_blas()
+    for name in (f"{p}openblas_%s_num_threads{s}" for p in ("scipy_", "") for s in ("64_", "")):
+        if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+            get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return None
 
 
-def _mapped_openblas() -> dict:
-    """The path and :func:`_openblas` of each OpenBLAS library mapped into
-    this process; none where ``/proc`` is missing or the BLAS is another one."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh
-                     if "openblas" in line.lower()}
-    except OSError:
-        return {}
-    return {path: pool for path in paths if (pool := _openblas(path)) is not None}
-
-
 class _OneBlasThread:
-    """While any caller is inside, every OpenBLAS mapped at an entry runs one
-    thread; when the last one leaves, each gets back the count it had.
+    """While any caller is inside, numpy's OpenBLAS, the one library whose BLAS
+    and LAPACK oodgate calls, runs one thread; when the last one leaves, it gets
+    back the count it had. Where numpy links another BLAS, this does nothing.
 
-    The thread count is a process-wide setting of each library, so the entries
+    The thread count is a process-wide setting of the library, so the entries
     of all threads are counted under one lock. On the 2-core host measured,
     the second BLAS thread of a Mahalanobis fit or score mostly spins, and the
     Cholesky factor's bits at d >= 128 depend on the count; on one thread
@@ -226,23 +216,22 @@ class _OneBlasThread:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved = {}  # path -> (setter, the count its library had)
+        self._restore = None  # while inside: puts back the count the library had
 
     def __enter__(self) -> None:
         with self._lock:
-            for path, (get, put) in _mapped_openblas().items():
-                if path not in self._saved:  # also a library loaded by a nested entry
-                    self._saved[path] = put, get()
-                    put(1)
+            if not self._depth and (pool := _openblas_threads()) is not None:
+                get, put = pool
+                self._restore = functools.partial(put, get())
+                put(1)
             self._depth += 1
 
     def __exit__(self, *exc) -> None:
         with self._lock:
             self._depth -= 1
-            if not self._depth:
-                for put, threads in self._saved.values():
-                    put(threads)
-                self._saved.clear()
+            if not self._depth and self._restore is not None:
+                self._restore()
+                self._restore = None
 
 
 #: Wraps each of oodgate's own BLAS and LAPACK calls.
@@ -375,41 +364,50 @@ def _fit(features: np.ndarray, labels: np.ndarray, c: int, ridge: float) -> Gaus
     return GaussianClassModel(means, covariance, counts, ridge)
 
 
-def _flapack_file() -> Path:
-    """The file of scipy's compiled LAPACK wrappers, found without running
-    any of scipy's package code."""
-    linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
-    return next(p for s in EXTENSION_SUFFIXES if (p := linalg / f"_flapack{s}").is_file())
-
-
 @functools.cache
-def _lapack():
-    """scipy's LAPACK wrapper ``dtrtrs``, loaded once.
-
-    Its module, ``scipy.linalg._flapack``, is loaded straight from its file
-    in a few milliseconds; ``import scipy.linalg`` reaches the same wrapper
-    only after far longer, most of it spent cloning numpy's namespace.
-    Under scipy's own module name, a later ``import scipy.linalg`` reuses it.
-    The file is private to scipy, so any failure to load it or to find the
-    wrapper in it falls back to the public ``scipy.linalg.lapack``.
-    """
-    try:
-        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", _flapack_file())
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.dtrtrs
-    except Exception:
-        from scipy.linalg import lapack
-        return lapack.dtrtrs
+def _trtrs():
+    """numpy's LAPACK ``dtrtrs`` and the ctypes integer its arguments take (64-bit
+    where its name says so), or None where numpy exports none, as MKL or
+    Accelerate builds may not."""
+    lib = _numpy_blas()
+    names = [f"{p}dtrtrs{s}" for p in ("scipy_", "") for s in ("_64_", "64_", "_")]
+    name = next((n for n in names if hasattr(lib, n)), None)
+    if name is None:
+        return None
+    trtrs, index = getattr(lib, name), ctypes.c_int64 if "64" in name else ctypes.c_int
+    i, ptr = ctypes.POINTER(index), ctypes.c_void_p
+    # uplo, trans, diag, n, nrhs, a, lda, b, ldb, info, then the three strings' lengths
+    trtrs.argtypes = [*[ctypes.c_char_p] * 3, i, i, ptr, i, ptr, i, i, *[ctypes.c_size_t] * 3]
+    trtrs.restype = None
+    return trtrs, index
 
 
 def _solve_lower(factor, b, transposed=False, overwrite_b=False):
     """``factor^-1 b``, or ``factor^-T b`` if ``transposed``, for a C-ordered lower
-    triangular ``factor``: the ``dtrtrs`` call ``scipy.linalg.solve_triangular`` makes,
-    on the transposed (Fortran-ordered, upper) factor. A Fortran-ordered float64 ``b``
-    is solved in place when ``overwrite_b``. No input is checked finite. As there, a
-    zero on the diagonal raises LinAlgError."""
-    x, info = _lapack()(factor.T, b, lower=0, trans=int(not transposed), overwrite_b=overwrite_b)
+    triangular d x d ``factor`` and a d x k ``b``: LAPACK's ``dtrtrs`` on the transposed
+    (Fortran-ordered, upper) factor, the call ``scipy.linalg.solve_triangular`` makes. A
+    Fortran-ordered float64 ``b`` is solved in place when ``overwrite_b``. No input is
+    checked finite. As there, a zero on the diagonal raises LinAlgError."""
+    found = _trtrs()
+    if found is None:
+        try:
+            from scipy.linalg.lapack import dtrtrs
+        except ImportError:
+            raise NumericalError("mah needs LAPACK's dtrtrs: numpy's BLAS exports none "
+                                 "and scipy is not installed") from None
+        x, info = dtrtrs(factor.T, b, lower=0, trans=int(not transposed), overwrite_b=overwrite_b)
+    else:
+        trtrs, index = found
+        a = np.ascontiguousarray(factor, dtype=np.float64)
+        x = np.require(b, np.float64, "FW") if overwrite_b else np.array(b, np.float64, order="F")
+        n, k = x.shape
+        if a.shape != (n, n):
+            raise ValueError(f"factor shape {a.shape} does not match b's {n} rows")
+        info, lead = index(), ctypes.byref(index(max(n, 1)))
+        trtrs(b"U", b"N" if transposed else b"T", b"N", ctypes.byref(index(n)),
+              ctypes.byref(index(k)), a.ctypes.data, lead, x.ctypes.data, lead,
+              ctypes.byref(info), 1, 1, 1)
+        info = info.value
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -490,7 +488,6 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     best = np.full(feats.shape[0], np.inf)
     width = max(model.c, model.d)
     chunk = _block_rows(width)
-    _lapack()  # loaded first, so its OpenBLAS is held at one thread too
     with _one_blas_thread:
         for start, block in _row_blocks(feats, "features", width):
             rows, classes = _candidates(block, model)

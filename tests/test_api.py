@@ -205,3 +205,33 @@ def test_lazy_package_resolves_and_lists_every_name():
     out = subprocess.run([sys.executable, "-c", _LAZY], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "module 'oodgate' has no attribute 'no_such_name'\n"
+
+
+def _module_level_imports(tree: ast.Module):
+    """The modules imported by statements that run when ``tree`` is imported:
+    those outside any function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_numpy_is_the_one_dependency_and_no_module_imports_scipy_on_load():
+    """scipy serves only the tests' reference solves and, where numpy's BLAS
+    exports no ``dtrtrs``, mah's fallback, which imports it when first called."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
+    sources = sorted((root / "src" / "oodgate").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = [m for m in _module_level_imports(tree) if m.split(".")[0] == "scipy"]
+        assert not loaded, (path.name, loaded)

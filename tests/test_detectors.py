@@ -661,7 +661,7 @@ def test_mah_cli_chain_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 #: Scores ``sys.argv[1]`` with the mah model ``sys.argv[2]`` through the CLI,
-#: then prints each OpenBLAS's thread count and ``OPENBLAS_NUM_THREADS``.
+#: then prints numpy's OpenBLAS thread count and ``OPENBLAS_NUM_THREADS``.
 _CLI_POOLS = """
 import os, sys
 {first}
@@ -669,15 +669,15 @@ from oodgate.cli import main
 from oodgate import detectors
 table, model, out = sys.argv[1:]
 assert main(["score", "--input", table, "--method", "mah", "--model", model, "--out", out]) == 0
-print(sorted(get() for get, _ in detectors._mapped_openblas().values()),
-      os.environ["OPENBLAS_NUM_THREADS"])
+print([detectors._openblas_threads()[0]()], os.environ["OPENBLAS_NUM_THREADS"])
 """
 
 
 def test_cli_starts_openblas_at_one_thread_unless_numpy_came_first(tmp_path):
-    """A process whose first numpy import is the CLI's starts numpy's and
-    scipy's OpenBLAS at one thread, whatever ``OPENBLAS_NUM_THREADS`` says;
-    one that imported numpy first keeps its pools and its environment."""
+    """A process whose first numpy import is the CLI's starts numpy's
+    OpenBLAS, the one oodgate calls, at one thread, whatever
+    ``OPENBLAS_NUM_THREADS`` says; one that imported numpy first keeps its
+    pool and its environment."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: OpenBLAS starts one thread at any setting")
     from oodgate.cli import main
@@ -688,28 +688,28 @@ def test_cli_starts_openblas_at_one_thread_unless_numpy_came_first(tmp_path):
     model = tmp_path / "m.oodm"
     assert main(["fit", "--manifest", str(world / "world.manifest"), "--out", str(model)]) == 0
     argv = [str(world / "id3.oodf"), str(model), str(tmp_path / "s.csv")]
-    assert _at_threads("2", _CLI_POOLS.format(first=""), *argv) == "[1, 1] 1\n"
-    assert _at_threads("2", _CLI_POOLS.format(first="import numpy"), *argv) == "[2, 2] 2\n"
+    assert _at_threads("2", _CLI_POOLS.format(first=""), *argv) == "[1] 1\n"
+    assert _at_threads("2", _CLI_POOLS.format(first="import numpy"), *argv) == "[2] 2\n"
 
 
-def _blas_threads() -> dict:
-    return {path: get() for path, (get, _) in detectors._mapped_openblas().items()}
+def _blas_threads() -> int:
+    """The thread count of numpy's OpenBLAS, the one library oodgate calls."""
+    pool = detectors._openblas_threads()
+    assert pool, "no OpenBLAS thread count found: numpy's wheels link OpenBLAS"
+    return pool[0]()
 
 
 def test_blas_calls_give_back_each_librarys_thread_count(tmp_path):
     """Each oodgate call that holds OpenBLAS at one thread, and one nested
-    inside another, leaves every loaded library at the count it had; inside,
-    every one runs one thread. scipy's library is loaded by the first score."""
+    inside another, leaves numpy's OpenBLAS, the one library oodgate calls, at
+    the count it had; inside, it runs one thread."""
     table = generate_world(SyntheticSpec(classes=10, dim=128, law=Balanced(200), seed=5)).id_fit
     model = fit_mahalanobis(table)
     score_mahalanobis(model, table.features)
     save_model(model, tmp_path / "m.oodm")
-    pools = detectors._mapped_openblas()
-    assert pools, "no OpenBLAS found: numpy's is mapped on every supported build"
-    before = _blas_threads()
+    before, put = _blas_threads(), detectors._openblas_threads()[1]
     try:
-        for _, put in pools.values():
-            put(2)
+        put(2)
         calls = [
             lambda: fit_mahalanobis(table),
             lambda: load_model(tmp_path / "m.oodm"),
@@ -718,21 +718,20 @@ def test_blas_calls_give_back_each_librarys_thread_count(tmp_path):
         ]
         for call in calls:
             call()
-            assert set(_blas_threads().values()) == {2}
+            assert _blas_threads() == 2
         with detectors._one_blas_thread:
-            assert set(_blas_threads().values()) == {1}
+            assert _blas_threads() == 1
             score_mahalanobis(model, table.features)
-            assert set(_blas_threads().values()) == {1}
-        assert set(_blas_threads().values()) == {2}
+            assert _blas_threads() == 1
+        assert _blas_threads() == 2
     finally:
-        for path, (_, put) in pools.items():
-            put(before[path])
+        put(before)
 
 
 def test_one_blas_thread_holds_across_python_threads():
     """Python threads entering and leaving, some nested, with a short switch
-    interval: every library runs one thread inside each entry, and all get
-    back their counts once the last one leaves."""
+    interval: numpy's OpenBLAS runs one thread inside each entry, and gets
+    back its count once the last one leaves."""
     import threading
     import time
 
@@ -744,10 +743,10 @@ def test_one_blas_thread_holds_across_python_threads():
         for i in range(times):
             with detectors._one_blas_thread:
                 time.sleep(0)  # lets another thread enter or leave
-                seen.update(_blas_threads().values())
+                seen.add(_blas_threads())
                 if i % 3 == 0:
                     with detectors._one_blas_thread:
-                        seen.update(_blas_threads().values())
+                        seen.add(_blas_threads())
 
     sys.setswitchinterval(1e-6)
     try:
@@ -1071,8 +1070,8 @@ print('scipy' in sys.modules)
 
 
 def test_mah_scoring_leaves_scipy_linalg_unloaded(tmp_path):
-    """``score_mahalanobis`` and ``oodgate score --method mah`` load scipy's
-    LAPACK wrappers from their file, running none of scipy's package code."""
+    """``score_mahalanobis`` and ``oodgate score --method mah`` load neither
+    scipy nor ``scipy.linalg``: numpy's own OpenBLAS serves ``dtrtrs``."""
     code = """
 import sys
 import numpy as np
@@ -1094,12 +1093,64 @@ print(rc, [name for name in ("scipy", "scipy.linalg") if name in sys.modules])
     assert len(read_scores(tmp_path / "s.csv")) == 40
 
 
+#: Runs, in ``sys.argv[2]``, the CLI chain synth, fit, mah score of an ID and
+#: an OOD table and eval if ``sys.argv[1]`` is "cli", or else an in-process mah
+#: domain sweep; then prints each mapped file under the directories after them.
+_MAPPED = """
+import sys
+kind, out, *dirs = sys.argv[1:]
+if kind == "cli":
+    from oodgate.cli import main
+    world, model = f"{out}/world", f"{out}/m.oodm"
+    for argv in (
+        ["synth", "--classes", "4", "--dim", "16", "--law", "balanced:60", "--out", world],
+        ["fit", "--manifest", f"{world}/world.manifest", "--out", model],
+        ["score", "--input", f"{world}/id3.oodf", "--method", "mah", "--model", model,
+         "--out", f"{out}/id.csv"],
+        ["score", "--input", f"{world}/ood_d2.oodf", "--method", "mah", "--model", model,
+         "--out", f"{out}/ood.csv"],
+        ["eval", "--id-scores", f"{out}/id.csv", "--ood-scores", f"{out}/ood.csv",
+         "--method", "mah", "--out", f"{out}/report.json"],
+    ):
+        assert main(argv) == 0, argv
+else:
+    from oodgate import (Axis, Balanced, DetectorConfig, Method, SweepSpec, SyntheticSpec,
+                         run_sweep)
+    world = SyntheticSpec(classes=4, dim=16, law=Balanced(60), seed=1)
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, world, (1.0, 2.0), (DetectorConfig(Method.MAH),))
+    assert [row.method for row in run_sweep(spec).rows] == ["mah", "mah"]
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = {line.split(maxsplit=5)[-1].rstrip("\\n") for line in fh}
+print(sorted(p for p in paths if p.startswith(tuple(dirs))))
+"""
+
+
+@pytest.mark.parametrize("kind", ["cli", "sweep"])
+def test_mah_runs_map_no_scipy_file(kind, tmp_path):
+    """A mah CLI chain and a mah sweep map no file of scipy's install, its
+    bundled libraries (``scipy.libs``) included: numpy's own OpenBLAS serves
+    ``dtrtrs``. A module loaded from its file without a ``sys.modules`` entry
+    would still show here."""
+    import importlib.util
+    from pathlib import Path
+
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("no /proc/self/maps on this platform")
+    scipy = Path(importlib.util.find_spec("scipy").origin).parent
+    dirs = [f"{scipy}{os.sep}", f"{scipy.parent / 'scipy.libs'}{os.sep}"]
+    proc = subprocess.run([sys.executable, "-c", _MAPPED, kind, str(tmp_path), *dirs],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 @pytest.mark.parametrize("d", [16, 128, 512])
 def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch):
-    """When scipy's LAPACK file cannot be loaded, ``scipy.linalg.lapack``
-    serves the wrapper, with the same score bytes: for a one-row input (one
-    solve per candidate) and for 40 rows in 8-row blocks, each refined in two
-    chunks or more (near-tie rows keep two candidates)."""
+    """When numpy's BLAS exports no ``dtrtrs``, ``scipy.linalg.lapack``
+    serves it, with the same score bytes: for a one-row input (one solve per
+    candidate) and for 40 rows in 8-row blocks, each refined in two chunks or
+    more (near-tie rows keep two candidates)."""
+    from scipy.linalg import lapack
+
     rng = np.random.default_rng(d)
     c = 6
     a = rng.normal(size=(d, d))
@@ -1109,26 +1160,82 @@ def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch):
                        means[rng.integers(0, c, 28)] + rng.normal(size=(28, d))])
     block_rows(8, d)
 
-    def scores():  # a new model builds its candidate terms with the current wrapper
+    def scores():  # a new model builds its candidate terms with the current routine
         model = GaussianClassModel(means, cov, np.full(c, 3))
         assert _candidates(feats[:8], model)[0].size > 8  # a block's refinement: 2+ chunks
         return [score_mahalanobis(model, x).scores.tobytes() for x in (feats[:1], feats)]
 
-    looked = []
+    looked, served, dtrtrs = [], [], lapack.dtrtrs
 
     def missing():
         looked.append(1)
-        raise FileNotFoundError("no LAPACK file")
 
-    detectors._lapack.cache_clear()
-    try:
-        direct = scores()
-        monkeypatch.setattr(detectors, "_flapack_file", missing)
-        detectors._lapack.cache_clear()
-        assert scores() == direct
-    finally:
-        detectors._lapack.cache_clear()
-    assert looked == [1]
+    def counted(*args, **kwargs):
+        served.append(1)
+        return dtrtrs(*args, **kwargs)
+
+    direct = scores()
+    monkeypatch.setattr(detectors, "_trtrs", missing)
+    monkeypatch.setattr(lapack, "dtrtrs", counted)
+    assert scores() == direct
+    assert looked and served == looked  # each solve looked, found nothing, and went to scipy
+
+
+#: Scores ``sys.argv[1]`` with the mah model ``sys.argv[2]`` through the CLI,
+#: where numpy's BLAS exports no ``dtrtrs`` and scipy cannot be imported.
+_NO_LAPACK = """
+import sys
+from oodgate import detectors
+from oodgate.cli import main
+detectors._trtrs = lambda: None
+sys.modules["scipy"] = None
+table, model, out = sys.argv[1:]
+sys.exit(main(["score", "--input", table, "--method", "mah", "--model", model, "--out", out]))
+"""
+
+
+def test_mah_without_any_dtrtrs_exits_4_with_one_line(tmp_path):
+    from oodgate.cli import main
+
+    world = tmp_path / "world"
+    assert main(["synth", "--classes", "3", "--dim", "8", "--law", "balanced:60",
+                 "--out", str(world)]) == 0
+    model = tmp_path / "m.oodm"
+    assert main(["fit", "--manifest", str(world / "world.manifest"), "--out", str(model)]) == 0
+    out = tmp_path / "s.csv"
+    proc = subprocess.run([sys.executable, "-c", _NO_LAPACK, str(world / "id3.oodf"),
+                           str(model), str(out)], capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("numerical error: mah needs LAPACK's dtrtrs: numpy's BLAS "
+                           "exports none and scipy is not installed\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [8, 16, 64, 128, 512, 1024])
+def test_solve_lower_gives_the_bits_of_scipy_solve_triangular(d):
+    """For 1, 3, 300 and 4096 right-hand sides and both transposes. A
+    Fortran-ordered float64 ``b`` is solved in place under ``overwrite_b``;
+    without it, ``b`` is left as it was. A ``b`` of the wrong height is
+    refused before LAPACK could read past it."""
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d))
+    factor = np.linalg.cholesky(a @ a.T / d + np.eye(d))
+    with pytest.raises(ValueError, match=f"^factor shape \\({d}, {d}\\) does not match b's"):
+        _solve_lower(factor, np.ones((d + 1, 2)))
+    for k in (1, 3, 300, 4096):
+        b = rng.normal(size=(d, k))
+        kept = b.tobytes()
+        for transposed in (False, True):
+            want = solve_triangular(factor, b, lower=True, trans=int(transposed)).tobytes()
+            assert _solve_lower(factor, b, transposed).tobytes() == want
+            assert b.tobytes() == kept
+            fortran = np.array(b, order="F")  # a copy, also where b is one column
+            assert _solve_lower(factor, fortran, transposed).tobytes() == want
+            assert fortran.tobytes() == kept
+            assert _solve_lower(factor, fortran, transposed, overwrite_b=True) is fortran
+            assert fortran.tobytes() == want
 
 
 def test_triangular_solve_on_a_zero_diagonal_raises_linalg_error():
