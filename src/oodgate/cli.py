@@ -3,10 +3,11 @@
 Commands communicate only through files (tables, models, score CSVs, JSON
 reports), so pipelines are reproducible and each stage can be inspected or
 replaced. Exit codes are a stable contract: 0 success, 2 usage/validation,
-3 I/O, 4 numerical failure (a numpy ``LinAlgError`` or running out of memory
-included). Stderr holds a failure's one error line, and one ``warning:
-MESSAGE`` line per library warning that the warning filters let through;
-with ``-v``, each call also prints one ``wrote PATH`` line per file it writes.
+3 I/O (a file that fails to write keeps its old bytes, and no part of the new
+ones), 4 numerical failure (a ``LinAlgError`` or running out of memory too).
+Stderr holds a failure's one error line, and one ``warning: MESSAGE`` line per
+library warning that the warning filters let through; with ``-v``, each call
+also prints one ``wrote PATH`` line per file it writes, once it is whole.
 
 The default seed is 42, overridable by the ``OODGATE_SEED`` environment
 variable; an explicit ``--seed`` flag wins over both. An ``OODGATE_SEED`` that
@@ -46,6 +47,7 @@ from .data import (
     Role,
     TableFormat,
     _ingesting,
+    _output,
     _read_kept,
     write_feature_table,
 )
@@ -109,7 +111,8 @@ def _write_text(args, path: str | Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with _output(path) as fh:
+            fh.write(text)
         _wrote(args, path)
 
 
@@ -161,9 +164,6 @@ def cmd_synth(args) -> int:
         write_feature_table(table, out / fname)
         _wrote(args, out / fname)
         entries.append(ManifestEntry(fname, role, TableFormat.BINARY_DUMP, ood_name))
-    manifest = DatasetManifest(tuple(entries), name="synthetic-world", base_dir=out)
-    manifest.write(out / "world.manifest")
-    _wrote(args, out / "world.manifest")
 
     summary = {
         "classes": spec.classes,
@@ -186,6 +186,9 @@ def cmd_synth(args) -> int:
     if ts is not None:
         summary["timestamp"] = ts
     _write_text(args, out / "world.json", json.dumps(summary, indent=2) + "\n")
+    # Last, so that a manifest stands for a whole world.
+    DatasetManifest(tuple(entries), name="synthetic-world").write(out / "world.manifest")
+    _wrote(args, out / "world.manifest")
     return 0
 
 

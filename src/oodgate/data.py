@@ -9,6 +9,7 @@ Every input array is checked finite here, and the scorers, the fit and the
 synthetic worlds walk their rows here, in float64 blocks of :data:`BLOCK_BYTES`.
 Both table formats are read by one row-block walk that keeps only the arrays
 asked for (:func:`_read_kept`); a table read or built passes :func:`_checked_labels`.
+Every file oodgate writes is written through :func:`_output`, whole or not at all.
 
 OODF layout (all little-endian):
 
@@ -34,6 +35,7 @@ import enum
 import math
 import os
 import struct
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -262,11 +264,11 @@ def write_feature_table(
     table: FeatureTable, path: str | Path, fmt: TableFormat = TableFormat.BINARY_DUMP
 ) -> None:
     """Serialize a table; OODF round-trips bit-exactly."""
-    path = Path(path)
     if fmt is TableFormat.BINARY_DUMP:
         header = _HEADER.pack(_MAGIC, _VERSION, table.n, table.d, table.c, _DTYPE_F32)
-        arrays = (table.features, table.logits, table.labels.astype("<i4"))
-        _write_packed(path, header, [arr for arr in arrays if arr is not None])
+        arrays = (table.features, "<f4"), (table.logits, "<f4"), (table.labels, "<i4")
+        with _output(path, "wb") as fh:  # each array from its own buffer: no copy on little-endian
+            fh.writelines([header] + [a.astype(t, copy=False) for a, t in arrays if a is not None])
     elif fmt is TableFormat.CSV:
         header = ["label"] + [f"f{j}" for j in range(table.d)]
         header += [f"l{j}" for j in range(table.c)]
@@ -396,14 +398,6 @@ def _read_packed(path: Path, magic: bytes, header: struct.Struct, layout):
         return fields, [_read_into(fh, np.empty(shape, dtype)) for dtype, shape in specs]
 
 
-def _write_packed(path, header: bytes, arrays) -> None:
-    """Write the packed ``header``, then the bytes of each array in turn."""
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in arrays:
-            fh.write(arr.tobytes())
-
-
 def _parse_csv_header(header: list[str]) -> tuple[int, int]:
     d = sum(1 for name in header if name.startswith("f"))
     c = len(header) - 1 - d
@@ -425,11 +419,33 @@ def _ingesting(path):
         raise IngestionError(f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _output(path, mode: str = "w"):
+    """``path`` open to write in ``mode`` (``"w"``: UTF-8, newlines as given): a hidden sibling
+    of the link-resolved path, replaced onto it on a clean exit and removed on any failure. A
+    path that exists and is not a regular file (a FIFO, a device) is opened in place."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **text) as fh:
+            yield fh
+        return
+    head, name = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, os.path.join(head, name))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_csv(path, header: list[str], lines) -> None:
     """Write the UTF-8, CRLF CSV of tables and score files: ``header``, then
     each finished, CRLF-ended line of the iterable ``lines``, taken one at a
     time."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(lines)
 
@@ -567,7 +583,8 @@ class DatasetManifest:
                 raise ValidationError(f"{what} {text!r} would not read back from a manifest")
         lines = [f"# name: {self.name}"] if self.name else []
         lines += [f"{e.role_text()}\t{e.fmt.value}\t{e.path}" for e in self.entries]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with _output(path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
     @staticmethod
     def read(path: str | Path) -> "DatasetManifest":

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (UNLABELED, FeatureTable, _Record, _VERSION, _add_rows, _block_rows,
-                   _check_finite, _ingesting, _read_csv, _read_packed, _row_blocks, _walk,
-                   _write_csv, _write_packed)
+                   _check_finite, _ingesting, _output, _read_csv, _read_packed, _row_blocks,
+                   _walk, _write_csv)
 from .errors import NumericalError, ValidationError
 
 #: Absolute diagonal loading used when the scatter has zero trace.
@@ -536,9 +536,9 @@ def score_table(config: DetectorConfig, table: FeatureTable,
 def save_model(model: GaussianClassModel, path: str | Path) -> None:
     """Write the ``OODM`` container (means/covariance stored as binary32)."""
     header = _MODEL_HEADER.pack(_MODEL_MAGIC, _VERSION, model.c, model.d, model.ridge)
-    arrays = (model.means.astype("<f4"), model.covariance.astype("<f4"),
-              model.per_class_counts.astype("<u8"))
-    _write_packed(path, header, arrays)
+    with _output(path, "wb") as fh:
+        fh.writelines([header, model.means.astype("<f4"), model.covariance.astype("<f4"),
+                       model.per_class_counts.astype("<u8")])
 
 
 def _model_layout(c: int, d: int, ridge: float) -> list:

@@ -1222,7 +1222,7 @@ def test_config_verbose_logs_written_files(tmp_path):
     done = subprocess.run([sys.executable, "-m", "oodgate.cli", "synth", "--config", str(cfg),
                            "--out", str(out)], capture_output=True, text=True)
     assert done.returncode == 0
-    names = ["id1.oodf", "id2.oodf", "id3.oodf", "ood_d2.oodf", "world.manifest", "world.json"]
+    names = ["id1.oodf", "id2.oodf", "id3.oodf", "ood_d2.oodf", "world.json", "world.manifest"]
     assert done.stderr == "".join(f"wrote {out / name}\n" for name in names)
 
 
@@ -1233,7 +1233,7 @@ def test_verbose_is_per_call_and_leaves_logging_alone(tmp_path, capsys):
 
     root = logging.getLogger()
     before = (list(root.handlers), root.level)
-    names = ["id1.oodf", "id2.oodf", "id3.oodf", "ood_d2.oodf", "world.manifest", "world.json"]
+    names = ["id1.oodf", "id2.oodf", "id3.oodf", "ood_d2.oodf", "world.json", "world.manifest"]
     for out, flags in ((tmp_path / "a", ()), (tmp_path / "b", ("-v",)), (tmp_path / "c", ())):
         assert run("synth", "--classes", "3", "--dim", "4", "--law", "balanced:40",
                    "--out", str(out), *flags) == 0
