@@ -152,6 +152,8 @@ def cmd_synth(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # The manifest stands for a whole world: an older one must not name new tables.
+    (out / "world.manifest").unlink(missing_ok=True)
     tables = {
         "id1.oodf": (world.id_train, Role.ID_TRAIN_CLASSIFIER, ""),
         "id2.oodf": (world.id_fit, Role.ID_FIT_DETECTOR, ""),
@@ -308,6 +310,7 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "summary.json").unlink(missing_ok=True)  # an older one must not outlive its rows
     _write_text(args, out / "rows.jsonl", result.to_jsonl())
     _write_text(args, out / "summary.json", result.to_summary_json(_timestamp(args)))
     if args.svg:

@@ -68,11 +68,12 @@ class TableFormat(str, enum.Enum):
 #: two indices), d for its residuals, ``max(c, d)`` for mah scoring and world
 #: logits). Only one block at a time is widened to float64, so each holds its
 #: input plus that block and one or two float64 working arrays of about this
-#: size, at any width. Every row's reductions run over that row alone, and
-#: class sums carry from block to block in row order, so no score, fitted
-#: value or logit depends on the block size. The paper's (c, d) = (142, 128)
-#: gets 4096-row blocks, d = 512 gets 1136.
-BLOCK_BYTES = 4096 * 142 * 8
+#: size, at any width: 1 MiB, so that a block and its working arrays fit in
+#: one core's L2 cache of 2 MiB. Every row's reductions run over that row
+#: alone, and class sums carry from block to block in row order, so no score,
+#: fitted value or logit depends on the block size. The paper's (c, d) =
+#: (142, 128) gets 923-row blocks, d = 512 gets 256 and d = 2048 gets 64.
+BLOCK_BYTES = 1 << 20
 
 
 def _check_finite(arr: np.ndarray, what: str, start: int = 0) -> None:
@@ -132,10 +133,10 @@ def _add_rows(sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.
     ends = np.append(starts[1:], ordered.size)
     lone = ends - starts == 1
     sums[ordered[starts[lone]]] += x[starts[lone] + 1]  # distinct labels
-    for lo, hi in zip(starts[~lone].tolist(), ends[~lone].tolist()):
-        k = ordered[lo]
+    firsts = starts[~lone]
+    for k, lo, hi in zip(ordered[firsts].tolist(), firsts.tolist(), ends[~lone].tolist()):
         x[lo] = sums[k]  # the row before a label's rows is already summed
-        sums[k] = np.add.reduce(x[lo : hi + 1], axis=0)
+        np.add.reduce(x[lo : hi + 1], axis=0, out=sums[k])
 
 
 class _Record:

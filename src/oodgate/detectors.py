@@ -358,7 +358,8 @@ def _fit(features: np.ndarray, labels: np.ndarray, c: int, ridge: float) -> Gaus
     for start in range(0, n, rows):  # within-class residuals, a block at a time
         feats[start : start + rows] -= means[labels[start : start + rows]]
     with _one_blas_thread:
-        covariance = (feats.T @ feats) / n  # numpy's SYRK: exactly symmetric
+        covariance = feats.T @ feats  # numpy's SYRK: exactly symmetric
+    covariance /= n
     if ridge > 0 and not np.trace(covariance) > 0:
         warnings.warn(f"no within-class scatter; regularizing with {ZERO_TRACE_RIDGE_FLOOR:g} * I")
     return GaussianClassModel(means, covariance, counts, ridge)

@@ -268,9 +268,11 @@ def _log_density_logits(
 ) -> np.ndarray:
     """float32 ``-||x - center_k||^2 / (2 sigma^2)``, one float64 row block at
     a time (the blocks' GEMMs give the bits of one whole-table GEMM); a block
-    holds d-wide rows and their c-wide products."""
+    holds d-wide rows and their c-wide products. ``|center|^2`` is summed a
+    row block of the centers at a time too, each row's sum over that row alone."""
     out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
-    center_sq = np.sum(centers * centers, axis=1)
+    center_sq = np.concatenate([np.square(m, out=m).sum(axis=1)
+                                for _, m in _row_blocks(centers, "centers", centers.shape[1])])
     with _one_blas_thread:
         for start, x in _row_blocks(features, "features", max(centers.shape)):
             g = x @ centers.T

@@ -134,6 +134,19 @@ def test_synth_refuses_a_world_fit_cannot_use(tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path / "m.oodm")) == 0
 
 
+def test_failed_synth_rerun_keeps_no_older_manifest(tmp_path, capsys):
+    """A rerun that fails after its first table leaves no manifest: the one
+    the older run wrote would name the new id tables beside its OOD table."""
+    out = tmp_path / "fw"
+    world = ("synth", "--classes", "3", "--dim", "4", "--law", "balanced:40", "--out", str(out))
+    assert run(*world, "--seed", "1", "--ood-distance", "1.5") == 0
+    (out / "world.json").unlink()
+    (out / "world.json").mkdir()
+    assert run(*world, "--seed", "2") == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert (out / "ood_d2.oodf").exists() and not (out / "world.manifest").exists()
+
+
 def test_synth_multiple_ood_distances(tmp_path):
     out = tmp_path / "multi"
     assert run(
@@ -912,6 +925,27 @@ def test_sweep_cli_writes_outputs(tmp_path):
     # recorded with series_svg's y_label option, which every caller set to AUROC
     digest = hashlib.sha256((out / "sweep.svg").read_bytes()).hexdigest()
     assert digest == "ded6c3c6709764e6a5d0165241eefe30995bdda91b6c5942d0f5db8aa242d528"
+
+
+def test_failed_sweep_rerun_keeps_no_older_summary(tmp_path, capsys, monkeypatch):
+    """A rerun whose summary write fails leaves its new rows and no summary:
+    the older run's would describe other rows."""
+    from oodgate.experiments import SweepResult
+
+    out = tmp_path / "sweep"
+    sweep = ("sweep", "--axis", "domain-distance", "--classes", "4", "--dim", "4",
+             "--law", "balanced:120", "--n-per-side", "30", "--detectors", "ebm",
+             "--out", str(out))
+    assert run(*sweep, "--grid", "0.5") == 0
+
+    def fail(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(SweepResult, "to_summary_json", fail)
+    assert run(*sweep, "--grid", "0.5,2.0") == 3
+    assert "no space left" in capsys.readouterr().err
+    assert len((out / "rows.jsonl").read_text().splitlines()) == 2
+    assert not (out / "summary.json").exists()
 
 
 def test_sweep_cli_imbalance_laws(tmp_path):

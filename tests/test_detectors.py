@@ -44,7 +44,7 @@ from oodgate import (
 )
 from oodgate import detectors
 from oodgate.data import _block_rows, _row_blocks
-from oodgate.detectors import _candidates, _solve_lower
+from oodgate.detectors import _candidates, _fit, _solve_lower
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -491,11 +491,11 @@ def test_model_copies_score_the_same_and_build_their_own_terms(rng, clone):
 
 
 def test_block_rows_from_the_byte_budget():
-    """Paper-scale stages, (c, d) = (142, 128), keep 4096-row blocks; wider
+    """Paper-scale stages, (c, d) = (142, 128), get 923-row blocks; wider
     rows get fewer, and a block never has fewer than 2 rows."""
-    assert _block_rows(142) == 4096
-    assert _block_rows(512) == 1136
-    assert _block_rows(2048) == 284
+    assert _block_rows(142) == 923
+    assert _block_rows(512) == 256
+    assert _block_rows(2048) == 64
     assert _block_rows(10**9) == 2
 
 
@@ -541,20 +541,20 @@ def test_mahalanobis_overflowing_estimate_keeps_every_class():
 
 
 def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
-    """c=142, d=128 over two whole row blocks plus 3 rows; the score CSV digests
+    """c=142, d=128 over 8195 rows, several row blocks; the score CSV digests
     were recorded with the one-solve-per-class scorer, at one BLAS thread."""
     import hashlib
 
     c, d, n = 142, 128, 8195
     chunk = _block_rows(max(c, d))
-    assert n == 2 * chunk + 3
+    assert n > 3 * chunk
     rng = np.random.default_rng(20261018)
     mix = rng.normal(size=(d, d)) / np.sqrt(d)
     means = 3.0 * rng.normal(size=(c, d)) / np.sqrt(d)
     model = GaussianClassModel(means, mix @ mix.T + np.eye(d), np.full(c, 400))
     queries = means[rng.integers(0, c, n)] + rng.normal(size=(n, d))
     full = score_mahalanobis(model, queries)
-    # parts of 2, chunk + 1 (a lone last row), chunk - 2 and 2 rows
+    # parts of 2, chunk + 1 (a lone last row), chunk - 2 and the rest
     cuts = [0, 2, chunk + 3, 2 * chunk + 1, n]
     parts = [score_mahalanobis(model, queries[a:b]).scores for a, b in zip(cuts, cuts[1:])]
     assert full.scores.tobytes() == np.concatenate(parts).tobytes()
@@ -773,11 +773,11 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
         )
         assert (full == parts).all()
 
-    # c=142 over two whole row blocks plus 3 rows, cut as in the Mahalanobis
+    # c=142 over 8195 rows, several row blocks, cut as in the Mahalanobis
     # case (one part ends in a lone row); digests recorded with the
     # scorers that widened and reduced the whole input at once
-    chunk = _block_rows(142)
-    n = 2 * chunk + 3
+    chunk, n = _block_rows(142), 8195
+    assert n > 3 * chunk
     wide = np.random.default_rng(20261019).normal(size=(n, 142)) * 10
     cuts = [0, 2, chunk + 3, 2 * chunk + 1, n]
     pinned = {
@@ -933,16 +933,20 @@ def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows, tra
 
 
 def test_wide_rows_peak_within_a_few_block_bytes(traced_peak):
-    """At c = 1024 (d = 1024 for world logits, 512 for mah) a block is 567
-    rows, where 4096 rows would be 7 times the byte budget. Beyond what a
-    call returns (the score vector and its finite mask, the float32 logits),
-    each traced peak stays within 2.5 block budgets: a block and its working
-    array. mah stays within 2.0 (it measures 1.64): it frees each block's
-    last refinement chunk before the next block is widened, and builds its
-    d x d inverse and d x c candidate matrix in the first call only. It
-    would exceed its bound if it did either otherwise. The world logits
-    release each block before the next is widened. 3000 rows in one block
-    exceed that."""
+    """At c = 1024 (d = 1024 for world logits, 512 for mah) a block is 128
+    rows, where the paper's 923 rows would be 7 times the byte budget. Beyond
+    what a call returns (the score vector and its finite mask, the float32
+    logits), each traced peak stays within 2.5 block budgets: a block and its
+    working array. mah stays within 2.0 (it measures 1.70): it frees each
+    block's last refinement chunk before the next block is widened, and
+    builds its d x d inverse and d x c candidate matrix in the first call
+    only. It would exceed its bound if it did either otherwise. The world
+    logits release each block before the next is widened, and sum the
+    centers' squares a block at a time. 3000 rows in one block exceed that.
+
+    The fit of 20000 float64 rows at the paper's (c, d) = (142, 128), which
+    it writes its residuals over, stays within one budget beyond the model
+    it returns (it measures 0.76): its class-sum blocks are 2d + 2 wide."""
     from oodgate.data import BLOCK_BYTES
     from oodgate.synthetic import _log_density_logits
 
@@ -964,6 +968,14 @@ def test_wide_rows_peak_within_a_few_block_bytes(traced_peak):
         call(slice(2))  # first-call allocations, LAPACK's load
         peak = traced_peak(lambda: call(slice(None)))[1]
         assert peak <= held + budgets * BLOCK_BYTES, (name, (peak - held) / BLOCK_BYTES)
+
+    fit_feats = rng.normal(size=(20000, 128))
+    fit_labels = rng.permutation(np.arange(20000) % 142).astype(np.int32)
+    _fit(fit_feats, fit_labels, 142, 1e-6)  # a second fit, of the residuals, peaks alike
+    model, peak = traced_peak(lambda: _fit(fit_feats, fit_labels, 142, 1e-6))
+    held = sum(a.nbytes for a in (model.means, model.covariance, model.per_class_counts,
+                                  model.precision_factor))
+    assert peak <= held + BLOCK_BYTES, ("fit", (peak - held) / BLOCK_BYTES)
 
 
 @pytest.mark.parametrize(
