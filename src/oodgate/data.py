@@ -71,7 +71,10 @@ class TableFormat(str, enum.Enum):
 #: size, at any width: 1 MiB, so that a block and its working arrays fit in
 #: one core's L2 cache of 2 MiB. Every row's reductions run over that row
 #: alone, and class sums carry from block to block in row order, so no score,
-#: fitted value or logit depends on the block size. The paper's (c, d) =
+#: fitted value or logit depends on the block size under the OpenBLAS kernels
+#: the test suite's digests were recorded with (SkylakeX). Under Haswell
+#: kernels a ``dtrtrs`` solve's bits depend on how many right-hand sides share
+#: the call, so mah scores can move with the block size there. The paper's (c, d) =
 #: (142, 128) gets 923-row blocks, d = 512 gets 256 and d = 2048 gets 64.
 BLOCK_BYTES = 1 << 20
 

@@ -11,6 +11,13 @@ sense: the domain-distance axis walks named OOD_TEST entries and the
 imbalance axis resamples the ID_FIT_DETECTOR table, while the accuracy axis
 needs a synthetic world (there is no knob to turn on a fixed dump).
 
+A sweep's detector-fit table carries only its features, labels and class
+count (:class:`_FitRows`): mah, the one detector that reads it, reads
+nothing else. A synthetic world's fit split gets no logits, and a
+manifest's ID_FIT_DETECTOR logits are checked a row block at a time but
+never held. The class count comes from the world spec or the fit file's
+header, never from the labels, so a class without a fit row is refused.
+
 One loop, :func:`run_sweep`, serves every axis. Each axis has a small
 provider that yields the (fit, ID test, OOD test) tables of each grid point,
 and declares in :data:`_PROVIDERS` which of them it hands over unchanged at
@@ -45,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureTable, Role, stream_rng
+from .data import DatasetManifest, FeatureTable, Role, _read_kept, stream_rng
 from .detectors import DetectorConfig, Method, fit_mahalanobis, score_table
 from .errors import ValidationError
 from .metrics import auroc, fpr_at_tpr, roc_curve
@@ -199,8 +206,23 @@ def _subsample(table: FeatureTable, m: int, rng: np.random.Generator) -> Feature
     return table.take(np.sort(rng.choice(table.n, size=m, replace=False)))
 
 
+@dataclass(frozen=True, eq=False)
+class _FitRows:
+    """A sweep's detector-fit table as :func:`fit_mahalanobis` reads a
+    :class:`FeatureTable`: checked float32 features, their labels, and the
+    class count a table's logit count gives (0: none, so the largest label's
+    plus one). No logits are held."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    c: int
+
+    def take(self, rows: np.ndarray) -> "_FitRows":
+        return _FitRows(self.features[rows], self.labels[rows], self.c)
+
+
 def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None):
-    """(fit table, ID test table, OOD tables, accuracy, fit rows or None) of a world.
+    """(fit rows, ID test table, OOD tables, accuracy, law rows or None) of a world.
 
     ``oods`` names the OOD tables (distances, or a manifest's OOD_TEST names);
     ``None`` takes the world's first. Imbalance ``laws`` are checked, and their
@@ -213,7 +235,8 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
     if None); a cloud that fails fails there. A manifest is read once and
     checked before any table is read; its OOD tables are a list, all read
     before return. Its one ID_FIT_DETECTOR table is read first, and only for
-    ``laws`` or a mah detector.
+    ``laws`` or a mah detector, without its logits; its class count is the
+    file's logit count. A world's is its spec's class count.
     """
     world, rows = spec.base_world, None
     if spec.is_synthetic:
@@ -225,7 +248,8 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
         (w,) = _worlds([world], (), split=split, keep_train=False)
         n, means, centers = spec.n_per_side or w.id_test.n, w.true_means, w.classifier_centers
         clouds = (_ood_table(world, means, centers, i, dist, n) for i, dist in enumerate(distances))
-        return w.id_fit, w.id_test, clouds, w.classifier_accuracy, rows
+        fit = _FitRows(w.id_fit.features, w.id_fit.labels, world.classes)
+        return fit, w.id_test, clouds, w.classifier_accuracy, rows
 
     manifest = DatasetManifest.read(world)
     mah = any(c.method is Method.MAH for c in spec.detectors)
@@ -241,9 +265,13 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
             raise ValidationError(f"manifest has no OOD_TEST named {name!r}")
     ood_entries = manifest.ood_entries()[:1] if oods is None else [by_name[n] for n in oods]
     fit_entry = manifest.single(Role.ID_FIT_DETECTOR) if has_fit else None  # two fail any sweep
-    fit = manifest.load(fit_entry) if laws is not None or mah else None
+    fit = None
+    if laws is not None or mah:  # its logits are checked, a block at a time, never kept
+        features, _, labels, c = _read_kept(manifest.resolve(fit_entry), fit_entry.fmt,
+                                            np.float32, None)
+        fit = _FitRows(features, labels, c)
     if laws is not None:
-        rows = _law_rows(laws, fit.labels, fit.d, spec.seed)
+        rows = _law_rows(laws, fit.labels, fit.features.shape[1], spec.seed)
     id_test = manifest.load(manifest.single(Role.ID_TEST))
     accuracy = None
     if id_test.c >= 2 and id_test.is_labeled:
@@ -288,7 +316,8 @@ def _accuracy_points(spec: SweepSpec):
         m = min(world.id_test.n, ood.n, spec.n_per_side or world.id_test.n)
         id_test = _subsample(world.id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
-        return world.spec.label_noise, world.id_fit, id_test, ood, world.classifier_accuracy
+        fit = _FitRows(world.id_fit.features, world.id_fit.labels, world.spec.classes)
+        return world.spec.label_noise, fit, id_test, ood, world.classifier_accuracy
 
     return map(point, range(len(levels)), _worlds(levels, keep_train=False))
 

@@ -30,12 +30,18 @@ its rows of the float32 split arrays. While a class is drawn, its
 classifier-train rows are added, widened to float64 and in row order, to a
 running sum per noisy label, so the centers have the bits of each label's
 ``mean(axis=0)`` without a pass over the stored split; a world drawn with
-``keep_train=False`` (as sweeps draw theirs) never stores that split. Label
-noise moves only labels, so an accuracy sweep's levels share one draw, with
-a running sum per level and label. Logits are computed one float64 row
+``keep_train=False`` (as sweeps draw theirs) never stores that split. A
+sweep's worlds (:func:`_worlds`) carry a detector-fit table of features and
+labels only: mah, the one detector that reads it, reads nothing else, so
+only :func:`generate_world` takes that table's logits. Label noise moves
+only labels, so an accuracy sweep's levels share one draw, with a running
+sum per level and label. Logits are computed one float64 row
 block at a time, a block holding :data:`~oodgate.data.BLOCK_BYTES`
-over ``max(c, d)`` values a row. Generation peaks at about the float32
-bytes of the returned world plus one such block.
+over ``max(c, d)`` values a row. Features are checked finite as each class
+is drawn and logits as each block is stored, so a world's tables are built
+(:meth:`~oodgate.data.FeatureTable._of`) without a second, whole-table
+check. Generation peaks at about the float32 bytes of the returned world
+plus one such block.
 
 This module also houses the brute-force oracles used to verify the fast
 paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
@@ -44,7 +50,7 @@ paths: an O(n^2) pairwise AUROC and a dense-solve Mahalanobis scorer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -269,7 +275,9 @@ def _log_density_logits(
     """float32 ``-||x - center_k||^2 / (2 sigma^2)``, one float64 row block at
     a time (the blocks' GEMMs give the bits of one whole-table GEMM); a block
     holds d-wide rows and their c-wide products. ``|center|^2`` is summed a
-    row block of the centers at a time too, each row's sum over that row alone."""
+    row block of the centers at a time too, each row's sum over that row alone.
+    A logit that is not finite in binary32 is reported at its row, as the
+    block is stored, so a world's tables are built without a second check."""
     out = np.empty((features.shape[0], centers.shape[0]), dtype=np.float32)
     center_sq = np.concatenate([np.square(m, out=m).sum(axis=1)
                                 for _, m in _row_blocks(centers, "centers", centers.shape[1])])
@@ -282,6 +290,7 @@ def _log_density_logits(
             g += center_sq
             g /= -2.0 * sigma * sigma
             out[start : start + len(x)] = g
+            _check_finite(out[start : start + len(x)], "logits", start)
             del x, g  # so the next block is widened with neither alive
     return out
 
@@ -360,8 +369,9 @@ def _ood_table(spec: SyntheticSpec, true_means: np.ndarray, centers: np.ndarray,
     classifier ``centers``. A sweep draws each cloud this way at its own
     grid point, so a failing cloud fails there."""
     features = _ood_features(spec, true_means, i, distance, n)
-    return FeatureTable(features, _log_density_logits(features, centers, spec.within_class_sigma),
-                        np.full(n, UNLABELED, dtype=np.int32))
+    return FeatureTable._of(
+        features=features, logits=_log_density_logits(features, centers, spec.within_class_sigma),
+        labels=np.full(n, UNLABELED, dtype=np.int32))
 
 
 @_QUIET
@@ -371,8 +381,9 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
     label noise only, as one draw of the split and every feature: level j's
     train labels are summed under ``j*c + label`` (and, if noise empties a
     class, every train row under ``len(levels)*c``), its logits taken when reached.
-    ``split`` is a :func:`_world_split` of the levels' world, by default the
-    first level's; ``ood_distances=()`` draws no OOD cloud."""
+    Each level's ``id_fit`` holds the fit features and labels without logits,
+    which no sweep reads. ``split`` is a :func:`_world_split` of the levels'
+    world, by default the first level's; ``ood_distances=()`` draws no OOD cloud."""
     spec = levels[0]
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     ood_distances = (spec.ood_distance,) if ood_distances is None else ood_distances
@@ -409,11 +420,13 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
             centers[counts[j] == 0] = sums[-1] / counts[j].sum()
 
         def with_logits(features: np.ndarray, labels: np.ndarray) -> FeatureTable:
-            return FeatureTable(features, _log_density_logits(features, centers, sigma), labels)
+            return FeatureTable._of(features=features, labels=labels,
+                                    logits=_log_density_logits(features, centers, sigma))
 
         id_test = with_logits(test, test_labels)
         return SyntheticWorld(
-            spec=level, id_fit=with_logits(fit, fit_labels[j]), id_test=id_test,
+            spec=level, id_fit=FeatureTable._of(features=fit, logits=None, labels=fit_labels[j]),
+            id_test=id_test,
             id_train=with_logits(train[0], train_labels[j]) if keep_train else None,
             ood_tables={name: with_logits(x, unlabeled) for name, x in zip(names, oods)},
             true_means=true_means, classifier_centers=centers,
@@ -423,6 +436,7 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
     return map(world, range(len(levels)), levels)
 
 
+@_QUIET
 def generate_world(
     spec: SyntheticSpec,
     ood_distances: tuple[float, ...] | None = None,
@@ -443,9 +457,15 @@ def generate_world(
 
     The classifier centers are summed from the train split while it is
     drawn. ``keep_train=False`` still draws that split, so every other table
-    is the same, but stores none of it: ``id_train`` is then ``None``.
+    is the same, but stores none of it: ``id_train`` is then ``None``. The
+    world is the one :func:`_worlds` draws, whose detector-fit table carries
+    features and labels only; its logits are taken here, last.
     """
-    return next(_worlds([spec], ood_distances, n_ood, _world_split(spec, split), keep_train))
+    world = next(_worlds([spec], ood_distances, n_ood, _world_split(spec, split), keep_train))
+    fit = world.id_fit
+    logits = _log_density_logits(fit.features, world.classifier_centers, spec.within_class_sigma)
+    return replace(world, id_fit=FeatureTable._of(features=fit.features, logits=logits,
+                                                  labels=fit.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ctypes
 import os
 from pathlib import Path
 
@@ -66,3 +67,32 @@ def traced_peak():
             tracemalloc.stop()
 
     return run
+
+
+@pytest.fixture(scope="session")
+def kernel_note():
+    """The failure message of a test whose pinned bytes depend on the host's
+    OpenBLAS kernel (mah's Cholesky factor and ``dtrtrs`` solves) or on
+    numpy's SIMD dispatch (msp's and ebm's ``exp`` and ``log``): both, here
+    and where the pins hold."""
+    from oodgate.detectors import _numpy_blas
+
+    lib = _numpy_blas()
+    names = [f"{p}openblas_get_corename{s}" for p in ("scipy_", "") for s in ("64_", "")]
+    name = next((n for n in names if hasattr(lib, n)), None)
+    if name is None:
+        core = "no OpenBLAS corename"
+    else:
+        get = getattr(lib, name)
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        core = f"{name}() = {get().decode()!r}"
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return (f"these bytes depend on the host's kernels; here {core}, numpy's "
+            f"__cpu_baseline__ = {umath.__cpu_baseline__} and its enabled __cpu_dispatch__ "
+            f"= {enabled}. They hold under scipy_openblas_get_corename64_() = "
+            "'SkylakeX', with numpy's baseline ['X86_V2'] and dispatch to ['X86_V3', "
+            "'X86_V4', 'AVX512_ICL', 'AVX512_SPR'] enabled")

@@ -307,7 +307,7 @@ def _run_pipeline(workdir: Path) -> bytes:
     return (workdir / "report.json").read_bytes()
 
 
-def test_criterion_7_pipeline_determinism_and_golden(tmp_path):
+def test_criterion_7_pipeline_determinism_and_golden(tmp_path, kernel_note):
     first = _run_pipeline(tmp_path / "run1")
     second = _run_pipeline(tmp_path / "run2")
     golden = GOLDEN.read_bytes()
@@ -317,7 +317,8 @@ def test_criterion_7_pipeline_determinism_and_golden(tmp_path):
         7,
         "seed-42 synth->fit->score->eval is byte-identical and matches golden",
         identical and matches_golden,
-        f"reruns identical={identical}, golden match={matches_golden}",
+        f"reruns identical={identical}, golden match={matches_golden}"
+        + ("" if matches_golden else f"; {kernel_note}"),
     )
     if not matches_golden:  # aid diagnosis without weakening the gate
         print(json.dumps(json.loads(first), indent=2))

@@ -29,6 +29,7 @@ from oodgate import (
     SyntheticSpec,
     UnbalancedUniform,
     ValidationError,
+    read_feature_table,
     run_sweep,
     write_feature_table,
 )
@@ -464,6 +465,23 @@ def test_failing_world_exits_2_without_a_warning(tmp_path, capsys, argv, message
         warnings.simplefilter("always")
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis, grid", [("domain-distance", "d2"), ("imbalance", "balanced:3")])
+def test_manifest_fit_table_that_misses_a_class_exits_2(world_dir, tmp_path, capsys, axis, grid):
+    """The manifest twin of ``fit-misses-a-class``: the fit table keeps its
+    c-wide logits but no row of class c - 1. The sweep takes c from the
+    file's header, not from the labels, so its mah fit refuses the table."""
+    path = world_dir / "id2.oodf"
+    fit = read_feature_table(path)
+    write_feature_table(fit.take(np.flatnonzero(fit.labels != fit.c - 1)), path)
+    assert read_feature_table(path).c == fit.c == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run("sweep", "--axis", axis, "--manifest", str(world_dir / "world.manifest"),
+                   "--grid", grid, "--detectors", "mah", "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: class 3 has no samples in the fit table\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -540,7 +540,7 @@ def test_mahalanobis_overflowing_estimate_keeps_every_class():
     assert fast.tobytes() == per_class_scores(model, queries).tobytes()
 
 
-def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
+def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path, kernel_note):
     """c=142, d=128 over 8195 rows, several row blocks; the score CSV digests
     were recorded with the one-solve-per-class scorer, at one BLAS thread."""
     import hashlib
@@ -557,29 +557,29 @@ def test_mahalanobis_chunk_edges_and_pinned_bytes(tmp_path):
     # parts of 2, chunk + 1 (a lone last row), chunk - 2 and the rest
     cuts = [0, 2, chunk + 3, 2 * chunk + 1, n]
     parts = [score_mahalanobis(model, queries[a:b]).scores for a, b in zip(cuts, cuts[1:])]
-    assert full.scores.tobytes() == np.concatenate(parts).tobytes()
+    assert full.scores.tobytes() == np.concatenate(parts).tobytes(), kernel_note
     path = tmp_path / "s.csv"
     write_scores(full, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "f0ab40818d9a8cb77b034aed899fffc158faf5248604a9fff71ae962ee13c5da"
-    )
+    ), kernel_note
     # float32 queries, widened one block at a time; digest recorded with the
     # scorer that widened the whole input at once
     narrow = queries.astype(np.float32)
     full = score_mahalanobis(model, narrow)
     parts = [score_mahalanobis(model, narrow[a:b]).scores for a, b in zip(cuts, cuts[1:])]
-    assert full.scores.tobytes() == np.concatenate(parts).tobytes()
+    assert full.scores.tobytes() == np.concatenate(parts).tobytes(), kernel_note
     write_scores(full, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "b7920ace8d7bc5fcb2c9a0efd9e2349e1f746a8a434bcef6e928cb17f98bc0d8"
-    )
+    ), kernel_note
 
 
 @pytest.mark.parametrize("d, digest", [
     (16, "deb320f275fb2e234d39cc194937ee41edbfaf97d83e4d79daa489cd2955ef99"),
     (64, "bea24d4b0762fe5ce581c701cede1e6ad3ed9f069cb7132694b03a0331e2b844"),
 ])
-def test_candidate_terms_pinned_bytes(d, digest):
+def test_candidate_terms_pinned_bytes(d, digest, kernel_note):
     """The candidate terms (-2 P, |m|^2, max_j |m_j|, w, scale) of a seeded
     fit; digests recorded with the terms that one ``dpotrs`` solve built."""
     import hashlib
@@ -588,7 +588,7 @@ def test_candidate_terms_pinned_bytes(d, digest):
     h = hashlib.sha256()
     for term in fit_mahalanobis(world.id_fit)._terms:
         h.update(np.asarray(term, dtype=np.float64).tobytes())
-    assert h.hexdigest() == digest
+    assert h.hexdigest() == digest, kernel_note
 
 
 #: Prints, per width, one digest of the fitted factor and the mah scores of
@@ -762,7 +762,7 @@ def test_one_blas_thread_holds_across_python_threads():
     assert _blas_threads() == before
 
 
-def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
+def test_logit_scorers_batch_partition_determinism(rng, tmp_path, kernel_note):
     import hashlib
 
     logits = np.asarray(rng.normal(size=(40, 5)) * 10)
@@ -793,7 +793,8 @@ def test_logit_scorers_batch_partition_determinism(rng, tmp_path):
         parts = [scorer(x[a:b]).scores for a, b in zip(cuts, cuts[1:])]
         assert full.scores.tobytes() == np.concatenate(parts).tobytes()
         write_scores(full, tmp_path / "s.csv")
-        assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest, (
+            kernel_note)
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
@@ -877,7 +878,7 @@ def test_peak_memory_does_not_grow_with_rows(block_rows, traced_peak):
         assert large[name] - small[name] <= added * per_row + 64 * 1024, name
 
 
-def test_results_do_not_depend_on_the_block_size(block_rows):
+def test_results_do_not_depend_on_the_block_size(block_rows, kernel_note):
     """No score, fitted value or world logit changes by a bit with the rows
     per block, and no scorer writes into a float64 input."""
     spec = SyntheticSpec(classes=40, dim=96, class_separation=3.0, law=Balanced(30), seed=11)
@@ -900,7 +901,7 @@ def test_results_do_not_depend_on_the_block_size(block_rows):
     # c=40, get 2.4 times as many, and 2 rows at a budget of 1 row
     for rows in (1, 2, 5, 17, 64, 257, 4096):
         block_rows(rows, 96)
-        assert results() == reference, rows
+        assert results() == reference, f"{rows} rows a block: {kernel_note}"
 
 
 def test_each_block_holds_one_widened_copy_and_one_working_array(block_rows, traced_peak):
@@ -1156,7 +1157,7 @@ def test_mah_runs_map_no_scipy_file(kind, tmp_path):
 
 
 @pytest.mark.parametrize("d", [16, 128, 512])
-def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch):
+def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch, kernel_note):
     """When numpy's BLAS exports no ``dtrtrs``, ``scipy.linalg.lapack``
     serves it, with the same score bytes: for a one-row input (one solve per
     candidate) and for 40 rows in 8-row blocks, each refined in two chunks or
@@ -1189,7 +1190,7 @@ def test_lapack_fallback_scores_the_same_bytes(d, block_rows, monkeypatch):
     direct = scores()
     monkeypatch.setattr(detectors, "_trtrs", missing)
     monkeypatch.setattr(lapack, "dtrtrs", counted)
-    assert scores() == direct
+    assert scores() == direct, kernel_note
     assert looked and served == looked  # each solve looked, found nothing, and went to scipy
 
 

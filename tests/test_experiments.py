@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oodgate import experiments, synthetic
@@ -455,6 +456,52 @@ def test_accuracy_sweep_fits_and_scores_per_world(calls):
     assert calls == {"fit": g, "msp": 2 * g, "ebm": 2 * g, "mah": 2 * g}
 
 
+#: mah fits of each digest sweep: one per level or law, one for a domain sweep
+FITS = {"accuracy": 3, "domain": 1, "domain-manifest": 1, "imbalance": 3,
+        "imbalance-manifest": 2}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_SHA256))
+def test_sweeps_hold_no_fit_table_logits(name, tmp_path, monkeypatch, calls):
+    """mah, the one detector that reads the fit table, reads only its
+    features, labels and class count: no fit row reaches a world's logits,
+    a manifest's fit table is read without its logits, and every fit still
+    goes through ``experiments.fit_mahalanobis``, with the class count of
+    the world spec or the fit file's header. The rows keep their digests."""
+    spec = _digest_spec(name, tmp_path)
+    fit_rows = set()
+    if spec.is_synthetic:  # every level of an accuracy world has these fit features
+        fit_rows = {row.tobytes() for row in generate_world(spec.base_world).id_fit.features}
+    reached, kept_reads, fitted = [], [], []
+    logits, read_kept, fit = (synthetic._log_density_logits, experiments._read_kept,
+                              experiments.fit_mahalanobis)
+
+    def spying_logits(features, *args):
+        reached.extend(row.tobytes() for row in features)
+        return logits(features, *args)
+
+    def spying_read_kept(path, *args):
+        found = read_kept(path, *args)
+        kept_reads.append((Path(path).name, args, found[1], found[3]))
+        return found
+
+    def spying_fit(table, *args, **kwargs):
+        fitted.append((getattr(table, "logits", None), table.c))
+        return fit(table, *args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "_log_density_logits", spying_logits)
+    monkeypatch.setattr(experiments, "_read_kept", spying_read_kept)
+    monkeypatch.setattr(experiments, "fit_mahalanobis", spying_fit)
+    text = run_sweep(spec).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == ROWS_SHA256[name]
+    assert bool(reached) == spec.is_synthetic  # a manifest sweep takes no logits
+    assert fit_rows.isdisjoint(reached)
+    assert kept_reads == ([] if spec.is_synthetic
+                          else [("id2.oodf", (TableFormat.BINARY_DUMP, np.float32, None), None, 5)])
+    assert fitted == [(None, 5)] * FITS[name]
+    assert calls["fit"] == FITS[name]
+
+
 def test_accuracy_sweep_draws_its_world_once(monkeypatch):
     """One ID draw sums every level's train labels, then one OOD cloud is
     drawn; the levels differ in labels, centers and logits only."""
@@ -545,67 +592,12 @@ def test_laws_cover_the_classes_the_fit_table_holds(monkeypatch):
     assert [str(w.message) for w in swept] == [str(w.message) for w in drawn]
 
 
-def test_unknown_ood_name_raises_before_any_table_is_read(tmp_path, monkeypatch, calls):
-    path = _manifest_world(tmp_path)
-    loaded = []
-    load = DatasetManifest.load
-
-    def recording_load(self, entry):
-        loaded.append(entry)
-        return load(self, entry)
-
-    monkeypatch.setattr(DatasetManifest, "load", recording_load)
-    spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "nowhere"), ALL, seed=3)
-    with pytest.raises(ValidationError, match="nowhere"):
-        run_sweep(spec)
-    assert loaded == []
-    assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
-
-
-def test_imbalance_manifest_without_fit_table_raises_before_any_table_is_read(
-    tmp_path, monkeypatch
-):
-    path = _manifest_world(tmp_path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(l for l in lines if not l.startswith("ID_FIT_DETECTOR")))
-
-    def refuse(self, entry):
-        raise AssertionError(f"read {entry.path} before rejecting the manifest")
-
-    monkeypatch.setattr(DatasetManifest, "load", refuse)
-    spec = SweepSpec(Axis.IMBALANCE, path, (Balanced(3),), ALL)
-    with pytest.raises(ValidationError, match="one ID_FIT_DETECTOR entry, found 0"):
-        run_sweep(spec)
-
-
-def test_domain_manifest_without_fit_table_rejects_mah_before_any_table_is_read(
-    tmp_path, monkeypatch
-):
-    path = _manifest_world(tmp_path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(l for l in lines if not l.startswith("ID_FIT_DETECTOR")))
-    loaded = []
-    load = DatasetManifest.load
-
-    def recording_load(self, entry):
-        loaded.append(entry.path)
-        return load(self, entry)
-
-    monkeypatch.setattr(DatasetManifest, "load", recording_load)
-    spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL, seed=3)
-    with pytest.raises(ValidationError, match="mahalanobis detector needs a fit table"):
-        run_sweep(spec)
-    assert loaded == []
-    # the logit detectors need no fit table
-    logit_only = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL[:2], seed=3)
-    assert len(run_sweep(logit_only).rows) == 4
-
-
 @pytest.fixture
 def manifest_io(monkeypatch):
-    """Record, in order, the manifests read and the entries loaded."""
+    """Record, in order, the manifests read and the entries loaded: a whole
+    table, or the fit table's columns that a sweep reads (by file name)."""
     log = {"read": [], "load": []}
-    read, load = DatasetManifest.read, DatasetManifest.load
+    read, load, read_kept = DatasetManifest.read, DatasetManifest.load, experiments._read_kept
 
     def recording_read(path):
         log["read"].append(Path(path).name)
@@ -615,9 +607,50 @@ def manifest_io(monkeypatch):
         log["load"].append(entry.path)
         return load(self, entry)
 
+    def recording_read_kept(path, *args):
+        log["load"].append(Path(path).name)
+        return read_kept(path, *args)
+
     monkeypatch.setattr(DatasetManifest, "read", staticmethod(recording_read))
     monkeypatch.setattr(DatasetManifest, "load", recording_load)
+    monkeypatch.setattr(experiments, "_read_kept", recording_read_kept)
     return log
+
+
+def test_unknown_ood_name_raises_before_any_table_is_read(tmp_path, manifest_io, calls):
+    path = _manifest_world(tmp_path)
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "nowhere"), ALL, seed=3)
+    with pytest.raises(ValidationError, match="nowhere"):
+        run_sweep(spec)
+    assert manifest_io["load"] == []
+    assert calls == {"fit": 0, "msp": 0, "ebm": 0, "mah": 0}
+
+
+def test_imbalance_manifest_without_fit_table_raises_before_any_table_is_read(
+    tmp_path, manifest_io
+):
+    path = _manifest_world(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith("ID_FIT_DETECTOR")))
+    spec = SweepSpec(Axis.IMBALANCE, path, (Balanced(3),), ALL)
+    with pytest.raises(ValidationError, match="one ID_FIT_DETECTOR entry, found 0"):
+        run_sweep(spec)
+    assert manifest_io["load"] == []
+
+
+def test_domain_manifest_without_fit_table_rejects_mah_before_any_table_is_read(
+    tmp_path, manifest_io
+):
+    path = _manifest_world(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith("ID_FIT_DETECTOR")))
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL, seed=3)
+    with pytest.raises(ValidationError, match="mahalanobis detector needs a fit table"):
+        run_sweep(spec)
+    assert manifest_io["load"] == []
+    # the logit detectors need no fit table
+    logit_only = SweepSpec(Axis.DOMAIN_DISTANCE, path, ("near", "far"), ALL[:2], seed=3)
+    assert len(run_sweep(logit_only).rows) == 4
 
 
 LAWS_15 = (Balanced(3), UnbalancedUniform(15))

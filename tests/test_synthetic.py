@@ -333,26 +333,48 @@ def test_world_drawn_without_train_split_matches_the_pinned_world(name):
 def test_levels_of_one_draw_match_their_own_worlds(world, noises, emptied, keep_train):
     """Each label-noise level of one draw has the bytes of every table, the
     centers and the accuracy of its own world, also where the noise empties
-    train classes at some levels only (``emptied`` counts them per level)."""
+    train classes at some levels only (``emptied`` counts them per level).
+    A drawn level's fit table has no logits; its own world's fit logits are
+    those of the level's fit features against its classifier centers."""
     levels = [SyntheticSpec(**world, label_noise=p) for p in noises]
     counts = []
     for level, drawn in zip(levels, synthetic._worlds(levels, keep_train=keep_train)):
         own = generate_world(level, keep_train=keep_train)
         assert drawn.spec == level
         assert list(drawn.ood_tables) == list(own.ood_tables)
+        assert drawn.id_fit.logits is None and own.id_fit.logits is not None
         tables = [drawn.id_train, drawn.id_fit, drawn.id_test, *drawn.ood_tables.values()]
         for a, b in zip(tables, [own.id_train, own.id_fit, own.id_test,
                                  *own.ood_tables.values()]):
             if a is None:
                 assert b is None and not keep_train
                 continue
-            for x, y in ((a.features, b.features), (a.logits, b.logits), (a.labels, b.labels)):
+            arrays = [(a.features, b.features), (a.labels, b.labels)]
+            if a is not drawn.id_fit:
+                arrays.append((a.logits, b.logits))
+            for x, y in arrays:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        fit_logits = synthetic._log_density_logits(
+            drawn.id_fit.features, drawn.classifier_centers, level.within_class_sigma)
+        assert own.id_fit.logits.dtype == fit_logits.dtype
+        assert own.id_fit.logits.tobytes() == fit_logits.tobytes()
         assert drawn.classifier_centers.tobytes() == own.classifier_centers.tobytes()
         assert repr(drawn.classifier_accuracy) == repr(own.classifier_accuracy)
         full = own if keep_train else generate_world(level)
         counts.append(level.classes - np.unique(full.id_train.labels).size)
     assert counts == emptied
+
+
+def test_logits_not_finite_in_binary32_fail_at_their_row(block_rows):
+    """Each block of logits is checked as it is stored, so a world's tables
+    are built without a second check: row 7's logits, in the last of four
+    blocks, overflow binary32."""
+    block_rows(2, 3)
+    features = np.zeros((9, 3), dtype=np.float32)
+    features[7] = 1e20
+    with np.errstate(over="ignore"), pytest.raises(
+            ValidationError, match="^non-finite value in logits at row 7$"):
+        synthetic._log_density_logits(features, np.eye(3), 1.0)
 
 
 class _Draws:
