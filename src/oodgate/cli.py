@@ -42,7 +42,6 @@ import numpy as np
 
 from .data import (
     DatasetManifest,
-    FeatureTable,
     ManifestEntry,
     Role,
     TableFormat,
@@ -54,7 +53,7 @@ from .data import (
 from .detectors import (
     DetectorConfig,
     Method,
-    _fit,
+    fit_mahalanobis,
     load_model,
     read_scores,
     save_model,
@@ -211,8 +210,7 @@ def cmd_fit(args) -> int:
         raise ValidationError("fit needs --input TABLE or --manifest MANIFEST")
     # The features are widened into the fit's float64 copy as they are read;
     # the class count is the table's logit count.
-    features, _, labels, c = _read_kept(path, fmt, np.float64, None)
-    model = _fit(features, labels, c, config.ridge)
+    model = fit_mahalanobis(_read_kept(path, fmt, np.float64, None), config.ridge)
     save_model(model, args.out)
     _wrote(args, args.out)
     return 0
@@ -227,15 +225,10 @@ def cmd_score(args) -> int:
         model = load_model(args.model)
     fmt = _table_format(args.input, args.format)  # read after every flag check
     # Each method reads one array, the logits or the features; the other is
-    # only checked, a block at a time, and never held. score_table takes a
-    # table, whose n is its features' row count, so the table of msp and ebm,
-    # which read no features, has n zero-width feature rows.
-    features, logits, labels, _ = _read_kept(
-        args.input, fmt, *((None, np.float32) if model is None else (np.float32, None)))
-    if features is None:
-        features = np.empty((labels.size, 0), np.float32)
-    table = FeatureTable._of(features=features, logits=logits, labels=labels)
-    scores = score_table(config, table, model)
+    # only checked, a block at a time, and never held.
+    kept = _read_kept(args.input, fmt,
+                      *((None, np.float32) if model is None else (np.float32, None)))
+    scores = score_table(config, kept, model)
     write_scores(scores, args.out)
     _wrote(args, args.out)
     return 0

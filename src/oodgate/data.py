@@ -7,8 +7,9 @@ CSV, and evaluation runs are described by line-oriented manifests that tag
 each table with its role (classifier-train / detector-fit / test / OOD test).
 Every input array is checked finite here, and the scorers, the fit and the
 synthetic worlds walk their rows here, in float64 blocks of :data:`BLOCK_BYTES`.
-Both table formats are read by one row-block walk that keeps only the arrays
-asked for (:func:`_read_kept`); a table read or built passes :func:`_checked_labels`.
+Both table formats are read by one row-block walk that keeps only the arrays asked
+for (:func:`_read_kept`), in a :class:`_Kept` that the fit and the scorers read as
+they read a table; a table read or built passes :func:`_checked_labels`.
 Every file oodgate writes is written through :func:`_output`, whole or not at all.
 
 OODF layout (all little-endian):
@@ -208,13 +209,13 @@ class FeatureTable(_Record):
         return bool((self.labels != UNLABELED).all())
 
     def take(self, indices: np.ndarray) -> "FeatureTable":
-        """Row subset (rows are copied verbatim, in the given order)."""
+        """Row subset (rows are copied verbatim, in the given order), not checked again."""
         idx = np.asarray(indices)
-        return FeatureTable(
-            self.features[idx],
-            None if self.logits is None else self.logits[idx],
-            self.labels[idx],
-        )
+        features, logits, labels = (None if a is None else a[idx]
+                                    for a in (self.features, self.logits, self.labels))
+        if features.ndim != 2 or not len(features):
+            return FeatureTable(features, logits, labels)  # no table: the constructor refuses it
+        return FeatureTable._of(features=features, logits=logits, labels=labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureTable):
@@ -289,8 +290,25 @@ def read_feature_table(
     path: str | Path, fmt: TableFormat = TableFormat.BINARY_DUMP
 ) -> FeatureTable:
     """Read and validate a table; malformed contents raise IngestionError."""
-    features, logits, labels, c = _read_kept(path, fmt)
-    return FeatureTable._of(features=features, logits=logits if c else None, labels=labels)
+    kept = _read_kept(path, fmt)
+    return FeatureTable._of(features=kept.features, logits=kept.logits, labels=kept.labels)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Kept:
+    """The checked arrays a table read keeps (:func:`_read_kept`): features and
+    logits (None: not kept), labels, and the table's logit count c (0: none),
+    kept or not. The fit and the scorers read it as they read a table. Its
+    arrays stay writable: a fit writes its residuals over float64 features."""
+
+    features: np.ndarray | None
+    logits: np.ndarray | None
+    labels: np.ndarray
+    c: int
+
+    def take(self, rows: np.ndarray) -> "_Kept":
+        return _Kept(*(None if a is None else a[rows]
+                       for a in (self.features, self.logits, self.labels)), self.c)
 
 
 def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
@@ -300,8 +318,8 @@ def _oodf_layout(n: int, d: int, c: int, dtype_code: int) -> list:
 
 
 def _read_kept(path: str | Path, fmt: TableFormat, features=np.float32, logits=np.float32):
-    """The features and logits of the table at ``path``, each in the dtype its
-    argument names (None: not kept), its labels and logit count c. Its row
+    """The :class:`_Kept` of the table at ``path``: its features and logits, each in the
+    dtype its argument names (None: not kept), labels and header's logit count c. Its row
     blocks are walked (:func:`_walk`), so an array not kept is never held whole,
     then :func:`_checked_labels` checks it as it checks a :class:`FeatureTable`."""
     path, oodf = Path(path), fmt is TableFormat.BINARY_DUMP
@@ -319,7 +337,7 @@ def _read_kept(path: str | Path, fmt: TableFormat, features=np.float32, logits=n
         if oodf:  # read in place where kept in the file's dtype
             blocks = _packed_blocks(fh, specs, kept)
         labels = _checked_labels((n, d), (n, c) if c else None, _walk(blocks, kept), kept[2])
-        return kept[0], kept[1], labels, c
+        return _Kept(kept[0], kept[1] if c else None, labels, c)
 
 
 def _walk(blocks, outs: list) -> list:

@@ -321,19 +321,15 @@ class GaussianClassModel(_Record):
 def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianClassModel:
     """Fit per-class means and the pooled within-class covariance.
 
-    Every class in ``[0, c)`` must appear in the fit labels (c comes from the
-    table's logit count when present, otherwise from the largest label). The
-    covariance divisor is the total sample count N.
+    ``fit_table`` is a table or the :class:`oodgate.data._Kept` of a table read;
+    only its features, labels and c are read. Every class in ``[0, c)`` must
+    appear in the fit labels (c is its logit count, or if that is 0 the largest
+    label plus one). The covariance divisor is the total sample count N.
+    Float32 features are widened into one float64 copy; float64 ones, which
+    only a record holds, are that copy, and the fit writes its residuals over
+    them. Every value is known finite, so the blocks are plain row slices.
     """
-    return _fit(fit_table.features, fit_table.labels, fit_table.c, ridge)
-
-
-def _fit(features: np.ndarray, labels: np.ndarray, c: int, ridge: float) -> GaussianClassModel:
-    """:func:`fit_mahalanobis` over checked ``features``, ``labels`` and logit
-    count ``c`` (0: none), as a :class:`FeatureTable` holds them. Float32
-    features are widened into one float64 copy; float64 ones are that copy,
-    and the fit writes its residuals over them. Every value is known finite,
-    so the blocks are plain row slices."""
+    features, labels, c = fit_table.features, fit_table.labels, fit_table.c
     if (labels == UNLABELED).any():
         raise ValidationError("mahalanobis fit requires a fully labeled table")
     if not 0 <= ridge < math.inf:
@@ -518,7 +514,8 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
 
 def score_table(config: DetectorConfig, table: FeatureTable,
                 model: GaussianClassModel | None = None) -> ScoreSet:
-    """Score a table with the configured detector."""
+    """Score a table, or the :class:`oodgate.data._Kept` of a table read, with the
+    configured detector: mah reads its features, msp and ebm its logits and c."""
     if config.method is Method.MAH:
         if model is None:
             raise ValidationError("mahalanobis scoring needs a fitted model")

@@ -11,12 +11,13 @@ sense: the domain-distance axis walks named OOD_TEST entries and the
 imbalance axis resamples the ID_FIT_DETECTOR table, while the accuracy axis
 needs a synthetic world (there is no knob to turn on a fixed dump).
 
-A sweep's detector-fit table carries only its features, labels and class
-count (:class:`_FitRows`): mah, the one detector that reads it, reads
-nothing else. A synthetic world's fit split gets no logits, and a
-manifest's ID_FIT_DETECTOR logits are checked a row block at a time but
-never held. The class count comes from the world spec or the fit file's
-header, never from the labels, so a class without a fit row is refused.
+A sweep's detector-fit table is a :class:`~oodgate.data._Kept` of its
+features, labels and class count only: mah, the one detector that reads it,
+reads nothing else. A synthetic world's fit split gets no logits, and a
+manifest's ID_FIT_DETECTOR logits are checked a row block at a time
+(:func:`~oodgate.data._read_kept`) but never held. The class count comes
+from the world spec or the fit file's header, never from the labels, so a
+class without a fit row is refused.
 
 One loop, :func:`run_sweep`, serves every axis. Each axis has a small
 provider that yields the (fit, ID test, OOD test) tables of each grid point,
@@ -206,23 +207,8 @@ def _subsample(table: FeatureTable, m: int, rng: np.random.Generator) -> Feature
     return table.take(np.sort(rng.choice(table.n, size=m, replace=False)))
 
 
-@dataclass(frozen=True, eq=False)
-class _FitRows:
-    """A sweep's detector-fit table as :func:`fit_mahalanobis` reads a
-    :class:`FeatureTable`: checked float32 features, their labels, and the
-    class count a table's logit count gives (0: none, so the largest label's
-    plus one). No logits are held."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    c: int
-
-    def take(self, rows: np.ndarray) -> "_FitRows":
-        return _FitRows(self.features[rows], self.labels[rows], self.c)
-
-
 def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None):
-    """(fit rows, ID test table, OOD tables, accuracy, law rows or None) of a world.
+    """(fit record, ID test table, OOD tables, accuracy, law rows or None) of a world.
 
     ``oods`` names the OOD tables (distances, or a manifest's OOD_TEST names);
     ``None`` takes the world's first. Imbalance ``laws`` are checked, and their
@@ -248,8 +234,7 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
         (w,) = _worlds([world], (), split=split, keep_train=False)
         n, means, centers = spec.n_per_side or w.id_test.n, w.true_means, w.classifier_centers
         clouds = (_ood_table(world, means, centers, i, dist, n) for i, dist in enumerate(distances))
-        fit = _FitRows(w.id_fit.features, w.id_fit.labels, world.classes)
-        return fit, w.id_test, clouds, w.classifier_accuracy, rows
+        return w.id_fit, w.id_test, clouds, w.classifier_accuracy, rows
 
     manifest = DatasetManifest.read(world)
     mah = any(c.method is Method.MAH for c in spec.detectors)
@@ -267,9 +252,7 @@ def _base_tables(spec: SweepSpec, oods: tuple | None, laws: tuple | None = None)
     fit_entry = manifest.single(Role.ID_FIT_DETECTOR) if has_fit else None  # two fail any sweep
     fit = None
     if laws is not None or mah:  # its logits are checked, a block at a time, never kept
-        features, _, labels, c = _read_kept(manifest.resolve(fit_entry), fit_entry.fmt,
-                                            np.float32, None)
-        fit = _FitRows(features, labels, c)
+        fit = _read_kept(manifest.resolve(fit_entry), fit_entry.fmt, np.float32, None)
     if laws is not None:
         rows = _law_rows(laws, fit.labels, fit.features.shape[1], spec.seed)
     id_test = manifest.load(manifest.single(Role.ID_TEST))
@@ -316,8 +299,7 @@ def _accuracy_points(spec: SweepSpec):
         m = min(world.id_test.n, ood.n, spec.n_per_side or world.id_test.n)
         id_test = _subsample(world.id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, i))
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
-        fit = _FitRows(world.id_fit.features, world.id_fit.labels, world.spec.classes)
-        return world.spec.label_noise, fit, id_test, ood, world.classifier_accuracy
+        return world.spec.label_noise, world.id_fit, id_test, ood, world.classifier_accuracy
 
     return map(point, range(len(levels)), _worlds(levels, keep_train=False))
 

@@ -31,9 +31,9 @@ classifier-train rows are added, widened to float64 and in row order, to a
 running sum per noisy label, so the centers have the bits of each label's
 ``mean(axis=0)`` without a pass over the stored split; a world drawn with
 ``keep_train=False`` (as sweeps draw theirs) never stores that split. A
-sweep's worlds (:func:`_worlds`) carry a detector-fit table of features and
-labels only: mah, the one detector that reads it, reads nothing else, so
-only :func:`generate_world` takes that table's logits. Label noise moves
+sweep's worlds (:func:`_worlds`) carry a detector-fit :class:`~oodgate.data._Kept`
+of features and labels only: mah, the one detector that reads it, reads
+nothing else, so only :func:`generate_world` takes its logits. Label noise moves
 only labels, so an accuracy sweep's levels share one draw, with a running
 sum per level and label. Logits are computed one float64 row
 block at a time, a block holding :data:`~oodgate.data.BLOCK_BYTES`
@@ -55,8 +55,8 @@ from typing import Union
 
 import numpy as np
 
-from .data import (UNLABELED, FeatureTable, SplitPolicy, _add_rows, _check_finite, _class_rows,
-                   _row_blocks, _split_rows, stream_rng)
+from .data import (UNLABELED, FeatureTable, SplitPolicy, _Kept, _add_rows, _check_finite,
+                   _class_rows, _row_blocks, _split_rows, stream_rng)
 from .detectors import ZERO_TRACE_RIDGE_FLOOR, ScoreSet, _one_blas_thread
 from .errors import NumericalError, ValidationError
 
@@ -381,9 +381,10 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
     label noise only, as one draw of the split and every feature: level j's
     train labels are summed under ``j*c + label`` (and, if noise empties a
     class, every train row under ``len(levels)*c``), its logits taken when reached.
-    Each level's ``id_fit`` holds the fit features and labels without logits,
-    which no sweep reads. ``split`` is a :func:`_world_split` of the levels'
-    world, by default the first level's; ``ood_distances=()`` draws no OOD cloud."""
+    Each level's ``id_fit`` is a :class:`~oodgate.data._Kept` of the fit features,
+    labels and class count, without the logits, which no sweep reads. ``split`` is a
+    :func:`_world_split` of the levels' world, by default the first level's;
+    ``ood_distances=()`` draws no OOD cloud."""
     spec = levels[0]
     c, d, sep, sigma = spec.classes, spec.dim, spec.class_separation, spec.within_class_sigma
     ood_distances = (spec.ood_distance,) if ood_distances is None else ood_distances
@@ -425,7 +426,7 @@ def _worlds(levels: list[SyntheticSpec], ood_distances=None, n_ood=None, split=N
 
         id_test = with_logits(test, test_labels)
         return SyntheticWorld(
-            spec=level, id_fit=FeatureTable._of(features=fit, logits=None, labels=fit_labels[j]),
+            spec=level, id_fit=_Kept(fit, None, fit_labels[j], c),
             id_test=id_test,
             id_train=with_logits(train[0], train_labels[j]) if keep_train else None,
             ood_tables={name: with_logits(x, unlabeled) for name, x in zip(names, oods)},
@@ -458,8 +459,8 @@ def generate_world(
     The classifier centers are summed from the train split while it is
     drawn. ``keep_train=False`` still draws that split, so every other table
     is the same, but stores none of it: ``id_train`` is then ``None``. The
-    world is the one :func:`_worlds` draws, whose detector-fit table carries
-    features and labels only; its logits are taken here, last.
+    world is the one :func:`_worlds` draws, whose detector-fit :class:`~oodgate.data._Kept`
+    carries features and labels only; its table, with logits, is built here, last.
     """
     world = next(_worlds([spec], ood_distances, n_ood, _world_split(spec, split), keep_train))
     fit = world.id_fit

@@ -235,3 +235,16 @@ def test_numpy_is_the_one_dependency_and_no_module_imports_scipy_on_load():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         loaded = [m for m in _module_level_imports(tree) if m.split(".")[0] == "scipy"]
         assert not loaded, (path.name, loaded)
+
+
+def test_cli_imports_no_private_name_from_detectors():
+    """The CLI fits and scores through ``fit_mahalanobis`` and ``score_table``,
+    the names the benchmark times, not through a private path beside them."""
+    path = Path(__file__).resolve().parents[1] / "src" / "oodgate" / "cli.py"
+    private = [
+        alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in {("detectors", 1), ("oodgate.detectors", 0)}
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

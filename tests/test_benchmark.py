@@ -55,3 +55,39 @@ def test_traced_sweep_makes_the_calls_of_its_shared_tables(tmp_path):
         "metrics.roc_curve.calls")}
     assert calls == {"detectors.score_table.calls": 18, "detectors.score_mahalanobis.calls": 6,
                      "metrics.roc_curve.calls": 15}
+
+
+#: The per-layer metrics each traced tiny chain reads as 0 at seed 42. The
+#: benchmark times a layer by wrapping its public name, so a layer reads 0 where
+#: the chain does not run it (sweeps; CSV, ``calibrate`` and ``--svg`` on the CLI
+#: chain; mah on the CSV chain) or reaches it by a private path: tables are read
+#: through ``data._read_kept`` and built with ``FeatureTable._of``, and
+#: ``evaluate`` draws its curve without ``roc_curve``. The fit is not among
+#: them: ``fit`` calls ``fit_mahalanobis``.
+ZERO_LAYERS = {
+    "cli-chain-d128": {
+        "data.FeatureTable.init_s", "data.read_feature_table.csv_mb_per_s",
+        "data.read_feature_table.csv_s", "data.read_feature_table.oodf_s",
+        "data.write_feature_table.csv_mb_per_s", "data.write_feature_table.csv_s",
+        "experiments.run_sweep_s", "experiments.self_s", "metrics.calibrate_threshold_s",
+        "metrics.roc_curve.calls", "metrics.roc_curve_s", "svg.roc_svg_s",
+    },
+    "csv-logits-d128": {
+        "data.FeatureTable.init_s", "data.read_feature_table.csv_mb_per_s",
+        "data.read_feature_table.csv_s", "detectors.fit_mahalanobis_s",
+        "detectors.load_model_s", "detectors.save_model_s", "detectors.score_mahalanobis.calls",
+        "detectors.score_mahalanobis.rows_per_s", "detectors.score_mahalanobis_s",
+        "experiments.run_sweep_s", "experiments.self_s",
+    },
+}
+
+
+@pytest.mark.parametrize("workload, calls", [("cli-chain-d128", 6), ("csv-logits-d128", 4)])
+def test_traced_chain_times_its_layers(tmp_path, workload, calls):
+    """Each ``score`` stage makes one ``score_table`` call (6 on the CLI chain,
+    4 on the CSV chain), and every layer outside :data:`ZERO_LAYERS` reads a
+    number above 0."""
+    metrics = run_tiny(tmp_path, workload, trace=1)["metrics"]
+    assert metrics["detectors.score_table.calls"]["value"] == calls
+    zero = {name for name, metric in metrics.items() if metric["value"] == 0}
+    assert zero == ZERO_LAYERS[workload]

@@ -844,6 +844,43 @@ def test_fit_writes_the_library_fit_bytes(tmp_path, d, logits, route):
     assert (tmp_path / "cli.oodm").read_bytes() == (tmp_path / "lib.oodm").read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["oodf", "csv"])
+def test_fit_and_score_go_through_the_public_fit_and_scorer(tmp_path, monkeypatch, fmt):
+    """``fit`` calls ``fit_mahalanobis`` once, on the writable float64 features
+    it reads, no logits and the header's logit count; ``score`` hands
+    ``score_table`` only the float32 array its method reads. The benchmark
+    times both layers through these names."""
+    from oodgate import TableFormat
+
+    rng = np.random.default_rng(3)
+    t = FeatureTable(rng.normal(size=(40, 3)), rng.normal(size=(40, 6)), np.arange(40) % 6)
+    path, model = tmp_path / f"t.{fmt}", tmp_path / "m.oodm"
+    write_feature_table(t, path, TableFormat.CSV if fmt == "csv" else TableFormat.BINARY_DUMP)
+    fitted, scored = [], []
+    fit, score = oodgate.cli.fit_mahalanobis, oodgate.cli.score_table
+
+    def spying_fit(table, *args):
+        features = table.features
+        fitted.append((features.dtype, features.flags.writeable, table.logits, table.c))
+        return fit(table, *args)
+
+    def spying_score(config, table, *args):
+        scored.append((config.method.value, *(None if a is None else a.dtype
+                                              for a in (table.features, table.logits))))
+        return score(config, table, *args)
+
+    monkeypatch.setattr(oodgate.cli, "fit_mahalanobis", spying_fit)
+    monkeypatch.setattr(oodgate.cli, "score_table", spying_score)
+    assert run("fit", "--input", str(path), "--out", str(model)) == 0
+    for method in ("mah", "msp", "ebm"):
+        flags = ["--model", str(model)] if method == "mah" else []
+        assert run("score", "--input", str(path), "--method", method, *flags,
+                   "--out", str(tmp_path / f"{method}.csv")) == 0
+    assert fitted == [(np.float64, True, None, 6)]
+    assert scored == [("mah", np.float32, None), ("msp", None, np.float32),
+                      ("ebm", None, np.float32)]
+
+
 @pytest.mark.parametrize(
     "exc", [np.linalg.LinAlgError("Singular matrix"), MemoryError("Unable to allocate 8.00 TiB")]
 )

@@ -97,6 +97,24 @@ def test_table_is_immutable():
         t.features[0, 0] = 5.0
 
 
+def test_take_copies_checked_rows_without_checking_them_again(traced_peak):
+    """Taking 10000 of 20000 rows of a 512-wide table with 142 logits peaks at
+    the 26.2 MB the subset holds: its rows were checked when the table was.
+    Checking them again, through the constructor's whole-subset ``np.isfinite``
+    masks, peaked at 31.3 MB."""
+    n, d, c = 20000, 512, 142
+    rng = np.random.default_rng(8)
+    t = FeatureTable(rng.standard_normal((n, d), np.float32),
+                     rng.standard_normal((n, c), np.float32), np.arange(n) % c)
+    rows = np.sort(rng.choice(n, 10000, replace=False))
+    sub, peak = traced_peak(lambda: t.take(rows))
+    held = sub.features.nbytes + sub.logits.nbytes + sub.labels.nbytes
+    assert peak <= held + 65536, (peak, held)
+    assert sub == FeatureTable(t.features[rows], t.logits[rows], t.labels[rows])
+    with pytest.raises((ValueError, AttributeError)):
+        sub.features[0, 0] = 5.0
+
+
 # ---------------------------------------------------------------------------
 # OODF binary dump
 
@@ -682,8 +700,16 @@ def test_split_policy_validates_fractions():
          "logits shape (2, 4) does not match n=3"),
         (lambda: FeatureTable(np.zeros((3, 2)), None, np.zeros((3, 1))),
          "labels shape (3, 1) does not match n=3"),
+        # a subset of a checked table is not checked again, but one that is no table is refused
+        (lambda: FeatureTable(np.zeros((3, 2)), np.zeros((3, 4)), np.zeros(3)).take(
+            np.zeros(3, dtype=bool)), "need n >= 1 and d >= 1, got 0x2"),
+        (lambda: FeatureTable(np.zeros((3, 2)), np.zeros((3, 4)), np.zeros(3)).take(
+            np.array(1)), "features must be 2-D, got shape (2,)"),
+        (lambda: FeatureTable(np.zeros((3, 2)), None, np.zeros(3)).take(
+            np.array([[0, 1], [2, 0]])), "features must be 2-D, got shape (2, 2, 2)"),
     ],
-    ids=["split-seed", "features-1d", "logit-rows", "label-shape"],
+    ids=["split-seed", "features-1d", "logit-rows", "label-shape", "take-no-row", "take-one-row",
+         "take-index-matrix"],
 )
 def test_table_and_split_input_errors(call, message):
     with pytest.raises(ValidationError) as info:

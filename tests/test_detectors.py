@@ -43,8 +43,8 @@ from oodgate import (
     write_scores,
 )
 from oodgate import detectors
-from oodgate.data import _block_rows, _row_blocks
-from oodgate.detectors import _candidates, _fit, _solve_lower
+from oodgate.data import _Kept, _block_rows, _row_blocks
+from oodgate.detectors import _candidates, _solve_lower
 
 MSP_123 = 0.6652409557748219  # mpmath, 25 digits: 0.66524095577482188952...
 EBM_123 = 3.4076059644443803  # mpmath, 25 digits: 3.40760596444438030448...
@@ -972,8 +972,9 @@ def test_wide_rows_peak_within_a_few_block_bytes(traced_peak):
 
     fit_feats = rng.normal(size=(20000, 128))
     fit_labels = rng.permutation(np.arange(20000) % 142).astype(np.int32)
-    _fit(fit_feats, fit_labels, 142, 1e-6)  # a second fit, of the residuals, peaks alike
-    model, peak = traced_peak(lambda: _fit(fit_feats, fit_labels, 142, 1e-6))
+    fit = _Kept(fit_feats, None, fit_labels, 142)
+    fit_mahalanobis(fit, 1e-6)  # a second fit, of the residuals, peaks alike
+    model, peak = traced_peak(lambda: fit_mahalanobis(fit, 1e-6))
     held = sum(a.nbytes for a in (model.means, model.covariance, model.per_class_counts,
                                   model.precision_factor))
     assert peak <= held + BLOCK_BYTES, ("fit", (peak - held) / BLOCK_BYTES)

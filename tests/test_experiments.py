@@ -482,7 +482,7 @@ def test_sweeps_hold_no_fit_table_logits(name, tmp_path, monkeypatch, calls):
 
     def spying_read_kept(path, *args):
         found = read_kept(path, *args)
-        kept_reads.append((Path(path).name, args, found[1], found[3]))
+        kept_reads.append((Path(path).name, args, found.logits, found.c))
         return found
 
     def spying_fit(table, *args, **kwargs):
