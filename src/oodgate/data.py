@@ -65,8 +65,8 @@ class TableFormat(str, enum.Enum):
 #: Bytes of one float64 row block in all three scorers, the fit's two passes
 #: and the synthetic worlds' logits: a block has ``max(2, BLOCK_BYTES //
 #: (8 * width))`` rows, ``width`` being the widest float64 row its caller builds
-#: (c for msp and ebm, 2d + 2 for the fit's class sums (a gather, its copy and
-#: two indices), d for its residuals, ``max(c, d)`` for mah scoring and world
+#: (c for msp and ebm, 2d + 2 for the fit's class sums, over blocks of the
+#: label order, d for its residuals, ``max(c, d)`` for mah scoring and world
 #: logits). Only one block at a time is widened to float64, so each holds its
 #: input plus that block and one or two float64 working arrays of about this
 #: size, at any width: 1 MiB, so that a block and its working arrays fit in
@@ -118,14 +118,14 @@ def _row_blocks(arr: np.ndarray, what: str, width: int):
 
 def _add_rows(sums: np.ndarray, labels: np.ndarray, block: np.ndarray, rows: np.ndarray) -> None:
     """Add ``block[rows[i]]``, widened to float64, to ``sums[labels[i]]``
-    for each i.
+    for each i; ``block`` may be the fit's whole float64 copy.
 
-    Called on each row block in turn with ``sums`` starting at +0.0, this
-    leaves each label's sum with the bits ``mean(axis=0)`` sums its rows to:
-    one ``np.add.reduce`` over the label's carried sum and its rows in row
-    order, which like ``mean`` starts from the identity +0.0 (a label with
-    one row in the block adds it). ``np.add.reduceat`` sums a segment in
-    another order and moves the last bits.
+    Called on each block in turn with ``sums`` starting at +0.0, and handed
+    each label's rows in row order (the fit's blocks are blocks of its label
+    order), this leaves each label's sum with the bits ``mean(axis=0)`` sums
+    its rows to: one ``np.add.reduce`` over the label's carried sum and its
+    rows, which like ``mean`` starts from the identity +0.0 (a label with one
+    row in a call adds it). ``np.add.reduceat`` would move the last bits.
     """
     if not labels.size:
         return

@@ -327,7 +327,8 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     label plus one). The covariance divisor is the total sample count N.
     Float32 features are widened into one float64 copy; float64 ones, which
     only a record holds, are that copy, and the fit writes its residuals over
-    them. Every value is known finite, so the blocks are plain row slices.
+    them. Every value is known finite, so no block is checked; the class sums
+    walk blocks of the stable label order, so row order does not set their cost.
     """
     features, labels, c = fit_table.features, fit_table.labels, fit_table.c
     if (labels == UNLABELED).any():
@@ -344,11 +345,10 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
                       "estimates may be unstable")
     feats = features.astype(np.float64, copy=False)
     means = np.zeros((c, d))
-    # _add_rows builds two d-wide float64 rows and two intp indices per row
-    rows = _block_rows(2 * d + 2)
-    for start in range(0, n, rows):
-        block = feats[start : start + rows]
-        _add_rows(means, labels[start : start + rows], block, np.arange(len(block)))
+    order, rows = np.argsort(labels, kind="stable"), _block_rows(2 * d + 2)
+    for start in range(0, n, rows):  # blocks of the label order, 2d + 2 values a row
+        _add_rows(means, labels[order[start : start + rows]], feats, order[start : start + rows])
+    del order  # freed before the residual pass
     means /= counts[:, None]
     rows = _block_rows(d)
     for start in range(0, n, rows):  # within-class residuals, a block at a time

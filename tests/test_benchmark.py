@@ -48,22 +48,28 @@ def test_workload_is_correct_at_seed_42(tmp_path, workload):
 def test_traced_sweep_makes_the_calls_of_its_shared_tables(tmp_path):
     """Over 5 distances and 3 detectors the domain axis scores its shared ID
     subsample once per detector: 3 + 15 ``score_table`` calls, 1 + 5 of them
-    mah, and one ROC curve per row."""
+    mah, and one ROC curve per row. Every layer outside :data:`ZERO_LAYERS`
+    reads a number above 0."""
     metrics = run_tiny(tmp_path, "sweep-domain-d512", trace=1)["metrics"]
     calls = {name: metrics[name]["value"] for name in (
         "detectors.score_table.calls", "detectors.score_mahalanobis.calls",
         "metrics.roc_curve.calls")}
     assert calls == {"detectors.score_table.calls": 18, "detectors.score_mahalanobis.calls": 6,
                      "metrics.roc_curve.calls": 15}
+    zero = {name for name, metric in metrics.items() if metric["value"] == 0}
+    assert zero == ZERO_LAYERS["sweep-domain-d512"]
 
 
-#: The per-layer metrics each traced tiny chain reads as 0 at seed 42. The
+#: The per-layer metrics each traced tiny workload reads as 0 at seed 42. The
 #: benchmark times a layer by wrapping its public name, so a layer reads 0 where
-#: the chain does not run it (sweeps; CSV, ``calibrate`` and ``--svg`` on the CLI
-#: chain; mah on the CSV chain) or reaches it by a private path: tables are read
-#: through ``data._read_kept`` and built with ``FeatureTable._of``, and
-#: ``evaluate`` draws its curve without ``roc_curve``. The fit is not among
-#: them: ``fit`` calls ``fit_mahalanobis``.
+#: the workload does not run it (sweeps on the chains; CSV, ``calibrate`` and
+#: ``--svg`` on the CLI chain; mah on the CSV chain; the CLI and every file on the
+#: sweep) or reaches it by a private path: tables are read through
+#: ``data._read_kept`` and built with ``FeatureTable._of``, ``evaluate`` draws
+#: its curve without ``roc_curve``, and a sweep draws its worlds through
+#: ``synthetic._worlds`` and ranks its scores with ``roc_curve``, not
+#: ``evaluate``. The fit is not among them: ``fit`` and sweeps call
+#: ``fit_mahalanobis``.
 ZERO_LAYERS = {
     "cli-chain-d128": {
         "data.FeatureTable.init_s", "data.read_feature_table.csv_mb_per_s",
@@ -78,6 +84,14 @@ ZERO_LAYERS = {
         "detectors.load_model_s", "detectors.save_model_s", "detectors.score_mahalanobis.calls",
         "detectors.score_mahalanobis.rows_per_s", "detectors.score_mahalanobis_s",
         "experiments.run_sweep_s", "experiments.self_s",
+    },
+    "sweep-domain-d512": {
+        "cli.import_s", "cli.self_s", "cli.stages", "data.FeatureTable.init_s",
+        "data.read_feature_table.csv_mb_per_s", "data.read_feature_table.csv_s",
+        "data.read_feature_table.oodf_s", "data.write_feature_table.csv_mb_per_s",
+        "data.write_feature_table.csv_s", "detectors.load_model_s", "detectors.read_scores_s",
+        "detectors.save_model_s", "detectors.write_scores_s", "metrics.calibrate_threshold_s",
+        "metrics.evaluate_s", "svg.roc_svg_s", "synthetic.generate_world_s",
     },
 }
 

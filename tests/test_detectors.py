@@ -215,6 +215,34 @@ def test_fit_means_have_the_bits_of_each_class_mean(block_rows):
         assert model.means[k].tobytes() == expected.tobytes(), k
 
 
+def test_fit_sums_shuffled_classes_in_label_order(monkeypatch, kernel_note):
+    """A fit of 20000 x 16 float32 rows over 50 shuffled classes sums them in
+    blocks of the label order: each class crosses a block boundary at most
+    once, so the distinct labels of all ``_add_rows`` calls are at most
+    classes + calls - 1 (55 over 6 calls; contiguous row blocks hold all 50
+    labels each, 300). The float64 means and covariance keep the bytes that
+    contiguous row blocks summed them to (digest recorded with those)."""
+    import hashlib
+
+    rng = np.random.default_rng(43)
+    n, d, c = 20000, 16, 50
+    features = rng.normal(size=(n, d)).astype(np.float32)
+    labels = rng.permutation(np.arange(n) % c)
+    distinct = []
+
+    def spy(sums, keys, block, rows):
+        distinct.append(np.unique(keys).size)
+        return add_rows(sums, keys, block, rows)
+
+    add_rows = detectors._add_rows
+    monkeypatch.setattr(detectors, "_add_rows", spy)
+    model = fit_mahalanobis(FeatureTable(features, None, labels))
+    assert len(distinct) == 6 and sum(distinct) <= c + len(distinct) - 1, distinct
+    digest = hashlib.sha256(model.means.tobytes() + model.covariance.tobytes()).hexdigest()
+    assert digest == (
+        "bd050b1a6dec82603eec4330c1408c5c9d9072d8b2d184882b47f844000bc0a5"), kernel_note
+
+
 def test_fit_missing_class_named():
     t = FeatureTable(
         np.zeros((4, 2)), np.zeros((4, 3)), np.array([0, 0, 2, 2])
