@@ -20,15 +20,14 @@ _ORACLES = ("direct_mahalanobis_oracle", "direct_pooled_covariance", "pairwise_a
 
 #: The submodule that defines each public name and each oracle.
 _HOME = {name: module for module, names in {
-    "data": ("UNLABELED", "DatasetManifest", "FeatureTable", "ManifestEntry", "Role",
-             "SplitPolicy", "TableFormat", "read_feature_table", "split_id_data",
-             "write_feature_table"),
+    "data": ("DATASET_SIZE_PRESETS", "DESK_SCALE_PER_SIDE", "UNLABELED", "DatasetManifest",
+             "FeatureTable", "ManifestEntry", "Role", "SplitPolicy", "TableFormat",
+             "read_feature_table", "split_id_data", "write_feature_table"),
     "detectors": ("DetectorConfig", "GaussianClassModel", "Method", "ScoreSet",
                   "fit_mahalanobis", "load_model", "read_scores", "save_model", "score_energy",
                   "score_mahalanobis", "score_msp", "score_table", "write_scores"),
     "errors": ("IngestionError", "NumericalError", "OodgateError", "ValidationError"),
-    "experiments": ("DATASET_SIZE_PRESETS", "DESK_SCALE_PER_SIDE", "Axis", "SweepResult",
-                    "SweepRow", "SweepSpec", "run_sweep"),
+    "experiments": ("Axis", "SweepResult", "SweepRow", "SweepSpec", "run_sweep"),
     "metrics": ("Criterion", "EvalReport", "RocCurve", "auroc", "calibrate_threshold",
                 "evaluate", "fpr_at_tpr", "roc_curve"),
     "synthetic": ("Balanced", "SyntheticSpec", "SyntheticWorld", "UnbalancedPowerlaw",

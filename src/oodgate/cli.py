@@ -23,6 +23,13 @@ thread, so this module sets ``OPENBLAS_NUM_THREADS`` to 1 when it is the first
 to import numpy, as under ``python -m oodgate.cli`` or the ``oodgate`` script:
 that library then starts with the one thread those calls use, and no idle
 pool. A process that imported numpy first keeps its pool and its environment.
+
+Each command loads only the modules it runs: this module loads ``data``,
+``detectors`` and ``errors``, which are all that ``fit`` and ``score`` run;
+``calibrate`` and ``eval`` add ``metrics``, ``synth`` adds ``synthetic``, and
+``sweep`` adds ``experiments`` (with ``metrics`` and ``synthetic``); ``svg`` is
+loaded for ``eval --svg`` and ``sweep --svg``. The parser's size presets live
+in ``data``, and ``--law`` loads ``synthetic`` only when it parses a law.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ if "numpy" not in sys.modules:  # OpenBLAS reads it once, when numpy loads it
 import numpy as np
 
 from .data import (
+    DATASET_SIZE_PRESETS,
+    DESK_SCALE_PER_SIDE,
     DatasetManifest,
     ManifestEntry,
     Role,
@@ -53,6 +62,7 @@ from .data import (
 from .detectors import (
     DetectorConfig,
     Method,
+    ScoreSet,
     fit_mahalanobis,
     load_model,
     read_scores,
@@ -61,17 +71,10 @@ from .detectors import (
     write_scores,
 )
 from .errors import NumericalError, ValidationError
-from .experiments import (
-    DATASET_SIZE_PRESETS,
-    DESK_SCALE_PER_SIDE,
-    SweepSpec,
-    _GRIDS,
-    _grid_kind,
-    run_sweep,
-)
-from .metrics import Criterion, _check_target, calibrate_threshold, evaluate, roc_curve
-from .svg import roc_svg, series_svg
-from .synthetic import SyntheticSpec, _world_sizes, generate_world, parse_law
+
+#: The ``--axis`` choices: the axes of ``experiments._GRIDS``, spelled with
+#: dashes (the tests pin the two together).
+_AXES = ("accuracy", "domain-distance", "imbalance")
 
 _PRESET_TEXT = ", ".join(f"{k}={v}" for k, v in DATASET_SIZE_PRESETS.items())
 
@@ -86,6 +89,14 @@ def _size(text: str) -> int:
     if text in DATASET_SIZE_PRESETS:
         return DATASET_SIZE_PRESETS[text]
     return int(text)
+
+
+def parse_law(text: str):
+    """:func:`oodgate.synthetic.parse_law`, which loads only when a law is parsed;
+    argparse names this function in its ``invalid parse_law value`` line."""
+    from .synthetic import parse_law as parse
+
+    return parse(text)
 
 
 def _default_seed() -> int:
@@ -123,6 +134,8 @@ def _timestamp(args) -> str | None:
 
 def _world_spec(args, seed: int) -> SyntheticSpec:
     """The world the world flags describe, at the first ``--ood-distance`` (default 2.0)."""
+    from .synthetic import SyntheticSpec
+
     return SyntheticSpec(
         classes=args.classes,
         dim=args.dim,
@@ -140,6 +153,8 @@ def _world_spec(args, seed: int) -> SyntheticSpec:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import _world_sizes, generate_world
+
     if args.classes is None or args.dim is None:
         raise ValidationError("synth requires --classes and --dim")
     distances = tuple(args.ood_distance) if args.ood_distance else (2.0,)
@@ -234,9 +249,11 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _score_pair(args) -> tuple[Criterion, np.ndarray, np.ndarray]:
+def _score_pair(args) -> tuple[Criterion, ScoreSet, ScoreSet]:
     """The ``--criterion`` and the ID and OOD scores; a ``--target`` that the
     criterion reads is checked before any score file is read."""
+    from .metrics import Criterion, _check_target
+
     criterion = Criterion.YOUDEN if args.criterion == "youden" else Criterion.FPR_AT_TPR
     if criterion is Criterion.FPR_AT_TPR:
         _check_target(args.target)
@@ -244,6 +261,8 @@ def _score_pair(args) -> tuple[Criterion, np.ndarray, np.ndarray]:
 
 
 def cmd_calibrate(args) -> int:
+    from .metrics import calibrate_threshold
+
     criterion, id_scores, ood_scores = _score_pair(args)
     threshold, tpr, fpr = calibrate_threshold(id_scores, ood_scores, criterion, args.target)
     obj = {
@@ -258,10 +277,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import evaluate, roc_curve
+
     criterion, id_scores, ood_scores = _score_pair(args)
     report = evaluate(id_scores, ood_scores, criterion, args.target)
     _write_text(args, args.out, report.to_json())
     if args.svg:
+        from .svg import roc_svg
+
         _write_text(args, args.svg, roc_svg(roc_curve(id_scores, ood_scores)))
     return 0
 
@@ -275,6 +298,8 @@ def _items(flag: str, text: str, parse) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    from .experiments import SweepSpec, _grid_kind, run_sweep
+
     if len(args.ood_distance or ()) > 1:
         raise ValidationError(f"sweep takes one --ood-distance, got {len(args.ood_distance)}")
     axis = args.axis.replace("-", "_")
@@ -307,6 +332,8 @@ def cmd_sweep(args) -> int:
     _write_text(args, out / "rows.jsonl", result.to_jsonl())
     _write_text(args, out / "summary.json", result.to_summary_json(_timestamp(args)))
     if args.svg:
+        from .svg import series_svg
+
         labels = [str(r.axis_value) for r in result.rows[:: len(detectors)]]  # one per point
         series: dict[str, list[float]] = {}
         for row in result.rows:
@@ -334,7 +361,7 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
                    help="fraction of fit labels randomized among other classes")
     p.add_argument("--ood-distance", type=float, action="append", default=None,
                    help="OOD cloud distance in units of separation (synth: repeatable)")
-    p.add_argument("--law", type=parse_law, default=parse_law("balanced:200"),
+    p.add_argument("--law", type=parse_law, default="balanced:200",
                    help="per-class count law: balanced:N, powerlaw:ALPHA:TOTAL, "
                         "uniform:TOTAL")
 
@@ -405,7 +432,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("sweep", help="run one evaluation-axis sweep",
                         epilog=_EPILOG)
-    p.add_argument("--axis", required=True, choices=[a.replace("_", "-") for a in _GRIDS])
+    p.add_argument("--axis", required=True, choices=_AXES)
     p.add_argument("--grid", required=True,
                    help="comma list: label-noise levels (accuracy), OOD distances or, with "
                         "--manifest, OOD table names (domain-distance), or count laws (imbalance)")

@@ -48,6 +48,17 @@ from .errors import IngestionError, ValidationError
 #: Label value marking a sample without a class (OOD test rows).
 UNLABELED = -1
 
+#: Default per-side test size for generated worlds.
+DESK_SCALE_PER_SIDE = 2000
+
+#: Benchmark-scale dataset sizes, usable wherever a sample count is taken.
+DATASET_SIZE_PRESETS = {
+    "non-insecta": 74740,
+    "ood-insect": 56487,
+    "imagenet": 9730,
+    "human-face": 3059,
+}
+
 _MAGIC = b"OODF"
 _VERSION = 1  # of both binary containers, OODF and OODM
 _HEADER = struct.Struct("<4sIQQQB7x")  # magic, version, n, d, c, dtype code

@@ -53,7 +53,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetManifest, FeatureTable, Role, _read_kept, stream_rng
+# The size presets live in data, which the CLI's parser reads without this
+# module; they are re-exported here as the same objects.
+from .data import (DATASET_SIZE_PRESETS, DESK_SCALE_PER_SIDE, DatasetManifest, FeatureTable,
+                   Role, _read_kept, stream_rng)
 from .detectors import DetectorConfig, Method, fit_mahalanobis, score_table
 from .errors import ValidationError
 from .metrics import auroc, fpr_at_tpr, roc_curve
@@ -70,17 +73,6 @@ from .synthetic import (
     imbalanced_rows,
     parse_law,
 )
-
-#: Default per-side test size for generated worlds.
-DESK_SCALE_PER_SIDE = 2000
-
-#: Benchmark-scale dataset sizes, usable wherever a sample count is taken.
-DATASET_SIZE_PRESETS = {
-    "non-insecta": 74740,
-    "ood-insect": 56487,
-    "imagenet": 9730,
-    "human-face": 3059,
-}
 
 _STREAM_ID_SUB = 7
 _STREAM_OOD_SUB = 8
@@ -267,8 +259,11 @@ def _law_rows(laws: tuple[CountLaw, ...], labels: np.ndarray, dim: int,
     """Check each law's class sizes and one total over ``labels``, then draw
     each law's rows. A law whose fit table of ``dim``-wide rows could not be
     addressed is refused in Python ints first: it could never be drawn, and
-    its class sizes could overflow int64."""
-    c = np.unique(labels).size
+    its class sizes could overflow int64. c counts the distinct labels,
+    UNLABELED among them, as ``np.unique(labels).size`` would, without
+    loading ``numpy.ma``."""
+    ranked = np.sort(labels)
+    c = int(np.count_nonzero(ranked[1:] != ranked[:-1])) + (ranked.size > 0)
     for law in laws:
         _check_rows(f"count law {law.text()}'s fit table", _law_total(law, c), dim)
     totals = {sum(law.class_sizes(c, np.random.default_rng(0)).tolist()) for law in laws}

@@ -57,7 +57,12 @@ def _cuts(id_scores: ScoreSet, ood_scores: ScoreSet):
             f"score sets disagree on method: {id_scores.method} vs {ood_scores.method}"
         )
     id_s, ood_s = id_scores.scores, ood_scores.scores
-    cuts = np.unique(np.concatenate([id_s, ood_s]))[::-1]  # tie groups merged
+    # Tie groups merged into the first of each, the element ``np.unique``
+    # keeps (which, unlike this, loads ``numpy.ma``): a group of -0.0 and 0.0
+    # is cut at the one the sort puts first.
+    ranked = np.concatenate([id_s, ood_s])
+    ranked.sort()
+    cuts = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))][::-1]
     tp = id_s.size - np.searchsorted(np.sort(id_s), cuts, side="left")
     fp = ood_s.size - np.searchsorted(np.sort(ood_s), cuts, side="left")
     return cuts, tp, fp

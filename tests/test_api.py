@@ -209,7 +209,9 @@ def test_lazy_package_resolves_and_lists_every_name():
 
 def _module_level_imports(tree: ast.Module):
     """The modules imported by statements that run when ``tree`` is imported:
-    those outside any function body."""
+    those outside any function body. A relative import keeps its leading
+    dots: ``from .data import x`` yields ``.data``, ``from . import svg``
+    yields ``.svg``."""
     todo = list(tree.body)
     while todo:
         node = todo.pop()
@@ -217,6 +219,12 @@ def _module_level_imports(tree: ast.Module):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             yield node.module
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module:
+                yield dots + node.module
+            else:
+                yield from (dots + alias.name for alias in node.names)
         elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             todo.extend(ast.iter_child_nodes(node))
 
@@ -248,3 +256,14 @@ def test_cli_imports_no_private_name_from_detectors():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_loads_only_what_fit_and_score_run_on_import():
+    """``fit`` and ``score`` run only ``data`` and ``detectors``, so those and
+    ``errors`` are the only oodgate modules ``cli.py`` imports when it is
+    imported; each other command imports the rest of what it runs."""
+    path = Path(__file__).resolve().parents[1] / "src" / "oodgate" / "cli.py"
+    loaded = {m for m in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+              if m.startswith(".") or m.split(".")[0] == "oodgate"}
+    assert loaded == {".data", ".detectors", ".errors"}
+

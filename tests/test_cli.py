@@ -1490,3 +1490,86 @@ def test_preset_names_accepted_as_sizes():
         ["synth", "--classes", "3", "--dim", "4", "--n-ood", "human-face", "--out", "x"]
     )
     assert args.n_ood == 3059
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_bad_law_is_named_in_argparse_line(command, capsys):
+    """argparse names the ``--law`` type callable in its error line, so the
+    callable keeps the name ``parse_law``."""
+    sweep = ["--axis", "accuracy", "--grid", "0"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        run(command, *sweep, "--law", "bogus", "--out", "x")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"oodgate {command}: error: argument --law: invalid parse_law value: 'bogus'")
+
+
+def test_parser_defaults_are_the_library_values():
+    """The parser reads no sweep or world module, so its defaults are pinned
+    against them here: the ``--law`` default, the ``--n-per-side`` default,
+    the ``--axis`` choices and the epilog's size presets."""
+    from oodgate import experiments
+
+    parser, commands = build_parser()
+    for command, extra in (("synth", []), ("sweep", ["--axis", "accuracy", "--grid", "0"])):
+        args = parser.parse_args([command, *extra, "--out", "x"])
+        assert args.law == Balanced(200)
+        if command == "sweep":
+            assert args.n_per_side == DESK_SCALE_PER_SIDE
+    (axis,) = [a for a in commands["sweep"]._actions if a.dest == "axis"]
+    assert list(axis.choices) == [name.replace("_", "-") for name in experiments._GRIDS]
+    for p in (parser, commands["synth"], commands["sweep"]):
+        for name, size in DATASET_SIZE_PRESETS.items():
+            assert f"{name}={size}" in p.epilog
+    assert experiments.DATASET_SIZE_PRESETS is DATASET_SIZE_PRESETS
+    assert experiments.DESK_SCALE_PER_SIDE is DESK_SCALE_PER_SIDE
+
+
+#: Runs ``main(argv)`` in a fresh interpreter, then prints its exit code, the
+#: oodgate modules it loaded and whether it loaded ``numpy.ma``.
+_LOADED = ("import json, sys\n"
+           "from oodgate.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('oodgate.')),"
+           " 'numpy.ma' in sys.modules]))\n")
+
+_WORLD = ("--classes", "3", "--dim", "4", "--law", "balanced:30")
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("fit", "--manifest", "{w}/world.manifest", "--out", "{t}/m2.oodm"), []),
+    (("score", "--input", "{w}/id3.oodf", "--method", "msp", "--out", "{t}/s.csv"), []),
+    (("score", "--input", "{w}/id3.oodf", "--method", "mah", "--model", "{t}/m.oodm",
+      "--out", "{t}/s.csv"), []),
+    (("eval", "--id-scores", "{t}/id.csv", "--ood-scores", "{t}/ood.csv", "--out", "{t}/e.json"),
+     ["metrics"]),
+    (("eval", "--id-scores", "{t}/id.csv", "--ood-scores", "{t}/ood.csv", "--out", "{t}/e.json",
+      "--svg", "{t}/roc.svg"), ["metrics", "svg"]),
+    (("calibrate", "--id-scores", "{t}/id.csv", "--ood-scores", "{t}/ood.csv",
+      "--out", "{t}/c.json"), ["metrics"]),
+    (("synth", *_WORLD, "--out", "{t}/w2"), ["synthetic"]),
+    (("sweep", "--axis", "accuracy", "--grid", "0,0.2", *_WORLD, "--out", "{t}/s"),
+     ["experiments", "metrics", "synthetic"]),
+    (("sweep", "--axis", "domain-distance", "--grid", "1,2", *_WORLD, "--svg", "--out", "{t}/s"),
+     ["experiments", "metrics", "svg", "synthetic"]),
+    (("sweep", "--axis", "imbalance", "--grid", "balanced:3,uniform:9", *_WORLD,
+      "--out", "{t}/s"), ["experiments", "metrics", "synthetic"]),
+], ids=["fit", "score-msp", "score-mah", "eval", "eval-svg", "calibrate", "synth",
+        "sweep-accuracy", "sweep-domain-svg", "sweep-imbalance"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    """In a fresh interpreter each command loads ``cli``, ``data``,
+    ``detectors`` and ``errors`` and only the ``extra`` modules it runs, and
+    only ``eval`` loads ``numpy.ma`` (through ``np.quantile``)."""
+    w = tmp_path / "w"
+    assert run("synth", *_WORLD, "--out", str(w)) == 0
+    assert run("fit", "--manifest", str(w / "world.manifest"), "--out", str(tmp_path / "m.oodm")) == 0
+    for name, table in (("id", "id3.oodf"), ("ood", "ood_d2.oodf")):
+        assert run("score", "--input", str(w / table), "--method", "msp",
+                   "--out", str(tmp_path / f"{name}.csv")) == 0
+    args = [a.format(w=w, t=tmp_path) for a in argv]
+    done = subprocess.run([sys.executable, "-c", _LOADED, *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, modules, masked = json.loads(done.stdout)
+    assert code == 0
+    assert modules == sorted(f"oodgate.{m}" for m in ["cli", "data", "detectors", "errors", *extra])
+    assert masked is (argv[0] == "eval")

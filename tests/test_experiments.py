@@ -220,6 +220,28 @@ def test_imbalance_sweep_equal_totals_enforced():
         run_sweep(spec)
 
 
+@pytest.mark.parametrize("labels", [
+    [4],
+    [-1, -1, -1],
+    [3, -1, 3, 7, -1, 0],
+    [2**31 - 1, 0, 2**31 - 1],
+    np.random.default_rng(5).integers(-1, 60, size=5000),
+], ids=["one-row", "all-unlabeled", "unlabeled-among-classes", "int32-max", "shuffled-5000"])
+def test_law_rows_count_the_classes_np_unique_counts(labels):
+    """``_law_rows`` sizes every law over the ``np.unique(labels).size``
+    classes, UNLABELED among them, in the same error lines in the same order:
+    a law past the address space first, then unequal totals."""
+    labels = np.asarray(labels, dtype=np.int32)
+    c, huge = np.unique(labels).size, Balanced(2**62)
+    with pytest.raises(ValidationError, match=(
+            rf"^count law balanced:{2**62}'s fit table of {2**62 * c} rows of 4 float32 values "
+            rf"exceeds {np.iinfo(np.intp).max} bytes$")):
+        experiments._law_rows((Balanced(1), huge), labels, 4, 0)
+    with pytest.raises(ValidationError, match=(
+            rf"^imbalance laws must request equal totals over {c} classes, got \[{c}, {2 * c}\]$")):
+        experiments._law_rows((Balanced(1), Balanced(2)), labels, 4, 0)
+
+
 @pytest.mark.parametrize(
     "world, laws, message",
     [

@@ -84,6 +84,38 @@ def test_roc_method_mismatch():
         roc_curve(ss([1.0], Method.MSP), ss([1.0], Method.EBM))
 
 
+def _unique_cuts(id_s, ood_s):
+    """The ``np.unique`` formulation of ``metrics._cuts``, kept as its oracle."""
+    cuts = np.unique(np.concatenate([id_s, ood_s]))[::-1]
+    tp = id_s.size - np.searchsorted(np.sort(id_s), cuts, side="left")
+    fp = ood_s.size - np.searchsorted(np.sort(ood_s), cuts, side="left")
+    return cuts, tp, fp
+
+
+def test_cuts_keep_the_bytes_of_the_unique_formulation():
+    """Twelve pairs of score sets of up to 3000 values, with heavy ties and a
+    tie group of -0.0 and 0.0: every cut, tp and fp has the oracle's dtype and
+    bytes, so each tie group is cut at the element ``np.unique`` keeps. That
+    zero is -0.0 in some pairs and 0.0 in others, so both choices are seen."""
+    from oodgate.metrics import _cuts
+
+    signs = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n_id, n_ood = rng.integers(1, 3000, size=2)
+        values = rng.integers(-8, 9, size=n_id + n_ood) / 4.0  # 17 distinct values
+        zeros = np.flatnonzero(rng.random(values.size) < 0.2)
+        values[zeros] = np.where(rng.random(zeros.size) < 0.5, -0.0, 0.0)
+        values[rng.choice(values.size, size=2, replace=False)] = -0.0, 0.0
+        id_s, ood_s = values[:n_id], values[n_id:]
+        got, want = _cuts(ss(id_s), ss(ood_s)), _unique_cuts(id_s, ood_s)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), seed
+        (zero,) = got[0][got[0] == 0.0]  # the zeros are one tie group
+        signs.add(bool(np.signbit(zero)))
+    assert signs == {False, True}
+
+
 def test_empty_scores_rejected():
     with pytest.raises(ValidationError):
         ss([])
