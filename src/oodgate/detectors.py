@@ -325,7 +325,8 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
     only its features, labels and c are read. Every class in ``[0, c)`` must
     appear in the fit labels (c is its logit count, or if that is 0 the largest
     label plus one). The covariance divisor is the total sample count N.
-    Float32 features are widened into one float64 copy; float64 ones, which
+    Float32 features are widened into one float64 copy, freed once the
+    covariance product is made, before the model is built; float64 ones, which
     only a record holds, are that copy, and the fit writes its residuals over
     them. Every value is known finite, so no block is checked; the class sums
     walk blocks of the stable label order, so row order does not set their cost.
@@ -355,6 +356,7 @@ def fit_mahalanobis(fit_table: FeatureTable, ridge: float = 1e-6) -> GaussianCla
         feats[start : start + rows] -= means[labels[start : start + rows]]
     with _one_blas_thread:
         covariance = feats.T @ feats  # numpy's SYRK: exactly symmetric
+    del feats  # a float32 table's copy is freed before the model's d x d temporaries
     covariance /= n
     if ridge > 0 and not np.trace(covariance) > 0:
         warnings.warn(f"no within-class scatter; regularizing with {ZERO_TRACE_RIDGE_FLOOR:g} * I")

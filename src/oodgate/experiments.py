@@ -20,10 +20,12 @@ from the world spec or the fit file's header, never from the labels, so a
 class without a fit row is refused.
 
 One loop, :func:`run_sweep`, serves every axis. Each axis has a small
-provider that yields the (fit, ID test, OOD test) tables of each grid point,
-and declares in :data:`_PROVIDERS` which of them it hands over unchanged at
-every point (the domain axis's fit and ID test tables, the imbalance axis's
-test tables); the loop fits and scores those once per detector. The loop
+provider, listed in :data:`_PROVIDERS`, that first yields the (fit, ID test,
+OOD test) tables it hands over unchanged at every point, None at the others
+(the domain axis's fit and ID test tables, the imbalance axis's test tables),
+then the tables of each grid point. The loop fits and scores the shared
+tables once per detector before the provider builds any point's own table,
+so the domain axis's mah fit runs with no OOD cloud drawn. The loop
 first checks the grid against :data:`_GRIDS`, the one table of what each
 axis's grid holds on a synthetic world and on a manifest, which also says how
 the CLI reads a ``--grid`` item and how a row writes a grid value.
@@ -35,8 +37,9 @@ rows drawn before any test table is read), which also decides whether the
 fit table is read. On a synthetic world the domain and imbalance axes draw
 each OOD cloud, with its logits, only at its own grid point, and drop it
 once that point is scored, so a domain sweep holds one cloud, not the
-grid's; a cloud whose values overflow fails at its point, after the earlier
-points are scored. A manifest's OOD tables are all read up front.
+grid's; a cloud whose values overflow fails at its point, after the shared
+fit and ID scores and the earlier points. A manifest's OOD tables are all
+read up front.
 
 RNG streams (spawn keys off the sweep seed): (7, i) ID-test subsample at
 grid point i (the domain axis draws its one subsample from (7, 0)), (8, i)
@@ -279,15 +282,18 @@ def _law_rows(laws: tuple[CountLaw, ...], labels: np.ndarray, dim: int,
 
 
 # ---------------------------------------------------------------------------
-# grid-point providers: one per axis, each yielding
-# (axis value, fit table, ID test table, OOD test table, classifier accuracy)
+# grid-point providers: one per axis, each yielding first the (fit, ID test,
+# OOD test) tables it shares across the grid, None at the others, then per point
+# (axis value, fit table, ID test table, OOD test table, classifier accuracy),
+# with the very same objects at the shared positions
 
 
 def _accuracy_points(spec: SweepSpec):
     """One draw, every label-noise level checked before it, relabeled per level;
-    equal-sized test sets. Points are mapped, so no loop variable keeps a
-    level's whole world while the next level's logits are taken."""
+    equal-sized test sets, none shared. Points are mapped, so no loop variable
+    keeps a level's whole world while the next level's logits are taken."""
     levels = [replace(spec.base_world, label_noise=float(noise)) for noise in spec.grid]
+    yield None, None, None
 
     def point(i: int, world):
         (ood,) = world.ood_tables.values()
@@ -296,20 +302,22 @@ def _accuracy_points(spec: SweepSpec):
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
         return world.spec.label_noise, world.id_fit, id_test, ood, world.classifier_accuracy
 
-    return map(point, range(len(levels)), _worlds(levels, keep_train=False))
+    yield from map(point, range(len(levels)), _worlds(levels, keep_train=False))
 
 
 def _domain_points(spec: SweepSpec):
     """One world (or manifest), one OOD set per grid value, sizes matched; the
-    full ID test table is dropped once subsampled. A synthetic world's cloud
-    is drawn at its own point and dropped once subsampled; every cloud has
-    ``n_per_side`` rows (the test-split size if None), so the matched size
-    is known before any is drawn. A manifest's OOD tables are all read first."""
+    fit table and the ID test subsample are shared, and the full ID test table
+    is dropped before they are handed over. A synthetic world's cloud is drawn
+    at its own point and dropped once subsampled; every cloud has
+    ``n_per_side`` rows (the test-split size if None), so the matched size is
+    known before any is drawn. A manifest's OOD tables are all read first."""
     fit_table, id_test, ood_sets, accuracy, _ = _base_tables(spec, spec.grid)
     sizes = () if spec.is_synthetic else [t.n for t in ood_sets]
     m = min([id_test.n, *sizes, spec.n_per_side or id_test.n])
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
     del id_test  # only the subsample is scored
+    yield fit_table, id_matched, None
     ood_sets = iter(ood_sets)
     for i, value in enumerate(spec.grid):
         ood = _subsample(next(ood_sets), m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
@@ -318,61 +326,69 @@ def _domain_points(spec: SweepSpec):
 
 
 def _imbalance_points(spec: SweepSpec):
-    """Resample the detector-fit table per imbalance law; the test sets are fixed.
+    """Resample the detector-fit table per imbalance law; the test sets are shared.
 
     :func:`_base_tables` has checked the laws and drawn every law's rows
     before the world is drawn or a test table read. The OOD set is the
     spec's distance, or a manifest's first OOD_TEST entry.
     """
     id_fit, id_test, (ood,), accuracy, fit_rows = _base_tables(spec, None, spec.grid)
+    yield None, id_test, ood
     for law, rows in zip(spec.grid, fit_rows):
         yield law, id_fit.take(rows), id_test, ood, accuracy
 
 
-#: Each axis's provider, and the positions in (fit, ID test, OOD test) of
-#: the tables it hands over unchanged, the very same objects, at every point.
+#: Each axis's grid-point provider.
 _PROVIDERS = {
-    Axis.ACCURACY: (_accuracy_points, ()),
-    Axis.DOMAIN_DISTANCE: (_domain_points, (0, 1)),
-    Axis.IMBALANCE: (_imbalance_points, (1, 2)),
+    Axis.ACCURACY: _accuracy_points,
+    Axis.DOMAIN_DISTANCE: _domain_points,
+    Axis.IMBALANCE: _imbalance_points,
 }
+
+
+def _made(config: DetectorConfig, tables, kept: dict) -> dict:
+    """One detector's results on (fit, ID test, OOD test) ``tables``, by position:
+    0 its mah fit, 1 and 2 the scores of the test tables. A result in ``kept`` is
+    taken from there; one with a None table among its inputs is not made."""
+    made = dict(kept)
+    if config.method is Method.MAH and 0 not in made:
+        if tables[0] is None:  # nothing mah scores can be made
+            return made
+        made[0] = fit_mahalanobis(tables[0], config.ridge)
+    for pos in (1, 2):
+        if pos not in made and tables[pos] is not None:
+            made[pos] = score_table(config, tables[pos], made.get(0))
+    return made
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run one sweep: one row per (grid value, detector), in that order.
 
-    The axis's provider hands over each grid point's tables; this loop fits
-    and scores them. A fit, or a scoring whose inputs (a mah scoring's fit
-    table among them) are all shared tables of the axis, is made once per
-    detector and kept for the whole sweep: the domain axis scores its ID test
-    set once. Everything else is made at its grid point and dropped before
-    the next point is built, so memory does not grow with the grid.
+    The axis's provider first hands over the tables it shares across the
+    grid. A fit, or a scoring whose inputs (a mah scoring's fit table among
+    them) are all those shared tables, is made once per detector, before any
+    grid point's own table is built, and kept for the whole sweep: the domain
+    axis fits mah and scores its ID test set before it draws its first OOD
+    cloud. The provider then hands over each grid point's tables; everything
+    else is made at its point and dropped before the next point is built, so
+    memory does not grow with the grid.
     """
-    provider, shared = _PROVIDERS[spec.axis]
     kind, cls, _, write = _grid_kind(spec.axis, spec.is_synthetic)
     if not all(isinstance(v, cls) and not isinstance(v, bool) for v in spec.grid):
         raise ValidationError(f"{spec.axis} grid values must be {kind}")
-    kept: dict[tuple[int, int], object] = {}  # (detector index, position): made once
+    points = _PROVIDERS[spec.axis](spec)
+    shared = next(points)
+    kept = [_made(config, shared, {}) for config in spec.detectors]
     rows: list[SweepRow] = []
-    for value, *tables, accuracy in provider(spec):
-        for j, config in enumerate(spec.detectors):
-            # mah scores with a fit of position 0, which every provider yields for it
-            fit = (0,) if config.method is Method.MAH else ()
-            made = {}  # position: the fit, or the scores of that position's table
-            for pos in (*fit, 1, 2):
-                if (j, pos) in kept:
-                    made[pos] = kept[j, pos]
-                elif pos == 0:
-                    made[0] = fit_mahalanobis(tables[0], config.ridge)
-                else:
-                    made[pos] = score_table(config, tables[pos], made.get(0))
-                if {*fit, pos}.issubset(shared):
-                    kept[j, pos] = made[pos]
+    for value, *tables, accuracy in points:
+        for config, once in zip(spec.detectors, kept):
+            made = _made(config, tables, once)
             curve = roc_curve(made[1], made[2])
+            del made  # so the next detector's results are made without these
             rows.append(SweepRow(
                 axis=spec.axis, axis_value=write(value), method=config.method.value,
                 classifier_accuracy=accuracy, auroc=auroc(curve),
                 fpr95=fpr_at_tpr(curve, 0.95), n_id=tables[1].n, n_ood=tables[2].n,
             ))
-        del tables, made, curve  # so the next point is built without them
+        del tables, curve  # so the next point is built without them
     return SweepResult(tuple(rows), _provenance(spec, write))

@@ -1008,6 +1008,22 @@ def test_wide_rows_peak_within_a_few_block_bytes(traced_peak):
     assert peak <= held + BLOCK_BYTES, ("fit", (peak - held) / BLOCK_BYTES)
 
 
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_float32_fit_frees_its_copy_before_the_model_is_built(n, traced_peak):
+    """A float32 fit's float64 copy is dropped once the covariance product is
+    made, so the model's d x d temporaries (symmetry check, ridge, factor)
+    are not stacked on it: the peak stays below the copy plus two d x d
+    float64 matrices (measured: plus 1.02 of them; 3.02 with the copy kept)."""
+    d = 512
+    rng = np.random.default_rng(0)
+    fit = _Kept(rng.normal(size=(n, d)).astype(np.float32), None,
+                (np.arange(n) % 10).astype(np.int32), 10)
+    fit_mahalanobis(fit, 1e-6)  # first-call allocations, LAPACK's load
+    peak = traced_peak(lambda: fit_mahalanobis(fit, 1e-6))[1]
+    copy, square = n * d * 8, d * d * 8
+    assert peak < copy + 2 * square, (peak - copy) / square
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -443,17 +443,25 @@ def calls(monkeypatch):
     return counts
 
 
+#: positions in (fit, ID test, OOD test) that each axis shares across its grid
+SHARED = {Axis.ACCURACY: (), Axis.DOMAIN_DISTANCE: (0, 1), Axis.IMBALANCE: (1, 2)}
+
+
 @pytest.mark.parametrize("name", sorted(ROWS_SHA256))
 def test_providers_hand_over_the_declared_tables_unchanged(name, tmp_path):
-    """At a position its axis declares shared, a provider yields the very
-    same table at every grid point; at any other, a new table at each."""
+    """A provider first hands over the tables its axis shares, None at the
+    other positions. At a shared position it then yields that very table at
+    every grid point; at any other, a new table at each."""
     spec = _digest_spec(name, tmp_path)
-    provider, shared = experiments._PROVIDERS[spec.axis]
-    points = [point[1:4] for point in provider(spec)]  # all kept, so no id is reused
+    shared, *points = experiments._PROVIDERS[spec.axis](spec)  # all kept: no id is reused
+    points = [point[1:4] for point in points]
     assert len(points) == len(spec.grid) >= 2
+    assert [pos for pos in range(3) if shared[pos] is not None] == list(SHARED[spec.axis])
     for pos in range(3):
-        distinct = len({id(tables[pos]) for tables in points})
-        assert distinct == (1 if pos in shared else len(points)), pos
+        if pos in SHARED[spec.axis]:
+            assert all(tables[pos] is shared[pos] for tables in points), pos
+        else:
+            assert len({id(tables[pos]) for tables in points}) == len(points), pos
 
 
 def test_domain_sweep_scores_each_table_once(calls):
@@ -548,7 +556,9 @@ def test_domain_clouds_drawn_per_point_equal_the_eager_world_clouds(n_per_side):
                      n_per_side=n_per_side)
     world = generate_world(spec.base_world, ood_distances=spec.grid, n_ood=n_per_side)
     m = min(world.id_test.n, n_per_side)
-    points = list(experiments._domain_points(spec))
+    (_, id_matched, no_ood), *points = experiments._domain_points(spec)
+    assert no_ood is None
+    assert id_matched.n == m
     assert [value for value, *_ in points] == list(spec.grid)
     for i, (_, _, id_test, ood, _) in enumerate(points):
         eager = world.ood_tables[synthetic.ood_table_name(spec.grid[i])]
@@ -582,6 +592,49 @@ def test_domain_cloud_that_overflows_fails_at_its_own_point(calls):
     with pytest.raises(ValidationError, match="^non-finite value in features at row 0$"):
         run_sweep(spec)
     assert calls == {"fit": 1, "msp": 2, "ebm": 2, "mah": 2}
+
+
+@pytest.fixture
+def sweep_order(monkeypatch):
+    """The fits, the scorings (by method and table size) and the OOD cloud
+    draws a sweep makes, in order."""
+    order = []
+    fit, score, cloud = experiments.fit_mahalanobis, experiments.score_table, experiments._ood_table
+
+    def spying_fit(*args, **kwargs):
+        order.append("fit")
+        return fit(*args, **kwargs)
+
+    def spying_score(config, table, *args, **kwargs):
+        order.append((config.method.value, table.n))
+        return score(config, table, *args, **kwargs)
+
+    def spying_cloud(*args, **kwargs):
+        order.append("cloud")
+        return cloud(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_mahalanobis", spying_fit)
+    monkeypatch.setattr(experiments, "score_table", spying_score)
+    monkeypatch.setattr(experiments, "_ood_table", spying_cloud)
+    return order
+
+
+def test_domain_sweep_fits_and_scores_its_id_set_before_the_first_cloud(sweep_order):
+    """The mah fit and the ID subsample's three scorings run before any
+    cloud is drawn; each cloud is drawn at its own point and scored there."""
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (0.5, 1.0, 2.0), ALL, seed=3,
+                     n_per_side=40)
+    run_sweep(spec)
+    point = ["cloud", ("msp", 40), ("ebm", 40), ("mah", 40)]
+    assert sweep_order == [("msp", 40), ("ebm", 40), "fit", ("mah", 40), *point * 3]
+
+
+def test_domain_first_cloud_that_overflows_fails_after_the_shared_results(calls):
+    """The first cloud is drawn once the fit and the ID scorings are made."""
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (1e308, 1.5e308), ALL, seed=3)
+    with pytest.raises(ValidationError, match="^non-finite value in features at row 0$"):
+        run_sweep(spec)
+    assert calls == {"fit": 1, "msp": 1, "ebm": 1, "mah": 1}
 
 
 def test_short_class_in_later_law_raises_before_any_fit(calls):
@@ -745,11 +798,11 @@ def test_sweep_peak_memory_near_one_world(axis, grid, detectors, bound, block_ro
     near the float32 bytes of one whole world (train split included).
 
     (The case ids keep the bounds they were first given.) The accuracy
-    bounds sit above their measured 1.014 (ebm and mah) and 0.650 (ebm only)
-    and below the 1.136 and 0.755 of a loop that keeps the previous level's
+    bounds sit above their measured 0.988 (ebm and mah) and 0.624 (ebm only)
+    and below the 1.083 and 0.729 of a loop that keeps the previous level's
     test tables, scores and fit while the next level is built. The domain
-    bound sits above its 1.009. A sweep that draws its world with the train
-    split (1.55 and 1.26) goes past either.
+    bound sits above its 0.782 (0.904 with that loop). A sweep that draws its
+    world with the train split (1.55 and 1.26) goes past either.
     """
     base = world_spec(classes=8, dim=32, law=Balanced(4000), seed=2)
     block_rows(4096, 32)
