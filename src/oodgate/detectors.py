@@ -112,10 +112,13 @@ def read_scores(path: str | Path, method: Method | None = None) -> ScoreSet:
 
 def _floats(values) -> np.ndarray:
     """``values`` as is when its dtype widens to float64 exactly (float16, 32
-    or 64); anything else is converted to float64 once."""
+    or 64); complex, str and bytes are refused, anything else is converted to
+    float64 once."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f" and arr.dtype.itemsize <= 8:
         return arr
+    if arr.dtype.kind in "cSU":
+        raise ValidationError(f"detectors score real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64)
 
 
@@ -474,8 +477,8 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
     that of one solve per class over all rows, bit for bit. Beyond its input,
     a block holds its float64 widening and one block x c array of estimates;
     a refinement chunk holds its gathered rows, their means and the squared
-    solve, all written in place. An ``x - mu_k`` that overflows float64
-    raises NumericalError.
+    solve, all written in place. An ``x - mu_k``, or a row's least squared
+    distance, that overflows float64 raises NumericalError.
     """
     feats = _floats(features)
     if feats.ndim == 1:
@@ -508,9 +511,12 @@ def score_mahalanobis(model: GaussianClassModel, features: np.ndarray) -> ScoreS
                     raise NumericalError("a feature row minus a class mean overflows float64")
                 # diff.T is Fortran-ordered, so the solve writes over it
                 z = _solve_lower(factor, diff.T, overwrite_b=True)
-                z *= z
-                np.minimum.at(best, start + r, np.sum(z, axis=0))
+                with np.errstate(over="ignore"):  # a far candidate may overflow to inf
+                    z *= z
+                    np.minimum.at(best, start + r, np.sum(z, axis=0))
             del diff, z  # not held while the next block is widened and its candidates picked
+    if not np.isfinite(best).all():
+        raise NumericalError("a squared Mahalanobis distance overflows float64")
     return ScoreSet(Method.MAH, np.negative(best, out=best))
 
 

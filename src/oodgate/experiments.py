@@ -20,13 +20,13 @@ from the world spec or the fit file's header, never from the labels, so a
 class without a fit row is refused.
 
 One loop, :func:`run_sweep`, serves every axis. Each axis has a small
-provider, listed in :data:`_PROVIDERS`, that first yields the (fit, ID test,
-OOD test) tables it hands over unchanged at every point, None at the others
-(the domain axis's fit and ID test tables, the imbalance axis's test tables),
-then the tables of each grid point. The loop fits and scores the shared
-tables once per detector before the provider builds any point's own table,
-so the domain axis's mah fit runs with no OOD cloud drawn. The loop
-first checks the grid against :data:`_GRIDS`, the one table of what each
+provider, listed in :data:`_PROVIDERS`, that returns the (fit, ID test, OOD
+test) tables it shares across the grid, None at the others (the domain axis's
+fit and ID test tables, the imbalance axis's test tables), and a lazy iterator
+of each grid point's tables. The loop fits and scores the shared tables once
+per detector, then drops them, before the provider builds any point's own
+table: the domain axis frees its fit table before it draws an OOD cloud. The
+loop first checks the grid against :data:`_GRIDS`, the one table of what each
 axis's grid holds on a synthetic world and on a manifest, which also says how
 the CLI reads a ``--grid`` item and how a row writes a grid value.
 Providers check the whole grid before the first fit or score, on a synthetic
@@ -282,10 +282,10 @@ def _law_rows(laws: tuple[CountLaw, ...], labels: np.ndarray, dim: int,
 
 
 # ---------------------------------------------------------------------------
-# grid-point providers: one per axis, each yielding first the (fit, ID test,
-# OOD test) tables it shares across the grid, None at the others, then per point
-# (axis value, fit table, ID test table, OOD test table, classifier accuracy),
-# with the very same objects at the shared positions
+# grid-point providers: one per axis, each returning the (fit, ID test, OOD
+# test) tables it shares across the grid, None at the others, and an iterator
+# of (axis value, fit table, ID test table, OOD test table, classifier
+# accuracy) per point, None at each shared position no detector reads again
 
 
 def _accuracy_points(spec: SweepSpec):
@@ -293,7 +293,6 @@ def _accuracy_points(spec: SweepSpec):
     equal-sized test sets, none shared. Points are mapped, so no loop variable
     keeps a level's whole world while the next level's logits are taken."""
     levels = [replace(spec.base_world, label_noise=float(noise)) for noise in spec.grid]
-    yield None, None, None
 
     def point(i: int, world):
         (ood,) = world.ood_tables.values()
@@ -302,40 +301,39 @@ def _accuracy_points(spec: SweepSpec):
         ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
         return world.spec.label_noise, world.id_fit, id_test, ood, world.classifier_accuracy
 
-    yield from map(point, range(len(levels)), _worlds(levels, keep_train=False))
+    return (None, None, None), map(point, range(len(levels)), _worlds(levels, keep_train=False))
 
 
 def _domain_points(spec: SweepSpec):
     """One world (or manifest), one OOD set per grid value, sizes matched; the
     fit table and the ID test subsample are shared, and the full ID test table
-    is dropped before they are handed over. A synthetic world's cloud is drawn
-    at its own point and dropped once subsampled; every cloud has
+    is dropped on return. A synthetic world's cloud is drawn at its own point,
+    by a map that keeps no loop variable, and dropped once subsampled; each has
     ``n_per_side`` rows (the test-split size if None), so the matched size is
     known before any is drawn. A manifest's OOD tables are all read first."""
     fit_table, id_test, ood_sets, accuracy, _ = _base_tables(spec, spec.grid)
     sizes = () if spec.is_synthetic else [t.n for t in ood_sets]
     m = min([id_test.n, *sizes, spec.n_per_side or id_test.n])
     id_matched = _subsample(id_test, m, stream_rng(spec.seed, _STREAM_ID_SUB, 0))
-    del id_test  # only the subsample is scored
-    yield fit_table, id_matched, None
-    ood_sets = iter(ood_sets)
-    for i, value in enumerate(spec.grid):
-        ood = _subsample(next(ood_sets), m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
-        yield value, fit_table, id_matched, ood, accuracy
-        del ood  # so the next cloud is drawn without this one
+
+    def point(i: int, value, ood):
+        ood = _subsample(ood, m, stream_rng(spec.seed, _STREAM_OOD_SUB, i))
+        return value, None, None, ood, accuracy
+
+    return (fit_table, id_matched, None), map(point, range(len(spec.grid)), spec.grid, ood_sets)
 
 
 def _imbalance_points(spec: SweepSpec):
-    """Resample the detector-fit table per imbalance law; the test sets are shared.
+    """Resample the detector-fit table per imbalance law; the test sets are
+    shared, and handed over again at each point for mah to score.
 
     :func:`_base_tables` has checked the laws and drawn every law's rows
     before the world is drawn or a test table read. The OOD set is the
     spec's distance, or a manifest's first OOD_TEST entry.
     """
     id_fit, id_test, (ood,), accuracy, fit_rows = _base_tables(spec, None, spec.grid)
-    yield None, id_test, ood
-    for law, rows in zip(spec.grid, fit_rows):
-        yield law, id_fit.take(rows), id_test, ood, accuracy
+    return (None, id_test, ood), ((law, id_fit.take(rows), id_test, ood, accuracy)
+                                  for law, rows in zip(spec.grid, fit_rows))
 
 
 #: Each axis's grid-point provider.
@@ -364,31 +362,31 @@ def _made(config: DetectorConfig, tables, kept: dict) -> dict:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run one sweep: one row per (grid value, detector), in that order.
 
-    The axis's provider first hands over the tables it shares across the
-    grid. A fit, or a scoring whose inputs (a mah scoring's fit table among
-    them) are all those shared tables, is made once per detector, before any
-    grid point's own table is built, and kept for the whole sweep: the domain
-    axis fits mah and scores its ID test set before it draws its first OOD
-    cloud. The provider then hands over each grid point's tables; everything
-    else is made at its point and dropped before the next point is built, so
-    memory does not grow with the grid.
+    The axis's provider returns the tables it shares across the grid and an
+    iterator of the grid points' tables. A fit, or a scoring whose inputs (a
+    mah scoring's fit table among them) are all shared tables, is made once
+    per detector and kept for the whole sweep; the shared tables are then
+    dropped, before any grid point's own table is built: the domain axis fits
+    mah and scores its ID test set, and frees its fit table, before it draws
+    its first OOD cloud. Everything else is made at its point and dropped
+    before the next point is built, so memory does not grow with the grid.
     """
     kind, cls, _, write = _grid_kind(spec.axis, spec.is_synthetic)
     if not all(isinstance(v, cls) and not isinstance(v, bool) for v in spec.grid):
         raise ValidationError(f"{spec.axis} grid values must be {kind}")
-    points = _PROVIDERS[spec.axis](spec)
-    shared = next(points)
+    shared, points = _PROVIDERS[spec.axis](spec)
     kept = [_made(config, shared, {}) for config in spec.detectors]
+    del shared  # only the results made from it are read again
     rows: list[SweepRow] = []
     for value, *tables, accuracy in points:
         for config, once in zip(spec.detectors, kept):
             made = _made(config, tables, once)
             curve = roc_curve(made[1], made[2])
-            del made  # so the next detector's results are made without these
             rows.append(SweepRow(
                 axis=spec.axis, axis_value=write(value), method=config.method.value,
                 classifier_accuracy=accuracy, auroc=auroc(curve),
-                fpr95=fpr_at_tpr(curve, 0.95), n_id=tables[1].n, n_ood=tables[2].n,
+                fpr95=fpr_at_tpr(curve, 0.95), n_id=len(made[1]), n_ood=len(made[2]),
             ))
-        del tables, curve  # so the next point is built without them
+            del made, curve  # so the next detector's results are made without these
+        del tables  # so the next point is built without them
     return SweepResult(tuple(rows), _provenance(spec, write))

@@ -101,7 +101,10 @@ def fpr_at_tpr(curve: RocCurve, target_tpr: float = 0.95) -> float:
 def _calibrated(cuts, tp, fp, criterion, target_tpr) -> tuple[int, float, float, float]:
     """The index of the cut ``criterion`` picks, and its (threshold, tpr, fpr)."""
     n_id, n_ood = tp[-1], fp[-1]
-    criterion = Criterion(criterion)
+    try:
+        criterion = Criterion(criterion)
+    except ValueError:
+        raise ValidationError(f"unknown criterion {criterion!r}") from None
     if criterion is Criterion.YOUDEN:
         # Integer cross-multiplied Youden index keeps tie detection exact.
         j = tp * n_ood - fp * n_id

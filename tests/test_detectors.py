@@ -1073,6 +1073,39 @@ def test_mahalanobis_overflowing_difference_is_a_numerical_error():
             score_mahalanobis(model, [[-1e308, 0.0], [0.0, 0.0]])
 
 
+def test_mahalanobis_overflowing_distance_is_a_numerical_error():
+    """Each difference fits float64, its square does not: one row and two,
+    under the suite's warnings-as-errors filter."""
+    model = GaussianClassModel([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], np.eye(3), [5, 5])
+    for n in (1, 2):
+        with pytest.raises(NumericalError,
+                           match="^a squared Mahalanobis distance overflows float64$"):
+            score_mahalanobis(model, np.full((n, 3), 1e308))
+
+
+def test_mahalanobis_far_candidate_that_overflows_loses_quietly():
+    """Every class is a candidate here; a far class's squared distance
+    overflows to inf, which the nearest class's finite one beats."""
+    model = GaussianClassModel([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]], np.eye(2), [5, 5, 5])
+    queries = np.array([[1e150, 0.0], [0.0, 1e150]])
+    with np.errstate(over="ignore"):  # the oracle squares the far differences too
+        expected = per_class_scores(model, queries)
+    assert score_mahalanobis(model, queries).scores.tobytes() == expected.tobytes()
+    assert np.isfinite(expected).all()
+
+
+@pytest.mark.parametrize("values", [[[1 + 1j, 2.0]], [["1", "2"]], [[b"1", b"2"]]],
+                         ids=["complex", "str", "bytes"])
+def test_scorers_refuse_non_real_values(values):
+    """msp, ebm and mah neither drop an imaginary part nor parse text."""
+    values = np.array(values)
+    model = GaussianClassModel([[0.0, 0.0], [1.0, 1.0]], np.eye(2), [5, 5])
+    for score in (score_msp, score_energy, lambda v: score_mahalanobis(model, v)):
+        with pytest.raises(ValidationError) as info:
+            score(values)
+        assert str(info.value) == f"detectors score real numbers, got dtype {values.dtype}"
+
+
 def test_model_validation():
     with pytest.raises(ValidationError, match="no fit samples"):
         GaussianClassModel(np.zeros((2, 2)), np.eye(2), np.array([1, 0]))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -445,21 +446,27 @@ def calls(monkeypatch):
 
 #: positions in (fit, ID test, OOD test) that each axis shares across its grid
 SHARED = {Axis.ACCURACY: (), Axis.DOMAIN_DISTANCE: (0, 1), Axis.IMBALANCE: (1, 2)}
+#: the shared positions whose tables each axis's points hand over again: mah
+#: scores the imbalance axis's test tables against each point's own fit
+REPEATED = {Axis.ACCURACY: (), Axis.DOMAIN_DISTANCE: (), Axis.IMBALANCE: (1, 2)}
 
 
 @pytest.mark.parametrize("name", sorted(ROWS_SHA256))
 def test_providers_hand_over_the_declared_tables_unchanged(name, tmp_path):
-    """A provider first hands over the tables its axis shares, None at the
-    other positions. At a shared position it then yields that very table at
-    every grid point; at any other, a new table at each."""
+    """A provider returns the tables its axis shares, None at the other
+    positions, and its grid points. A point holds that very table at a shared
+    position its points still need, None at any other shared position, and a
+    new table at each unshared one."""
     spec = _digest_spec(name, tmp_path)
-    shared, *points = experiments._PROVIDERS[spec.axis](spec)  # all kept: no id is reused
-    points = [point[1:4] for point in points]
+    shared, points = experiments._PROVIDERS[spec.axis](spec)
+    points = [point[1:4] for point in points]  # all kept: no id is reused
     assert len(points) == len(spec.grid) >= 2
     assert [pos for pos in range(3) if shared[pos] is not None] == list(SHARED[spec.axis])
     for pos in range(3):
-        if pos in SHARED[spec.axis]:
+        if pos in REPEATED[spec.axis]:
             assert all(tables[pos] is shared[pos] for tables in points), pos
+        elif pos in SHARED[spec.axis]:
+            assert all(tables[pos] is None for tables in points), pos
         else:
             assert len({id(tables[pos]) for tables in points}) == len(points), pos
 
@@ -556,15 +563,40 @@ def test_domain_clouds_drawn_per_point_equal_the_eager_world_clouds(n_per_side):
                      n_per_side=n_per_side)
     world = generate_world(spec.base_world, ood_distances=spec.grid, n_ood=n_per_side)
     m = min(world.id_test.n, n_per_side)
-    (_, id_matched, no_ood), *points = experiments._domain_points(spec)
+    (_, id_matched, no_ood), points = experiments._domain_points(spec)
+    points = list(points)
     assert no_ood is None
     assert id_matched.n == m
     assert [value for value, *_ in points] == list(spec.grid)
-    for i, (_, _, id_test, ood, _) in enumerate(points):
+    for i, (_, no_fit, no_id, ood, _) in enumerate(points):
+        assert no_fit is None and no_id is None
         eager = world.ood_tables[synthetic.ood_table_name(spec.grid[i])]
         rng = experiments.stream_rng(spec.seed, experiments._STREAM_OOD_SUB, i)
         assert ood == experiments._subsample(eager, m, rng)
-        assert ood.n == id_test.n == m
+        assert ood.n == id_matched.n == m
+
+
+def test_domain_sweep_frees_its_fit_table_before_its_first_cloud(monkeypatch):
+    """Only the shared mah fit reads the domain axis's fit table, so nothing
+    holds its features once that fit is made: they are freed before the first
+    OOD cloud is drawn. The rows keep their values."""
+    spec = SweepSpec(Axis.DOMAIN_DISTANCE, world_spec(), (0.5, 1.0, 3.0), ALL, seed=3)
+    expected = run_sweep(spec).to_jsonl()
+    fitted, alive = [], []
+    fit, cloud = experiments.fit_mahalanobis, experiments._ood_table
+
+    def spying_fit(table, *args, **kwargs):
+        fitted.append(weakref.ref(table.features))
+        return fit(table, *args, **kwargs)
+
+    def spying_cloud(*args, **kwargs):
+        alive.append([ref() is not None for ref in fitted])
+        return cloud(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_mahalanobis", spying_fit)
+    monkeypatch.setattr(experiments, "_ood_table", spying_cloud)
+    assert run_sweep(spec).to_jsonl() == expected
+    assert alive == [[False]] * len(spec.grid)
 
 
 def test_domain_sweep_memory_does_not_grow_with_the_grid(traced_peak):

@@ -328,6 +328,11 @@ def test_report_accuracy_identity(rng):
     [
         (lambda: calibrate_threshold(ss([1.0]), ss([0.0]), Criterion.FPR_AT_TPR, 0.0),
          "target TPR must be in (0,1], got 0.0"),
+        (lambda: calibrate_threshold(ss([1.0]), ss([0.0]), "bogus"), "unknown criterion 'bogus'"),
+        (lambda: evaluate(ss([1.0]), ss([0.0]), "bogus"), "unknown criterion 'bogus'"),
+        # the score sets are checked first
+        (lambda: calibrate_threshold(ss([1.0]), ss([0.0], Method.MSP), "bogus"),
+         "score sets disagree on method: Method.EBM vs Method.MSP"),
         (lambda: RocCurve([np.inf, -np.inf], [0.0, 1.0], [0.0, 0.5, 1.0]),
          "curve arrays must be equal-length vectors"),
         (lambda: RocCurve([-np.inf, np.inf], [0.0, 1.0], [0.0, 1.0]),
@@ -337,7 +342,8 @@ def test_report_accuracy_identity(rng):
         (lambda: RocCurve([np.inf, 0.0, -np.inf], [0.0, 0.5, 1.0], [0.0, 0.5, 0.5]),
          "fpr must rise from 0 to 1 as thresholds descend"),
     ],
-    ids=["tpr-target-0", "curve-lengths", "curve-ascending", "curve-tpr", "curve-fpr"],
+    ids=["tpr-target-0", "criterion-calibrate", "criterion-evaluate", "criterion-after-method",
+         "curve-lengths", "curve-ascending", "curve-tpr", "curve-fpr"],
 )
 def test_metric_input_errors(call, message):
     with pytest.raises(ValidationError) as info:
